@@ -252,7 +252,7 @@ def cmd_energy(args) -> int:
         "n": code.n,
         "size": code.size,
         "capacity": code.n_w,
-        "s": code.max_inner_product,
+        "s": code.max_inner_product if code.size > 1 else None,
         "potential": h.label(),
         "value": value,
     }

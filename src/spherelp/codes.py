@@ -24,7 +24,15 @@ GOLDEN = (1 + sqrt(5)) / 2
 
 @dataclass
 class WeightedCode:
-    """Distinct unit vectors with positive weights summing to 1."""
+    """Distinct unit vectors with positive weights summing to 1.
+
+    Two points count as distinct when their Euclidean distance exceeds 1e-9.
+    Construction forms the Gram matrix once and uses only it plus the pairs
+    it flags, so memory stays O(N^2): unit vectors (to 1e-12) at distance
+    <= 1e-9 have inner product above 1 - 1e-11, so only pairs whose Gram
+    entry exceeds 1 - 1e-6 can be coincident, and only those pairs have
+    their distance measured directly.
+    """
 
     n: int
     points: np.ndarray
@@ -39,16 +47,19 @@ class WeightedCode:
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("one weight per point required")
         norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("points must be unit vectors")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        dist = np.linalg.norm(self.points[:, None] - self.points[None, :], axis=2)
-        if np.min(dist + 2.0 * np.eye(self.points.shape[0])) <= 1e-9:
+        gram = self.points @ self.points.T
+        np.clip(gram, -1.0, 1.0, out=gram)
+        i, j = np.divmod(np.flatnonzero(gram > 1.0 - 1e-6), gram.shape[0])
+        i, j = i[i < j], j[i < j]
+        if np.any(np.linalg.norm(self.points[i] - self.points[j], axis=1) <= 1e-9):
             raise ValueError("points must be pairwise distinct")
-        self._gram = np.clip(self.points @ self.points.T, -1.0, 1.0)
+        self._gram = gram
 
     @property
     def size(self) -> int:
@@ -70,6 +81,8 @@ class WeightedCode:
 
     @property
     def max_inner_product(self) -> float:
+        if self.size < 2:
+            raise ValueError("a code needs at least two points to have a maximal inner product")
         off = self._gram[~np.eye(self.size, dtype=bool)]
         return float(np.max(off))
 
@@ -84,21 +97,62 @@ class DesignCheckReport:
     tol: float
 
 
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float array, equal to ``math.fsum`` bit for bit.
+
+    Each term is split by ``frexp`` into mantissa * 2**e.  The mantissa,
+    scaled by 2**27, splits into a signed integer part below 2**27 and a
+    fraction on a 2**-26 grid.  Both parts are summed per exponent e with
+    ``bincount``; with fewer than 2**26 terms every partial sum fits in 53
+    bits, so each bin total is exact, and ``fsum`` of the few scaled bin
+    totals gives the rounded sum.  Empty, non-finite, huge (|x| >= 2**960)
+    and all-cancelling inputs, and 2**26 or more terms, go to ``fsum``
+    directly.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0 or x.size >= 2**26 or not np.all(np.isfinite(x)):
+        return fsum(x.tolist())
+    frac, exp = np.frexp(x)
+    top = int(exp.max())
+    if top > 960:
+        return fsum(x.tolist())
+    base = int(exp.min())
+    exp -= base
+    frac *= 2.0**27
+    whole = np.floor(frac)
+    frac -= whole
+    scale = np.arange(base - 27, top - 26)
+    parts = np.concatenate(
+        [
+            np.ldexp(np.bincount(exp, weights=whole), scale),
+            np.ldexp(np.bincount(exp, weights=frac), scale),
+        ]
+    )
+    parts = parts[parts != 0.0]
+    if parts.size == 0:
+        return fsum(x.tolist())
+    return fsum(parts.tolist())
+
+
 def energy(code: WeightedCode, h: Potential) -> float:
     """Weighted h-energy: sum over ordered distinct pairs of w_i w_j h(x_i . x_j).
 
-    Terms are accumulated with exact (compensated) summation so the result
-    matches high-precision reference values to the last printed digit.
+    Works on the upper triangle of the Gram matrix: one call of h on all
+    N(N-1)/2 inner products, terms 2 w_i w_j h(x_i . x_j), and an exact sum
+    (:func:`exact_sum`, equal to ``math.fsum`` of the terms), so the result
+    matches high-precision reference values to the last printed digit.  A
+    one-point code has no pairs and energy 0.
     """
-    if code.max_inner_product >= 1.0 - 1e-15:
+    size, w = code.size, code.weights
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    g = code._gram[upper]
+    if g.size and g.max() >= 1.0 - 1e-15:
         raise ValueError("coincident points: energy would need h(1)")
-    g = code._gram
-    w = code.weights
-    terms = []
-    for i in range(code.size):
-        vals = potential_eval(h, g[i, i + 1 :])
-        terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(vals))
-    return fsum(terms)
+    # row-major upper triangle of the products (2 w_i) w_j, without N x N floats
+    terms = np.broadcast_to(2.0 * w[:, None], (size, size))[upper]
+    terms *= np.broadcast_to(w, (size, size))[upper]
+    terms *= potential_eval(h, g)
+    return exact_sum(terms)
 
 
 def weighted_moment(code: WeightedCode, ell: int) -> float:

@@ -110,7 +110,18 @@ class JacobiSpec:
 
 
 def gegenbauer_eval(n: int, i: int, t):
-    """Evaluate P_i for dimension n at t (scalar or array).
+    """Evaluate P_i for dimension n at t (scalar or array): row i of
+    :func:`gegenbauer_table`."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    if i < 0:
+        raise ValueError("degree must be >= 0")
+    p = gegenbauer_table(n, i, t)[i]
+    return p if p.ndim else float(p)
+
+
+def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
+    """Stack P_0(t), ..., P_imax(t); leading axis is the degree.
 
     Uses the forward three-term recurrence
 
@@ -118,22 +129,6 @@ def gegenbauer_eval(n: int, i: int, t):
 
     with P_0 = 1 and P_1 = t, which preserves P_i(1) = 1.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if i < 0:
-        raise ValueError("degree must be >= 0")
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if i == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = t.copy()
-    for j in range(1, i):
-        p, p_prev = ((2 * j + n - 2) * t * p - j * p_prev) / (j + n - 2), p
-    return p if p.ndim else float(p)
-
-
-def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
-    """Stack P_0(t), ..., P_imax(t); leading axis is the degree."""
     t = np.asarray(t, dtype=float)
     out = np.empty((imax + 1,) + t.shape)
     out[0] = 1.0

@@ -30,7 +30,6 @@ from .orthopoly import (
     JacobiSpec,
     MonomialPoly,
     from_gegenbauer,
-    gegenbauer_eval,
     gegenbauer_table,
     jacobi_largest_zero,
     monomial_measure_mean,
@@ -158,9 +157,8 @@ def levenshtein_function(n: int, m: int, s: float, allow_outside_validity: bool 
         raise ValidityError(f"s = {s} outside validity interval [{lo}, {hi}] of degree {m}")
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
-    pk = gegenbauer_eval(n, k, s)
-    pke = gegenbauer_eval(n, k + eps, s)
-    pkm = gegenbauer_eval(n, k - 1 + eps, s)
+    table = gegenbauer_table(n, k + eps, s)
+    pk, pke, pkm = (float(table[i]) for i in (k, k + eps, k - 1 + eps))
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
     return float(lead * (head - num / den))
@@ -244,11 +242,20 @@ def compute_weights(n: int, nodes, capacity: float) -> np.ndarray:
         li = npoly.polyfromroots(others)
         mean = monomial_measure_mean(li, n)
         weights[i] = (mean - npoly.polyval(1.0, li) / capacity) / npoly.polyval(a, li)
-    if np.any(weights <= 0):
-        raise QuadratureError(f"nonpositive quadrature weight: {weights}")
+    where = f"(n={n}, m={m}, capacity={capacity:.12g})"
+    low = int(np.argmin(weights))
+    if weights[low] <= 0:
+        raise QuadratureError(
+            f"nonpositive quadrature weight for {where}: "
+            f"weight {low} of {nodes.size} is {weights[low]:.6g}"
+        )
     residuals = exactness_residuals(n, nodes, weights, capacity, m)
-    if np.max(np.abs(residuals)) > 1e-9:
-        raise QuadratureError(f"quadrature exactness failure: residuals {residuals}")
+    worst = int(np.argmax(np.abs(residuals)))
+    if abs(residuals[worst]) > 1e-9:
+        raise QuadratureError(
+            f"quadrature exactness failure for {where}: "
+            f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
+        )
     return weights
 
 

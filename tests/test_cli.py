@@ -157,6 +157,16 @@ def test_malformed_code_file(tmp_path, capsys):
     assert "unit" in err
 
 
+def test_energy_one_point_code(tmp_path, capsys):
+    cf = tmp_path / "one.json"
+    cf.write_text(json.dumps({"n": 4, "points": [[1.0, 0.0, 0.0, 0.0]], "weights": [1.0]}))
+    code, out, _ = run(capsys, "energy", "--config", str(cf), "--potential", "riesz:1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["s"] is None
+    assert payload["value"] == 0.0
+
+
 def test_unknown_config(capsys):
     code, _, err = run(capsys, "energy", "--config", "hypercube-of-doom", "--potential", "riesz:1")
     assert code == 1

@@ -16,6 +16,7 @@ from spherelp.codes import (
     design_strength,
     dodecahedron,
     energy,
+    exact_sum,
     icosahedron,
     pentakis_dodecahedron,
     regular_ngon,
@@ -24,7 +25,15 @@ from spherelp.codes import (
     with_equal_weights,
 )
 from spherelp.orthopoly import MonomialPoly, gegenbauer_eval, to_gegenbauer
-from spherelp.potentials import gaussian, newton, potential_eval, riesz
+from spherelp.potentials import (
+    fejes_toth,
+    gaussian,
+    logarithmic,
+    newton,
+    potential_eval,
+    riesz,
+    shifted,
+)
 
 SQ5 = math.sqrt(5)
 PENT_A = math.sqrt(1 - 2 / SQ5) / math.sqrt(3)
@@ -261,3 +270,145 @@ def test_json_round_trip_exact():
     assert np.array_equal(back.points, code.points)
     assert np.array_equal(back.weights, code.weights)
     assert back.name == code.name
+
+
+def random_code(rng, size, n):
+    points = rng.standard_normal((size, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    weights = rng.uniform(0.1, 1.0, size)
+    return WeightedCode(n, points, weights / weights.sum())
+
+
+def pairwise_distinct_reference(points):
+    """The distinctness rule written out on the full N x N x n difference tensor."""
+    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+    return np.min(dist + 2.0 * np.eye(points.shape[0])) > 1e-9
+
+
+def pair_code(theta):
+    points = np.array([[1.0, 0.0, 0.0], [math.cos(theta), math.sin(theta), 0.0]])
+    return WeightedCode(3, points, np.array([0.5, 0.5]))
+
+
+def test_distinctness_threshold():
+    with pytest.raises(ValueError, match="distinct"):
+        pair_code(5e-10)
+    assert pair_code(1e-8).size == 2
+    points = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="distinct"):
+        WeightedCode(3, points, np.full(3, 1 / 3))
+
+
+def test_distinctness_matches_difference_tensor_rule():
+    # clusters of points at distances straddling 1e-9, in several dimensions
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for trial in range(60):
+        n = 2 + trial % 5
+        base = rng.standard_normal((4, n))
+        offsets = rng.standard_normal((12, n)) * 10.0 ** rng.uniform(-10.5, -8, (12, 1))
+        points = base[rng.integers(0, 4, 12)] + offsets
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        expected = pairwise_distinct_reference(points)
+        outcomes.add(expected)
+        try:
+            code = WeightedCode(n, points, np.full(12, 1 / 12))
+        except ValueError as exc:
+            assert "distinct" in str(exc)
+            assert not expected
+        else:
+            assert expected
+            assert np.array_equal(code.gram(), np.clip(points @ points.T, -1.0, 1.0))
+    assert outcomes == {True, False}
+
+
+def test_large_code_builds():
+    assert random_code(np.random.default_rng(11), 3000, 3).size == 3000
+
+
+def test_non_finite_points_rejected():
+    points = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="unit"):
+        WeightedCode(3, points, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [riesz(1), riesz(2.5), gaussian(1.7), logarithmic(), fejes_toth(), shifted(riesz(1), -2.0)],
+    ids=lambda h: h.label(),
+)
+def test_energy_equals_fsum_of_pair_terms(h):
+    rng = np.random.default_rng(23)
+    for size, n in ((2, 3), (40, 3), (150, 4), (260, 6)):
+        code = random_code(rng, size, n)
+        g, w = code.gram(), code.weights
+        terms = []
+        for i in range(size):
+            terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])))
+        assert energy(code, h) == math.fsum(terms)
+
+
+def test_energy_bundled_codes_to_the_bit():
+    assert energy(pentakis_dodecahedron(), riesz(1)) == 0.8050318119233837
+    assert energy(cube_crosspolytope(10), riesz(1)) == 0.7368426543856972
+
+
+def test_one_point_code():
+    code = WeightedCode(4, np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0]))
+    assert energy(code, riesz(1)) == 0.0
+    with pytest.raises(ValueError, match="at least two points"):
+        code.max_inner_product
+
+
+def fsum_outcome(values):
+    try:
+        return math.fsum(list(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def exact_sum_outcome(values):
+    try:
+        return exact_sum(np.asarray(values, dtype=float))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.0],
+        [-0.0, -0.0],
+        [1.5, -1.5],
+        [1e16, 1.0, -1e16],
+        [0.1] * 10 + [-1.0],
+        [1e300, 1e-300, -1e300, 3.0],
+        [5e-324, 5e-324, -1e-310, 2.5e-308],
+        [1.7e308, 1.7e308, -1.7e308],
+        [1.7e308, 1e308],
+        [np.inf, 1.0],
+        [np.inf, -np.inf],
+        [np.nan, 1.0],
+    ],
+)
+def test_exact_sum_edge_cases(values):
+    assert same_outcome(exact_sum_outcome(values), fsum_outcome(values))
+
+
+def test_exact_sum_random_arrays():
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        size = int(rng.integers(1, 400))
+        values = rng.standard_normal(size) * 2.0 ** rng.integers(-1074, 900, size).astype(float)
+        if trial % 3 == 0:
+            values = np.concatenate([values, -values[::-1]])  # exact cancellation
+        elif trial % 3 == 1:
+            values *= 2.0 ** -1000  # many subnormals
+        assert same_outcome(exact_sum(values), math.fsum(values.tolist()))

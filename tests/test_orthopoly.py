@@ -59,6 +59,17 @@ def test_normalization_at_one(n):
         assert abs(gegenbauer_eval(n, i, 1.0) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
+def test_gegenbauer_eval_is_table_row(n):
+    t = np.linspace(-1, 1, 37)
+    for i in range(25):
+        assert np.array_equal(gegenbauer_eval(n, i, t), gegenbauer_table(n, i, t)[i])
+        for x in (-1.0, -0.3, 0.77, 1.0):
+            value = gegenbauer_eval(n, i, x)
+            assert isinstance(value, float)
+            assert value == gegenbauer_table(n, i, x)[i]
+
+
 def test_gegenbauer_domain_errors():
     with pytest.raises(ValueError):
         gegenbauer_eval(1, 2, 0.0)

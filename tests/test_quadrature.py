@@ -261,6 +261,18 @@ def test_compute_weights_failure_on_bad_nodes():
         compute_weights(3, (-0.9, -0.3, 0.2, 0.6), 30.0)
 
 
+def test_compute_weights_errors_name_inputs():
+    # just above D(30, 22) the first weight comes out about -2e-15 (round-off)
+    with pytest.raises(QuadratureError) as info:
+        solve_ulb_rule(30, 2947546837)
+    message = str(info.value)
+    assert "nonpositive quadrature weight for (n=30, m=22, capacity=2947546837): weight 0 of 12 is -" in message
+    assert "[" not in message
+    rule = solve_ulb_rule(3, 30.0)
+    with pytest.raises(QuadratureError, match=r"exactness failure for \(n=3, m=9, capacity=30\): largest residual"):
+        compute_weights(3, np.asarray(rule.nodes) + 1e-4, 30.0)
+
+
 def test_split_degree():
     assert split_degree(9) == (5, 0)
     assert split_degree(6) == (3, 1)
