@@ -13,12 +13,22 @@ infeasible instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import fsum
+from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import InterpolantReport, hermite_interpolant, ulb_nodes, uub_nodes, verify_dominance
+from .hermite import (
+    InterpolantReport,
+    dominance_grid,
+    hermite_interpolant,
+    ulb_nodes,
+    uub_nodes,
+    verify_dominance,
+)
 from .orthopoly import GegenbauerSeries, MonomialPoly
 from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
 from .quadrature import (
@@ -34,6 +44,7 @@ from .quadrature import (
 
 COEFF_TOL = 1e-9
 VALUE_TOL = 1e-10
+ULB_INTERVAL = (-1.0, 0.999)  # where lower-bound certificates must stay below h
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    rule = solve_ulb_rule(n, capacity)
+    rule = _ulb_setup(index(n), float(capacity)).rule
     res = exactness_residuals(n, rule.nodes, rule.weights, rule.capacity, j_max)
     return TestFunctionReport(n, rule.m, rule, {j: float(res[j]) for j in range(1, j_max + 1)})
 
@@ -112,14 +123,36 @@ def _scan_checks(rule: QuadratureRule, j_max: int) -> CheckResult:
     return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])) if j_max > rule.m else None, note)
 
 
-def _ulb_from_rule(rule: QuadratureRule, h: Potential, kind: str) -> BoundReport:
+class _UlbSetup(NamedTuple):
+    rule: QuadratureRule
+    scan: CheckResult
+    grid: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
+    """The part of a lower bound at (n, N_W) that does not depend on h.
+
+    The rule, its Q_j scan up to 3m and the read-only dominance grid on
+    ULB_INTERVAL are universal, so bounds for many potentials at one
+    (n, N_W) share one solve.  Callers pass ``int`` and ``float`` so equal
+    inputs share one entry; a failed solve raises and stores nothing.
+    """
+    rule = solve_ulb_rule(n, capacity)
+    grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
+    grid.flags.writeable = False
+    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m), grid)
+
+
+def _ulb_from_setup(setup: _UlbSetup, h: Potential, kind: str) -> BoundReport:
+    rule = setup.rule
     n = rule.n
     value = _rule_energy(rule, h)
     cert = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), n)
     checks = [
         CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual),
     ]
-    ok_dom, violation = verify_dominance(cert, h, (-1.0, 0.999), "below", rule.nodes)
+    ok_dom, violation = verify_dominance(cert, h, ULB_INTERVAL, "below", grid=setup.grid)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
     coeffs = np.asarray(cert.gegenbauer.coeffs)
     if kind == "ulb":
@@ -133,7 +166,7 @@ def _ulb_from_rule(rule: QuadratureRule, h: Potential, kind: str) -> BoundReport
     objective = cert.gegenbauer.coeffs[0] - cert.gegenbauer.value_at_one() / rule.capacity
     ok_val = abs(objective - value) <= VALUE_TOL * max(1.0, abs(value))
     checks.append(CheckResult("objective_consistency", ok_val, abs(objective - value)))
-    checks.append(_scan_checks(rule, 3 * rule.m))
+    checks.append(setup.scan)
     feasible = bool(cert.node_residual <= 1e-9 and ok_dom and ok_pd and ok_val)
     return BoundReport(
         kind=kind,
@@ -152,8 +185,7 @@ def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
     """Universal lower bound on the weighted energy at capacity N_W > 2."""
     if not derivative_nonneg_from(h, 1):
         raise ValueError(f"potential {h.label()} lacks nonnegative derivatives of order >= 1")
-    rule = solve_ulb_rule(n, capacity)
-    return _ulb_from_rule(rule, h, "ulb")
+    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, "ulb")
 
 
 def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
@@ -172,17 +204,7 @@ def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
         CheckResult("capacity", True, n_w),
         CheckResult("weight_variance", True, variance),
     )
-    return BoundReport(
-        kind=report.kind,
-        n=report.n,
-        m=report.m,
-        rule=report.rule,
-        value=report.value,
-        certificate=report.certificate,
-        potential=report.potential,
-        feasible=report.feasible,
-        diagnostics=extra + report.diagnostics,
-    )
+    return replace(report, diagnostics=extra + report.diagnostics)
 
 
 def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
@@ -198,8 +220,7 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="
             f" ({dgs_bound(n, tau)}, {dgs_bound(n, tau + 1)}]"
         )
-    rule = solve_ulb_rule(n, capacity)
-    return _ulb_from_rule(rule, h, "design_ulb")
+    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, "design_ulb")
 
 
 def _capacity_consistency(n1: float, capacity: float) -> CheckResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -79,12 +80,13 @@ class WeightedCode:
     def variance(self) -> float:
         return self.s_w / self.size - 1.0 / self.size**2
 
-    @property
+    @cached_property
     def max_inner_product(self) -> float:
         if self.size < 2:
             raise ValueError("a code needs at least two points to have a maximal inner product")
-        off = self._gram[~np.eye(self.size, dtype=bool)]
-        return float(np.max(off))
+        off = self._gram.copy()
+        np.fill_diagonal(off, -np.inf)
+        return float(off.max())
 
     def gram(self) -> np.ndarray:
         return self._gram.copy()

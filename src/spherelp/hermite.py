@@ -149,17 +149,21 @@ def verify_dominance(
     interval: tuple[float, float],
     direction: str,
     nodes=(),
+    grid: np.ndarray | None = None,
 ) -> tuple[bool, float]:
     """Check f <= h ("below") or f >= h ("above") on the interval.
 
     Samples a 4001-point grid plus local refinement near the given nodes;
     tolerates violations up to 1e-9.  Records the outcome on the report and
-    returns (ok, max_violation).
+    returns (ok, max_violation).  A caller that checks many interpolants
+    against one interval and node set may pass the grid, as built by
+    :func:`dominance_grid`, instead of having it rebuilt on every call.
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
-    lo, hi = interval
-    grid = dominance_grid(lo, min(hi, 1.0 - 1e-9), nodes)
+    if grid is None:
+        lo, hi = interval
+        grid = dominance_grid(lo, min(hi, 1.0 - 1e-9), nodes)
     diff = potential_eval(h, grid) - report.poly(grid)
     if direction == "below":
         violation = max(0.0, -float(np.min(diff)))

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron
+from spherelp.hermite import dominance_grid
 from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
     gaussian,
+    logarithmic,
     newton,
     potential_eval,
     riesz,
     shifted,
 )
-from spherelp.quadrature import dgs_bound, validity_interval
+from spherelp.quadrature import QuadratureError, dgs_bound, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
 PENTAKIS_S = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
@@ -271,3 +274,70 @@ def test_vacuous_capacity_flagged():
     assert not report.diagnostic("capacity_consistency").ok
     good = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert good.diagnostic("capacity_consistency").ok
+
+
+def report_fields(report):
+    return (report.value, report.certificate.coeffs, report.rule, report.diagnostics, report.feasible)
+
+
+def test_ulb_memo_matches_cold_solve():
+    # a report built on a memoised rule equals the one built on a fresh solve
+    for n in (3, 4, 5, 8):
+        potentials = (riesz(1), newton(n), gaussian(1), logarithmic(), fejes_toth())
+        for m in range(1, 21):
+            capacity = dgs_bound(n, m) + 0.37 * (dgs_bound(n, m + 1) - dgs_bound(n, m))
+            warm = [ulb(n, capacity, h) for h in potentials]
+            for h, report in zip(potentials, warm):
+                bounds._ulb_setup.cache_clear()
+                assert report_fields(ulb(n, capacity, h)) == report_fields(report)
+
+
+def test_ulb_design_ulb_and_test_functions_share_one_solve(monkeypatch):
+    calls = []
+    solve = bounds.solve_ulb_rule
+
+    def counting_solve(n, capacity):
+        calls.append((n, capacity))
+        return solve(n, capacity)
+
+    monkeypatch.setattr(bounds, "solve_ulb_rule", counting_solve)
+    bounds._ulb_setup.cache_clear()
+    lower = ulb(3, PENTAKIS_CAPACITY, riesz(1))
+    design = design_ulb(3, PENTAKIS_CAPACITY, 9, gaussian(1))
+    scan = compute_test_functions(3, PENTAKIS_CAPACITY, 27)
+    assert calls == [(3, PENTAKIS_CAPACITY)]
+    assert design.rule is lower.rule and scan.rule is lower.rule
+
+
+def test_ulb_memo_key_normalises_numpy_scalars():
+    bounds._ulb_setup.cache_clear()
+    numpy_args = ulb(np.int64(4), np.float64(17.3), riesz(1))
+    plain = ulb(4, 17.3, gaussian(1))
+    info = bounds._ulb_setup.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert plain.rule is numpy_args.rule and type(numpy_args.n) is int
+
+
+def test_ulb_memo_stores_no_failure():
+    bounds._ulb_setup.cache_clear()
+    # n = 30 just above D(30, 22) is a known weight-sign failure (ROADMAP item 3)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="nonpositive quadrature weight"):
+            ulb(30, 2947546837, riesz(1))
+        with pytest.raises(ValueError, match="above cap"):
+            ulb(3, 1e9, riesz(1))
+    assert bounds._ulb_setup.cache_info().currsize == 0
+
+
+def test_ulb_memo_is_bounded_and_its_grid_read_only():
+    bounds._ulb_setup.cache_clear()
+    maxsize = bounds._ulb_setup.cache_info().maxsize
+    for capacity in np.linspace(2.5, 60.0, 3 * maxsize):
+        ulb(3, float(capacity), riesz(1))
+        assert bounds._ulb_setup.cache_info().currsize <= maxsize
+    setup = bounds._ulb_setup(3, float(capacity))
+    assert bounds._ulb_setup.cache_info().hits == 1
+    assert not setup.grid.flags.writeable
+    with pytest.raises(ValueError):
+        setup.grid[0] = 0.0
+    assert np.array_equal(setup.grid, dominance_grid(-1.0, 0.999, setup.rule.nodes))

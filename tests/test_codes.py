@@ -356,8 +356,25 @@ def test_energy_bundled_codes_to_the_bit():
 def test_one_point_code():
     code = WeightedCode(4, np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0]))
     assert energy(code, riesz(1)) == 0.0
-    with pytest.raises(ValueError, match="at least two points"):
-        code.max_inner_product
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least two points"):
+            code.max_inner_product
+
+
+def masked_max_inner_product(code):
+    """The maximal inner product as the largest entry off the Gram diagonal."""
+    return float(np.max(code.gram()[~np.eye(code.size, dtype=bool)]))
+
+
+def test_max_inner_product_equals_masked_max_and_is_computed_once():
+    rng = np.random.default_rng(41)
+    codes = [pentakis_dodecahedron(), cube_crosspolytope(10), regular_ngon(7), pair_code(1e-8)]
+    codes += [random_code(rng, size, n) for size, n in ((2, 3), (3, 2), (90, 4), (400, 7))]
+    for code in codes:
+        want = masked_max_inner_product(code)
+        assert code.max_inner_product == want
+        code._gram = None  # a second access must not look at the Gram matrix again
+        assert code.max_inner_product == want
 
 
 def fsum_outcome(values):

@@ -7,6 +7,7 @@ from spherelp.hermite import (
     NodeMultiset,
     _newton_coefficients,
     _newton_to_monomial,
+    dominance_grid,
     hermite_interpolant,
     ulb_nodes,
     uub_nodes,
@@ -112,6 +113,19 @@ def test_dominance_below_for_table_rule():
     assert ok and violation <= 1e-9
     assert report.residual_sign == "below"
     assert report.max_violation == violation
+
+
+def test_dominance_on_a_given_grid_matches_the_built_one():
+    rule = solve_ulb_rule(4, 24.0)
+    report = hermite_interpolant(gaussian(1), ulb_nodes(rule.nodes, rule.eps), 4)
+    built = verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", rule.nodes)
+    grid = dominance_grid(-1.0, 0.999, rule.nodes)
+    assert verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", grid=grid) == built
+    # the given grid replaces the built one: a lift that vanishes at t = 0 goes unseen there
+    lifted = MonomialPoly(report.poly.coeffs[:-1] + (report.poly.coeffs[-1] + 1e-3,))
+    broken = InterpolantReport(lifted, to_gegenbauer(lifted, 4), 0.0)
+    assert not verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", rule.nodes)[0]
+    assert verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", grid=np.array([0.0]))[0]
 
 
 def test_dominance_zero_for_exact_match():
