@@ -30,7 +30,7 @@ from .hermite import (
     verify_dominance,
 )
 from .orthopoly import GegenbauerSeries, MonomialPoly
-from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
+from .potentials import Potential, _closed_form_class, derivative_nonneg_from, potential_eval
 from .quadrature import (
     QuadratureRule,
     compute_weights,
@@ -247,7 +247,7 @@ def _uub_rule(n: int, m: int, s: float, allow_outside: bool):
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
     positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
     lam = max((gt[i] / f[i] for i in positive), default=0.0)
-    if classify(h).absolutely_monotone and f.size > 2:
+    if _closed_form_class(h).absolutely_monotone and f.size > 2:
         shortcut = float(max((gt[i] / f[i] for i in range(1, min(gt.size, f.size - 1))), default=0.0))
         agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
         checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))

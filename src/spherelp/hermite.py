@@ -79,17 +79,17 @@ class InterpolantReport:
 
 
 def _newton_coefficients(z: np.ndarray, values: np.ndarray, derivs: dict[float, float]) -> np.ndarray:
-    table = values.astype(float).copy()
+    # One pass over Python floats per order: for the few dozen nodes a rule
+    # has, it costs less than the NumPy calls an array form needs per order,
+    # and double arithmetic gives the same bits either way.
+    zs = z.tolist()
+    table = values.astype(float).tolist()
     coeffs = [table[0]]
-    for order in range(1, z.size):
-        new = np.empty(z.size - order)
-        for i in range(new.size):
-            dz = z[i + order] - z[i]
-            if dz == 0.0:
-                new[i] = derivs[z[i]]  # confluent pair: slot holds h'(node)
-            else:
-                new[i] = (table[i + 1] - table[i]) / dz
-        table = new
+    for order in range(1, len(zs)):
+        table = [
+            derivs[a] if b == a else (t1 - t0) / (b - a)  # confluent pair: slot holds h'(node)
+            for a, b, t0, t1 in zip(zs, zs[order:], table, table[1:])
+        ]
         coeffs.append(table[0])
     return np.asarray(coeffs)
 
@@ -136,11 +136,8 @@ def hermite_interpolant(h: Potential, nodes: NodeMultiset, n: int) -> Interpolan
 
 def dominance_grid(lo: float, hi: float, nodes, points: int = 4001) -> np.ndarray:
     """Uniform grid on [lo, hi] refined near the interpolation nodes."""
-    grid = [np.linspace(lo, hi, points)]
-    for a in nodes:
-        local = a + np.linspace(-1e-3, 1e-3, 81)
-        grid.append(np.clip(local, lo, hi))
-    return np.unique(np.concatenate(grid))
+    local = np.clip(np.asarray(nodes, dtype=float)[:, None] + np.linspace(-1e-3, 1e-3, 81), lo, hi)
+    return np.unique(np.concatenate((np.linspace(lo, hi, points), local.ravel())))
 
 
 def verify_dominance(

@@ -16,6 +16,7 @@ polynomials (parameters offset from (n-3)/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -189,6 +190,28 @@ def _jacobi_tridiagonal(alpha: float, beta: float, k: int):
     return diag, off
 
 
+@lru_cache(maxsize=128)
+def measure_gauss_rule(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the q-point Gauss rule of mu_n.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Gegenbauer family and, mu_n being a probability measure, the weights are
+    the squared first components of the unit eigenvectors.  The rule
+    integrates every polynomial of degree <= 2q - 1 exactly.
+    """
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    if q < 1:
+        raise ValueError("the rule needs at least one point")
+    a = (n - 3) / 2
+    diag, off = _jacobi_tridiagonal(a, a, q)
+    nodes, vectors = eigh_tridiagonal(diag, off)
+    weights = vectors[0] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def jacobi_zeros(spec: JacobiSpec) -> np.ndarray:
     """All k zeros of the Jacobi polynomial, ascending."""
     if spec.k == 0:
@@ -269,8 +292,9 @@ def to_gegenbauer(p: MonomialPoly, n: int) -> GegenbauerSeries:
     return GegenbauerSeries(n, tuple(g))
 
 
-def gegenbauer_monomial_table(n: int, imax: int) -> list[np.ndarray]:
-    """Power-basis coefficient vectors of P_0, ..., P_imax."""
+@lru_cache(maxsize=128)
+def gegenbauer_monomial_table(n: int, imax: int) -> tuple[np.ndarray, ...]:
+    """Power-basis coefficient vectors of P_0, ..., P_imax, read-only."""
     rows = [np.array([1.0])]
     if imax >= 1:
         rows.append(np.array([0.0, 1.0]))
@@ -278,7 +302,9 @@ def gegenbauer_monomial_table(n: int, imax: int) -> list[np.ndarray]:
         shifted = np.concatenate(([0.0], rows[i]))
         prev = np.concatenate((rows[i - 1], [0.0, 0.0]))
         rows.append(((2 * i + n - 2) * shifted - i * prev) / (i + n - 2))
-    return rows
+    for row in rows:
+        row.flags.writeable = False
+    return tuple(rows)
 
 
 def from_gegenbauer(g: GegenbauerSeries) -> MonomialPoly:
@@ -288,8 +314,3 @@ def from_gegenbauer(g: GegenbauerSeries) -> MonomialPoly:
     for c, row in zip(g.coeffs, rows):
         out[: row.size] += c * row
     return MonomialPoly(tuple(out))
-
-
-def monomial_measure_mean(coeffs, n: int) -> float:
-    """Integral of a power-basis polynomial against mu_n."""
-    return float(sum(c * measure_moment(n, j) for j, c in enumerate(coeffs)))

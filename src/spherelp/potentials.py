@@ -14,6 +14,7 @@ monotonicity classification that gates which bounds apply to it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,12 +172,9 @@ def derivative_nonneg_from(h: Potential, order: int) -> bool:
     return order >= min_nonneg_derivative_order(h)
 
 
-def classify(h: Potential, max_order: int = 3, sample_grid=None) -> MonotonicityClass:
-    """Monotonicity flags for h, set from closed-form per-kind knowledge.
-
-    Derivative-sign sampling on the grid (values, h', and a central second
-    difference) is run only as a consistency check against the claims.
-    """
+@lru_cache(maxsize=64)
+def _closed_form_class(h: Potential) -> MonotonicityClass:
+    """Monotonicity flags for h from closed-form per-kind knowledge alone."""
     min_order = min_nonneg_derivative_order(h)
     if h.kind == "logarithmic":
         # conventionally grouped with the absolutely monotone kinds; only its
@@ -185,12 +183,21 @@ def classify(h: Potential, max_order: int = 3, sample_grid=None) -> Monotonicity
     else:
         absolutely = min_order == 0
     strictly = absolutely and not _is_polynomial(h)
-    cls = MonotonicityClass(
+    return MonotonicityClass(
         absolutely_monotone=absolutely,
         strictly_absolutely_monotone=strictly,
         shift_absolutely_monotone=True,
         min_nonneg_derivative_order=min_order,
     )
+
+
+def classify(h: Potential, max_order: int = 3, sample_grid=None) -> MonotonicityClass:
+    """Monotonicity flags for h, set from closed-form per-kind knowledge.
+
+    Derivative-sign sampling on the grid (values, h', and a central second
+    difference) is run only as a consistency check against the claims.
+    """
+    cls = _closed_form_class(h)
     grid = np.asarray(sample_grid, dtype=float) if sample_grid is not None else np.linspace(-1.0, 0.95, 40)
     _consistency_check(h, cls, grid, max_order)
     return cls

@@ -29,10 +29,10 @@ from .orthopoly import (
     GegenbauerSeries,
     JacobiSpec,
     MonomialPoly,
-    from_gegenbauer,
+    gegenbauer_monomial_table,
     gegenbauer_table,
     jacobi_largest_zero,
-    monomial_measure_mean,
+    measure_gauss_rule,
     to_gegenbauer,
 )
 
@@ -171,11 +171,8 @@ def _cleared_node_polynomial(n: int, m: int, capacity: float) -> np.ndarray:
     k, eps = split_degree(m)
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
-    basis = {i: from_gegenbauer(GegenbauerSeries(n, (0.0,) * i + (1.0,))).coeffs for i in
-             {k, k + eps, k - 1 + eps}}
-    pk = np.asarray(basis[k])
-    pke = np.asarray(basis[k + eps])
-    pkm = np.asarray(basis[k - 1 + eps])
+    rows = gegenbauer_monomial_table(n, k + eps)
+    pk, pke, pkm = rows[k], rows[k + eps], rows[k - 1 + eps]
     dpoly = eps * np.pad(pk, (0, len(pke) - len(pk))) + pke if eps else pke
     one_minus_t = np.array([1.0, -1.0])
     g = npoly.polymul((lead * head - capacity) * one_minus_t, dpoly)
@@ -184,8 +181,12 @@ def _cleared_node_polynomial(n: int, m: int, capacity: float) -> np.ndarray:
         num = npoly.polymul(np.array([1.0, 1.0]), num)
     g = npoly.polysub(g, lead * num)
     quotient, remainder = npoly.polydiv(g, one_minus_t)
-    if np.max(np.abs(remainder)) > 1e-8 * max(1.0, np.max(np.abs(g))):
-        raise QuadratureError("cleared node polynomial is not divisible by (1 - t)")
+    scale = max(1.0, np.max(np.abs(g)))
+    if np.max(np.abs(remainder)) > 1e-8 * scale:
+        raise QuadratureError(
+            f"cleared node polynomial for (n={n}, m={m}, capacity={capacity:.12g}) is not "
+            f"divisible by (1 - t): remainder {float(remainder[0]):.6g} against scale {scale:.6g}"
+        )
     return quotient
 
 
@@ -203,24 +204,41 @@ def _nodes_from_degree(n: int, m: int, s: float, capacity: float) -> np.ndarray:
     """All k+eps nodes of the rule: companion-matrix roots of the cleared
     polynomial, Newton-polished, validated real/simple/ascending."""
     k, eps = split_degree(m)
+    where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
     coeffs = _cleared_node_polynomial(n, m, capacity)
     roots = npoly.polyroots(coeffs)
     scale = max(1.0, np.max(np.abs(roots)))
-    if np.max(np.abs(roots.imag)) > 1e-8 * scale:
-        raise QuadratureError(f"complex node encountered for (n={n}, m={m}, N={capacity})")
+    worst = int(np.argmax(np.abs(roots.imag)))
+    if abs(roots.imag[worst]) > 1e-8 * scale:
+        raise QuadratureError(
+            f"complex node encountered for {where}: root {worst} has imaginary part "
+            f"{roots.imag[worst]:.6g}"
+        )
     nodes = _polish_roots(coeffs, np.sort(roots.real))
     if nodes.size != k + eps:
-        raise QuadratureError("wrong node count")
-    if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-9:
-        raise QuadratureError("repeated nodes")
+        raise QuadratureError(f"wrong node count for {where}: {nodes.size} nodes, expected {k + eps}")
+    if nodes.size > 1:
+        gap = int(np.argmin(np.diff(nodes)))
+        if nodes[gap + 1] - nodes[gap] <= 1e-9:
+            raise QuadratureError(
+                f"repeated nodes for {where}: nodes {gap} and {gap + 1} are "
+                f"{nodes[gap + 1] - nodes[gap]:.6g} apart"
+            )
     if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
-        raise QuadratureError("node outside [-1, 1)")
+        bad = 0 if nodes[0] < -1 - 1e-9 else nodes.size - 1
+        raise QuadratureError(f"node outside [-1, 1) for {where}: node {bad} is {nodes[bad]:.17g}")
     if abs(nodes[-1] - s) > 1e-6:
-        raise QuadratureError("largest node does not match s")
+        raise QuadratureError(
+            f"largest node does not match s for {where}: it is {nodes[-1]:.17g}, "
+            f"off by {nodes[-1] - s:.6g} (tolerance 1e-6)"
+        )
     nodes[-1] = s
     if eps == 1:
         if abs(nodes[0] + 1) > 1e-7:
-            raise QuadratureError("even-degree rule lacks the node at -1")
+            raise QuadratureError(
+                f"even-degree rule lacks the node at -1 for {where}: smallest node is "
+                f"{nodes[0]:.17g} (tolerance 1e-7)"
+            )
         nodes[0] = -1.0
     return nodes
 
@@ -230,24 +248,28 @@ def compute_weights(n: int, nodes, capacity: float) -> np.ndarray:
 
     For ell_i(t) = prod_{j != i} (t - alpha_j) the 1/N identity forces
     rho_i = [ (ell_i)_0 - ell_i(1)/N ] / ell_i(alpha_i), with (ell_i)_0 the
-    mean of ell_i against mu_n.  Positivity and exactness on the Gegenbauer
-    basis up to the rule degree are verified, not assumed.
+    mean of ell_i against mu_n.  Every ell_i is kept in product form: its
+    values at alpha_i and at 1 are products of differences, and its mean is
+    the Gauss rule of mu_n with enough points to be exact at their degree.
+    Positivity and exactness on the Gegenbauer basis up to the rule degree
+    are verified, not assumed.
     """
     nodes = np.asarray(nodes, dtype=float)
+    size = nodes.size
     eps = 1 if abs(nodes[0] + 1.0) <= 1e-12 else 0
-    m = 2 * (nodes.size - eps) - 1 + eps
-    weights = np.empty(nodes.size)
-    for i, a in enumerate(nodes):
-        others = np.delete(nodes, i)
-        li = npoly.polyfromroots(others)
-        mean = monomial_measure_mean(li, n)
-        weights[i] = (mean - npoly.polyval(1.0, li) / capacity) / npoly.polyval(a, li)
+    m = 2 * (size - eps) - 1 + eps
+    gauss_x, gauss_w = measure_gauss_rule(n, (size + 1) // 2)
+    factor = ~np.eye(size, dtype=bool)  # ell_i takes the factor for alpha_j when j != i
+    at_nodes = np.prod(np.where(factor, nodes[:, None] - nodes, 1.0), axis=1)
+    at_one = np.prod(np.where(factor, 1.0 - nodes, 1.0), axis=1)
+    mean = np.prod(np.where(factor[:, None, :], gauss_x[:, None] - nodes, 1.0), axis=2) @ gauss_w
+    weights = (mean - at_one / capacity) / at_nodes
     where = f"(n={n}, m={m}, capacity={capacity:.12g})"
     low = int(np.argmin(weights))
     if weights[low] <= 0:
         raise QuadratureError(
             f"nonpositive quadrature weight for {where}: "
-            f"weight {low} of {nodes.size} is {weights[low]:.6g}"
+            f"weight {low} of {size} is {weights[low]:.6g}"
         )
     residuals = exactness_residuals(n, nodes, weights, capacity, m)
     worst = int(np.argmax(np.abs(residuals)))
@@ -331,10 +353,18 @@ def levenshtein_polynomial(
     poly = MonomialPoly(tuple(coeffs))
     series = to_gegenbauer(poly, n)
     g = np.asarray(series.coeffs)
+    where = f"(n={n}, m={m}, s={s:.12g})"
     # strict positivity can degrade to a zero coefficient at interval endpoints
-    if np.min(g) < -1e-10 * np.max(np.abs(g)):
-        raise QuadratureError(f"Levenshtein polynomial has negative coefficient: {g}")
+    low = int(np.argmin(g))
+    if g[low] < -1e-10 * np.max(np.abs(g)):
+        raise QuadratureError(
+            f"Levenshtein polynomial for {where} has a negative coefficient: "
+            f"coefficient {low} of {g.size} is {g[low]:.6g}"
+        )
     ratio = series.value_at_one() / g[0]
     if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
-        raise QuadratureError("coefficient ratio disagrees with the Levenshtein function")
+        raise QuadratureError(
+            f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
+            f"function value {capacity:.12g}"
+        )
     return LevenshteinPolynomial(n, m, float(s), tuple(nodes), poly, series, outside)

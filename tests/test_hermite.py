@@ -13,6 +13,7 @@ from spherelp.hermite import (
     uub_nodes,
     verify_dominance,
 )
+from spherelp.bounds import ULB_INTERVAL
 from spherelp.orthopoly import MonomialPoly, to_gegenbauer
 from spherelp.potentials import (
     fejes_toth,
@@ -23,7 +24,7 @@ from spherelp.potentials import (
     potential_eval,
     riesz,
 )
-from spherelp.quadrature import solve_ulb_rule
+from spherelp.quadrature import rule_from_s, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
 
@@ -156,3 +157,59 @@ def test_nodes_above_one_rejected():
             (-1.0, 0.5),
             "sideways",
         )
+
+
+def _dominance_grid_loop(lo, hi, nodes, points=4001):
+    """Reference: one refinement per node, as the grid was first built."""
+    grid = [np.linspace(lo, hi, points)]
+    for a in nodes:
+        local = a + np.linspace(-1e-3, 1e-3, 81)
+        grid.append(np.clip(local, lo, hi))
+    return np.unique(np.concatenate(grid))
+
+
+@pytest.mark.parametrize(
+    "lo,hi,nodes",
+    [
+        (-1.0, 0.5, ()),
+        (-1.0, 0.5, (-1.0, -0.9995, 0.1, 0.4996, 0.5)),
+        (*ULB_INTERVAL, solve_ulb_rule(3, PENTAKIS_CAPACITY).nodes),
+        (*ULB_INTERVAL, (-1.0,) + solve_ulb_rule(5, 40.0).nodes[1:] + (0.9985,)),
+    ],
+    ids=["empty", "near-ends", "table-rule", "ulb-interval-ends"],
+)
+def test_dominance_grid_matches_per_node_loop(lo, hi, nodes):
+    grid = dominance_grid(lo, hi, nodes)
+    ref = _dominance_grid_loop(lo, hi, nodes)
+    assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
+
+
+def _newton_coefficients_loop(z, values, derivs):
+    """Reference: the scalar divided-difference table."""
+    table = values.astype(float).copy()
+    coeffs = [table[0]]
+    for order in range(1, z.size):
+        new = np.empty(z.size - order)
+        for i in range(new.size):
+            dz = z[i + order] - z[i]
+            if dz == 0.0:
+                new[i] = derivs[z[i]]
+            else:
+                new[i] = (table[i + 1] - table[i]) / dz
+        table = new
+        coeffs.append(table[0])
+    return np.asarray(coeffs)
+
+
+@pytest.mark.parametrize("h", [riesz(1), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
+def test_newton_coefficients_match_scalar_loop(h):
+    for m in range(1, 21):
+        lo, hi = validity_interval(4, m)
+        rule = rule_from_s(4, m, 0.5 * (lo + hi))
+        for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
+            z = np.asarray(multiset.expanded())
+            values = potential_eval(h, z)
+            derivs = {a: float(potential_derivative(h, a)) for a, mult in multiset.entries if mult == 2}
+            got = _newton_coefficients(z, values, derivs)
+            ref = _newton_coefficients_loop(z, values, derivs)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

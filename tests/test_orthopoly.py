@@ -12,12 +12,13 @@ from spherelp.orthopoly import (
     MonomialPoly,
     from_gegenbauer,
     gegenbauer_eval,
+    gegenbauer_monomial_table,
     gegenbauer_table,
     jacobi_eval,
     jacobi_largest_zero,
     jacobi_zeros,
+    measure_gauss_rule,
     measure_moment,
-    monomial_measure_mean,
     to_gegenbauer,
 )
 
@@ -204,7 +205,29 @@ def test_zeroth_coefficient_is_measure_mean():
         x, w = gauss_mu_rule(n)
         oracle = float(np.dot(w, np.polynomial.polynomial.polyval(x, coeffs)))
         assert series.coeffs[0] == pytest.approx(oracle, abs=1e-11)
-        assert monomial_measure_mean(coeffs, n) == pytest.approx(oracle, abs=1e-11)
+
+
+def test_monomial_table_rows_are_cached_and_read_only():
+    rows = gegenbauer_monomial_table(3, 6)
+    again = gegenbauer_monomial_table(3, 6)
+    assert isinstance(rows, tuple) and len(rows) == 7
+    assert all(a is b for a, b in zip(rows, again))
+    for row in rows:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    assert_allclose(rows[2], (-0.5, 0.0, 1.5), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 30])
+def test_measure_gauss_rule_integrates_moments(n):
+    for q in range(1, 16):
+        x, w = measure_gauss_rule(n, q)
+        assert x.shape == w.shape == (q,)
+        assert not x.flags.writeable and not w.flags.writeable
+        for j in range(2 * q):
+            assert abs(float(np.dot(w, x**j)) - measure_moment(n, j)) <= 1e-14
+    assert measure_gauss_rule(n, 4) is measure_gauss_rule(n, 4)
 
 
 def test_round_trip_random_degree_12():

@@ -117,6 +117,32 @@ def test_classify_constant_not_strict():
     assert cls.absolutely_monotone and not cls.strictly_absolutely_monotone
 
 
+@pytest.mark.parametrize("h", ALL_KINDS + [shifted(riesz(2.0), -0.5)], ids=lambda h: h.label())
+def test_classify_sampled_check_passes_for_builtin_kinds(h):
+    cls = classify(h)
+    assert cls.min_nonneg_derivative_order == (0 if derivative_nonneg_from(h, 0) else 1)
+
+
+def test_classify_still_runs_the_sampled_check(monkeypatch):
+    import spherelp.potentials as potentials
+
+    monkeypatch.setattr(potentials, "potential_derivative", lambda h, t, order=1: -np.ones_like(t))
+    with pytest.raises(RuntimeError, match="first derivative sampled negative"):
+        classify(riesz(1))
+
+
+def test_upper_bound_skips_the_sampled_check(monkeypatch):
+    import spherelp.potentials as potentials
+    from spherelp.bounds import uub
+
+    def fail(*args):
+        raise AssertionError("sampled check ran")
+
+    monkeypatch.setattr(potentials, "_consistency_check", fail)
+    report = uub(3, 30.0, 0.5, riesz(1))
+    assert report.diagnostic("lambda_star_shortcut").ok
+
+
 def test_derivative_nonneg_gates():
     assert derivative_nonneg_from(riesz(1), 0)
     assert derivative_nonneg_from(fejes_toth(), 1)

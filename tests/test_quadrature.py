@@ -273,6 +273,64 @@ def test_compute_weights_errors_name_inputs():
         compute_weights(3, np.asarray(rule.nodes) + 1e-4, 30.0)
 
 
+def _mp_lagrange_weights(mpmath, n, nodes, capacity):
+    """rho_i = [mean(ell_i) - ell_i(1)/N] / ell_i(alpha_i) in 50 digits on the given nodes."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(x) for x in nodes]
+        moments = [mpmath.mpf(0) if j % 2 else mpmath.fprod(
+            mpmath.mpf(2 * i - 1) / (n + 2 * i - 2) for i in range(1, j // 2 + 1)) for j in range(len(a))]
+        weights = []
+        for i, ai in enumerate(a):
+            others = a[:i] + a[i + 1:]
+            coeffs = [mpmath.mpf(1)]
+            for r in others:  # multiply by (t - r), lowest power first
+                coeffs = [-r * coeffs[0]] + [coeffs[j - 1] - r * coeffs[j] for j in range(1, len(coeffs))] + [coeffs[-1]]
+            mean = mpmath.fsum(c * mu for c, mu in zip(coeffs, moments))
+            at_one = mpmath.fprod(1 - r for r in others)
+            weights.append((mean - at_one / mpmath.mpf(capacity)) / mpmath.fprod(ai - r for r in others))
+        return weights
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 30])
+def test_weights_match_extended_precision_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-11 if n <= 8 else 1e-9
+    for m in range(1, 21):
+        lo, hi = validity_interval(n, m)
+        for frac in (0.05, 0.5, 0.95):
+            rule = rule_from_s(n, m, lo + frac * (hi - lo))
+            ref = _mp_lagrange_weights(mpmath, n, rule.nodes, rule.capacity)
+            for w, r in zip(rule.weights, ref):
+                assert abs(float((w - r) / r)) <= tol, (m, frac)
+
+
+def test_node_errors_name_inputs(monkeypatch):
+    import spherelp.quadrature as quadrature
+
+    # a double root at 0.25 stands in for a collapsed rule
+    monkeypatch.setattr(quadrature, "_cleared_node_polynomial", lambda n, m, capacity: np.array([0.0625, -0.5, 1.0]))
+    with pytest.raises(QuadratureError) as info:
+        rule_from_s(3, 3, 0.25)
+    message = str(info.value)
+    assert message.startswith("repeated nodes for (n=3, m=3, s=0.25, capacity=")
+    assert "nodes 0 and 1 are " in message and "array" not in message
+
+
+def test_levenshtein_polynomial_errors_name_inputs(monkeypatch):
+    import spherelp.quadrature as quadrature
+    from spherelp.orthopoly import GegenbauerSeries
+
+    negative = GegenbauerSeries(4, (0.5, 0.3, -0.2, 0.1, 0.4, 0.2))
+    monkeypatch.setattr(quadrature, "to_gegenbauer", lambda poly, n: negative)
+    s = sum(validity_interval(4, 5)) / 2
+    with pytest.raises(QuadratureError) as info:
+        levenshtein_polynomial(4, 5, s)
+    assert str(info.value) == (
+        f"Levenshtein polynomial for (n=4, m=5, s={s:.12g}) has a negative coefficient: "
+        "coefficient 2 of 6 is -0.2"
+    )
+
+
 def test_split_degree():
     assert split_degree(9) == (5, 0)
     assert split_degree(6) == (3, 1)
