@@ -33,13 +33,11 @@ from .orthopoly import GegenbauerSeries, MonomialPoly
 from .potentials import Potential, _closed_form_class, derivative_nonneg_from, potential_eval
 from .quadrature import (
     QuadratureRule,
-    compute_weights,
     dgs_bound,
     exactness_residuals,
     levenshtein_polynomial,
     select_degree_from_s,
     solve_ulb_rule,
-    split_degree,
 )
 
 COEFF_TOL = 1e-9
@@ -235,15 +233,6 @@ def _capacity_consistency(n1: float, capacity: float) -> CheckResult:
     )
 
 
-def _uub_rule(n: int, m: int, s: float, allow_outside: bool):
-    lp = levenshtein_polynomial(n, m, s, allow_outside_validity=allow_outside)
-    n1 = lp.gegenbauer.value_at_one() / lp.gegenbauer.coeffs[0]
-    k, eps = split_degree(m)
-    weights = compute_weights(n, lp.nodes, n1)
-    rule = QuadratureRule(n, m, k, eps, lp.nodes, tuple(weights), n1)
-    return lp, rule
-
-
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
     positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
     lam = max((gt[i] / f[i] for i in positive), default=0.0)
@@ -272,7 +261,8 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
         allow_outside = True
     if not derivative_nonneg_from(h, m):
         raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
-    lp, rule = _uub_rule(n, m, s, allow_outside)
+    lp = levenshtein_polynomial(n, m, s, allow_outside_validity=allow_outside)
+    rule = lp.rule
     n1 = rule.capacity
 
     g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n)
@@ -350,7 +340,7 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
         raise ValueError("s must lie in [-1, 1)")
     if not derivative_nonneg_from(h, tau):
         raise ValueError(f"potential {h.label()} lacks h^({tau}) >= 0")
-    lp, rule = _uub_rule(n, tau, s, allow_outside=True)
+    rule = levenshtein_polynomial(n, tau, s, allow_outside_validity=True).rule
     n1 = rule.capacity
 
     g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n)

@@ -62,20 +62,17 @@ def uub_nodes(nodes, eps: int) -> NodeMultiset:
     return NodeMultiset(tuple(entries))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpolantReport:
     """Hermite interpolant with both basis representations.
 
     ``node_residual`` is the largest relative defect of the interpolation
-    conditions; ``residual_sign`` and ``max_violation`` are filled in by
-    :func:`verify_dominance`.
+    conditions.
     """
 
     poly: MonomialPoly
     gegenbauer: GegenbauerSeries
     node_residual: float
-    residual_sign: str | None = None
-    max_violation: float | None = None
 
 
 def _newton_coefficients(z: np.ndarray, values: np.ndarray, derivs: dict[float, float]) -> np.ndarray:
@@ -127,10 +124,10 @@ def hermite_interpolant(h: Potential, nodes: NodeMultiset, n: int) -> Interpolan
     hvals = potential_eval(h, pts)
     scale = max(1.0, float(np.max(np.abs(hvals))))
     residual = float(np.max(np.abs(poly(pts) - hvals))) / scale
-    dpoly = poly.derivative()
-    for node, mult in nodes.entries:
-        if mult == 2:
-            residual = max(residual, abs(float(dpoly(node)) - derivs[node]) / scale)
+    if derivs:
+        doubled = np.fromiter(derivs, float, len(derivs))
+        slopes = np.fromiter(derivs.values(), float, len(derivs))
+        residual = max(residual, float(np.max(np.abs(poly.derivative()(doubled) - slopes))) / scale)
     return InterpolantReport(poly, series, residual)
 
 
@@ -151,10 +148,10 @@ def verify_dominance(
     """Check f <= h ("below") or f >= h ("above") on the interval.
 
     Samples a 4001-point grid plus local refinement near the given nodes;
-    tolerates violations up to 1e-9.  Records the outcome on the report and
-    returns (ok, max_violation).  A caller that checks many interpolants
-    against one interval and node set may pass the grid, as built by
-    :func:`dominance_grid`, instead of having it rebuilt on every call.
+    tolerates violations up to 1e-9.  Returns (ok, max_violation).  A caller
+    that checks many interpolants against one interval and node set may pass
+    the grid, as built by :func:`dominance_grid`, instead of having it
+    rebuilt on every call.
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
@@ -166,13 +163,4 @@ def verify_dominance(
         violation = max(0.0, -float(np.min(diff)))
     else:
         violation = max(0.0, float(np.max(diff)))
-    ok = violation <= 1e-9
-    if np.all(diff >= 0):
-        sign = "below"
-    elif np.all(diff <= 0):
-        sign = "above"
-    else:
-        sign = "mixed"
-    report.residual_sign = sign
-    report.max_violation = violation
-    return ok, violation
+    return violation <= 1e-9, violation

@@ -19,20 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .orthopoly import (
     GegenbauerSeries,
     JacobiSpec,
     MonomialPoly,
-    gegenbauer_monomial_table,
+    _jacobi_tridiagonal,
     gegenbauer_table,
     jacobi_largest_zero,
-    measure_gauss_rule,
     to_gegenbauer,
 )
 
@@ -81,10 +81,14 @@ class LevenshteinPolynomial:
     n: int
     m: int
     s: float
-    nodes: tuple[float, ...]
+    rule: QuadratureRule
     monomial: MonomialPoly
     gegenbauer: GegenbauerSeries
     outside_validity: bool = False
+
+    @property
+    def nodes(self) -> tuple[float, ...]:
+        return self.rule.nodes
 
     @property
     def coeff_at_one(self) -> float:
@@ -164,59 +168,52 @@ def levenshtein_function(n: int, m: int, s: float, allow_outside_validity: bool 
     return float(lead * (head - num / den))
 
 
-def _cleared_node_polynomial(n: int, m: int, capacity: float) -> np.ndarray:
-    """Power-basis coefficients of the degree-(k+eps) polynomial whose roots
-    are the rule nodes: the numerator of L_m(n, t) - capacity with the
-    spurious (1 - t) factor divided out."""
+@lru_cache(maxsize=256)
+def _nu_jacobi_matrix(n: int, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Diagonal and off-diagonal of the size-by-size Jacobi matrix of
+    nu = (1 - t) dmu_n, the (a + 1, a) Jacobi weight with a = (n - 3)/2."""
+    a = (n - 3) / 2
+    diag, off = _jacobi_tridiagonal(a + 1, a, size)
+    return tuple(diag.tolist()), tuple(off.tolist())
+
+
+def _ratio(diag, off, j: int, x: float) -> float:
+    """p_j(x) / p_{j-1}(x) for the monic polynomials of a Jacobi matrix."""
+    q = x - diag[0]
+    for i in range(1, j):
+        q = x - diag[i] - off[i - 1] ** 2 / q
+    return q
+
+
+def compute_weights(n: int, m: int, s: float, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the degree-m 1/N rule whose largest node is s.
+
+    Testing the 1/N identity on f = (1 - t) g shows that rho_i (1 - alpha_i)
+    is a Gauss-type rule for nu = (1 - t) dmu_n, a probability measure: a
+    k-point Gauss-Radau rule with s fixed for odd m, a (k+1)-point
+    Gauss-Lobatto rule with -1 and s fixed for even m.  Golub's modified
+    Jacobi matrix of nu carries the fixed nodes as eigenvalues; the
+    eigenvalues are the nodes and, with v_0 the first components of the unit
+    eigenvectors, rho_i = v_0i^2 / (1 - alpha_i) (Golub-Welsch), positive by
+    construction.  The capacity enters only the verification: ascending
+    nodes in [-1, 1) with s largest and -1 present for even m, positive
+    weights, and exactness on P_0..P_m within 1e-9.
+    """
     k, eps = split_degree(m)
-    lead = comb(k + n - 3 + eps, n - 2)
-    head = (2 * k + n - 3 + 2 * eps) / (n - 1)
-    rows = gegenbauer_monomial_table(n, k + eps)
-    pk, pke, pkm = rows[k], rows[k + eps], rows[k - 1 + eps]
-    dpoly = eps * np.pad(pk, (0, len(pke) - len(pk))) + pke if eps else pke
-    one_minus_t = np.array([1.0, -1.0])
-    g = npoly.polymul((lead * head - capacity) * one_minus_t, dpoly)
-    num = npoly.polysub(np.pad(pkm, (0, len(pke) - len(pkm))), pke)
-    if eps:
-        num = npoly.polymul(np.array([1.0, 1.0]), num)
-    g = npoly.polysub(g, lead * num)
-    quotient, remainder = npoly.polydiv(g, one_minus_t)
-    scale = max(1.0, np.max(np.abs(g)))
-    if np.max(np.abs(remainder)) > 1e-8 * scale:
-        raise QuadratureError(
-            f"cleared node polynomial for (n={n}, m={m}, capacity={capacity:.12g}) is not "
-            f"divisible by (1 - t): remainder {float(remainder[0]):.6g} against scale {scale:.6g}"
-        )
-    return quotient
-
-
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    deriv = npoly.polyder(coeffs)
-    for _ in range(3):
-        val = npoly.polyval(roots, coeffs)
-        slope = npoly.polyval(roots, deriv)
-        step = np.where(slope != 0, val / np.where(slope != 0, slope, 1.0), 0.0)
-        roots = roots - step
-    return roots
-
-
-def _nodes_from_degree(n: int, m: int, s: float, capacity: float) -> np.ndarray:
-    """All k+eps nodes of the rule: companion-matrix roots of the cleared
-    polynomial, Newton-polished, validated real/simple/ascending."""
-    k, eps = split_degree(m)
+    diag, off = (list(v) for v in _nu_jacobi_matrix(n, k + eps))
+    if eps == 1:
+        # last row (a, b) chosen so that p_{k+1} = (t - a) p_k - b^2 p_{k-1} vanishes at -1 and s
+        q_s, q_m = _ratio(diag, off, k, s), _ratio(diag, off, k, -1.0)
+        # b^2 >= 0 for s at or above the largest zero of p_k; round-off there
+        # can flip its sign, and b = 0 leaves the node -1 a zero weight
+        diag[k] = s - (s + 1) * q_m / (q_m - q_s)
+        off[k - 1] = sqrt(max((s + 1) * q_s * q_m / (q_m - q_s), 0.0))
+    elif k > 1:
+        diag[k - 1] = s - off[k - 2] ** 2 / _ratio(diag, off, k - 1, s)
+    else:
+        diag[0] = s
+    nodes, vectors = eigh_tridiagonal(np.asarray(diag), np.asarray(off))
     where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
-    coeffs = _cleared_node_polynomial(n, m, capacity)
-    roots = npoly.polyroots(coeffs)
-    scale = max(1.0, np.max(np.abs(roots)))
-    worst = int(np.argmax(np.abs(roots.imag)))
-    if abs(roots.imag[worst]) > 1e-8 * scale:
-        raise QuadratureError(
-            f"complex node encountered for {where}: root {worst} has imaginary part "
-            f"{roots.imag[worst]:.6g}"
-        )
-    nodes = _polish_roots(coeffs, np.sort(roots.real))
-    if nodes.size != k + eps:
-        raise QuadratureError(f"wrong node count for {where}: {nodes.size} nodes, expected {k + eps}")
     if nodes.size > 1:
         gap = int(np.argmin(np.diff(nodes)))
         if nodes[gap + 1] - nodes[gap] <= 1e-9:
@@ -240,36 +237,12 @@ def _nodes_from_degree(n: int, m: int, s: float, capacity: float) -> np.ndarray:
                 f"{nodes[0]:.17g} (tolerance 1e-7)"
             )
         nodes[0] = -1.0
-    return nodes
-
-
-def compute_weights(n: int, nodes, capacity: float) -> np.ndarray:
-    """Quadrature weights via Lagrange basis polynomials.
-
-    For ell_i(t) = prod_{j != i} (t - alpha_j) the 1/N identity forces
-    rho_i = [ (ell_i)_0 - ell_i(1)/N ] / ell_i(alpha_i), with (ell_i)_0 the
-    mean of ell_i against mu_n.  Every ell_i is kept in product form: its
-    values at alpha_i and at 1 are products of differences, and its mean is
-    the Gauss rule of mu_n with enough points to be exact at their degree.
-    Positivity and exactness on the Gegenbauer basis up to the rule degree
-    are verified, not assumed.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    size = nodes.size
-    eps = 1 if abs(nodes[0] + 1.0) <= 1e-12 else 0
-    m = 2 * (size - eps) - 1 + eps
-    gauss_x, gauss_w = measure_gauss_rule(n, (size + 1) // 2)
-    factor = ~np.eye(size, dtype=bool)  # ell_i takes the factor for alpha_j when j != i
-    at_nodes = np.prod(np.where(factor, nodes[:, None] - nodes, 1.0), axis=1)
-    at_one = np.prod(np.where(factor, 1.0 - nodes, 1.0), axis=1)
-    mean = np.prod(np.where(factor[:, None, :], gauss_x[:, None] - nodes, 1.0), axis=2) @ gauss_w
-    weights = (mean - at_one / capacity) / at_nodes
-    where = f"(n={n}, m={m}, capacity={capacity:.12g})"
+    weights = vectors[0] ** 2 / (1.0 - nodes)
     low = int(np.argmin(weights))
     if weights[low] <= 0:
         raise QuadratureError(
             f"nonpositive quadrature weight for {where}: "
-            f"weight {low} of {size} is {weights[low]:.6g}"
+            f"weight {low} of {weights.size} is {weights[low]:.6g}"
         )
     residuals = exactness_residuals(n, nodes, weights, capacity, m)
     worst = int(np.argmax(np.abs(residuals)))
@@ -278,7 +251,7 @@ def compute_weights(n: int, nodes, capacity: float) -> np.ndarray:
             f"quadrature exactness failure for {where}: "
             f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
         )
-    return weights
+    return nodes, weights
 
 
 def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int) -> np.ndarray:
@@ -293,12 +266,12 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     """Build the 1/N_W-quadrature rule for a capacity N_W > 2.
 
     Selects the degree from the capacity, solves L_m(n, s) = N_W by Brent's
-    method on the validity interval, then recovers the remaining nodes and
-    the weights.
+    method on the validity interval, then builds the rule with largest
+    node s by :func:`compute_weights`.
     """
     if capacity <= 2:
         raise ValueError("capacity must exceed 2")
-    m, k, eps = select_degree_from_capacity(n, capacity)
+    m = select_degree_from_capacity(n, capacity)[0]
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
     lo, hi = validity_interval(n, m)
@@ -313,8 +286,12 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
         s = hi
     else:
         s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    nodes = _nodes_from_degree(n, m, s, capacity)
-    weights = compute_weights(n, nodes, capacity)
+    return _rule(n, m, s, capacity)
+
+
+def _rule(n: int, m: int, s: float, capacity: float) -> QuadratureRule:
+    k, eps = split_degree(m)
+    nodes, weights = compute_weights(n, m, s, capacity)
     return QuadratureRule(n, m, k, eps, tuple(nodes), tuple(weights), float(capacity))
 
 
@@ -324,31 +301,27 @@ def rule_from_s(n: int, m: int, s: float, allow_outside_validity: bool = False) 
     The capacity is N_1 = L_m(n, s); this is the upper-bound direction,
     where s is prescribed and the capacity is derived.
     """
-    k, eps = split_degree(m)
-    capacity = levenshtein_function(n, m, s, allow_outside_validity)
-    nodes = _nodes_from_degree(n, m, s, capacity)
-    weights = compute_weights(n, nodes, capacity)
-    return QuadratureRule(n, m, k, eps, tuple(nodes), tuple(weights), float(capacity))
+    return _rule(n, m, s, levenshtein_function(n, m, s, allow_outside_validity))
 
 
 def levenshtein_polynomial(
     n: int, m: int, s: float, allow_outside_validity: bool = False
 ) -> LevenshteinPolynomial:
-    """Monic Levenshtein polynomial of degree m for inner product s.
+    """Monic Levenshtein polynomial of degree m for inner product s, with
+    the rule on its roots.
 
     Consistency checks: nonnegative Gegenbauer coefficients (strictly
     positive away from interval endpoints) and f(1)/f_0 equal to
     L_m(n, s) within 1e-9 relative.
     """
-    k, eps = split_degree(m)
     capacity = levenshtein_function(n, m, s, allow_outside_validity)
     lo, hi = validity_interval(n, m)
     outside = not (lo - 1e-9 <= s <= hi + 1e-9)
-    nodes = _nodes_from_degree(n, m, s, capacity)
-    interior = nodes[1:-1] if eps else nodes[:-1]
+    rule = _rule(n, m, s, capacity)
+    interior = rule.nodes[1:-1] if rule.eps else rule.nodes[:-1]
     kernel = npoly.polyfromroots(interior)
     coeffs = npoly.polymul(np.array([-s, 1.0]), npoly.polymul(kernel, kernel))
-    if eps:
+    if rule.eps:
         coeffs = npoly.polymul(np.array([1.0, 1.0]), coeffs)
     poly = MonomialPoly(tuple(coeffs))
     series = to_gegenbauer(poly, n)
@@ -367,4 +340,4 @@ def levenshtein_polynomial(
             f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
             f"function value {capacity:.12g}"
         )
-    return LevenshteinPolynomial(n, m, float(s), tuple(nodes), poly, series, outside)
+    return LevenshteinPolynomial(n, m, float(s), rule, poly, series, outside)

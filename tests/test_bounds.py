@@ -318,11 +318,18 @@ def test_ulb_memo_key_normalises_numpy_scalars():
     assert plain.rule is numpy_args.rule and type(numpy_args.n) is int
 
 
-def test_ulb_memo_stores_no_failure():
+def test_ulb_memo_stores_no_failure(monkeypatch):
+    solve = bounds.solve_ulb_rule
+
+    def failing_solve(n, capacity):
+        if n == 30:
+            raise QuadratureError(f"rule failed its verification for (n={n}, capacity={capacity})")
+        return solve(n, capacity)
+
+    monkeypatch.setattr(bounds, "solve_ulb_rule", failing_solve)
     bounds._ulb_setup.cache_clear()
-    # n = 30 just above D(30, 22) is a known weight-sign failure (ROADMAP item 3)
     for _ in range(2):
-        with pytest.raises(QuadratureError, match="nonpositive quadrature weight"):
+        with pytest.raises(QuadratureError, match="failed its verification"):
             ulb(30, 2947546837, riesz(1))
         with pytest.raises(ValueError, match="above cap"):
             ulb(3, 1e9, riesz(1))

@@ -112,8 +112,6 @@ def test_dominance_below_for_table_rule():
     report = hermite_interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
     ok, violation = verify_dominance(report, riesz(1), (-1.0, 0.999), "below", rule.nodes)
     assert ok and violation <= 1e-9
-    assert report.residual_sign == "below"
-    assert report.max_violation == violation
 
 
 def test_dominance_on_a_given_grid_matches_the_built_one():
@@ -213,3 +211,26 @@ def test_newton_coefficients_match_scalar_loop(h):
             got = _newton_coefficients(z, values, derivs)
             ref = _newton_coefficients_loop(z, values, derivs)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _node_residual_loop(h, multiset, poly):
+    """Reference: the interpolation defect with one derivative call per doubled node."""
+    pts = np.array([a for a, _ in multiset.entries])
+    hvals = potential_eval(h, pts)
+    scale = max(1.0, float(np.max(np.abs(hvals))))
+    residual = float(np.max(np.abs(poly(pts) - hvals))) / scale
+    dpoly = poly.derivative()
+    for a, mult in multiset.entries:
+        if mult == 2:
+            residual = max(residual, abs(float(dpoly(a)) - float(potential_derivative(h, a))) / scale)
+    return residual
+
+
+@pytest.mark.parametrize("h", [riesz(1), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
+def test_node_residual_matches_per_node_loop(h):
+    for m in range(1, 21):
+        lo, hi = validity_interval(4, m)
+        rule = rule_from_s(4, m, 0.5 * (lo + hi))
+        for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
+            report = hermite_interpolant(h, multiset, 4)
+            assert report.node_residual == _node_residual_loop(h, multiset, report.poly)

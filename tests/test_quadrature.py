@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 from spherelp.quadrature import (
     QuadratureError,
@@ -257,20 +259,37 @@ def test_rule_from_s_matches_capacity_solve():
 
 
 def test_compute_weights_failure_on_bad_nodes():
+    # s = 0.6 lies below the degree-7 validity interval of n = 3: the rule
+    # with largest node s has a node below -1
     with pytest.raises(QuadratureError):
-        compute_weights(3, (-0.9, -0.3, 0.2, 0.6), 30.0)
+        compute_weights(3, 7, 0.6, 30.0)
 
 
-def test_compute_weights_errors_name_inputs():
-    # just above D(30, 22) the first weight comes out about -2e-15 (round-off)
+def test_compute_weights_errors_name_inputs(monkeypatch):
+    import spherelp.quadrature as quadrature
+
+    rule = solve_ulb_rule(3, 30.0)
+    with pytest.raises(QuadratureError) as info:
+        compute_weights(3, 9, rule.s, 31.0)
+    # 1/31 - 1/30 on every P_j: the largest is whichever round-off favours
+    assert re.fullmatch(
+        re.escape(f"quadrature exactness failure for (n=3, m=9, s={rule.s:.12g}, capacity=31): ")
+        + r"largest residual is -0\.0010752\d+ on P_\d \(tolerance 1e-9\)",
+        str(info.value),
+    )
+
+    def vanishing_first_component(diag, off):
+        nodes, vectors = eigh_tridiagonal(diag, off)
+        vectors[0, 0] = 0.0
+        return nodes, vectors
+
+    monkeypatch.setattr(quadrature, "eigh_tridiagonal", vanishing_first_component)
     with pytest.raises(QuadratureError) as info:
         solve_ulb_rule(30, 2947546837)
     message = str(info.value)
-    assert "nonpositive quadrature weight for (n=30, m=22, capacity=2947546837): weight 0 of 12 is -" in message
+    assert message.startswith("nonpositive quadrature weight for (n=30, m=22, s=0.6919")
+    assert message.endswith(", capacity=2947546837): weight 0 of 12 is 0")
     assert "[" not in message
-    rule = solve_ulb_rule(3, 30.0)
-    with pytest.raises(QuadratureError, match=r"exactness failure for \(n=3, m=9, capacity=30\): largest residual"):
-        compute_weights(3, np.asarray(rule.nodes) + 1e-4, 30.0)
 
 
 def _mp_lagrange_weights(mpmath, n, nodes, capacity):
@@ -307,13 +326,48 @@ def test_weights_match_extended_precision_reference(n):
 def test_node_errors_name_inputs(monkeypatch):
     import spherelp.quadrature as quadrature
 
-    # a double root at 0.25 stands in for a collapsed rule
-    monkeypatch.setattr(quadrature, "_cleared_node_polynomial", lambda n, m, capacity: np.array([0.0625, -0.5, 1.0]))
+    # below its validity interval, s is not the largest node of its rule
+    with pytest.raises(QuadratureError) as info:
+        rule_from_s(3, 3, -0.9, allow_outside_validity=True)
+    message = str(info.value)
+    assert message.startswith("largest node does not match s for (n=3, m=3, s=-0.9, capacity=")
+    assert "it is 0.058823529411764" in message and "array" not in message
+
+    # a double eigenvalue at 0.25 stands in for a collapsed rule
+    monkeypatch.setattr(quadrature, "eigh_tridiagonal", lambda diag, off: (np.array([0.25, 0.25]), np.eye(2)))
     with pytest.raises(QuadratureError) as info:
         rule_from_s(3, 3, 0.25)
     message = str(info.value)
     assert message.startswith("repeated nodes for (n=3, m=3, s=0.25, capacity=")
     assert "nodes 0 and 1 are " in message and "array" not in message
+
+
+def _mp_levenshtein(mpmath, n, m, t):
+    """L_m(n, t) in the working precision, from the Gegenbauer recurrence."""
+    k, eps = split_degree(m)
+    p = [mpmath.mpf(1), t]
+    for j in range(1, k + eps):
+        p.append(((2 * j + n - 2) * t * p[j] - j * p[j - 1]) / (j + n - 2))
+    num = (1 + t) ** eps * (p[k - 1 + eps] - p[k + eps])
+    den = (1 - t) * (eps * p[k] + p[k + eps])
+    head = mpmath.mpf(2 * k + n - 3 + 2 * eps) / (n - 1)
+    return math.comb(k + n - 3 + eps, n - 2) * (head - num / den)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_nodes_match_extended_precision_reference(n):
+    # every node but -1 and s solves L_m(n, t) = L_m(n, s); Newton on that
+    # equation in 50 digits, from the float node, gives the reference
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for m in (2, 5, 10, 15, 16, 18, 20, 25):
+            lo, hi = validity_interval(n, m)
+            for frac in (0.05, 0.5, 0.95):
+                rule = rule_from_s(n, m, lo + frac * (hi - lo))
+                capacity = _mp_levenshtein(mpmath, n, m, mpmath.mpf(rule.s))
+                for a in rule.nodes[rule.eps:-1]:
+                    ref = mpmath.findroot(lambda t: _mp_levenshtein(mpmath, n, m, t) - capacity, mpmath.mpf(a))
+                    assert abs(float(ref) - a) <= 1e-14, (m, frac, a)
 
 
 def test_levenshtein_polynomial_errors_name_inputs(monkeypatch):
