@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import fsum
+from math import fsum, isfinite
 from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
+from .codes import check_weights
 from .hermite import (
     InterpolantReport,
     dominance_grid,
@@ -188,11 +189,7 @@ def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
 
 def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
     """Lower bound for an explicit weight vector (capacity from its squares)."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
+    w = check_weights(weights)
     s_w = float(np.dot(w, w))
     n_w = 1.0 / s_w
     variance = s_w / w.size - 1.0 / w.size**2
@@ -221,18 +218,6 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
     return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, "design_ulb")
 
 
-def _capacity_consistency(n1: float, capacity: float) -> CheckResult:
-    # a code with sum of squared weights 1/N_W has at least N_W points, and its
-    # cardinality is capped by N_1; below that the bound is valid but vacuous
-    ok = n1 >= capacity - 1e-9
-    return CheckResult(
-        "capacity_consistency",
-        bool(ok),
-        n1,
-        "" if ok else "N_1 < N_W: no code attains this capacity at this inner product",
-    )
-
-
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
     positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
     lam = max((gt[i] / f[i] for i in positive), default=0.0)
@@ -243,24 +228,19 @@ def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[Check
     return float(lam)
 
 
-def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:
-    """Universal upper bound on the weighted energy at maximal inner product s.
+def _upper_bound(
+    n: int, capacity: float, s: float, m: int, h: Potential, design: bool, allow_outside: bool
+) -> BoundReport:
+    """Upper bound at maximal inner product s from the degree-m rule.
 
-    The degree comes from the validity interval containing s unless an
-    explicit override is given (table-reproduction mode); with an override
-    the N_1 interval hypothesis is checked and reported rather than
-    enforced.
+    The certificate is the Hermite interpolant g_T of h at the roots of the
+    Levenshtein polynomial f, minus lambda* f.  Design bounds fix lambda* = 0
+    and drop the coefficient sign conditions, so they skip that check, the
+    lambda* shortcut, the node-contact check of the corrected polynomial
+    and the validity-interval flag.
     """
-    if not -1 <= s < 1:
-        raise ValueError("s must lie in [-1, 1)")
-    if m_override is None:
-        m, _, _ = select_degree_from_s(n, s)
-        allow_outside = False
-    else:
-        m = m_override
-        allow_outside = True
-    if not derivative_nonneg_from(h, m):
-        raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
+    if not (isfinite(capacity) and capacity > 0):
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     lp = levenshtein_polynomial(n, m, s, allow_outside_validity=allow_outside)
     rule = lp.rule
     n1 = rule.capacity
@@ -269,28 +249,29 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
     gt = np.asarray(g_t.gegenbauer.coeffs)
     f = np.asarray(lp.gegenbauer.coeffs)
-    lam = _lambda_star(gt, f, h, checks)
-
-    gt_pad = np.pad(gt, (0, f.size - gt.size)) if gt.size < f.size else gt[: f.size]
-    g_coeffs = gt_pad - lam * f
-    g_series = GegenbauerSeries(n, tuple(g_coeffs))
-    g_mono = np.asarray(g_t.poly.coeffs)
-    lp_mono = np.asarray(lp.monomial.coeffs)
-    g_poly = MonomialPoly(tuple(np.pad(g_mono, (0, lp_mono.size - g_mono.size)) - lam * lp_mono))
-    node_vals = potential_eval(h, np.asarray(rule.nodes))
-    g_report = InterpolantReport(
-        g_poly,
-        g_series,
-        float(np.max(np.abs(g_poly(np.asarray(rule.nodes)) - node_vals))),
-    )
-
-    ok_signs = bool(np.max(g_coeffs[1:]) <= COEFF_TOL)
-    checks.append(CheckResult("coefficient_signs", ok_signs, float(np.max(g_coeffs[1:]))))
-    ok_dom, violation = verify_dominance(g_report, h, (-1.0, s), "above", rule.nodes)
+    if design:
+        lam, cert = 0.0, g_t
+        ok_signs = True
+        checks.append(CheckResult("coefficient_signs", True, None, "not required for design bounds"))
+    else:
+        lam = _lambda_star(gt, f, h, checks)
+        gt_pad = np.pad(gt, (0, f.size - gt.size)) if gt.size < f.size else gt[: f.size]
+        g_coeffs = gt_pad - lam * f
+        g_mono = np.asarray(g_t.poly.coeffs)
+        lp_mono = np.asarray(lp.monomial.coeffs)
+        g_poly = MonomialPoly(tuple(np.pad(g_mono, (0, lp_mono.size - g_mono.size)) - lam * lp_mono))
+        node_vals = potential_eval(h, np.asarray(rule.nodes))
+        cert = InterpolantReport(
+            g_poly,
+            GegenbauerSeries(n, tuple(g_coeffs)),
+            float(np.max(np.abs(g_poly(np.asarray(rule.nodes)) - node_vals))),
+        )
+        ok_signs = bool(np.max(g_coeffs[1:]) <= COEFF_TOL)
+        checks.append(CheckResult("coefficient_signs", ok_signs, float(np.max(g_coeffs[1:]))))
+    ok_dom, violation = verify_dominance(cert, h, (-1.0, s), "above", rule.nodes)
     checks.append(CheckResult("dominance_above", ok_dom, violation))
-    checks.append(
-        CheckResult("nodes_touch", g_report.node_residual <= COEFF_TOL, g_report.node_residual)
-    )
+    if not design:
+        checks.append(CheckResult("nodes_touch", cert.node_residual <= COEFF_TOL, cert.node_residual))
 
     gt0 = float(gt[0])
     gt1 = g_t.gegenbauer.value_at_one()
@@ -309,24 +290,50 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
             + ("" if hyp else "; reported only, bound still computed"),
         )
     )
-    checks.append(_capacity_consistency(n1, capacity))
-    if lp.outside_validity:
+    # a code with sum of squared weights 1/N_W has at least N_W points, and its
+    # cardinality is capped by N_1; below that the bound is valid but vacuous
+    attained = n1 >= capacity - 1e-9
+    checks.append(
+        CheckResult(
+            "capacity_consistency",
+            bool(attained),
+            n1,
+            "" if attained else "N_1 < N_W: no code attains this capacity at this inner product",
+        )
+    )
+    if lp.outside_validity and not design:
         checks.append(CheckResult("s_within_validity", False, s, "degree override outside validity interval"))
 
     feasible = bool(ok_signs and ok_dom and ok_val and g_t.node_residual <= 1e-9)
     return BoundReport(
-        kind="uub",
+        kind="design_uub" if design else "uub",
         n=n,
         m=m,
         rule=rule,
         value=float(value),
-        certificate=g_series,
+        certificate=cert.gegenbauer,
         potential=h,
         feasible=feasible,
         diagnostics=tuple(checks),
         lambda_star=lam,
         n1=float(n1),
     )
+
+
+def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:
+    """Universal upper bound on the weighted energy at maximal inner product s.
+
+    The degree comes from the validity interval containing s unless an
+    explicit override is given (table-reproduction mode); with an override
+    the N_1 interval hypothesis is checked and reported rather than
+    enforced.
+    """
+    if not -1 <= s < 1:
+        raise ValueError("s must lie in [-1, 1)")
+    m = select_degree_from_s(n, s)[0] if m_override is None else m_override
+    if not derivative_nonneg_from(h, m):
+        raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
+    return _upper_bound(n, capacity, s, m, h, design=False, allow_outside=m_override is not None)
 
 
 def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> BoundReport:
@@ -340,43 +347,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
         raise ValueError("s must lie in [-1, 1)")
     if not derivative_nonneg_from(h, tau):
         raise ValueError(f"potential {h.label()} lacks h^({tau}) >= 0")
-    rule = levenshtein_polynomial(n, tau, s, allow_outside_validity=True).rule
-    n1 = rule.capacity
-
-    g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n)
-    checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
-    ok_dom, violation = verify_dominance(g_t, h, (-1.0, s), "above", rule.nodes)
-    checks.append(CheckResult("dominance_above", ok_dom, violation))
-    checks.append(CheckResult("coefficient_signs", True, None, "not required for design bounds"))
-
-    gt1 = g_t.gegenbauer.value_at_one()
-    value = (capacity - n1) * gt1 / (capacity * n1) + _rule_energy(rule, h)
-    alt = g_t.gegenbauer.coeffs[0] - gt1 / capacity
-    ok_val = abs(value - alt) <= VALUE_TOL * max(1.0, abs(value))
-    checks.append(CheckResult("objective_consistency", ok_val, abs(value - alt)))
-
-    hyp = dgs_bound(n, tau) < n1 <= dgs_bound(n, tau + 1)
-    checks.append(
-        CheckResult(
-            "n1_interval_hypothesis",
-            hyp,
-            n1,
-            "" if hyp else "reported only, bound still computed",
-        )
-    )
-    checks.append(_capacity_consistency(n1, capacity))
-
-    feasible = bool(ok_dom and ok_val and g_t.node_residual <= 1e-9)
-    return BoundReport(
-        kind="design_uub",
-        n=n,
-        m=tau,
-        rule=rule,
-        value=float(value),
-        certificate=g_t.gegenbauer,
-        potential=h,
-        feasible=feasible,
-        diagnostics=tuple(checks),
-        lambda_star=0.0,
-        n1=float(n1),
-    )
+    return _upper_bound(n, capacity, s, tau, h, design=True, allow_outside=True)

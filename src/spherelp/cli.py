@@ -84,52 +84,40 @@ def _emit_csv(rows, header) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-CONFIG_HELP = "pentakis | cube-cross:N | ngon:K | icosahedron | dodecahedron | cube:N | cross:N | 24-cell | path to a code JSON file"
+CONFIG_HELP = " | ".join(
+    [
+        (entry.aliases[0] if entry.aliases else name) + (f":{entry.param}" if entry.param else "")
+        for name, entry in codes.CONFIGS.items()
+    ]
+    + ["path to a code JSON file"]
+)
 
 
 def load_config(spec: str) -> codes.WeightedCode:
     name, _, param = spec.partition(":")
-    name = name.strip().lower()
-    builders = {
-        "pentakis": ("pentakis_dodecahedron", False),
-        "pentakis_dodecahedron": ("pentakis_dodecahedron", False),
-        "cube-cross": ("cube_crosspolytope", True),
-        "cube_crosspolytope": ("cube_crosspolytope", True),
-        "ngon": ("regular_ngon", True),
-        "regular_ngon": ("regular_ngon", True),
-        "icosahedron": ("icosahedron", False),
-        "dodecahedron": ("dodecahedron", False),
-        "cube": ("cube", True),
-        "cross": ("crosspolytope", True),
-        "crosspolytope": ("crosspolytope", True),
-        "24-cell": ("twenty_four_cell", False),
-        "twenty_four_cell": ("twenty_four_cell", False),
-    }
-    if name in builders:
-        target, needs_param = builders[name]
-        return codes.build_config(target, int(param) if needs_param and param else None)
+    name = codes.CONFIG_SPELLINGS.get(name.strip().lower())
+    if name is not None:
+        return codes.build_config(name, int(param) if codes.CONFIGS[name].param and param else None)
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return codes.code_from_json(fh.read())
     raise UsageError(f"unknown configuration {spec!r} (expected {CONFIG_HELP})")
 
 
-def _resolve_capacity(args, code=None):
+def _resolve_capacity(args):
     sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name, None)]
     if len(sources) != 1:
         raise UsageError("exactly one of --capacity, --weights-file, --config is required")
     if args.capacity is not None:
-        if args.capacity <= 2:
+        if not args.capacity > 2:
             raise UsageError("capacity must exceed 2")
         return args.capacity, None
     if getattr(args, "weights_file", None):
         with open(args.weights_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        weights = np.asarray(data["weights"] if isinstance(data, dict) else data, dtype=float)
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise UsageError("weights must be positive and sum to 1")
+        weights = codes.check_weights(data["weights"] if isinstance(data, dict) else data)
         return float(1.0 / np.dot(weights, weights)), None
-    code = code or load_config(args.config)
+    code = load_config(args.config)
     return code.n_w, code
 
 
@@ -168,15 +156,18 @@ def _report_payload(command: str, report: bounds.BoundReport) -> dict:
     return payload
 
 
-def _print_report(command, report, args) -> int:
-    payload = _report_payload(command, report)
+def _print(args, payload, rows, header) -> None:
     if args.format == "csv":
-        rows = [(i, a, w) for i, (a, w) in enumerate(zip(report.rule.nodes, report.rule.weights))]
-        print(_emit_csv(rows, ("i", "alpha_i", "rho_i")))
+        print(_emit_csv(rows, header))
     elif args.format == "text":
         print(_emit_text(payload))
     else:
         print(_emit_json(payload))
+
+
+def _print_report(args, report) -> int:
+    rows = [(i, a, w) for i, (a, w) in enumerate(zip(report.rule.nodes, report.rule.weights))]
+    _print(args, _report_payload(args.command, report), rows, ("i", "alpha_i", "rho_i"))
     if not report.feasible:
         print("infeasible: a certificate check failed", file=sys.stderr)
         for c in report.diagnostics:
@@ -192,52 +183,38 @@ def _require(args, names):
             raise UsageError(f"--{name.replace('_', '-')} is required for this command")
 
 
-def cmd_ulb(args) -> int:
-    capacity, _ = _resolve_capacity(args)
-    _require(args, ["n", "potential"])
-    h = parse_potential(args.potential, args.n)
-    log.info("ulb n=%d capacity=%.12g potential=%s", args.n, capacity, h.label())
-    report = bounds.ulb(args.n, capacity, h)
-    return _print_report("ulb", report, args)
-
-
-def cmd_uub(args) -> int:
-    code = load_config(args.config) if args.config else None
-    capacity, code = _resolve_capacity(args, code)
-    n = args.n if args.n is not None else (code.n if code else None)
-    if n is None:
-        raise UsageError("--n is required when no --config is given")
-    s = args.s if args.s is not None else (code.max_inner_product if code else None)
-    if s is None:
-        raise UsageError("--s is required when no --config is given")
-    _require(args, ["potential"])
-    h = parse_potential(args.potential, n)
-    report = bounds.uub(n, capacity, s, h, m_override=args.m_override)
-    return _print_report("uub", report, args)
-
-
-def cmd_design_ulb(args) -> int:
+def cmd_lower(args) -> int:
+    """``ulb`` and ``design-ulb``: lower bounds at a capacity."""
     capacity, code = _resolve_capacity(args)
+    design = args.command == "design-ulb"
+    _require(args, ["tau", "potential"] if design else ["n", "potential"])
     n = args.n if args.n is not None else (code.n if code else None)
-    _require(args, ["tau", "potential"])
     if n is None:
         raise UsageError("--n is required")
     h = parse_potential(args.potential, n)
-    report = bounds.design_ulb(n, capacity, args.tau, h)
-    return _print_report("design-ulb", report, args)
+    if design:
+        report = bounds.design_ulb(n, capacity, args.tau, h)
+    else:
+        log.info("ulb n=%d capacity=%.12g potential=%s", n, capacity, h.label())
+        report = bounds.ulb(n, capacity, h)
+    return _print_report(args, report)
 
 
-def cmd_design_uub(args) -> int:
-    code = load_config(args.config) if args.config else None
-    capacity, code = _resolve_capacity(args, code)
+def cmd_upper(args) -> int:
+    """``uub`` and ``design-uub``: upper bounds at a maximal inner product."""
+    capacity, code = _resolve_capacity(args)
     n = args.n if args.n is not None else (code.n if code else None)
     s = args.s if args.s is not None else (code.max_inner_product if code else None)
-    _require(args, ["tau", "potential"])
     if n is None or s is None:
         raise UsageError("--n and --s are required when no --config is given")
+    design = args.command == "design-uub"
+    _require(args, ["tau", "potential"] if design else ["potential"])
     h = parse_potential(args.potential, n)
-    report = bounds.design_uub(n, capacity, s, args.tau, h)
-    return _print_report("design-uub", report, args)
+    if design:
+        report = bounds.design_uub(n, capacity, s, args.tau, h)
+    else:
+        report = bounds.uub(n, capacity, s, h, m_override=args.m_override)
+    return _print_report(args, report)
 
 
 def cmd_energy(args) -> int:
@@ -256,12 +233,7 @@ def cmd_energy(args) -> int:
         "potential": h.label(),
         "value": value,
     }
-    if args.format == "csv":
-        print(_emit_csv([(k, v) for k, v in payload.items()], ("field", "value")))
-    elif args.format == "text":
-        print(_emit_text(payload))
-    else:
-        print(_emit_json(payload))
+    _print(args, payload, payload.items(), ("field", "value"))
     return EXIT_OK
 
 
@@ -281,22 +253,12 @@ def cmd_design_check(args) -> int:
         "tol": report.tol,
         "moments": list(report.moments),
     }
-    if args.format == "csv":
-        rows = [(ell + 1, m) for ell, m in enumerate(report.moments)]
-        print(_emit_csv(rows, ("ell", "M_ell")))
-    elif args.format == "text":
-        print(_emit_text(payload))
-    else:
-        print(_emit_json(payload))
+    _print(args, payload, enumerate(report.moments, start=1), ("ell", "M_ell"))
     return EXIT_OK
 
 
 def cmd_test_functions(args) -> int:
     _require(args, ["n", "capacity", "jmax"])
-    if args.jmax < 1:
-        raise UsageError("--jmax must be >= 1")
-    if args.capacity <= 2:
-        raise UsageError("capacity must exceed 2")
     report = bounds.test_functions(args.n, args.capacity, args.jmax)
 
     def classify_value(j, v):
@@ -317,12 +279,7 @@ def cmd_test_functions(args) -> int:
         "negative_indices": list(report.negative_indices),
         "values": values,
     }
-    if args.format == "csv":
-        print(_emit_csv([(v["j"], v["q"], v["class"]) for v in values], ("j", "Q_j", "class")))
-    elif args.format == "text":
-        print(_emit_text(payload))
-    else:
-        print(_emit_json(payload))
+    _print(args, payload, [(v["j"], v["q"], v["class"]) for v in values], ("j", "Q_j", "class"))
     return EXIT_OK
 
 
@@ -372,24 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ulb", help="lower bound on weighted energy")
     common(p)
-    p.set_defaults(func=cmd_ulb)
+    p.set_defaults(func=cmd_lower)
 
     p = sub.add_parser("uub", help="upper bound on weighted energy at maximal inner product s")
     common(p)
     p.add_argument("--s", type=float, help="maximal inner product")
     p.add_argument("--m-override", type=int, help="force the Levenshtein degree (table-reproduction mode)")
-    p.set_defaults(func=cmd_uub)
+    p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("design-ulb", help="lower bound for weighted designs")
     common(p)
     p.add_argument("--tau", type=int, help="design strength / rule degree")
-    p.set_defaults(func=cmd_design_ulb)
+    p.set_defaults(func=cmd_lower)
 
     p = sub.add_parser("design-uub", help="upper bound for weighted designs")
     common(p)
     p.add_argument("--s", type=float, help="maximal inner product")
     p.add_argument("--tau", type=int, help="rule degree (certificate degree tau-1 must not exceed the design strength)")
-    p.set_defaults(func=cmd_design_uub)
+    p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("energy", help="weighted energy of a configuration")
     common(p, with_rule_flags=False)
@@ -429,10 +386,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # rule construction failed its own verification

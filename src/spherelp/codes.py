@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -21,6 +22,18 @@ from .orthopoly import MonomialPoly, gegenbauer_table, to_gegenbauer
 from .potentials import Potential, potential_eval
 
 GOLDEN = (1 + sqrt(5)) / 2
+
+
+def check_weights(weights) -> np.ndarray:
+    """The weights as a float array, once they are finite, positive and sum to 1."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1")
+    return w
 
 
 @dataclass
@@ -50,10 +63,7 @@ class WeightedCode:
         norms = np.linalg.norm(self.points, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("points must be unit vectors")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        check_weights(self.weights)
         gram = self.points @ self.points.T
         np.clip(gram, -1.0, 1.0, out=gram)
         i, j = np.divmod(np.flatnonzero(gram > 1.0 - 1e-6), gram.shape[0])
@@ -75,10 +85,6 @@ class WeightedCode:
     def n_w(self) -> float:
         """Effective cardinality 1 / sum of squared weights."""
         return 1.0 / self.s_w
-
-    @property
-    def variance(self) -> float:
-        return self.s_w / self.size - 1.0 / self.size**2
 
     @cached_property
     def max_inner_product(self) -> float:
@@ -306,15 +312,27 @@ def twenty_four_cell() -> WeightedCode:
     return WeightedCode(4, code.points, code.weights, "twenty_four_cell")
 
 
-_BUILDERS = {
-    "pentakis_dodecahedron": lambda n: pentakis_dodecahedron(),
-    "cube_crosspolytope": lambda n: cube_crosspolytope(_require_dim(n)),
-    "regular_ngon": lambda n: regular_ngon(_require_dim(n)),
-    "icosahedron": lambda n: icosahedron(),
-    "dodecahedron": lambda n: dodecahedron(),
-    "cube": lambda n: cube(_require_dim(n)),
-    "crosspolytope": lambda n: crosspolytope(_require_dim(n)),
-    "twenty_four_cell": lambda n: twenty_four_cell(),
+class ConfigEntry(NamedTuple):
+    """A bundled configuration: its builder, its other CLI spellings (the
+    short one first) and the name of the parameter it needs, "" if none."""
+
+    build: Callable[..., WeightedCode]
+    aliases: tuple[str, ...] = ()
+    param: str = ""
+
+
+CONFIGS = {
+    "pentakis_dodecahedron": ConfigEntry(pentakis_dodecahedron, ("pentakis",)),
+    "cube_crosspolytope": ConfigEntry(cube_crosspolytope, ("cube-cross",), "N"),
+    "regular_ngon": ConfigEntry(regular_ngon, ("ngon",), "K"),
+    "icosahedron": ConfigEntry(icosahedron),
+    "dodecahedron": ConfigEntry(dodecahedron),
+    "cube": ConfigEntry(cube, (), "N"),
+    "crosspolytope": ConfigEntry(crosspolytope, ("cross",), "N"),
+    "twenty_four_cell": ConfigEntry(twenty_four_cell, ("24-cell",)),
+}
+CONFIG_SPELLINGS = {
+    spelling: name for name, entry in CONFIGS.items() for spelling in (name, *entry.aliases)
 }
 
 
@@ -326,12 +344,12 @@ def _require_dim(n):
 
 def build_config(name: str, n: int | None = None) -> WeightedCode:
     """Construct a named configuration; n is the dimension (or the point
-    count for regular polygons)."""
+    count for regular polygons) and is ignored by the fixed ones."""
     try:
-        builder = _BUILDERS[name]
+        entry = CONFIGS[name]
     except KeyError:
         raise ValueError(f"unknown configuration {name!r}") from None
-    return builder(n)
+    return entry.build(_require_dim(n)) if entry.param else entry.build()
 
 
 def with_equal_weights(code: WeightedCode) -> WeightedCode:

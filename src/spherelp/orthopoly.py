@@ -190,28 +190,6 @@ def _jacobi_tridiagonal(alpha: float, beta: float, k: int):
     return diag, off
 
 
-@lru_cache(maxsize=128)
-def measure_gauss_rule(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the q-point Gauss rule of mu_n.
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Gegenbauer family and, mu_n being a probability measure, the weights are
-    the squared first components of the unit eigenvectors.  The rule
-    integrates every polynomial of degree <= 2q - 1 exactly.
-    """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if q < 1:
-        raise ValueError("the rule needs at least one point")
-    a = (n - 3) / 2
-    diag, off = _jacobi_tridiagonal(a, a, q)
-    nodes, vectors = eigh_tridiagonal(diag, off)
-    weights = vectors[0] ** 2
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def jacobi_zeros(spec: JacobiSpec) -> np.ndarray:
     """All k zeros of the Jacobi polynomial, ascending."""
     if spec.k == 0:

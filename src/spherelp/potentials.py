@@ -57,14 +57,11 @@ class Potential:
 class MonotonicityClass:
     absolutely_monotone: bool
     strictly_absolutely_monotone: bool
-    shift_absolutely_monotone: bool
     min_nonneg_derivative_order: int | None
 
     def __post_init__(self):
         if self.strictly_absolutely_monotone and not self.absolutely_monotone:
             raise ValueError("strict implies absolutely monotone")
-        if self.absolutely_monotone and not self.shift_absolutely_monotone:
-            raise ValueError("absolutely monotone implies shift-absolutely monotone")
 
 
 def riesz(alpha: float) -> Potential:
@@ -139,10 +136,6 @@ def potential_derivative(h: Potential, t, order: int = 1):
     return v if v.ndim else float(v)
 
 
-def _value_at_minus_one(h: Potential) -> float:
-    return float(potential_eval(h, -1.0))
-
-
 def _is_polynomial(h: Potential) -> bool:
     if h.kind == "newton" and h.param == 2:
         return True
@@ -158,13 +151,11 @@ def min_nonneg_derivative_order(h: Potential) -> int:
     value is 0 exactly when h itself is nonnegative on the interval, which
     (all kinds being nondecreasing) reduces to the value at -1.
     """
-    if h.kind in ("riesz", "gaussian"):
-        return 0
-    if h.kind == "newton":
+    if h.kind in ("riesz", "gaussian", "newton"):
         return 0
     if h.kind in ("logarithmic", "fejes_toth"):
         return 1
-    return 0 if _value_at_minus_one(h) >= -1e-15 else 1
+    return 0 if potential_eval(h, -1.0) >= -1e-15 else 1
 
 
 def derivative_nonneg_from(h: Potential, order: int) -> bool:
@@ -186,37 +177,37 @@ def _closed_form_class(h: Potential) -> MonotonicityClass:
     return MonotonicityClass(
         absolutely_monotone=absolutely,
         strictly_absolutely_monotone=strictly,
-        shift_absolutely_monotone=True,
         min_nonneg_derivative_order=min_order,
     )
 
 
-def classify(h: Potential, max_order: int = 3, sample_grid=None) -> MonotonicityClass:
+_SAMPLE_GRID = np.linspace(-1.0, 0.95, 40)
+
+
+def classify(h: Potential) -> MonotonicityClass:
     """Monotonicity flags for h, set from closed-form per-kind knowledge.
 
-    Derivative-sign sampling on the grid (values, h', and a central second
-    difference) is run only as a consistency check against the claims.
+    Derivative-sign sampling on a fixed grid (values, h', and a central
+    second difference of h') is run only as a consistency check against
+    the claims.
     """
     cls = _closed_form_class(h)
-    grid = np.asarray(sample_grid, dtype=float) if sample_grid is not None else np.linspace(-1.0, 0.95, 40)
-    _consistency_check(h, cls, grid, max_order)
+    _consistency_check(h, cls)
     return cls
 
 
-def _consistency_check(h: Potential, cls: MonotonicityClass, grid: np.ndarray, max_order: int) -> None:
+def _consistency_check(h: Potential, cls: MonotonicityClass) -> None:
     tol = 1e-7
+    grid = _SAMPLE_GRID
     if cls.min_nonneg_derivative_order == 0 and np.min(potential_eval(h, grid)) < -tol:
         raise RuntimeError(f"{h.label()}: claimed nonnegative but sampled value is negative")
-    if max_order >= 1 and np.min(potential_derivative(h, grid)) < -tol:
+    if np.min(potential_derivative(h, grid)) < -tol:
         raise RuntimeError(f"{h.label()}: first derivative sampled negative")
-    if max_order >= 2:
-        inner = grid[(grid > -0.999) & (grid < 0.9)]
-        step = 1e-4
-        second = (
-            potential_derivative(h, inner + step) - potential_derivative(h, inner - step)
-        ) / (2 * step)
-        if second.size and np.min(second) < -1e-4 * (1.0 + np.max(np.abs(second))):
-            raise RuntimeError(f"{h.label()}: second derivative sampled negative")
+    inner = grid[(grid > -0.999) & (grid < 0.9)]
+    step = 1e-4
+    second = (potential_derivative(h, inner + step) - potential_derivative(h, inner - step)) / (2 * step)
+    if second.size and np.min(second) < -1e-4 * (1.0 + np.max(np.abs(second))):
+        raise RuntimeError(f"{h.label()}: second derivative sampled negative")
 
 
 def parse_potential(text: str, n: int | None = None) -> Potential:

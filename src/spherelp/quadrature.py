@@ -63,11 +63,6 @@ class QuadratureRule:
     def s(self) -> float:
         return self.nodes[-1]
 
-    def apply(self, f) -> float:
-        """f(1)/capacity + sum_i rho_i f(alpha_i) for a callable f."""
-        vals = f(np.asarray(self.nodes))
-        return float(f(1.0) / self.capacity + np.dot(self.weights, vals))
-
 
 @dataclass(frozen=True)
 class LevenshteinPolynomial:
@@ -89,10 +84,6 @@ class LevenshteinPolynomial:
     @property
     def nodes(self) -> tuple[float, ...]:
         return self.rule.nodes
-
-    @property
-    def coeff_at_one(self) -> float:
-        return self.gegenbauer.value_at_one()
 
 
 def split_degree(m: int) -> tuple[int, int]:
@@ -269,11 +260,9 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     method on the validity interval, then builds the rule with largest
     node s by :func:`compute_weights`.
     """
-    if capacity <= 2:
-        raise ValueError("capacity must exceed 2")
+    if not capacity > 2:
+        raise ValueError(f"capacity must exceed 2, got {capacity!r}")
     m = select_degree_from_capacity(n, capacity)[0]
-    if m > MAX_RULE_DEGREE:
-        raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
     lo, hi = validity_interval(n, m)
 
     def f(x):

@@ -8,7 +8,7 @@ from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron
-from spherelp.hermite import dominance_grid
+from spherelp.hermite import dominance_grid, hermite_interpolant, uub_nodes
 from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -19,7 +19,7 @@ from spherelp.potentials import (
     riesz,
     shifted,
 )
-from spherelp.quadrature import QuadratureError, dgs_bound, validity_interval
+from spherelp.quadrature import QuadratureError, dgs_bound, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
 PENTAKIS_S = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
@@ -77,10 +77,31 @@ def test_ulb_for_weights_cube_cross_n4():
 
 
 def test_ulb_for_weights_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must sum to 1"):
         ulb_for_weights([0.5, 0.6], 3, riesz(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be positive"):
         ulb_for_weights([0.5, -0.5, 1.0], 3, riesz(1))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ulb_for_weights([0.5, math.nan, 0.5], 3, riesz(1))
+
+
+@pytest.mark.parametrize("capacity", [math.nan, 2.0, 1.0, -math.inf])
+def test_lower_bounds_reject_capacity_not_above_two(capacity):
+    for call in (
+        lambda: solve_ulb_rule(3, capacity),
+        lambda: ulb(3, capacity, riesz(1)),
+        lambda: compute_test_functions(3, capacity, 5),
+    ):
+        with pytest.raises(ValueError, match="capacity must exceed 2"):
+            call()
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+def test_upper_bounds_reject_nonfinite_or_nonpositive_capacity(capacity):
+    with pytest.raises(ValueError, match="capacity must be finite and positive"):
+        uub(3, capacity, 0.5, riesz(1))
+    with pytest.raises(ValueError, match="capacity must be finite and positive"):
+        design_uub(3, capacity, 0.5, 3, riesz(1))
 
 
 def test_uub_pentakis():
@@ -259,6 +280,33 @@ def test_design_uub_equals_interpolant_objective():
     report = design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, 9, riesz(1))
     alt = report.certificate.coeffs[0] - report.certificate.value_at_one() / PENTAKIS_CAPACITY
     assert report.value == pytest.approx(alt, abs=1e-12)
+
+
+def test_design_uub_is_the_lambda_zero_upper_bound():
+    cases = [
+        (3, PENTAKIS_CAPACITY, PENTAKIS_S, 9, riesz(1)),
+        (3, qp_capacity(3), 1 / math.sqrt(3), 4, newton(3)),
+        (4, 24.0, 0.5, 5, newton(4)),
+        (5, 40.0, sum(validity_interval(5, 6)) / 2, 6, gaussian(1)),
+    ]
+    for n, capacity, s, tau, h in cases:
+        report = design_uub(n, capacity, s, tau, h)
+        rule = report.rule
+        g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n).gegenbauer
+        assert report.certificate == g_t
+        assert report.lambda_star == 0.0
+        g0, g1 = g_t.coeffs[0], g_t.value_at_one()
+        assert report.value == g0 - g1 / capacity
+        rule_sum = math.fsum(w * potential_eval(h, a) for a, w in zip(rule.nodes, rule.weights))
+        rule_form = (capacity - report.n1) * g1 / (capacity * report.n1) + rule_sum
+        assert report.value == pytest.approx(rule_form, rel=1e-12)
+    # at degree 1 the Levenshtein correction vanishes, so uub is the same bound
+    lo, hi = validity_interval(3, 1)
+    s = 0.5 * (lo + hi)
+    full, design = uub(3, 10.0, s, riesz(2)), design_uub(3, 10.0, s, 1, riesz(2))
+    assert full.lambda_star == 0.0
+    assert full.value == design.value
+    assert full.certificate.coeffs == design.certificate.coeffs + (0.0,)
 
 
 def test_design_uub_at_most_uub():

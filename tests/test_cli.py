@@ -37,6 +37,29 @@ def test_capacity_guard_exit_code(capsys):
     assert "capacity must exceed 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ulb", "--n", "3", "--capacity", "nan", "--potential", "riesz:1"),
+        ("uub", "--n", "3", "--capacity", "nan", "--s", "0.5", "--potential", "riesz:1"),
+        ("design-uub", "--n", "3", "--capacity", "nan", "--s", "0.5", "--tau", "3", "--potential", "riesz:1"),
+        ("test-functions", "--n", "3", "--capacity", "nan", "--jmax", "5"),
+    ],
+)
+def test_nan_capacity_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "capacity must exceed 2" in err
+
+
+def test_nan_weight_is_a_usage_error(tmp_path, capsys):
+    wf = tmp_path / "weights.json"
+    wf.write_text(json.dumps([0.5, float("nan"), 0.5]))
+    code, out, err = run(capsys, "ulb", "--n", "3", "--weights-file", str(wf), "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert "weights must be finite" in err
+
+
 def test_mutually_exclusive_sources(capsys):
     code, _, err = run(
         capsys, "ulb", "--n", "3", "--capacity", "10", "--config", "pentakis", "--potential", "riesz:1"

@@ -8,6 +8,7 @@ from spherelp.codes import (
     WeightedCode,
     _surface_monomial_integral,
     build_config,
+    check_weights,
     closed_form_energy,
     code_from_json,
     code_to_json,
@@ -255,6 +256,23 @@ def test_validation_errors():
             np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
             np.array([0.5, 0.5]),
         )  # coincident
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, math.nan, 0.5], "weights must be finite"),
+        ([math.inf, 0.5, 0.5], "weights must be finite"),
+        ([0.5, -0.5, 1.0], "weights must be positive"),
+        ([0.5, 0.0, 0.5], "weights must be positive"),
+        ([0.3, 0.3, 0.3], "weights must sum to 1"),
+    ],
+)
+def test_weight_validation(weights, message):
+    with pytest.raises(ValueError, match=message):
+        check_weights(weights)
+    with pytest.raises(ValueError, match=message):
+        WeightedCode(3, np.eye(3), weights)
 
 
 def test_with_equal_weights():

@@ -17,7 +17,6 @@ from spherelp.orthopoly import (
     jacobi_eval,
     jacobi_largest_zero,
     jacobi_zeros,
-    measure_gauss_rule,
     measure_moment,
     to_gegenbauer,
 )
@@ -217,17 +216,6 @@ def test_monomial_table_rows_are_cached_and_read_only():
         with pytest.raises(ValueError):
             row[0] = 1.0
     assert_allclose(rows[2], (-0.5, 0.0, 1.5), atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 30])
-def test_measure_gauss_rule_integrates_moments(n):
-    for q in range(1, 16):
-        x, w = measure_gauss_rule(n, q)
-        assert x.shape == w.shape == (q,)
-        assert not x.flags.writeable and not w.flags.writeable
-        for j in range(2 * q):
-            assert abs(float(np.dot(w, x**j)) - measure_moment(n, j)) <= 1e-14
-    assert measure_gauss_rule(n, 4) is measure_gauss_rule(n, 4)
 
 
 def test_round_trip_random_degree_12():

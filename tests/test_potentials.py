@@ -102,7 +102,6 @@ def test_classify_riesz_strict():
 def test_classify_fejes_shift_only():
     cls = classify(fejes_toth())
     assert not cls.absolutely_monotone
-    assert cls.shift_absolutely_monotone
     assert cls.min_nonneg_derivative_order == 1
 
 
