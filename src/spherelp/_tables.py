@@ -245,8 +245,10 @@ TABLES = {
 
 
 def reproduce(table: str) -> list[Cell]:
+    if table == "all":
+        return [cell for builder in TABLES.values() for cell in builder()]
     try:
         builder = TABLES[table]
     except KeyError:
-        raise ValueError(f"unknown table {table!r}; choose from {sorted(TABLES)}") from None
+        raise ValueError(f"unknown table {table!r}; choose from {sorted(TABLES)} or 'all'") from None
     return builder()

@@ -23,14 +23,16 @@ import numpy as np
 
 from .codes import check_weights
 from .hermite import (
+    HermiteOperator,
     InterpolantReport,
     dominance_grid,
     hermite_interpolant,
+    hermite_operator,
     ulb_nodes,
     uub_nodes,
     verify_dominance,
 )
-from .orthopoly import GegenbauerSeries, MonomialPoly
+from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, _closed_form_class, derivative_nonneg_from, potential_eval
 from .quadrature import (
     QuadratureRule,
@@ -112,8 +114,8 @@ def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
     return TestFunctionReport(n, rule.m, rule, {j: float(res[j]) for j in range(1, j_max + 1)})
 
 
-def _scan_checks(rule: QuadratureRule, j_max: int) -> CheckResult:
-    res = exactness_residuals(rule.n, rule.nodes, rule.weights, rule.capacity, j_max)
+def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckResult:
+    res = exactness_residuals(rule.n, rule.nodes, rule.weights, rule.capacity, j_max, table)
     bad = [j for j in range(rule.m + 1, j_max + 1) if res[j] < -COEFF_TOL]
     if bad:
         note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
@@ -125,33 +127,41 @@ def _scan_checks(rule: QuadratureRule, j_max: int) -> CheckResult:
 class _UlbSetup(NamedTuple):
     rule: QuadratureRule
     scan: CheckResult
+    operator: HermiteOperator
     grid: np.ndarray
+    table: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
     """The part of a lower bound at (n, N_W) that does not depend on h.
 
-    The rule, its Q_j scan up to 3m and the read-only dominance grid on
-    ULB_INTERVAL are universal, so bounds for many potentials at one
-    (n, N_W) share one solve.  Callers pass ``int`` and ``float`` so equal
-    inputs share one entry; a failed solve raises and stores nothing.
+    The rule, its Q_j scan up to 3m, the Hermite operator on its nodes and
+    the dominance grid on ULB_INTERVAL with its Gegenbauer table (read-only)
+    serve every potential at one (n, N_W).  One entry covers potentials run
+    back to back and keeps the table (0.75 MB at m = 20) from piling up.
+    Callers pass ``int`` and ``float`` so equal inputs share one entry; a
+    failed solve raises and stores nothing.
     """
     rule = solve_ulb_rule(n, capacity)
+    # P_0..P_3m at the nodes serve both the Q_j scan and the operator's value rows
+    node_table = gegenbauer_table(n, 3 * rule.m, np.asarray(rule.nodes))
+    operator = hermite_operator(ulb_nodes(rule.nodes, rule.eps), n, node_table)
     grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
-    grid.flags.writeable = False
-    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m), grid)
+    table = gegenbauer_table(n, rule.m, grid)
+    grid.flags.writeable = table.flags.writeable = False
+    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, node_table), operator, grid, table)
 
 
 def _ulb_from_setup(setup: _UlbSetup, h: Potential, kind: str) -> BoundReport:
     rule = setup.rule
     n = rule.n
     value = _rule_energy(rule, h)
-    cert = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), n)
+    cert = hermite_interpolant(h, setup.operator, n)
     checks = [
         CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual),
     ]
-    ok_dom, violation = verify_dominance(cert, h, ULB_INTERVAL, "below", grid=setup.grid)
+    ok_dom, violation = verify_dominance(cert, h, ULB_INTERVAL, "below", grid=setup.grid, table=setup.table)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
     coeffs = np.asarray(cert.gegenbauer.coeffs)
     if kind == "ulb":
@@ -257,15 +267,8 @@ def _upper_bound(
         lam = _lambda_star(gt, f, h, checks)
         gt_pad = np.pad(gt, (0, f.size - gt.size)) if gt.size < f.size else gt[: f.size]
         g_coeffs = gt_pad - lam * f
-        g_mono = np.asarray(g_t.poly.coeffs)
-        lp_mono = np.asarray(lp.monomial.coeffs)
-        g_poly = MonomialPoly(tuple(np.pad(g_mono, (0, lp_mono.size - g_mono.size)) - lam * lp_mono))
-        node_vals = potential_eval(h, np.asarray(rule.nodes))
-        cert = InterpolantReport(
-            g_poly,
-            GegenbauerSeries(n, tuple(g_coeffs)),
-            float(np.max(np.abs(g_poly(np.asarray(rule.nodes)) - node_vals))),
-        )
+        series, nodes = GegenbauerSeries(n, g_coeffs), np.asarray(rule.nodes)
+        cert = InterpolantReport(series, float(np.max(np.abs(series(nodes) - potential_eval(h, nodes)))))
         ok_signs = bool(np.max(g_coeffs[1:]) <= COEFF_TOL)
         checks.append(CheckResult("coefficient_signs", ok_signs, float(np.max(g_coeffs[1:]))))
     ok_dom, violation = verify_dominance(cert, h, (-1.0, s), "above", rule.nodes)

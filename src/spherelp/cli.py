@@ -187,10 +187,10 @@ def cmd_lower(args) -> int:
     """``ulb`` and ``design-ulb``: lower bounds at a capacity."""
     capacity, code = _resolve_capacity(args)
     design = args.command == "design-ulb"
-    _require(args, ["tau", "potential"] if design else ["n", "potential"])
+    _require(args, ["tau", "potential"] if design else ["potential"])
     n = args.n if args.n is not None else (code.n if code else None)
     if n is None:
-        raise UsageError("--n is required")
+        raise UsageError("--n is required when no --config is given")
     h = parse_potential(args.potential, n)
     if design:
         report = bounds.design_ulb(n, capacity, args.tau, h)
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test_functions)
 
     p = sub.add_parser("reproduce", help="regenerate reference tables and compare")
-    p.add_argument("--table", required=True, choices=sorted(_tables.TABLES))
+    p.add_argument("--table", required=True, choices=sorted(_tables.TABLES) + ["all"])
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_reproduce)
 

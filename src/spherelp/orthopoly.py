@@ -50,10 +50,6 @@ class MonomialPoly:
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coeffs))
 
-    def derivative(self) -> "MonomialPoly":
-        d = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-        return MonomialPoly(tuple(d) if d.size else (0.0,))
-
 
 @dataclass(frozen=True)
 class GegenbauerSeries:
@@ -72,8 +68,13 @@ class GegenbauerSeries:
         return len(self.coeffs) - 1
 
     def __call__(self, t):
-        table = gegenbauer_table(self.n, self.degree, t)
-        return np.tensordot(np.asarray(self.coeffs), table, axes=(0, 0))
+        """Clenshaw's recurrence on (i + n - 2) P_{i+1} = (2i + n - 2) t P_i - i P_{i-1}."""
+        t = np.asarray(t, dtype=float)
+        n, c = self.n, self.coeffs
+        y1 = y2 = np.zeros_like(t)  # b_{i+1}, b_{i+2}
+        for i in range(self.degree, 0, -1):
+            y1, y2 = c[i] + (2 * i + n - 2) / (i + n - 2) * t * y1 - (i + 1) / (i + n - 1) * y2, y1
+        return c[0] + t * y1 - y2 / (n - 1)
 
     def value_at_one(self) -> float:
         """P_i(1) = 1, so the value at 1 is the plain coefficient sum."""
@@ -131,12 +132,24 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
     with P_0 = 1 and P_1 = t, which preserves P_i(1) = 1.
     """
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0:  # Python floats: the same operations, without ufunc overhead
+        x = float(t)
+        p = [1.0, x]
+        for j in range(1, imax):
+            p.append(((2 * j + n - 2) * x * p[j] - j * p[j - 1]) / (j + n - 2))
+        return np.array(p[: imax + 1])
     out = np.empty((imax + 1,) + t.shape)
     out[0] = 1.0
     if imax >= 1:
         out[1] = t
-    for j in range(1, imax):
-        out[j + 1] = ((2 * j + n - 2) * t * out[j] - j * out[j - 1]) / (j + n - 2)
+    scratch = np.empty_like(t)
+    for j in range(1, imax):  # in place, in the order of the scalar expression
+        row = out[j + 1]
+        np.multiply(2 * j + n - 2, t, out=row)
+        row *= out[j]
+        np.multiply(j, out[j - 1], out=scratch)
+        row -= scratch
+        row /= j + n - 2
     return out
 
 
@@ -240,17 +253,14 @@ def measure_moment(n: int, j: int) -> float:
     return v
 
 
-def _times_t(coeffs: list[float], n: int) -> list[float]:
-    """Gegenbauer coefficients of t * (sum coeffs[i] P_i)."""
-    out = [0.0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        if i == 0:
-            out[1] += c
-        else:
-            out[i + 1] += c * (i + n - 2) / (2 * i + n - 2)
-            out[i - 1] += c * i / (2 * i + n - 2)
+@lru_cache(maxsize=128)
+def _times_t_matrix(n: int, size: int) -> np.ndarray:
+    """Read-only matrix taking the coefficients of g (degree < size - 1) to
+    those of t g: t P_0 = P_1, (2i + n - 2) t P_i = (i + n - 2) P_{i+1} + i P_{i-1}."""
+    i = np.arange(1, size)
+    up = np.concatenate(([1.0], (i + n - 2) / (2 * i + n - 2)))[: size - 1]
+    out = np.diag(up, -1) + np.diag(i / (2 * i + n - 2), 1)
+    out.flags.writeable = False
     return out
 
 
@@ -263,11 +273,23 @@ def to_gegenbauer(p: MonomialPoly, n: int) -> GegenbauerSeries:
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    g = [p.coeffs[-1]]
-    for c in reversed(p.coeffs[:-1]):
-        g = _times_t(g, n)
+    times_t = _times_t_matrix(n, len(p.coeffs))
+    g = np.zeros(len(p.coeffs))
+    for c in reversed(p.coeffs):
+        g = times_t @ g
         g[0] += c
-    return GegenbauerSeries(n, tuple(g))
+    return GegenbauerSeries(n, g)
+
+
+def gegenbauer_from_roots(n: int, roots) -> np.ndarray:
+    """Gegenbauer coefficients of the monic prod_r (t - r), one
+    multiplication by t - r per root in the Gegenbauer basis."""
+    times_t = _times_t_matrix(n, len(roots) + 1)
+    g = np.zeros(len(roots) + 1)
+    g[0] = 1.0
+    for r in roots:
+        g = times_t @ g - r * g
+    return g
 
 
 @lru_cache(maxsize=128)

@@ -22,18 +22,16 @@ from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .orthopoly import (
     GegenbauerSeries,
     JacobiSpec,
-    MonomialPoly,
     _jacobi_tridiagonal,
+    gegenbauer_from_roots,
     gegenbauer_table,
     jacobi_largest_zero,
-    to_gegenbauer,
 )
 
 MAX_RULE_DEGREE = 25
@@ -77,7 +75,6 @@ class LevenshteinPolynomial:
     m: int
     s: float
     rule: QuadratureRule
-    monomial: MonomialPoly
     gegenbauer: GegenbauerSeries
     outside_validity: bool = False
 
@@ -108,8 +105,8 @@ def select_degree_from_capacity(n: int, capacity: float) -> tuple[int, int, int]
     Capacities at or below D(n, 1) = 2 fall into m = 1 by the same
     half-open convention.
     """
-    if capacity <= 1:
-        raise ValueError("capacity must exceed 1")
+    if not capacity > 1:
+        raise ValueError(f"capacity must exceed 1, got {capacity!r}")
     m = 1
     while capacity > dgs_bound(n, m + 1):
         m += 1
@@ -245,9 +242,11 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> tuple[np.ndarr
     return nodes, weights
 
 
-def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int) -> np.ndarray:
-    """Residual of the 1/N identity on P_0..P_jmax (index j entry is for P_j)."""
-    table = gegenbauer_table(n, jmax, np.asarray(nodes, dtype=float))
+def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int, table=None) -> np.ndarray:
+    """Residual of the 1/N identity on P_0..P_jmax (index j entry is for P_j);
+    ``table`` may hold ``gegenbauer_table(n, jmax, nodes)`` if already built."""
+    if table is None:
+        table = gegenbauer_table(n, jmax, np.asarray(nodes, dtype=float))
     res = table @ np.asarray(weights) + 1.0 / capacity
     res[0] -= 1.0
     return res
@@ -307,13 +306,8 @@ def levenshtein_polynomial(
     lo, hi = validity_interval(n, m)
     outside = not (lo - 1e-9 <= s <= hi + 1e-9)
     rule = _rule(n, m, s, capacity)
-    interior = rule.nodes[1:-1] if rule.eps else rule.nodes[:-1]
-    kernel = npoly.polyfromroots(interior)
-    coeffs = npoly.polymul(np.array([-s, 1.0]), npoly.polymul(kernel, kernel))
-    if rule.eps:
-        coeffs = npoly.polymul(np.array([1.0, 1.0]), coeffs)
-    poly = MonomialPoly(tuple(coeffs))
-    series = to_gegenbauer(poly, n)
+    interior = rule.nodes[rule.eps:-1]
+    series = GegenbauerSeries(n, gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior))
     g = np.asarray(series.coeffs)
     where = f"(n={n}, m={m}, s={s:.12g})"
     # strict positivity can degrade to a zero coefficient at interval endpoints
@@ -329,4 +323,4 @@ def levenshtein_polynomial(
             f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
             f"function value {capacity:.12g}"
         )
-    return LevenshteinPolynomial(n, m, float(s), rule, poly, series, outside)
+    return LevenshteinPolynomial(n, m, float(s), rule, series, outside)

@@ -396,3 +396,37 @@ def test_ulb_memo_is_bounded_and_its_grid_read_only():
     with pytest.raises(ValueError):
         setup.grid[0] = 0.0
     assert np.array_equal(setup.grid, dominance_grid(-1.0, 0.999, setup.rule.nodes))
+
+
+def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
+    from spherelp import hermite
+
+    calls = []
+    build = hermite.hermite_operator
+
+    def counting_build(nodes, n, *values):
+        calls.append(n)
+        return build(nodes, n, *values)
+
+    monkeypatch.setattr(bounds, "hermite_operator", counting_build)
+    monkeypatch.setattr(hermite, "hermite_operator", counting_build)
+    bounds._ulb_setup.cache_clear()
+    for h in (riesz(1), riesz(2), gaussian(1), logarithmic(), fejes_toth()):
+        ulb(4, 24.0, h)
+    design_ulb(4, 24.0, 5, newton(4))
+    assert calls == [4]
+    setup = bounds._ulb_setup(4, 24.0)
+    op = setup.operator
+    for array in (setup.table, op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        setup.table[0, 0] = 0.0
+    assert np.array_equal(setup.table, gegenbauer_table(4, setup.rule.m, setup.grid))
+
+
+def test_ulb_n2_degree_24_is_feasible():
+    # the highest degree in the smallest dimension, where round-off in the
+    # interpolant comes closest to the 1e-9 gates
+    report = ulb(2, 25.5, riesz(1))
+    assert report.m == 24 and report.feasible
+    assert report.diagnostic("interpolation").value <= 1e-13

@@ -132,6 +132,25 @@ def test_reproduce_tables(capsys):
         assert "FAIL" not in out
 
 
+def test_reproduce_all_runs_every_table(capsys):
+    code, out, _ = run(capsys, "reproduce", "--table", "all", "--format", "json")
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    expected = []
+    for table in ("1", "2", "3", "4", "examples"):
+        _, one, _ = run(capsys, "reproduce", "--table", table, "--format", "json")
+        expected += json.loads(one)["cells"]
+    assert cells == expected and all(c["ok"] for c in cells)
+
+
+def test_ulb_takes_n_from_the_config(capsys):
+    code, out, _ = run(capsys, "ulb", "--config", "pentakis", "--potential", "riesz:1")
+    assert code == 0
+    assert (code, out) == run(capsys, "ulb", "--n", "3", "--config", "pentakis", "--potential", "riesz:1")[:2]
+    code, out, err = run(capsys, "ulb", "--capacity", "10", "--potential", "riesz:1")
+    assert (code, out) == (1, "") and "--n is required" in err
+
+
 def test_reproduce_json_format(capsys):
     code, out, _ = run(capsys, "reproduce", "--table", "2", "--format", "json")
     assert code == 0

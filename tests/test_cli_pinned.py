@@ -2,9 +2,12 @@
 
 ``data/cli_expected.json`` maps each case name to the stdout and exit code
 that ``spherelp`` produced for its argument list before the bound commands
-were merged into one handler per direction.  ``design-uub`` reports are
-compared on parsed JSON instead: its value may move in the last bits, and
-its diagnostics are matched by name.
+were merged into one handler per direction.  The bound reports were
+re-recorded when the certificates moved from divided differences to the
+Gegenbauer-basis Hermite system; that changed only round-off: diagnostic
+defects below 1e-15 and certificate digits below 1e-16 absolute.
+``design-uub`` reports are compared on parsed JSON instead: its value may
+move in the last bits, and its diagnostics are matched by name.
 """
 
 import contextlib

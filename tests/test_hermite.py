@@ -5,16 +5,15 @@ from numpy.testing import assert_allclose
 from spherelp.hermite import (
     InterpolantReport,
     NodeMultiset,
-    _newton_coefficients,
-    _newton_to_monomial,
     dominance_grid,
     hermite_interpolant,
+    hermite_operator,
     ulb_nodes,
     uub_nodes,
     verify_dominance,
 )
 from spherelp.bounds import ULB_INTERVAL
-from spherelp.orthopoly import MonomialPoly, to_gegenbauer
+from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
     gaussian,
@@ -53,7 +52,7 @@ def test_constant_potential_reproduced_exactly():
     # a polynomial h of degree <= total-1 is its own interpolant
     h = newton(2)
     report = hermite_interpolant(h, ulb_nodes((-0.7, -0.1, 0.6), 0), 3)
-    assert_allclose(report.poly.coeffs, (1.0,), atol=1e-12)
+    assert_allclose(report.gegenbauer.coeffs, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), atol=1e-12)
     assert report.node_residual < 1e-12
 
 
@@ -65,7 +64,8 @@ def test_single_doubled_node_is_tangent_line():
         potential_eval(h, a) - a * potential_derivative(h, a),
         potential_derivative(h, a),
     )
-    assert_allclose(report.poly.coeffs, want, rtol=1e-13)
+    # c_0 + c_1 t is c_0 P_0 + c_1 P_1 in every dimension
+    assert_allclose(report.gegenbauer.coeffs, want, rtol=1e-13)
 
 
 def test_uub_degree_two_closed_form():
@@ -75,27 +75,15 @@ def test_uub_degree_two_closed_form():
     report = hermite_interpolant(h, NodeMultiset(((-1.0, 1), (s, 1))), 4)
     hs, hm = potential_eval(h, s), potential_eval(h, -1.0)
     want = ((hs + s * hm) / (1 + s), (hs - hm) / (1 + s))
-    assert_allclose(report.poly.coeffs, want, rtol=1e-12)
+    assert_allclose(report.gegenbauer.coeffs, want, rtol=1e-12)
 
 
 def test_interpolation_conditions_on_rule_nodes():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     for h in (riesz(1), gaussian(2.0), logarithmic(), fejes_toth()):
         report = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), 3)
-        assert report.poly.degree <= rule.m
+        assert report.gegenbauer.degree <= rule.m
         assert report.node_residual < 1e-10
-
-
-def test_divided_difference_order_invariance():
-    h = riesz(2)
-    nodes = ulb_nodes((-0.8, -0.2, 0.5), 0)
-    z = np.asarray(nodes.expanded())
-    values = potential_eval(h, z)
-    derivs = {a: float(potential_derivative(h, a)) for a, _ in nodes.entries}
-    fwd = _newton_to_monomial(_newton_coefficients(z, values, derivs), z)
-    zr = z[::-1].copy()
-    rev = _newton_to_monomial(_newton_coefficients(zr, potential_eval(h, zr), derivs), zr)
-    assert_allclose(fwd, rev, rtol=1e-9)
 
 
 @pytest.mark.parametrize("h", [riesz(1), riesz(3), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
@@ -120,11 +108,30 @@ def test_dominance_on_a_given_grid_matches_the_built_one():
     built = verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", rule.nodes)
     grid = dominance_grid(-1.0, 0.999, rule.nodes)
     assert verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", grid=grid) == built
-    # the given grid replaces the built one: a lift that vanishes at t = 0 goes unseen there
-    lifted = MonomialPoly(report.poly.coeffs[:-1] + (report.poly.coeffs[-1] + 1e-3,))
-    broken = InterpolantReport(lifted, to_gegenbauer(lifted, 4), 0.0)
+    # the given grid replaces the built one: a lift by t * 1e-3 = 1e-3 P_1 goes unseen at t = 0
+    broken = _lifted(report, 1, 1e-3)
     assert not verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", rule.nodes)[0]
     assert verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", grid=np.array([0.0]))[0]
+
+
+def _lifted(report, j, amount):
+    coeffs = list(report.gegenbauer.coeffs)
+    coeffs[j] += amount
+    return InterpolantReport(GegenbauerSeries(report.gegenbauer.n, coeffs), 0.0)
+
+
+@pytest.mark.parametrize("h", [riesz(1), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
+def test_dominance_on_a_tabulated_grid_matches_clenshaw(h):
+    rule = solve_ulb_rule(5, 40.0)
+    report = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), 5)
+    grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
+    table = gegenbauer_table(5, rule.m + 2, grid)  # rows past the degree are ignored
+    ok, violation = verify_dominance(report, h, ULB_INTERVAL, "below", grid=grid, table=table)
+    ref_ok, ref_violation = verify_dominance(report, h, ULB_INTERVAL, "below", grid=grid)
+    assert ok == ref_ok and abs(violation - ref_violation) <= 1e-14
+    broken = _lifted(report, 0, 1e-6)
+    lifted = verify_dominance(broken, h, ULB_INTERVAL, "below", grid=grid, table=table)[1]
+    assert lifted == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_dominance_zero_for_exact_match():
@@ -137,10 +144,7 @@ def test_dominance_zero_for_exact_match():
 def test_dominance_negative_control():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     report = hermite_interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
-    bumped = list(report.poly.coeffs)
-    bumped[-1] += 1e-3
-    poly = MonomialPoly(tuple(bumped))
-    broken = InterpolantReport(poly, to_gegenbauer(poly, 3), 0.0)
+    broken = _lifted(report, 0, 1e-3)  # the certificate touches h at the nodes
     ok, violation = verify_dominance(broken, riesz(1), (-1.0, 0.999), "below", rule.nodes)
     assert not ok and violation > 1e-9
 
@@ -182,47 +186,19 @@ def test_dominance_grid_matches_per_node_loop(lo, hi, nodes):
     assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
 
 
-def _newton_coefficients_loop(z, values, derivs):
-    """Reference: the scalar divided-difference table."""
-    table = values.astype(float).copy()
-    coeffs = [table[0]]
-    for order in range(1, z.size):
-        new = np.empty(z.size - order)
-        for i in range(new.size):
-            dz = z[i + order] - z[i]
-            if dz == 0.0:
-                new[i] = derivs[z[i]]
-            else:
-                new[i] = (table[i + 1] - table[i]) / dz
-        table = new
-        coeffs.append(table[0])
-    return np.asarray(coeffs)
-
-
-@pytest.mark.parametrize("h", [riesz(1), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
-def test_newton_coefficients_match_scalar_loop(h):
-    for m in range(1, 21):
-        lo, hi = validity_interval(4, m)
-        rule = rule_from_s(4, m, 0.5 * (lo + hi))
-        for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
-            z = np.asarray(multiset.expanded())
-            values = potential_eval(h, z)
-            derivs = {a: float(potential_derivative(h, a)) for a, mult in multiset.entries if mult == 2}
-            got = _newton_coefficients(z, values, derivs)
-            ref = _newton_coefficients_loop(z, values, derivs)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-
-
-def _node_residual_loop(h, multiset, poly):
-    """Reference: the interpolation defect with one derivative call per doubled node."""
+def _node_residual_loop(h, multiset, series):
+    """Reference: the interpolation defect with one evaluation per node, slopes
+    from P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2."""
+    n, c = series.n, np.asarray(series.coeffs)
     pts = np.array([a for a, _ in multiset.entries])
     hvals = potential_eval(h, pts)
     scale = max(1.0, float(np.max(np.abs(hvals))))
-    residual = float(np.max(np.abs(poly(pts) - hvals))) / scale
-    dpoly = poly.derivative()
+    residual = max(abs(float(series(a)) - float(potential_eval(h, a))) for a in pts) / scale
+    j = np.arange(1, c.size)
     for a, mult in multiset.entries:
         if mult == 2:
-            residual = max(residual, abs(float(dpoly(a)) - float(potential_derivative(h, a))) / scale)
+            slope = float(c[1:] @ (j * (j + n - 2) / (n - 1) * gegenbauer_table(n + 2, c.size - 2, a)))
+            residual = max(residual, abs(slope - float(potential_derivative(h, a))) / scale)
     return residual
 
 
@@ -233,4 +209,93 @@ def test_node_residual_matches_per_node_loop(h):
         rule = rule_from_s(4, m, 0.5 * (lo + hi))
         for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
             report = hermite_interpolant(h, multiset, 4)
-            assert report.node_residual == _node_residual_loop(h, multiset, report.poly)
+            # both are round-off: the system residual and the per-node evaluation
+            assert report.node_residual <= 1e-14
+            assert abs(report.node_residual - _node_residual_loop(h, multiset, report.gegenbauer)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_gegenbauer_derivative_identity(n):
+    # P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2, the rows of
+    # the Hermite system, against scipy's unnormalised families
+    from scipy import special
+
+    t = np.linspace(-1.0, 1.0, 41)
+    higher = gegenbauer_table(n + 2, 24, t)
+    for j in range(1, 26):
+        got = j * (j + n - 2) / (n - 1) * higher[j - 1]
+        if n == 2:  # P_j = T_j and T_j' = j U_{j-1}
+            want = j * special.eval_chebyu(j - 1, t)
+        else:  # P_j = C_j^lam / C_j^lam(1) and (C_j^lam)' = 2 lam C_{j-1}^{lam+1}
+            lam = (n - 2) / 2
+            want = 2 * lam * special.eval_gegenbauer(j - 1, lam + 1, t) / special.eval_gegenbauer(j, lam, 1.0)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _mp_hermite_rows(mpmath, n, multiset):
+    """Rows P_j and P_j' at the nodes, from the three-term recurrence and its
+    derivative in extended precision (not from the identity under test)."""
+    d = multiset.total - 1
+    values, slopes = [], []
+    for a, mult in multiset.entries:
+        t = mpmath.mpf(a)
+        p, dp = [mpmath.mpf(1), t], [mpmath.mpf(0), mpmath.mpf(1)]
+        for i in range(1, d):
+            p.append(((2 * i + n - 2) * t * p[i] - i * p[i - 1]) / (i + n - 2))
+            dp.append(((2 * i + n - 2) * (p[i] + t * dp[i]) - i * dp[i - 1]) / (i + n - 2))
+        values.append(p[: d + 1])
+        if mult == 2:
+            slopes.append(dp[: d + 1])
+    return values + slopes
+
+
+# n = 30 sits at the floor set by rounding the jet to double: a 50-digit solve
+# of the double-rounded jet is itself off by 2.1e-9 (m = 20) and 6.9e-8
+# (m = 25) on these cases
+HERMITE_RTOL = {2: 1e-10, 3: 1e-10, 8: 1e-10, 30: 1e-7}
+
+
+@pytest.mark.parametrize("n", sorted(HERMITE_RTOL))
+def test_hermite_coefficients_match_extended_precision_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    jets = {
+        riesz(1): (lambda t: (2 * (1 - t)) ** mpmath.mpf(-0.5), lambda t: (2 * (1 - t)) ** mpmath.mpf(-1.5)),
+        gaussian(1): (lambda t: mpmath.exp(t - 1), lambda t: mpmath.exp(t - 1)),
+    }
+    with mpmath.workdps(50):
+        for m in (5, 12, 20, 25):
+            lo, hi = validity_interval(n, m)
+            for frac in (0.05, 0.95):
+                rule = rule_from_s(n, m, lo + frac * (hi - lo))
+                for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
+                    rows = mpmath.matrix(_mp_hermite_rows(mpmath, n, multiset))
+                    nodes = [mpmath.mpf(a) for a, _ in multiset.entries]
+                    doubled = [mpmath.mpf(a) for a, mult in multiset.entries if mult == 2]
+                    for h, (f, df) in jets.items():
+                        jet = mpmath.matrix([f(a) for a in nodes] + [df(a) for a in doubled])
+                        ref = np.array([float(c) for c in mpmath.lu_solve(rows, jet)])
+                        got = np.asarray(hermite_interpolant(h, multiset, n).gegenbauer.coeffs)
+                        error = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                        assert error <= HERMITE_RTOL[n], (m, frac, h.label(), error)
+
+
+def test_defect_is_the_residual_of_the_system():
+    from dataclasses import replace
+
+    rule = solve_ulb_rule(4, 24.0)
+    op = hermite_operator(ulb_nodes(rule.nodes, rule.eps), 4)
+    assert hermite_interpolant(riesz(1), op, 4).node_residual <= 1e-14
+    # coefficients solved on the factors but checked against a matrix off by 1e-6
+    off = replace(op, matrix=op.matrix + 1e-6)
+    assert hermite_interpolant(riesz(1), off, 4).node_residual > 1e-7
+
+
+def test_operator_is_read_only_and_matches_a_fresh_build():
+    rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
+    multiset = ulb_nodes(rule.nodes, rule.eps)
+    op = hermite_operator(multiset, 3)
+    assert op.matrix.shape == (multiset.total, multiset.total)
+    for array in (op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
+        assert not array.flags.writeable
+    for h in (riesz(1), gaussian(2.0), logarithmic()):
+        assert hermite_interpolant(h, op, 3) == hermite_interpolant(h, multiset, 3)

@@ -70,6 +70,41 @@ def test_gegenbauer_eval_is_table_row(n):
             assert value == gegenbauer_table(n, i, x)[i]
 
 
+def _gegenbauer_table_reference(n, imax, t):
+    """Reference: the recurrence as one array expression per degree."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((imax + 1,) + t.shape)
+    out[0] = 1.0
+    if imax >= 1:
+        out[1] = t
+    for j in range(1, imax):
+        out[j + 1] = ((2 * j + n - 2) * t * out[j] - j * out[j - 1]) / (j + n - 2)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_gegenbauer_table_matches_array_expression(n):
+    # the scalar path runs on Python floats and the array path in place; both
+    # do the reference's operations in its order, so the bits agree
+    rng = np.random.default_rng(n)
+    for imax in (0, 1, 2, 9, 25, 75):
+        for t in (0.3, -1.0, 1.0, np.float64(-0.7), np.array(0.25), rng.uniform(-1, 1, 13),
+                  rng.uniform(-1, 1, (3, 4)), np.linspace(-1, 0.999, 4500), np.empty(0)):
+            got, ref = gegenbauer_table(n, imax, t), _gegenbauer_table_reference(n, imax, t)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (imax, t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_series_clenshaw_matches_table_product(n):
+    rng = np.random.default_rng(n)
+    t = np.linspace(-1.0, 1.0, 301)
+    for degree in (0, 1, 2, 7, 25):
+        coeffs = rng.standard_normal(degree + 1)
+        series = GegenbauerSeries(n, coeffs)
+        assert_allclose(series(t), coeffs @ gegenbauer_table(n, degree, t), rtol=0, atol=1e-13)
+        assert float(series(0.4)) == pytest.approx(float(coeffs @ gegenbauer_table(n, degree, 0.4)), abs=1e-13)
+
+
 def test_gegenbauer_domain_errors():
     with pytest.raises(ValueError):
         gegenbauer_eval(1, 2, 0.0)

@@ -48,6 +48,12 @@ def test_select_degree_from_capacity():
         assert select_degree_from_capacity(n, boundary + 1e-9)[0] == m + 1
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), 1.0, 0.5, -3.0])
+def test_select_degree_rejects_capacity_not_above_one(capacity):
+    with pytest.raises(ValueError, match="capacity must exceed 1"):
+        select_degree_from_capacity(3, capacity)
+
+
 def test_levenshtein_low_degree_closed_forms():
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -213,14 +219,15 @@ def test_capacity_guard():
 
 
 def test_levenshtein_polynomial_low_degrees():
-    # monic closed forms: degree 1 is (t - s), degree 2 is (t + 1)(t - s)
+    # monic closed forms: degree 1 is (t - s) = -s P_0 + P_1, degree 2 is
+    # (t + 1)(t - s) = t^2 + (1 - s) t - s with t^2 = (1 + (n - 1) P_2) / n
     n, s = 4, -0.3
     lp = levenshtein_polynomial(n, 1, s)
-    assert_allclose(lp.monomial.coeffs, (-s, 1.0), atol=1e-14)
+    assert_allclose(lp.gegenbauer.coeffs, (-s, 1.0), atol=1e-14)
     lo, hi = validity_interval(n, 2)
     s = 0.5 * (lo + hi)
     lp = levenshtein_polynomial(n, 2, s)
-    assert_allclose(lp.monomial.coeffs, (-s, 1.0 - s, 1.0), atol=1e-13)
+    assert_allclose(lp.gegenbauer.coeffs, (1 / n - s, 1.0 - s, (n - 1) / n), atol=1e-13)
 
 
 def test_levenshtein_polynomial_pentakis_roots():
@@ -245,8 +252,8 @@ def test_levenshtein_polynomial_invariants():
         assert ratio == pytest.approx(levenshtein_function(n, m, s), rel=1e-9)
         # vanishes at its nodes, nonpositive on [-1, s]
         grid = np.linspace(-1, s, 500)
-        assert np.max(lp.monomial(grid)) <= 1e-9
-        assert np.max(np.abs(lp.monomial(np.asarray(lp.nodes)))) < 1e-9
+        assert np.max(lp.gegenbauer(grid)) <= 1e-9
+        assert np.max(np.abs(lp.gegenbauer(np.asarray(lp.nodes)))) < 1e-9
 
 
 def test_rule_from_s_matches_capacity_solve():
@@ -370,19 +377,41 @@ def test_nodes_match_extended_precision_reference(n):
                     assert abs(float(ref) - a) <= 1e-14, (m, frac, a)
 
 
-def test_levenshtein_polynomial_errors_name_inputs(monkeypatch):
-    import spherelp.quadrature as quadrature
-    from spherelp.orthopoly import GegenbauerSeries
-
-    negative = GegenbauerSeries(4, (0.5, 0.3, -0.2, 0.1, 0.4, 0.2))
-    monkeypatch.setattr(quadrature, "to_gegenbauer", lambda poly, n: negative)
-    s = sum(validity_interval(4, 5)) / 2
+def test_levenshtein_polynomial_errors_name_inputs():
+    # past the validity interval of m = 5 in n = 4, which ends at 0.538, the
+    # mean f_0 of the Levenshtein polynomial turns negative
     with pytest.raises(QuadratureError) as info:
-        levenshtein_polynomial(4, 5, s)
-    assert str(info.value) == (
-        f"Levenshtein polynomial for (n=4, m=5, s={s:.12g}) has a negative coefficient: "
-        "coefficient 2 of 6 is -0.2"
-    )
+        levenshtein_polynomial(4, 5, 0.71, allow_outside_validity=True)
+    message = str(info.value)
+    prefix = "Levenshtein polynomial for (n=4, m=5, s=0.71) has a negative coefficient: coefficient 0 of 6 is "
+    assert message.startswith(prefix)
+    assert float(message[len(prefix):]) == pytest.approx(-7.19907e-4, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [3, 8, 30])
+def test_levenshtein_coefficients_match_extended_precision_reference(n):
+    # the monic polynomial sampled at m + 1 Chebyshev points in 50 digits and
+    # expanded by an extended-precision solve; the mean f_0 cancels heavily
+    # for large n (f <= 0 on [-1, s], where mu_n has nearly all its mass),
+    # so this also pins the coefficient-ratio check
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for m in (3, 10, 20, 25):
+            lo, hi = validity_interval(n, m)
+            for frac in (0.05, 0.95):
+                lp = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
+                roots = (lp.s,) + lp.nodes[: lp.rule.eps] + 2 * lp.nodes[lp.rule.eps : -1]
+                points = [mpmath.cos(mpmath.pi * (i + mpmath.mpf(1) / 2) / (m + 1)) for i in range(m + 1)]
+                rows = []
+                for t in points:
+                    p = [mpmath.mpf(1), t]
+                    for j in range(1, m):
+                        p.append(((2 * j + n - 2) * t * p[j] - j * p[j - 1]) / (j + n - 2))
+                    rows.append(p[: m + 1])
+                values = [mpmath.fprod(t - mpmath.mpf(r) for r in roots) for t in points]
+                ref = np.array([float(c) for c in mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(values))])
+                got = np.asarray(lp.gegenbauer.coeffs)
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, (m, frac)
 
 
 def test_split_degree():
