@@ -153,7 +153,7 @@ def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
     return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, node_table), operator, grid, table)
 
 
-def _ulb_from_setup(setup: _UlbSetup, h: Potential, kind: str) -> BoundReport:
+def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport:
     rule = setup.rule
     n = rule.n
     value = _rule_energy(rule, h)
@@ -164,21 +164,21 @@ def _ulb_from_setup(setup: _UlbSetup, h: Potential, kind: str) -> BoundReport:
     ok_dom, violation = verify_dominance(cert, h, ULB_INTERVAL, "below", grid=setup.grid, table=setup.table)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
     coeffs = np.asarray(cert.gegenbauer.coeffs)
-    if kind == "ulb":
-        ok_pd = bool(coeffs[1:].min() >= -COEFF_TOL) if coeffs.size > 1 else True
-        checks.append(CheckResult("positive_definite", ok_pd, float(coeffs[1:].min()) if coeffs.size > 1 else 0.0))
-    else:
+    if design:
         ok_pd = True
         checks.append(
             CheckResult("positive_definite", True, None, "not required for design bounds")
         )
+    else:
+        ok_pd = bool(coeffs[1:].min() >= -COEFF_TOL) if coeffs.size > 1 else True
+        checks.append(CheckResult("positive_definite", ok_pd, float(coeffs[1:].min()) if coeffs.size > 1 else 0.0))
     objective = cert.gegenbauer.coeffs[0] - cert.gegenbauer.value_at_one() / rule.capacity
     ok_val = abs(objective - value) <= VALUE_TOL * max(1.0, abs(value))
     checks.append(CheckResult("objective_consistency", ok_val, abs(objective - value)))
     checks.append(setup.scan)
     feasible = bool(cert.node_residual <= 1e-9 and ok_dom and ok_pd and ok_val)
     return BoundReport(
-        kind=kind,
+        kind="design_ulb" if design else "ulb",
         n=n,
         m=rule.m,
         rule=rule,
@@ -194,7 +194,7 @@ def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
     """Universal lower bound on the weighted energy at capacity N_W > 2."""
     if not derivative_nonneg_from(h, 1):
         raise ValueError(f"potential {h.label()} lacks nonnegative derivatives of order >= 1")
-    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, "ulb")
+    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, design=False)
 
 
 def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
@@ -225,7 +225,7 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="
             f" ({dgs_bound(n, tau)}, {dgs_bound(n, tau + 1)}]"
         )
-    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, "design_ulb")
+    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, design=True)
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:

@@ -18,7 +18,7 @@ from math import comb, fsum, sqrt
 
 import numpy as np
 
-from .orthopoly import MonomialPoly, gegenbauer_table, to_gegenbauer
+from .orthopoly import gegenbauer_table, measure_moment
 from .potentials import Potential, potential_eval
 
 GOLDEN = (1 + sqrt(5)) / 2
@@ -105,78 +105,161 @@ class DesignCheckReport:
     tol: float
 
 
-def exact_sum(values) -> float:
-    """Correctly rounded sum of a float array, equal to ``math.fsum`` bit for bit.
+# frexp exponents of finite doubles run from -1073 (the least subnormal) to
+# 1024; terms with |x| >= 2**960 (exponent above _HUGE_EXP) are not binned
+_LEAST_EXP = -1073
+_HUGE_EXP = 960
+_BIN_SCALE = np.arange(_LEAST_EXP - 27, _HUGE_EXP - 26)
+# terms per bin filling: below 2**26 keeps every bin total exact
+_BIN_LIMIT = 2**26 - 1
+# rows of the Gram matrix per block in energy and the moments: a block of a
+# 1000-point code stays in a core's L2 cache, and codes of up to 64 points
+# take one block, so their moments are one matrix product each
+BLOCK_ROWS = 64
+
+
+class ExactAccumulator:
+    """Streaming correctly rounded sum: ``total()`` equals ``math.fsum`` of
+    every value passed to ``add``, in order, bit for bit.
 
     Each term is split by ``frexp`` into mantissa * 2**e.  The mantissa,
     scaled by 2**27, splits into a signed integer part below 2**27 and a
     fraction on a 2**-26 grid.  Both parts are summed per exponent e with
-    ``bincount``; with fewer than 2**26 terms every partial sum fits in 53
-    bits, so each bin total is exact, and ``fsum`` of the few scaled bin
-    totals gives the rounded sum.  Empty, non-finite, huge (|x| >= 2**960)
-    and all-cancelling inputs, and 2**26 or more terms, go to ``fsum``
-    directly.
+    ``bincount`` into bins laid out against one fixed base that covers every
+    double, so the bins of successive chunks simply add.  While a filling
+    holds fewer than 2**26 terms every partial sum fits in 53 bits, so each
+    bin total is exact; a full filling is flushed to its few scaled bin
+    totals (exact parts) and binning starts again.  ``fsum`` of the parts
+    gives the rounded sum.
+
+    A chunk holding a non-finite value or one with |x| >= 2**960 (whose
+    scaled bin totals could overflow) switches to keeping values as they
+    come: the bins so far are flushed to exact parts and ``fsum`` then sees
+    those parts followed by every later value.  That gives ``fsum``'s
+    outcome on non-finite values, and its value or overflow on huge ones;
+    only its intermediate-overflow check, which depends on how it split
+    the earlier values, could judge a running sum at the very edge of the
+    double range differently.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0 or x.size >= 2**26 or not np.all(np.isfinite(x)):
-        return fsum(x.tolist())
-    frac, exp = np.frexp(x)
-    top = int(exp.max())
-    if top > 960:
-        return fsum(x.tolist())
-    base = int(exp.min())
-    exp -= base
-    frac *= 2.0**27
-    whole = np.floor(frac)
-    frac -= whole
-    scale = np.arange(base - 27, top - 26)
-    parts = np.concatenate(
-        [
-            np.ldexp(np.bincount(exp, weights=whole), scale),
-            np.ldexp(np.bincount(exp, weights=frac), scale),
-        ]
-    )
-    parts = parts[parts != 0.0]
-    if parts.size == 0:
-        return fsum(x.tolist())
-    return fsum(parts.tolist())
+
+    def __init__(self):
+        self._whole = np.zeros(_BIN_SCALE.size)
+        self._frac = np.zeros(_BIN_SCALE.size)
+        self._binned = 0
+        self._parts: list[float] = []
+        self._raw = False
+
+    def add(self, values) -> None:
+        x = np.asarray(values, dtype=float).ravel()
+        if x.size == 0:
+            return
+        if self._raw:
+            self._parts.extend(x.tolist())
+            return
+        if not np.all(np.isfinite(x)):
+            self._keep_raw(x)
+            return
+        frac, exp = np.frexp(x)
+        if exp.max() > _HUGE_EXP:
+            self._keep_raw(x)
+            return
+        exp -= _LEAST_EXP
+        frac *= 2.0**27
+        whole = np.floor(frac)
+        frac -= whole
+        start = 0
+        while start < x.size:
+            if self._binned == _BIN_LIMIT:
+                self._flush()
+            stop = min(x.size, start + _BIN_LIMIT - self._binned)
+            self._whole += np.bincount(exp[start:stop], whole[start:stop], _BIN_SCALE.size)
+            self._frac += np.bincount(exp[start:stop], frac[start:stop], _BIN_SCALE.size)
+            self._binned += stop - start
+            start = stop
+
+    def _bin_parts(self) -> list[float]:
+        parts = np.concatenate([np.ldexp(self._whole, _BIN_SCALE), np.ldexp(self._frac, _BIN_SCALE)])
+        return parts[parts != 0.0].tolist()
+
+    def _flush(self) -> None:
+        self._parts.extend(self._bin_parts())
+        self._whole[:] = 0.0
+        self._frac[:] = 0.0
+        self._binned = 0
+
+    def _keep_raw(self, x: np.ndarray) -> None:
+        self._flush()
+        self._raw = True
+        self._parts.extend(x.tolist())
+
+    def total(self) -> float:
+        """The correctly rounded sum so far; the accumulator stays usable."""
+        return fsum(self._parts + self._bin_parts())
+
+
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float array, equal to ``math.fsum`` bit for
+    bit: one chunk through :class:`ExactAccumulator`."""
+    acc = ExactAccumulator()
+    acc.add(values)
+    return acc.total()
+
+
+def _row_blocks(rows: int):
+    """(start, stop) of consecutive blocks of BLOCK_ROWS rows covering range(rows)."""
+    return ((start, min(start + BLOCK_ROWS, rows)) for start in range(0, rows, BLOCK_ROWS))
 
 
 def energy(code: WeightedCode, h: Potential) -> float:
     """Weighted h-energy: sum over ordered distinct pairs of w_i w_j h(x_i . x_j).
 
-    Works on the upper triangle of the Gram matrix: one call of h on all
-    N(N-1)/2 inner products, terms 2 w_i w_j h(x_i . x_j), and an exact sum
-    (:func:`exact_sum`, equal to ``math.fsum`` of the terms), so the result
-    matches high-precision reference values to the last printed digit.  A
-    one-point code has no pairs and energy 0.
+    Works on the upper triangle of the Gram matrix, streamed in row blocks
+    of BLOCK_ROWS rows: per block, the inner products above the diagonal,
+    one call of h on them, terms (2 w_i) w_j h(x_i . x_j), and one
+    :class:`ExactAccumulator` across all blocks, so the result equals
+    ``math.fsum`` of the N(N-1)/2 terms and matches high-precision
+    reference values to the last printed digit.  Working memory beyond the
+    Gram matrix is O(BLOCK_ROWS N).  A one-point code has no pairs and
+    energy 0.
     """
     size, w = code.size, code.weights
-    upper = np.triu(np.ones((size, size), dtype=bool), 1)
-    g = code._gram[upper]
-    if g.size and g.max() >= 1.0 - 1e-15:
-        raise ValueError("coincident points: energy would need h(1)")
-    # row-major upper triangle of the products (2 w_i) w_j, without N x N floats
-    terms = np.broadcast_to(2.0 * w[:, None], (size, size))[upper]
-    terms *= np.broadcast_to(w, (size, size))[upper]
-    terms *= potential_eval(h, g)
-    return exact_sum(terms)
+    acc = ExactAccumulator()
+    # row k of a block starting at row r pairs with the columns r + 1 + c, c >= k
+    upper = np.arange(size - 1) >= np.arange(min(BLOCK_ROWS, size))[:, None]
+    for start, stop in _row_blocks(size - 1):
+        mask = upper[: stop - start, : size - 1 - start]
+        g = code._gram[start:stop, start + 1 :][mask]
+        if g.max() >= 1.0 - 1e-15:
+            raise ValueError("coincident points: energy would need h(1)")
+        terms = (2.0 * w[start:stop, None] * w[start + 1 :])[mask]
+        terms *= potential_eval(h, g)
+        acc.add(terms)
+    return acc.total()
+
+
+def _moments(code: WeightedCode, tau: int) -> np.ndarray:
+    """M_1, ..., M_tau, summed over row blocks of the Gram matrix so the
+    Gegenbauer table never exceeds (tau + 1) x BLOCK_ROWS x N."""
+    w = code.weights
+    moments = np.zeros(tau)
+    for start, stop in _row_blocks(code.size):
+        table = gegenbauer_table(code.n, tau, code._gram[start:stop])
+        moments += [w[start:stop] @ table[ell] @ w for ell in range(1, tau + 1)]
+    return moments
 
 
 def weighted_moment(code: WeightedCode, ell: int) -> float:
     """Moment M_ell: the full double sum of P_ell over the Gram matrix."""
     if ell < 1:
         raise ValueError("moment order must be >= 1")
-    table = gegenbauer_table(code.n, ell, code._gram)
-    return float(code.weights @ table[ell] @ code.weights)
+    return float(_moments(code, ell)[-1])
 
 
 def design_strength(code: WeightedCode, tau_max: int, tol: float = 1e-9) -> DesignCheckReport:
     """Largest tau <= tau_max with M_1, ..., M_tau all below tol."""
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
-    table = gegenbauer_table(code.n, tau_max, code._gram)
-    moments = tuple(float(code.weights @ table[ell] @ code.weights) for ell in range(1, tau_max + 1))
+    moments = tuple(float(m) for m in _moments(code, tau_max))
     strength = 0
     for value in moments:
         if abs(value) > tol:
@@ -191,13 +274,14 @@ def design_point_identity_check(
     """Max residual of sum_j w_j f(x . x_j) = f_0 over random f and random x.
 
     f ranges over random polynomials of degree <= tau, x over random unit
-    vectors; f_0 is the mean of f against the inner-product measure.
+    vectors; f_0 is the mean of f against the inner-product measure, from
+    the measure's moments.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(tau + 1)
-        f0 = to_gegenbauer(MonomialPoly(tuple(coeffs)), code.n).coeffs[0]
+        f0 = sum(c * measure_moment(code.n, j) for j, c in enumerate(coeffs))
         x = rng.standard_normal(code.n)
         x /= np.linalg.norm(x)
         inner = code.points @ x

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherelp import codes
 from spherelp.codes import (
+    BLOCK_ROWS,
+    ExactAccumulator,
     WeightedCode,
     _surface_monomial_integral,
     build_config,
@@ -25,7 +29,7 @@ from spherelp.codes import (
     weighted_moment,
     with_equal_weights,
 )
-from spherelp.orthopoly import MonomialPoly, gegenbauer_eval, to_gegenbauer
+from spherelp.orthopoly import MonomialPoly, gegenbauer_eval, gegenbauer_table, to_gegenbauer
 from spherelp.potentials import (
     fejes_toth,
     gaussian,
@@ -415,24 +419,24 @@ def same_outcome(a, b):
     return a == b
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        [],
-        [0.0],
-        [-0.0, -0.0],
-        [1.5, -1.5],
-        [1e16, 1.0, -1e16],
-        [0.1] * 10 + [-1.0],
-        [1e300, 1e-300, -1e300, 3.0],
-        [5e-324, 5e-324, -1e-310, 2.5e-308],
-        [1.7e308, 1.7e308, -1.7e308],
-        [1.7e308, 1e308],
-        [np.inf, 1.0],
-        [np.inf, -np.inf],
-        [np.nan, 1.0],
-    ],
-)
+EDGE_CASES = [
+    [],
+    [0.0],
+    [-0.0, -0.0],
+    [1.5, -1.5],
+    [1e16, 1.0, -1e16],
+    [0.1] * 10 + [-1.0],
+    [1e300, 1e-300, -1e300, 3.0],
+    [5e-324, 5e-324, -1e-310, 2.5e-308],
+    [1.7e308, 1.7e308, -1.7e308],
+    [1.7e308, 1e308],
+    [np.inf, 1.0],
+    [np.inf, -np.inf],
+    [np.nan, 1.0],
+]
+
+
+@pytest.mark.parametrize("values", EDGE_CASES)
 def test_exact_sum_edge_cases(values):
     assert same_outcome(exact_sum_outcome(values), fsum_outcome(values))
 
@@ -447,3 +451,88 @@ def test_exact_sum_random_arrays():
         elif trial % 3 == 1:
             values *= 2.0 ** -1000  # many subnormals
         assert same_outcome(exact_sum(values), math.fsum(values.tolist()))
+
+
+def accumulated_outcome(chunks):
+    try:
+        acc = ExactAccumulator()
+        for chunk in chunks:
+            acc.add(np.asarray(chunk, dtype=float))
+        return acc.total()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("values", EDGE_CASES)
+def test_accumulator_over_chunks_matches_fsum(values):
+    want = fsum_outcome(values)
+    for cut in range(len(values) + 1):
+        assert same_outcome(accumulated_outcome([values[:cut], values[cut:]]), want)
+    assert same_outcome(accumulated_outcome([[v] for v in values]), want)
+    assert same_outcome(accumulated_outcome([[], values, []]), want)
+    # after a binned chunk, so non-finite and huge values arrive with a prefix
+    prefix = [0.75, -3.0, 1e-310]
+    assert same_outcome(accumulated_outcome([prefix, values]), fsum_outcome(prefix + values))
+
+
+def test_accumulator_flushes_full_bins_exactly(monkeypatch):
+    # a bin filling is capped below 2**26 terms; lower the cap to run the flush
+    monkeypatch.setattr(codes, "_BIN_LIMIT", 7)
+    rng = np.random.default_rng(13)
+    for trial in range(100):
+        values = rng.standard_normal(int(rng.integers(1, 60))) * 2.0 ** rng.integers(-60, 60)
+        if trial % 2:
+            values = np.concatenate([values, -values[::-1], [1e-300]])
+        want = math.fsum(values.tolist())
+        assert exact_sum(values) == want
+        cuts = np.sort(rng.integers(0, values.size + 1, 3))
+        assert accumulated_outcome(np.split(values, cuts)) == want
+
+
+FIVE_POTENTIALS = [riesz(1), newton(4), gaussian(1.7), logarithmic(), fejes_toth()]
+
+
+@pytest.mark.parametrize("h", FIVE_POTENTIALS, ids=lambda h: h.label())
+def test_energy_equals_fsum_at_block_edges(h):
+    rng = np.random.default_rng(29)
+    for size in (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+        code = random_code(rng, size, 4)
+        g, w = code.gram(), code.weights
+        terms = []
+        for i in range(size):
+            terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])))
+        assert energy(code, h) == math.fsum(terms)
+
+
+def test_coincident_pair_in_last_block_raises():
+    size = 2 * BLOCK_ROWS + 1
+    points = random_code(np.random.default_rng(37), size, 3).points
+    # the last point 1e-8 from the one before: distinct, but their inner product rounds to 1
+    a, b = points[-2], np.cross(points[-2], [0.0, 0.0, 1.0])
+    b /= np.linalg.norm(b)
+    points[-1] = math.cos(1e-8) * a + math.sin(1e-8) * b
+    code = WeightedCode(3, points, np.full(size, 1.0 / size))
+    with pytest.raises(ValueError, match="coincident points"):
+        energy(code, riesz(1))
+    assert energy(WeightedCode(3, points[:-1], np.full(size - 1, 1.0 / (size - 1))), riesz(1)) > 0
+
+
+def test_energy_memory_stays_below_the_gram_matrix():
+    code = random_code(np.random.default_rng(43), 3000, 3)
+    tracemalloc.start()
+    try:
+        energy(code, riesz(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < code._gram.nbytes / 4
+
+
+def test_moments_over_row_blocks_match_the_full_table():
+    rng = np.random.default_rng(47)
+    for code in (cube_crosspolytope(7), random_code(rng, 2 * BLOCK_ROWS + 5, 5)):
+        w = code.weights
+        table = gegenbauer_table(code.n, 8, code.gram())
+        want = [float(w @ table[ell] @ w) for ell in range(1, 9)]
+        assert_allclose(design_strength(code, 8).moments, want, rtol=1e-12, atol=1e-15)
+        assert weighted_moment(code, 8) == pytest.approx(want[-1], rel=1e-12, abs=1e-15)
