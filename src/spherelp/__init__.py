@@ -23,7 +23,7 @@ from .codes import (
     weighted_moment,
     with_equal_weights,
 )
-from .hermite import NodeMultiset, hermite_interpolant, ulb_nodes, uub_nodes, verify_dominance
+from .hermite import NodeMultiset, hermite_interpolant, hermite_operator, ulb_nodes, uub_nodes, verify_dominance
 from .orthopoly import (
     GegenbauerSeries,
     JacobiSpec,

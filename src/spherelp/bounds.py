@@ -24,7 +24,7 @@ import numpy as np
 from .codes import check_weights
 from .hermite import (
     HermiteOperator,
-    InterpolantReport,
+    NodeMultiset,
     dominance_grid,
     hermite_interpolant,
     hermite_operator,
@@ -124,44 +124,58 @@ def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckRe
     return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])) if j_max > rule.m else None, note)
 
 
-class _UlbSetup(NamedTuple):
-    rule: QuadratureRule
-    scan: CheckResult
+class _CertificateSetup(NamedTuple):
+    node_table: np.ndarray
     operator: HermiteOperator
     grid: np.ndarray
     table: np.ndarray
+
+
+def _certificate_setup(
+    rule: QuadratureRule, multiset: NodeMultiset, interval: tuple[float, float], node_degree: int
+) -> _CertificateSetup:
+    """The part of a certificate check on the rule that does not depend on h.
+
+    P_0..P_node_degree at the nodes give the Hermite operator's value rows;
+    the dominance grid on the interval and its table P_0..P_m (both
+    read-only) turn each dominance check into one product.
+    """
+    node_table = gegenbauer_table(rule.n, node_degree, np.asarray(rule.nodes))
+    grid = dominance_grid(*interval, rule.nodes)
+    table = gegenbauer_table(rule.n, rule.m, grid)
+    grid.flags.writeable = table.flags.writeable = False
+    return _CertificateSetup(node_table, hermite_operator(multiset, rule.n, node_table), grid, table)
+
+
+class _UlbSetup(NamedTuple):
+    rule: QuadratureRule
+    scan: CheckResult
+    certificate: _CertificateSetup
 
 
 @lru_cache(maxsize=1)
 def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
     """The part of a lower bound at (n, N_W) that does not depend on h.
 
-    The rule, its Q_j scan up to 3m, the Hermite operator on its nodes and
-    the dominance grid on ULB_INTERVAL with its Gegenbauer table (read-only)
-    serve every potential at one (n, N_W).  One entry covers potentials run
-    back to back and keeps the table (0.75 MB at m = 20) from piling up.
-    Callers pass ``int`` and ``float`` so equal inputs share one entry; a
-    failed solve raises and stores nothing.
+    The rule, its Q_j scan up to 3m and its certificate setup on
+    ULB_INTERVAL serve every potential at one (n, N_W).  One entry covers
+    potentials run back to back and keeps the grid's table (0.75 MB at
+    m = 20) from piling up.  Callers pass ``int`` and ``float`` so equal
+    inputs share one entry; a failed solve raises and stores nothing.
     """
     rule = solve_ulb_rule(n, capacity)
     # P_0..P_3m at the nodes serve both the Q_j scan and the operator's value rows
-    node_table = gegenbauer_table(n, 3 * rule.m, np.asarray(rule.nodes))
-    operator = hermite_operator(ulb_nodes(rule.nodes, rule.eps), n, node_table)
-    grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
-    table = gegenbauer_table(n, rule.m, grid)
-    grid.flags.writeable = table.flags.writeable = False
-    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, node_table), operator, grid, table)
+    setup = _certificate_setup(rule, ulb_nodes(rule.nodes, rule.eps), ULB_INTERVAL, 3 * rule.m)
+    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, setup.node_table), setup)
 
 
 def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport:
-    rule = setup.rule
+    rule, scan, certificate = setup
     n = rule.n
     value = _rule_energy(rule, h)
-    cert = hermite_interpolant(h, setup.operator, n)
-    checks = [
-        CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual),
-    ]
-    ok_dom, violation = verify_dominance(cert, h, ULB_INTERVAL, "below", grid=setup.grid, table=setup.table)
+    cert = hermite_interpolant(h, certificate.operator, n)
+    checks = [CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual)]
+    ok_dom, violation = verify_dominance(cert.gegenbauer, h, "below", certificate.grid, certificate.table)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
     coeffs = np.asarray(cert.gegenbauer.coeffs)
     if design:
@@ -175,7 +189,7 @@ def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport
     objective = cert.gegenbauer.coeffs[0] - cert.gegenbauer.value_at_one() / rule.capacity
     ok_val = abs(objective - value) <= VALUE_TOL * max(1.0, abs(value))
     checks.append(CheckResult("objective_consistency", ok_val, abs(objective - value)))
-    checks.append(setup.scan)
+    checks.append(scan)
     feasible = bool(cert.node_residual <= 1e-9 and ok_dom and ok_pd and ok_val)
     return BoundReport(
         kind="design_ulb" if design else "ulb",
@@ -255,26 +269,29 @@ def _upper_bound(
     rule = lp.rule
     n1 = rule.capacity
 
-    g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n)
+    setup = _certificate_setup(rule, uub_nodes(rule.nodes, rule.eps), (-1.0, s), m)
+    g_t = hermite_interpolant(h, setup.operator, n)
     checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
     gt = np.asarray(g_t.gegenbauer.coeffs)
     f = np.asarray(lp.gegenbauer.coeffs)
     if design:
-        lam, cert = 0.0, g_t
+        lam, cert = 0.0, g_t.gegenbauer
         ok_signs = True
         checks.append(CheckResult("coefficient_signs", True, None, "not required for design bounds"))
     else:
         lam = _lambda_star(gt, f, h, checks)
         gt_pad = np.pad(gt, (0, f.size - gt.size)) if gt.size < f.size else gt[: f.size]
         g_coeffs = gt_pad - lam * f
-        series, nodes = GegenbauerSeries(n, g_coeffs), np.asarray(rule.nodes)
-        cert = InterpolantReport(series, float(np.max(np.abs(series(nodes) - potential_eval(h, nodes)))))
+        cert = GegenbauerSeries(n, g_coeffs)
         ok_signs = bool(np.max(g_coeffs[1:]) <= COEFF_TOL)
         checks.append(CheckResult("coefficient_signs", ok_signs, float(np.max(g_coeffs[1:]))))
-    ok_dom, violation = verify_dominance(cert, h, (-1.0, s), "above", rule.nodes)
+    ok_dom, violation = verify_dominance(cert, h, "above", setup.grid, setup.table)
     checks.append(CheckResult("dominance_above", ok_dom, violation))
     if not design:
-        checks.append(CheckResult("nodes_touch", cert.node_residual <= COEFF_TOL, cert.node_residual))
+        # g_T - lambda* f at the nodes, from the node table
+        at_nodes = g_coeffs @ setup.node_table[: g_coeffs.size] - potential_eval(h, setup.operator.points)
+        touch = float(np.max(np.abs(at_nodes)))
+        checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
 
     gt0 = float(gt[0])
     gt1 = g_t.gegenbauer.value_at_one()
@@ -314,7 +331,7 @@ def _upper_bound(
         m=m,
         rule=rule,
         value=float(value),
-        certificate=cert.gegenbauer,
+        certificate=cert,
         potential=h,
         feasible=feasible,
         diagnostics=tuple(checks),

@@ -60,6 +60,8 @@ class WeightedCode:
             raise ValueError("points must be an N x n array")
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("one weight per point required")
+        if not self.points.shape[0]:
+            raise ValueError("a code needs at least one point")
         norms = np.linalg.norm(self.points, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("points must be unit vectors")

@@ -3,9 +3,10 @@
 Certificate polynomials for both bound directions interpolate a potential
 h at quadrature nodes: doubled nodes match h and h', simple nodes match
 the value only.  The coefficients solve one square system in P_0..P_{T-1},
-which depends on the nodes alone; dominance of the interpolant over (or
-under) h is always verified on a dense grid rather than assumed from the
-error formula.
+which depends on the nodes alone, so its factored operator serves every
+potential.  Dominance of the interpolant over (or under) h is always
+verified on a dense grid, as one product with the grid's Gegenbauer table,
+rather than assumed from the error formula.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class NodeMultiset:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def expanded(self) -> list[float]:
-        return [node for node, mult in self.entries for _ in range(mult)]
 
 
 def ulb_nodes(nodes, eps: int) -> NodeMultiset:
@@ -121,13 +119,10 @@ def hermite_operator(nodes: NodeMultiset, n: int, values: np.ndarray | None = No
     return HermiteOperator(points, doubled, matrix, row_scale, lu, pivots)
 
 
-def hermite_interpolant(h: Potential, nodes: NodeMultiset | HermiteOperator, n: int) -> InterpolantReport:
-    """Interpolate h on the multiset: values everywhere, h' at doubled nodes.
-
-    ``nodes`` may be the multiset's operator, built once for many
-    potentials.  The defect |A c - jet| is reported relative to max(1, |h|).
+def hermite_interpolant(h: Potential, op: HermiteOperator, n: int) -> InterpolantReport:
+    """Interpolate h on the operator's multiset: values everywhere, h' at
+    doubled nodes.  The defect |A c - jet| is reported relative to max(1, |h|).
     """
-    op = nodes if isinstance(nodes, HermiteOperator) else hermite_operator(nodes, n)
     values = potential_eval(h, op.points)
     jet = np.concatenate((values, potential_derivative(h, op.doubled)))
     coeffs = lapack.dgetrs(op.lu, op.pivots, jet / op.row_scale)[0]
@@ -142,33 +137,18 @@ def dominance_grid(lo: float, hi: float, nodes, points: int = 4001) -> np.ndarra
 
 
 def verify_dominance(
-    report: InterpolantReport,
-    h: Potential,
-    interval: tuple[float, float],
-    direction: str,
-    nodes=(),
-    grid: np.ndarray | None = None,
-    table: np.ndarray | None = None,
+    series: GegenbauerSeries, h: Potential, direction: str, grid: np.ndarray, table: np.ndarray
 ) -> tuple[bool, float]:
-    """Check f <= h ("below") or f >= h ("above") on the interval.
+    """Check f <= h ("below") or f >= h ("above") on the grid.
 
-    Samples a 4001-point grid plus local refinement near the given nodes;
-    tolerates violations up to 1e-9.  Returns (ok, max_violation).  A caller
-    checking many interpolants on one grid may pass it, as built by
-    :func:`dominance_grid`, and its ``gegenbauer_table(n, d, grid)``, d at
-    least the degree of f, which replaces a Clenshaw pass by one product.
+    ``grid`` is built by :func:`dominance_grid` and ``table`` is its
+    ``gegenbauer_table(n, d, grid)``, d at least the degree of f, so f on
+    the grid is one product.  Tolerates violations up to 1e-9.  Returns
+    (ok, max_violation).
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
-    if grid is None:
-        lo, hi = interval
-        grid = dominance_grid(lo, min(hi, 1.0 - 1e-9), nodes)
-    series = report.gegenbauer
-    if table is None:
-        values = series(grid)
-    else:
-        values = np.asarray(series.coeffs) @ table[: series.degree + 1]
-    diff = potential_eval(h, grid) - values
+    diff = potential_eval(h, grid) - np.asarray(series.coeffs) @ table[: series.degree + 1]
     if direction == "below":
         violation = max(0.0, -float(np.min(diff)))
     else:

@@ -30,10 +30,10 @@ class Potential:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "riesz" and self.param <= 0:
-            raise ValueError("riesz exponent must be positive")
-        if self.kind == "gaussian" and self.param <= 0:
-            raise ValueError("gaussian exponent must be positive")
+        if not np.isfinite(self.param):
+            raise ValueError(f"{self.kind} parameter must be finite, got {self.param!r}")
+        if self.kind in ("riesz", "gaussian") and self.param <= 0:
+            raise ValueError(f"{self.kind} exponent must be positive")
         if self.kind == "newton" and (self.param < 2 or self.param != int(self.param)):
             raise ValueError("newton potential needs an integer dimension >= 2")
         if self.kind == "shifted" and self.base is None:

@@ -8,7 +8,7 @@ from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron
-from spherelp.hermite import dominance_grid, hermite_interpolant, uub_nodes
+from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, uub_nodes
 from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -292,7 +292,7 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
     for n, capacity, s, tau, h in cases:
         report = design_uub(n, capacity, s, tau, h)
         rule = report.rule
-        g_t = hermite_interpolant(h, uub_nodes(rule.nodes, rule.eps), n).gegenbauer
+        g_t = hermite_interpolant(h, hermite_operator(uub_nodes(rule.nodes, rule.eps), n), n).gegenbauer
         assert report.certificate == g_t
         assert report.lambda_star == 0.0
         g0, g1 = g_t.coeffs[0], g_t.value_at_one()
@@ -392,10 +392,11 @@ def test_ulb_memo_is_bounded_and_its_grid_read_only():
         assert bounds._ulb_setup.cache_info().currsize <= maxsize
     setup = bounds._ulb_setup(3, float(capacity))
     assert bounds._ulb_setup.cache_info().hits == 1
-    assert not setup.grid.flags.writeable
+    grid = setup.certificate.grid
+    assert not grid.flags.writeable
     with pytest.raises(ValueError):
-        setup.grid[0] = 0.0
-    assert np.array_equal(setup.grid, dominance_grid(-1.0, 0.999, setup.rule.nodes))
+        grid[0] = 0.0
+    assert np.array_equal(grid, dominance_grid(-1.0, 0.999, setup.rule.nodes))
 
 
 def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
@@ -416,12 +417,12 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     design_ulb(4, 24.0, 5, newton(4))
     assert calls == [4]
     setup = bounds._ulb_setup(4, 24.0)
-    op = setup.operator
-    for array in (setup.table, op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
+    certificate, op = setup.certificate, setup.certificate.operator
+    for array in (certificate.table, op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        setup.table[0, 0] = 0.0
-    assert np.array_equal(setup.table, gegenbauer_table(4, setup.rule.m, setup.grid))
+        certificate.table[0, 0] = 0.0
+    assert np.array_equal(certificate.table, gegenbauer_table(4, setup.rule.m, certificate.grid))
 
 
 def test_ulb_n2_degree_24_is_feasible():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,13 @@ def test_nan_capacity_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "capacity must exceed 2" in err
+
+
+@pytest.mark.parametrize("spec", ["riesz:nan", "riesz:inf", "gaussian:inf", "shift:nan:log"])
+def test_nonfinite_potential_parameter_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "ulb", "--n", "3", "--capacity", "31.9565", "--potential", spec)
+    assert (code, out) == (1, "")
+    assert "parameter must be finite" in err
 
 
 def test_nan_weight_is_a_usage_error(tmp_path, capsys):
@@ -224,3 +233,13 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "value = " in out
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("spherelp ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)

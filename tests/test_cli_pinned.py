@@ -5,7 +5,11 @@ that ``spherelp`` produced for its argument list before the bound commands
 were merged into one handler per direction.  The bound reports were
 re-recorded when the certificates moved from divided differences to the
 Gegenbauer-basis Hermite system; that changed only round-off: diagnostic
-defects below 1e-15 and certificate digits below 1e-16 absolute.
+defects below 1e-15 and certificate digits below 1e-16 absolute.  They
+were re-pinned once more when upper bounds moved to the lower bounds'
+dominance check (one product with the grid's Gegenbauer table instead of
+Clenshaw) and read ``nodes_touch`` from the node table: only the values
+of ``dominance_above`` and ``nodes_touch`` moved, by at most 2.3e-16.
 ``design-uub`` reports are compared on parsed JSON instead: its value may
 move in the last bits, and its diagnostics are matched by name.
 """

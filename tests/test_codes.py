@@ -249,6 +249,11 @@ def test_icosahedron_dodecahedron_inner_products():
     assert_allclose(np.unique(np.round(cross, 9)), np.round([PENT_A, PENT_B], 9))
 
 
+def test_empty_code_is_rejected_by_name():
+    with pytest.raises(ValueError, match="at least one point"):
+        WeightedCode(3, np.empty((0, 3)), np.empty(0))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         WeightedCode(3, np.array([[1.0, 0.0, 0.0]]), np.array([0.5]))  # weight sum

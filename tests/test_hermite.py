@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherelp.bounds import ULB_INTERVAL, design_uub, ulb, uub
 from spherelp.hermite import (
-    InterpolantReport,
     NodeMultiset,
     dominance_grid,
     hermite_interpolant,
@@ -12,7 +14,6 @@ from spherelp.hermite import (
     uub_nodes,
     verify_dominance,
 )
-from spherelp.bounds import ULB_INTERVAL
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -23,9 +24,19 @@ from spherelp.potentials import (
     potential_eval,
     riesz,
 )
-from spherelp.quadrature import rule_from_s, solve_ulb_rule, validity_interval
+from spherelp.quadrature import dgs_bound, rule_from_s, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
+
+
+def _interpolant(h, multiset, n):
+    return hermite_interpolant(h, hermite_operator(multiset, n), n)
+
+
+def _dominance(series, h, direction, lo, hi, nodes=()):
+    """verify_dominance on a freshly built grid and table."""
+    grid = dominance_grid(lo, hi, nodes)
+    return verify_dominance(series, h, direction, grid, gegenbauer_table(series.n, series.degree, grid))
 
 
 def test_multiset_validation():
@@ -37,7 +48,6 @@ def test_multiset_validation():
         NodeMultiset(((-0.5, 3),))
     ok = NodeMultiset(((-1.0, 1), (0.0, 2), (0.5, 1)))
     assert ok.total == 4
-    assert ok.expanded() == [-1.0, 0.0, 0.0, 0.5]
 
 
 def test_multiset_builders():
@@ -51,7 +61,7 @@ def test_multiset_builders():
 def test_constant_potential_reproduced_exactly():
     # a polynomial h of degree <= total-1 is its own interpolant
     h = newton(2)
-    report = hermite_interpolant(h, ulb_nodes((-0.7, -0.1, 0.6), 0), 3)
+    report = _interpolant(h, ulb_nodes((-0.7, -0.1, 0.6), 0), 3)
     assert_allclose(report.gegenbauer.coeffs, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), atol=1e-12)
     assert report.node_residual < 1e-12
 
@@ -59,7 +69,7 @@ def test_constant_potential_reproduced_exactly():
 def test_single_doubled_node_is_tangent_line():
     h = riesz(1)
     a = -0.25
-    report = hermite_interpolant(h, ulb_nodes((a,), 0), 3)
+    report = _interpolant(h, ulb_nodes((a,), 0), 3)
     want = (
         potential_eval(h, a) - a * potential_derivative(h, a),
         potential_derivative(h, a),
@@ -72,7 +82,7 @@ def test_uub_degree_two_closed_form():
     # simple nodes {-1, s}: the secant line through the endpoints
     h = gaussian(1.5)
     s = 0.35
-    report = hermite_interpolant(h, NodeMultiset(((-1.0, 1), (s, 1))), 4)
+    report = _interpolant(h, NodeMultiset(((-1.0, 1), (s, 1))), 4)
     hs, hm = potential_eval(h, s), potential_eval(h, -1.0)
     want = ((hs + s * hm) / (1 + s), (hs - hm) / (1 + s))
     assert_allclose(report.gegenbauer.coeffs, want, rtol=1e-12)
@@ -81,7 +91,7 @@ def test_uub_degree_two_closed_form():
 def test_interpolation_conditions_on_rule_nodes():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     for h in (riesz(1), gaussian(2.0), logarithmic(), fejes_toth()):
-        report = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), 3)
+        report = _interpolant(h, ulb_nodes(rule.nodes, rule.eps), 3)
         assert report.gegenbauer.degree <= rule.m
         assert report.node_residual < 1e-10
 
@@ -90,75 +100,77 @@ def test_interpolation_conditions_on_rule_nodes():
 @pytest.mark.parametrize("n,capacity", [(3, 20.0), (4, 24.0), (8, 50.0), (3, PENTAKIS_CAPACITY)])
 def test_ulb_interpolant_positive_definite(h, n, capacity):
     rule = solve_ulb_rule(n, capacity)
-    report = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), n)
+    report = _interpolant(h, ulb_nodes(rule.nodes, rule.eps), n)
     coeffs = np.asarray(report.gegenbauer.coeffs)
     assert np.min(coeffs[1:]) >= -1e-9
 
 
 def test_dominance_below_for_table_rule():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    report = hermite_interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
-    ok, violation = verify_dominance(report, riesz(1), (-1.0, 0.999), "below", rule.nodes)
+    report = _interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
+    ok, violation = _dominance(report.gegenbauer, riesz(1), "below", -1.0, 0.999, rule.nodes)
     assert ok and violation <= 1e-9
 
 
-def test_dominance_on_a_given_grid_matches_the_built_one():
-    rule = solve_ulb_rule(4, 24.0)
-    report = hermite_interpolant(gaussian(1), ulb_nodes(rule.nodes, rule.eps), 4)
-    built = verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", rule.nodes)
-    grid = dominance_grid(-1.0, 0.999, rule.nodes)
-    assert verify_dominance(report, gaussian(1), (-1.0, 0.999), "below", grid=grid) == built
-    # the given grid replaces the built one: a lift by t * 1e-3 = 1e-3 P_1 goes unseen at t = 0
-    broken = _lifted(report, 1, 1e-3)
-    assert not verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", rule.nodes)[0]
-    assert verify_dominance(broken, gaussian(1), (-1.0, 0.999), "below", grid=np.array([0.0]))[0]
-
-
-def _lifted(report, j, amount):
-    coeffs = list(report.gegenbauer.coeffs)
+def _lifted(series, j, amount):
+    coeffs = list(series.coeffs)
     coeffs[j] += amount
-    return InterpolantReport(GegenbauerSeries(report.gegenbauer.n, coeffs), 0.0)
+    return GegenbauerSeries(series.n, coeffs)
+
+
+def _clenshaw_violation(series, h, direction, grid):
+    diff = potential_eval(h, grid) - series(grid)
+    return max(0.0, -float(np.min(diff)) if direction == "below" else float(np.max(diff)))
 
 
 @pytest.mark.parametrize("h", [riesz(1), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
 def test_dominance_on_a_tabulated_grid_matches_clenshaw(h):
-    rule = solve_ulb_rule(5, 40.0)
-    report = hermite_interpolant(h, ulb_nodes(rule.nodes, rule.eps), 5)
-    grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
-    table = gegenbauer_table(5, rule.m + 2, grid)  # rows past the degree are ignored
-    ok, violation = verify_dominance(report, h, ULB_INTERVAL, "below", grid=grid, table=table)
-    ref_ok, ref_violation = verify_dominance(report, h, ULB_INTERVAL, "below", grid=grid)
-    assert ok == ref_ok and abs(violation - ref_violation) <= 1e-14
-    broken = _lifted(report, 0, 1e-6)
-    lifted = verify_dominance(broken, h, ULB_INTERVAL, "below", grid=grid, table=table)[1]
-    assert lifted == pytest.approx(1e-6, rel=1e-6)
+    # each bound's recorded violation, one product with its grid's table,
+    # against Clenshaw on the same grid: below h on ULB_INTERVAL for ulb,
+    # above h on [-1, s] for uub and design_uub
+    for n, m in itertools.product((2, 3, 4, 5, 8, 12), (1, 2, 3, 5, 8, 12, 17, 21, 24, 25)):
+        lo, hi = dgs_bound(n, m), dgs_bound(n, m + 1)
+        s = sum(validity_interval(n, m)) / 2
+        for report, name, interval in (
+            (ulb(n, (lo + hi) / 2, h), "dominance_below", ULB_INTERVAL),
+            (uub(n, 10.0, s, h), "dominance_above", (-1.0, s)),
+            (design_uub(n, 10.0, s, m, h), "dominance_above", (-1.0, s)),
+        ):
+            check = report.diagnostic(name)
+            grid = dominance_grid(*interval, report.rule.nodes)
+            ref = _clenshaw_violation(report.certificate, h, name.split("_")[1], grid)
+            assert abs(check.value - ref) <= 1e-11, (report.kind, n, m, check.value, ref)
+            assert check.ok == (ref <= 1e-9)
+            if report.kind == "uub":  # g_T - lambda* f at the nodes, read from the node table
+                nodes = np.asarray(report.rule.nodes)
+                touch = float(np.max(np.abs(report.certificate(nodes) - potential_eval(h, nodes))))
+                assert abs(report.diagnostic("nodes_touch").value - touch) <= 1e-11
 
 
 def test_dominance_zero_for_exact_match():
     h = newton(2)
-    report = hermite_interpolant(h, ulb_nodes((-0.5, 0.2), 0), 3)
-    ok, violation = verify_dominance(report, h, (-1.0, 0.999), "below")
+    report = _interpolant(h, ulb_nodes((-0.5, 0.2), 0), 3)
+    ok, violation = _dominance(report.gegenbauer, h, "below", -1.0, 0.999)
     assert ok and violation == 0.0
 
 
 def test_dominance_negative_control():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    report = hermite_interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
-    broken = _lifted(report, 0, 1e-3)  # the certificate touches h at the nodes
-    ok, violation = verify_dominance(broken, riesz(1), (-1.0, 0.999), "below", rule.nodes)
+    report = _interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
+    broken = _lifted(report.gegenbauer, 0, 1e-3)  # the certificate touches h at the nodes
+    ok, violation = _dominance(broken, riesz(1), "below", -1.0, 0.999, rule.nodes)
     assert not ok and violation > 1e-9
+    grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
+    table = gegenbauer_table(3, rule.m + 2, grid)  # rows past the degree are ignored
+    lifted = verify_dominance(_lifted(report.gegenbauer, 0, 1e-6), riesz(1), "below", grid, table)[1]
+    assert lifted == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_nodes_above_one_rejected():
     with pytest.raises(ValueError):
-        hermite_interpolant(riesz(1), NodeMultiset(((0.5, 2), (1.0, 1))), 3)
+        hermite_operator(NodeMultiset(((0.5, 2), (1.0, 1))), 3)
     with pytest.raises(ValueError):
-        verify_dominance(
-            hermite_interpolant(riesz(1), ulb_nodes((0.0,), 0), 3),
-            riesz(1),
-            (-1.0, 0.5),
-            "sideways",
-        )
+        _dominance(_interpolant(riesz(1), ulb_nodes((0.0,), 0), 3).gegenbauer, riesz(1), "sideways", -1.0, 0.5)
 
 
 def _dominance_grid_loop(lo, hi, nodes, points=4001):
@@ -208,7 +220,7 @@ def test_node_residual_matches_per_node_loop(h):
         lo, hi = validity_interval(4, m)
         rule = rule_from_s(4, m, 0.5 * (lo + hi))
         for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
-            report = hermite_interpolant(h, multiset, 4)
+            report = _interpolant(h, multiset, 4)
             # both are round-off: the system residual and the per-node evaluation
             assert report.node_residual <= 1e-14
             assert abs(report.node_residual - _node_residual_loop(h, multiset, report.gegenbauer)) <= 1e-14
@@ -274,7 +286,7 @@ def test_hermite_coefficients_match_extended_precision_reference(n):
                     for h, (f, df) in jets.items():
                         jet = mpmath.matrix([f(a) for a in nodes] + [df(a) for a in doubled])
                         ref = np.array([float(c) for c in mpmath.lu_solve(rows, jet)])
-                        got = np.asarray(hermite_interpolant(h, multiset, n).gegenbauer.coeffs)
+                        got = np.asarray(_interpolant(h, multiset, n).gegenbauer.coeffs)
                         error = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                         assert error <= HERMITE_RTOL[n], (m, frac, h.label(), error)
 
@@ -298,4 +310,4 @@ def test_operator_is_read_only_and_matches_a_fresh_build():
     for array in (op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
         assert not array.flags.writeable
     for h in (riesz(1), gaussian(2.0), logarithmic()):
-        assert hermite_interpolant(h, op, 3) == hermite_interpolant(h, multiset, 3)
+        assert hermite_interpolant(h, op, 3) == _interpolant(h, multiset, 3)

@@ -160,6 +160,15 @@ def test_parameter_validation():
         newton(1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build", [riesz, gaussian, newton, lambda c: shifted(logarithmic(), c)], ids=["riesz", "gaussian", "newton", "shift"]
+)
+def test_nonfinite_parameters_are_rejected(build, bad):
+    with pytest.raises(ValueError, match="parameter must be finite"):
+        build(bad)
+
+
 @pytest.mark.parametrize(
     "text,label",
     [
