@@ -26,12 +26,9 @@ from .codes import (
 from .hermite import NodeMultiset, hermite_interpolant, hermite_operator, ulb_nodes, uub_nodes, verify_dominance
 from .orthopoly import (
     GegenbauerSeries,
-    JacobiSpec,
     MonomialPoly,
     from_gegenbauer,
     gegenbauer_eval,
-    jacobi_eval,
-    jacobi_largest_zero,
     measure_moment,
     to_gegenbauer,
 )

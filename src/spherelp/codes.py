@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
-from math import comb, fsum, sqrt
+from math import comb, fsum, isfinite, sqrt
 
 import numpy as np
 
@@ -261,6 +261,8 @@ def design_strength(code: WeightedCode, tau_max: int, tol: float = 1e-9) -> Desi
     """Largest tau <= tau_max with M_1, ..., M_tau all below tol."""
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     moments = tuple(float(m) for m in _moments(code, tau_max))
     strength = 0
     for value in moments:
@@ -495,8 +497,13 @@ def code_to_json(code: WeightedCode) -> str:
 
 def code_from_json(text: str) -> WeightedCode:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a code file must hold a JSON object, not a {type(data).__name__}")
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"code field 'n' must be an integer, got {n!r}")
     return WeightedCode(
-        int(data["n"]),
+        n,
         np.asarray(data["points"], dtype=float),
         np.asarray(data["weights"], dtype=float),
         data.get("name", ""),

@@ -130,10 +130,11 @@ def hermite_interpolant(h: Potential, op: HermiteOperator, n: int) -> Interpolan
     return InterpolantReport(GegenbauerSeries(n, coeffs), residual)
 
 
-def dominance_grid(lo: float, hi: float, nodes, points: int = 4001) -> np.ndarray:
-    """Uniform grid on [lo, hi] refined near the interpolation nodes."""
+def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
+    """Uniform 4001-point grid on [lo, hi], refined by 81 points within 1e-3
+    of each interpolation node."""
     local = np.clip(np.asarray(nodes, dtype=float)[:, None] + np.linspace(-1e-3, 1e-3, 81), lo, hi)
-    return np.unique(np.concatenate((np.linspace(lo, hi, points), local.ravel())))
+    return np.unique(np.concatenate((np.linspace(lo, hi, 4001), local.ravel())))
 
 
 def verify_dominance(

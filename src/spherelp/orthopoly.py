@@ -1,4 +1,4 @@
-"""Normalized Gegenbauer and adjacent Jacobi polynomials.
+"""The normalized Gegenbauer basis.
 
 All polynomials here are scaled to take the value 1 at t = 1.  For a fixed
 dimension n >= 2 the Gegenbauer family ``P_i`` is orthogonal on [-1, 1]
@@ -8,9 +8,8 @@ with respect to the probability measure
 
 the projection of the uniform measure of the unit sphere in R^n onto a
 coordinate axis.  The module evaluates these polynomials by forward
-recurrence, converts between the power basis and the Gegenbauer basis,
-computes moments of mu_n, and locates largest zeros of adjacent Jacobi
-polynomials (parameters offset from (n-3)/2).
+recurrence, multiplies out linear factors in their basis, converts between
+the power basis and the Gegenbauer basis, and computes moments of mu_n.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 MAX_DEGREE = 64
 
@@ -81,36 +78,6 @@ class GegenbauerSeries:
         return float(sum(self.coeffs))
 
 
-@dataclass(frozen=True)
-class JacobiSpec:
-    """Jacobi polynomial P_k^(a + (n-3)/2, b + (n-3)/2), value-1-at-1 scaling.
-
-    The offsets a, b select the systems adjacent to the Gegenbauer family of
-    dimension n; (a, b) = (0, 0) recovers P_k itself.
-    """
-
-    a: float
-    b: float
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if self.k < 0:
-            raise ValueError("degree must be >= 0")
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("effective Jacobi exponents must exceed -1")
-
-    @property
-    def alpha(self) -> float:
-        return self.a + (self.n - 3) / 2
-
-    @property
-    def beta(self) -> float:
-        return self.b + (self.n - 3) / 2
-
-
 def gegenbauer_eval(n: int, i: int, t):
     """Evaluate P_i for dimension n at t (scalar or array): row i of
     :func:`gegenbauer_table`."""
@@ -151,92 +118,6 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
         row -= scratch
         row /= j + n - 2
     return out
-
-
-def _jacobi_unnormalized(alpha: float, beta: float, k: int, t):
-    """Standard (unnormalized) Jacobi polynomial by three-term recurrence."""
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if k == 0:
-        return p_prev
-    p = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
-    for i in range(2, k + 1):
-        s = 2 * i + alpha + beta
-        c0 = 2 * i * (i + alpha + beta) * (s - 2)
-        c1 = (s - 1) * (alpha * alpha - beta * beta)
-        c2 = (s - 1) * s * (s - 2)
-        c3 = 2 * (i + alpha - 1) * (i + beta - 1) * s
-        p, p_prev = ((c2 * t + c1) * p - c3 * p_prev) / c0, p
-    return p
-
-
-def _jacobi_value_at_one(alpha: float, k: int) -> float:
-    v = 1.0
-    for j in range(1, k + 1):
-        v *= (alpha + j) / j
-    return v
-
-
-def jacobi_eval(spec: JacobiSpec, t):
-    """Evaluate the adjacent Jacobi polynomial of ``spec``, scaled to 1 at t=1."""
-    raw = _jacobi_unnormalized(spec.alpha, spec.beta, spec.k, t)
-    val = raw / _jacobi_value_at_one(spec.alpha, spec.k)
-    return val if val.ndim else float(val)
-
-
-def _jacobi_tridiagonal(alpha: float, beta: float, k: int):
-    """Diagonal and off-diagonal of the k-by-k symmetric Jacobi matrix.
-
-    Eigenvalues are the zeros of the degree-k Jacobi polynomial (Golub-Welsch).
-    """
-    ab = alpha + beta
-    diag = np.empty(k)
-    diag[0] = (beta - alpha) / (ab + 2)
-    for i in range(1, k):
-        diag[i] = (beta * beta - alpha * alpha) / ((2 * i + ab) * (2 * i + ab + 2))
-    off = np.empty(max(k - 1, 0))
-    if k > 1:
-        off[0] = np.sqrt(4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3)))
-    for i in range(2, k):
-        s = 2 * i + ab
-        off[i - 1] = np.sqrt(4 * i * (i + alpha) * (i + beta) * (i + ab) / (s * s * (s * s - 1)))
-    return diag, off
-
-
-def jacobi_zeros(spec: JacobiSpec) -> np.ndarray:
-    """All k zeros of the Jacobi polynomial, ascending."""
-    if spec.k == 0:
-        return np.empty(0)
-    diag, off = _jacobi_tridiagonal(spec.alpha, spec.beta, spec.k)
-    if spec.k == 1:
-        return diag.copy()
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
-
-
-def jacobi_largest_zero(spec: JacobiSpec) -> float:
-    """Largest zero of the Jacobi polynomial of ``spec``.
-
-    The degree-zero convention t_0^{1,1} = -1 applies for (a, b) = (1, 1);
-    other degree-zero specs are rejected.  For k >= 1, eigenvalues of the
-    tridiagonal Jacobi matrix bracket the zero and Brent refinement brings
-    it to ~1e-13.
-    """
-    if spec.k == 0:
-        if spec.a == 1 and spec.b == 1:
-            return -1.0
-        raise ValueError("degree-0 largest zero is defined only for offsets (1, 1)")
-    zeros = jacobi_zeros(spec)
-    top = float(zeros[-1])
-    left = -1.0 if spec.k == 1 else float(0.5 * (zeros[-1] + zeros[-2]))
-
-    def f(x):
-        return jacobi_eval(spec, x)
-
-    # the normalized polynomial is positive on (top, 1], negative just left of top
-    root = brentq(f, left, 1.0, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(root)) > 1e-11:
-        raise RuntimeError(f"largest-zero refinement failed for {spec}")
-    return float(root)
 
 
 def measure_moment(n: int, j: int) -> float:

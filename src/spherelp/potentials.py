@@ -114,10 +114,8 @@ def potential_eval(h: Potential, t):
     return v if v.ndim else float(v)
 
 
-def potential_derivative(h: Potential, t, order: int = 1):
-    """Closed-form first derivative of h at t; only order 1 is supported."""
-    if order != 1:
-        raise ValueError("only first derivatives are available in closed form")
+def potential_derivative(h: Potential, t):
+    """Closed-form first derivative of h at t."""
     t = _check_domain(t)
     if h.kind == "riesz":
         v = h.param * (2.0 * (1.0 - t)) ** (-h.param / 2.0 - 1.0)
@@ -131,7 +129,7 @@ def potential_derivative(h: Potential, t, order: int = 1):
     elif h.kind == "fejes_toth":
         v = 1.0 / np.sqrt(2.0 * (1.0 - t))
     else:
-        return potential_derivative(h.base, t, order)
+        return potential_derivative(h.base, t)
     v = np.asarray(v)
     return v if v.ndim else float(v)
 

@@ -22,17 +22,10 @@ from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .orthopoly import (
-    GegenbauerSeries,
-    JacobiSpec,
-    _jacobi_tridiagonal,
-    gegenbauer_from_roots,
-    gegenbauer_table,
-    jacobi_largest_zero,
-)
+from .orthopoly import GegenbauerSeries, gegenbauer_from_roots, gegenbauer_table
 
 MAX_RULE_DEGREE = 25
 
@@ -118,11 +111,20 @@ def select_degree_from_capacity(n: int, capacity: float) -> tuple[int, int, int]
 
 @lru_cache(maxsize=None)
 def validity_interval(n: int, m: int) -> tuple[float, float]:
-    """Interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] on which L_m(n, .) is valid."""
+    """Interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] on which L_m(n, .) is valid.
+
+    t_j^{1,b} is the largest zero of the degree-j (1, b) adjacent Jacobi
+    polynomial: the top eigenvalue of its Jacobi matrix (Golub-Welsch),
+    within about 2e-15 of the zero up to m = 25.  t_0^{1,1} = -1 by convention.
+    """
     k, eps = split_degree(m)
-    lo = jacobi_largest_zero(JacobiSpec(1, 1 - eps, n, k - 1 + eps))
-    hi = jacobi_largest_zero(JacobiSpec(1, eps, n, k))
-    return lo, hi
+
+    def largest_zero(b: int, j: int) -> float:
+        diag, off = _jacobi_matrix(n, b, j)
+        return float(eigvalsh_tridiagonal(np.asarray(diag), np.asarray(off))[-1])
+
+    lo = largest_zero(1 - eps, k - 1 + eps) if k - 1 + eps else -1.0
+    return lo, largest_zero(eps, k)
 
 
 def select_degree_from_s(n: int, s: float) -> tuple[int, int, int]:
@@ -157,12 +159,21 @@ def levenshtein_function(n: int, m: int, s: float, allow_outside_validity: bool 
 
 
 @lru_cache(maxsize=256)
-def _nu_jacobi_matrix(n: int, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Diagonal and off-diagonal of the size-by-size Jacobi matrix of
-    nu = (1 - t) dmu_n, the (a + 1, a) Jacobi weight with a = (n - 3)/2."""
-    a = (n - 3) / 2
-    diag, off = _jacobi_tridiagonal(a + 1, a, size)
-    return tuple(diag.tolist()), tuple(off.tolist())
+def _jacobi_matrix(n: int, b: int, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Diagonal and off-diagonal of the size-by-size Jacobi matrix of the
+    (1, b) adjacent family, the Jacobi weight (1 - t)^(a + 1) (1 + t)^(a + b)
+    with a = (n - 3)/2.  Its eigenvalues are the zeros of the degree-size
+    polynomial (Golub-Welsch); b = 0 gives nu = (1 - t) dmu_n."""
+    alpha, beta = 1 + (n - 3) / 2, b + (n - 3) / 2
+    ab = alpha + beta
+    diag = [(beta - alpha) / (ab + 2)]
+    off = [sqrt(4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3)))] if size > 1 else []
+    for i in range(1, size):
+        s = 2 * i + ab
+        diag.append((beta * beta - alpha * alpha) / (s * (s + 2)))
+        if i > 1:
+            off.append(sqrt(4 * i * (i + alpha) * (i + beta) * (i + ab) / (s * s * (s * s - 1))))
+    return tuple(diag), tuple(off)
 
 
 def _ratio(diag, off, j: int, x: float) -> float:
@@ -188,7 +199,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> tuple[np.ndarr
     weights, and exactness on P_0..P_m within 1e-9.
     """
     k, eps = split_degree(m)
-    diag, off = (list(v) for v in _nu_jacobi_matrix(n, k + eps))
+    diag, off = (list(v) for v in _jacobi_matrix(n, 0, k + eps))
     if eps == 1:
         # last row (a, b) chosen so that p_{k+1} = (t - a) p_k - b^2 p_{k-1} vanishes at -1 and s
         q_s, q_m = _ratio(diag, off, k, s), _ratio(diag, off, k, -1.0)

@@ -94,6 +94,13 @@ def test_design_check_command(capsys):
     assert json.loads(out)["strength"] == 9
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_design_check_rejects_invalid_tol(capsys, tol):
+    code, out, err = run(capsys, "design-check", "--config", "cube:3", f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: tol must be finite and >= 0")
+
+
 def test_design_bounds_commands(capsys):
     code, out, _ = run(
         capsys,
@@ -208,6 +215,22 @@ def test_malformed_code_file(tmp_path, capsys):
     assert "unit" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([[1.0, 0.0, 0.0]], "must hold a JSON object"),
+        ({"n": 3.7, "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}, "field 'n' must be an integer"),
+    ],
+    ids=["array", "fractional-n"],
+)
+def test_code_file_of_wrong_shape_is_a_usage_error(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "energy", "--config", str(bad), "--potential", "riesz:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_energy_one_point_code(tmp_path, capsys):
     cf = tmp_path / "one.json"
     cf.write_text(json.dumps({"n": 4, "points": [[1.0, 0.0, 0.0, 0.0]], "weights": [1.0]}))
@@ -243,3 +266,21 @@ def test_readme_cli_examples_exit_zero(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
+
+
+def test_readme_library_quick_start_prints_commented_values(capsys):
+    # each print line's comment gives the printed values, "..." marking a prefix
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].split() for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 4
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert len(got) == len(want), (got, want)
+        for value, comment in zip(got, want):
+            if comment.endswith("..."):
+                assert value.startswith(comment[:-3]), (value, comment)
+            else:
+                assert value == comment, (value, comment)

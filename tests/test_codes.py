@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,14 @@ def test_random_code_strength_zero():
     assert design_strength(code, 6).strength == 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_design_strength_rejects_invalid_tol(tol):
+    # a NaN tolerance used to pass every moment (abs(M) > nan is false)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        design_strength(cube_crosspolytope(3), 12, tol)
+    assert design_strength(cube_crosspolytope(3), 12, 0.0).tol == 0.0  # zero is a valid tolerance
+
+
 def test_s_of_cube_cross():
     assert cube_crosspolytope(3).max_inner_product == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     for n in (4, 5, 6, 7):
@@ -297,6 +306,22 @@ def test_json_round_trip_exact():
     assert np.array_equal(back.points, code.points)
     assert np.array_equal(back.weights, code.weights)
     assert back.name == code.name
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[[1.0, 0.0, 0.0]]", "must hold a JSON object, not a list"),
+        ('"pentakis"', "must hold a JSON object, not a str"),
+        ('{"n": 3.7, "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got 3.7"),
+        ('{"n": "3", "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got '3'"),
+        ('{"n": true, "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got True"),
+        ('{"points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got None"),
+    ],
+)
+def test_code_from_json_rejects_malformed_payload(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        code_from_json(text)
 
 
 def random_code(rng, size, n):

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import binom, eval_legendre, roots_jacobi
+from scipy.special import eval_legendre, roots_jacobi
 
 from spherelp.orthopoly import (
     GegenbauerSeries,
-    JacobiSpec,
     MonomialPoly,
     from_gegenbauer,
     gegenbauer_eval,
     gegenbauer_monomial_table,
     gegenbauer_table,
-    jacobi_eval,
-    jacobi_largest_zero,
-    jacobi_zeros,
     measure_moment,
     to_gegenbauer,
 )
@@ -26,15 +22,6 @@ def gauss_mu_rule(n, points=64):
     """Probability-normalized Gauss-Jacobi rule for mu_n (oracle)."""
     x, w = roots_jacobi(points, (n - 3) / 2, (n - 3) / 2)
     return x, w / w.sum()
-
-
-def jacobi_series_oracle(alpha, beta, k, t):
-    """Hypergeometric series for the Jacobi polynomial, 1-at-1 scaling."""
-    total = sum(
-        binom(k + alpha, k - j) * binom(k + beta, j) * ((t - 1) / 2) ** j * ((t + 1) / 2) ** (k - j)
-        for j in range(k + 1)
-    )
-    return total / binom(k + alpha, k)
 
 
 def test_gegenbauer_degree_zero():
@@ -131,66 +118,6 @@ def test_positive_definiteness_witnesses():
         gram = np.clip(pts @ pts.T, -1, 1)
         for ell in range(11):
             assert np.sum(gegenbauer_eval(n, ell, gram)) >= -1e-9
-
-
-def test_jacobi_matches_gegenbauer_at_zero_offsets():
-    t = np.linspace(-1, 1, 21)
-    for n in (2, 3, 5):
-        for k in (0, 1, 4, 9):
-            assert_allclose(
-                jacobi_eval(JacobiSpec(0, 0, n, k), t), gegenbauer_eval(n, k, t), atol=1e-12
-            )
-
-
-def test_jacobi_symmetric_degree_one_is_identity():
-    for a in (0, 1):
-        for n in (2, 4, 9):
-            for t in (-0.8, 0.1, 0.6):
-                assert jacobi_eval(JacobiSpec(a, a, n, 1), t) == pytest.approx(t, abs=1e-14)
-
-
-def test_jacobi_series_oracle_example():
-    spec = JacobiSpec(1, 0, 3, 2)
-    got = jacobi_eval(spec, 0.2)
-    want = jacobi_series_oracle(spec.alpha, spec.beta, 2, 0.2)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_jacobi_series_oracle_random():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        spec = JacobiSpec(
-            int(rng.integers(0, 2)), int(rng.integers(0, 2)), int(rng.integers(2, 9)),
-            int(rng.integers(0, 9)),
-        )
-        t = float(rng.uniform(-1, 1))
-        want = jacobi_series_oracle(spec.alpha, spec.beta, spec.k, t)
-        assert jacobi_eval(spec, t) == pytest.approx(want, rel=1e-11, abs=1e-11)
-
-
-def test_jacobi_invalid_exponents():
-    with pytest.raises(ValueError):
-        JacobiSpec(-1, 0, 2, 3)  # alpha = -1.5
-
-
-def test_largest_zero_conventions():
-    assert jacobi_largest_zero(JacobiSpec(1, 1, 5, 0)) == -1.0
-    with pytest.raises(ValueError):
-        jacobi_largest_zero(JacobiSpec(1, 0, 5, 0))
-    for n in (2, 3, 6):
-        assert jacobi_largest_zero(JacobiSpec(1, 1, n, 1)) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_largest_zero_refined_and_rightmost():
-    spec = JacobiSpec(1, 0, 3, 3)
-    z = jacobi_largest_zero(spec)
-    assert abs(jacobi_eval(spec, z)) < 1e-11
-    # no sign change to the right of the zero
-    grid = np.linspace(z + 1e-9, 1.0, 200)
-    assert np.all(jacobi_eval(spec, grid) > 0)
-    # bisection-style bracket from the tridiagonal eigenvalues contains it
-    zeros = jacobi_zeros(spec)
-    assert zeros[-2] < z <= zeros[-1] + 1e-10
 
 
 def test_measure_moment_values():

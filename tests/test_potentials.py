@@ -125,7 +125,7 @@ def test_classify_sampled_check_passes_for_builtin_kinds(h):
 def test_classify_still_runs_the_sampled_check(monkeypatch):
     import spherelp.potentials as potentials
 
-    monkeypatch.setattr(potentials, "potential_derivative", lambda h, t, order=1: -np.ones_like(t))
+    monkeypatch.setattr(potentials, "potential_derivative", lambda h, t: -np.ones_like(t))
     with pytest.raises(RuntimeError, match="first derivative sampled negative"):
         classify(riesz(1))
 

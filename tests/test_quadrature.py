@@ -101,6 +101,60 @@ def test_degree_one_interval_endpoints():
         assert hi2 == pytest.approx(0.0, abs=1e-13)
 
 
+def _mp_jacobi(mpmath, alpha, beta, j, t):
+    """P_0(t), ..., P_j(t) of the Jacobi family (alpha, beta), and P_j'(t), by
+    the classical three-term recurrence (DLMF 18.9.1) in the working precision."""
+    p = [mpmath.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2]
+    dp = [mpmath.mpf(0), (alpha + beta + 2) / 2]
+    for i in range(2, j + 1):
+        s = 2 * i + alpha + beta
+        c0 = 2 * i * (i + alpha + beta) * (s - 2)
+        c1 = (s - 1) * (alpha**2 - beta**2)
+        c2 = (s - 1) * s * (s - 2)
+        c3 = 2 * (i + alpha - 1) * (i + beta - 1) * s
+        dp.append(((c2 * t + c1) * dp[i - 1] + c2 * p[i - 1] - c3 * dp[i - 2]) / c0)
+        p.append(((c2 * t + c1) * p[i - 1] - c3 * p[i - 2]) / c0)
+    return p[: j + 1], dp[j]
+
+
+def _mp_largest_zero(mpmath, n, b, j, start):
+    """Largest zero of the degree-j (1, b) adjacent Jacobi polynomial: Newton
+    from ``start``, then a Sturm count (sign changes of P_0..P_j, which equal
+    the number of zeros of P_j above a point) on either side of the root."""
+    alpha, beta = 1 + mpmath.mpf(n - 3) / 2, b + mpmath.mpf(n - 3) / 2
+    t = mpmath.mpf(start)
+    for _ in range(50):
+        p, dp = _mp_jacobi(mpmath, alpha, beta, j, t)
+        t -= p[j] / dp
+        if abs(p[j] / dp) < mpmath.mpf("1e-45"):
+            break
+
+    def zeros_above(x):
+        p = _mp_jacobi(mpmath, alpha, beta, j, x)[0]
+        return sum(1 for u, v in zip(p, p[1:]) if u * v < 0)
+
+    tiny = mpmath.mpf("1e-40")
+    assert (zeros_above(t - tiny), zeros_above(t + tiny)) == (1, 0), (n, b, j, start)
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 30])
+def test_validity_interval_endpoints_match_extended_precision_reference(n):
+    # [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] are top eigenvalues of Jacobi
+    # matrices; each must be the largest zero of its polynomial to 2e-15
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for m in range(1, 26):
+            k, eps = split_degree(m)
+            lo, hi = validity_interval(n, m)
+            for (b, j), end in (((1 - eps, k - 1 + eps), lo), ((eps, k), hi)):
+                if j == 0:
+                    assert end == -1.0  # t_0^{1,1} = -1 by convention
+                    continue
+                ref = _mp_largest_zero(mpmath, n, b, j, end)
+                assert abs(ref - end) <= 2e-15, (m, b, j, end, float(ref))
+
+
 def test_select_degree_from_s():
     assert select_degree_from_s(4, -1.0)[0] == 1
     # t_1^{1,1} = 0 is shared by degrees 2 and 3; ties go down
