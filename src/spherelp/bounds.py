@@ -22,16 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import check_weights
-from .hermite import (
-    HermiteOperator,
-    NodeMultiset,
-    dominance_grid,
-    hermite_interpolant,
-    hermite_operator,
-    ulb_nodes,
-    uub_nodes,
-    verify_dominance,
-)
+from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, _closed_form_class, derivative_nonneg_from, potential_eval
 from .quadrature import (
@@ -132,10 +123,11 @@ class _CertificateSetup(NamedTuple):
 
 
 def _certificate_setup(
-    rule: QuadratureRule, multiset: NodeMultiset, interval: tuple[float, float], node_degree: int
+    rule: QuadratureRule, doubled: slice, interval: tuple[float, float], node_degree: int
 ) -> _CertificateSetup:
     """The part of a certificate check on the rule that does not depend on h.
 
+    ``doubled`` slices the nodes where the certificate also matches h'.
     P_0..P_node_degree at the nodes give the Hermite operator's value rows;
     the dominance grid on the interval and its table P_0..P_m (both
     read-only) turn each dominance check into one product.
@@ -144,7 +136,7 @@ def _certificate_setup(
     grid = dominance_grid(*interval, rule.nodes)
     table = gegenbauer_table(rule.n, rule.m, grid)
     grid.flags.writeable = table.flags.writeable = False
-    return _CertificateSetup(node_table, hermite_operator(multiset, rule.n, node_table), grid, table)
+    return _CertificateSetup(node_table, hermite_operator(rule.nodes, doubled, rule.n, node_table), grid, table)
 
 
 class _UlbSetup(NamedTuple):
@@ -165,7 +157,7 @@ def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
     """
     rule = solve_ulb_rule(n, capacity)
     # P_0..P_3m at the nodes serve both the Q_j scan and the operator's value rows
-    setup = _certificate_setup(rule, ulb_nodes(rule.nodes, rule.eps), ULB_INTERVAL, 3 * rule.m)
+    setup = _certificate_setup(rule, slice(rule.eps, None), ULB_INTERVAL, 3 * rule.m)
     return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, setup.node_table), setup)
 
 
@@ -173,7 +165,7 @@ def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport
     rule, scan, certificate = setup
     n = rule.n
     value = _rule_energy(rule, h)
-    cert = hermite_interpolant(h, certificate.operator, n)
+    cert = hermite_interpolant(h, certificate.operator)
     checks = [CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual)]
     ok_dom, violation = verify_dominance(cert.gegenbauer, h, "below", certificate.grid, certificate.table)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
@@ -253,7 +245,7 @@ def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[Check
 
 
 def _upper_bound(
-    n: int, capacity: float, s: float, m: int, h: Potential, design: bool, allow_outside: bool
+    n: int, capacity: float, s: float, m: int, h: Potential, design: bool
 ) -> BoundReport:
     """Upper bound at maximal inner product s from the degree-m rule.
 
@@ -265,12 +257,12 @@ def _upper_bound(
     """
     if not (isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
-    lp = levenshtein_polynomial(n, m, s, allow_outside_validity=allow_outside)
+    lp = levenshtein_polynomial(n, m, s, allow_outside_validity=True)
     rule = lp.rule
     n1 = rule.capacity
 
-    setup = _certificate_setup(rule, uub_nodes(rule.nodes, rule.eps), (-1.0, s), m)
-    g_t = hermite_interpolant(h, setup.operator, n)
+    setup = _certificate_setup(rule, slice(rule.eps, -1), (-1.0, s), m)
+    g_t = hermite_interpolant(h, setup.operator)
     checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
     gt = np.asarray(g_t.gegenbauer.coeffs)
     f = np.asarray(lp.gegenbauer.coeffs)
@@ -353,7 +345,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     m = select_degree_from_s(n, s)[0] if m_override is None else m_override
     if not derivative_nonneg_from(h, m):
         raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
-    return _upper_bound(n, capacity, s, m, h, design=False, allow_outside=m_override is not None)
+    return _upper_bound(n, capacity, s, m, h, design=False)
 
 
 def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> BoundReport:
@@ -367,4 +359,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
         raise ValueError("s must lie in [-1, 1)")
     if not derivative_nonneg_from(h, tau):
         raise ValueError(f"potential {h.label()} lacks h^({tau}) >= 0")
-    return _upper_bound(n, capacity, s, tau, h, design=True, allow_outside=True)
+    return _upper_bound(n, capacity, s, tau, h, design=True)

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import os
 import sys
 
@@ -20,8 +19,6 @@ import numpy as np
 
 from . import _tables, bounds, codes
 from .potentials import parse_potential
-
-log = logging.getLogger("spherelp")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +112,11 @@ def _resolve_capacity(args):
     if getattr(args, "weights_file", None):
         with open(args.weights_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        weights = codes.check_weights(data["weights"] if isinstance(data, dict) else data)
+        if isinstance(data, dict):
+            if "weights" not in data:
+                raise ValueError(f"weights file {args.weights_file}: field 'weights' is missing")
+            data = data["weights"]
+        weights = codes.check_weights(data)
         return float(1.0 / np.dot(weights, weights)), None
     code = load_config(args.config)
     return code.n_w, code
@@ -195,7 +196,6 @@ def cmd_lower(args) -> int:
     if design:
         report = bounds.design_ulb(n, capacity, args.tau, h)
     else:
-        log.info("ulb n=%d capacity=%.12g potential=%s", n, capacity, h.label())
         report = bounds.ulb(n, capacity, h)
     return _print_report(args, report)
 
@@ -374,14 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging():
-    level = os.environ.get("SPHERE_LP_LOG", "off").lower()
-    if level in ("info", "debug"):
-        logging.basicConfig(level=getattr(logging, level.upper()), stream=sys.stderr)
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -502,6 +502,9 @@ def code_from_json(text: str) -> WeightedCode:
     n = data.get("n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"code field 'n' must be an integer, got {n!r}")
+    for key in ("points", "weights"):
+        if key not in data:
+            raise ValueError(f"code field '{key}' is missing")
     return WeightedCode(
         n,
         np.asarray(data["points"], dtype=float),

@@ -8,7 +8,7 @@ from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron
-from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, uub_nodes
+from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator
 from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -292,7 +292,7 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
     for n, capacity, s, tau, h in cases:
         report = design_uub(n, capacity, s, tau, h)
         rule = report.rule
-        g_t = hermite_interpolant(h, hermite_operator(uub_nodes(rule.nodes, rule.eps), n), n).gegenbauer
+        g_t = hermite_interpolant(h, hermite_operator(rule.nodes, slice(rule.eps, -1), n)).gegenbauer
         assert report.certificate == g_t
         assert report.lambda_star == 0.0
         g0, g1 = g_t.coeffs[0], g_t.value_at_one()
@@ -405,9 +405,9 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     calls = []
     build = hermite.hermite_operator
 
-    def counting_build(nodes, n, *values):
+    def counting_build(points, doubled, n, *values):
         calls.append(n)
-        return build(nodes, n, *values)
+        return build(points, doubled, n, *values)
 
     monkeypatch.setattr(bounds, "hermite_operator", counting_build)
     monkeypatch.setattr(hermite, "hermite_operator", counting_build)

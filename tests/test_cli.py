@@ -220,8 +220,10 @@ def test_malformed_code_file(tmp_path, capsys):
     [
         ([[1.0, 0.0, 0.0]], "must hold a JSON object"),
         ({"n": 3.7, "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}, "field 'n' must be an integer"),
+        ({"n": 3}, "code field 'points' is missing"),
+        ({"n": 3, "points": [[1.0, 0.0, 0.0]]}, "code field 'weights' is missing"),
     ],
-    ids=["array", "fractional-n"],
+    ids=["array", "fractional-n", "no-points", "no-weights"],
 )
 def test_code_file_of_wrong_shape_is_a_usage_error(tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
@@ -229,6 +231,14 @@ def test_code_file_of_wrong_shape_is_a_usage_error(tmp_path, capsys, payload, me
     code, out, err = run(capsys, "energy", "--config", str(bad), "--potential", "riesz:1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_weights_file_without_weights_field_is_a_usage_error(tmp_path, capsys):
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"w": [0.5, 0.5]}))
+    code, out, err = run(capsys, "ulb", "--n", "3", "--weights-file", str(wf), "--potential", "riesz:1")
+    assert code == 1 and out == ""
+    assert err == f"error: weights file {wf}: field 'weights' is missing\n"
 
 
 def test_energy_one_point_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ were re-pinned once more when upper bounds moved to the lower bounds'
 dominance check (one product with the grid's Gegenbauer table instead of
 Clenshaw) and read ``nodes_touch`` from the node table: only the values
 of ``dominance_above`` and ``nodes_touch`` moved, by at most 2.3e-16.
+``reproduce-all-json`` pins every computed cell of every reference table.
 ``design-uub`` reports are compared on parsed JSON instead: its value may
 move in the last bits, and its diagnostics are matched by name.
 """
@@ -84,6 +85,7 @@ CASES = {
     "test-functions-text": ("test-functions", "--n", "4", "--capacity", "24", "--jmax", "12", "--format", "text"),
     "test-functions-csv": ("test-functions", "--n", "3", "--capacity", "14", "--jmax", "9", "--format", "csv"),
     "test-functions-jmax-zero": ("test-functions", "--n", "3", "--capacity", "31.9565", "--jmax", "0"),
+    "reproduce-all-json": ("reproduce", "--table", "all", "--format", "json"),
     **{
         f"config-{spelling}": ("energy", "--config", spelling, "--potential", "riesz:1")
         for spelling in CONFIG_SPELLINGS

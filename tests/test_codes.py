@@ -317,6 +317,8 @@ def test_json_round_trip_exact():
         ('{"n": "3", "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got '3'"),
         ('{"n": true, "points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got True"),
         ('{"points": [[1.0, 0.0, 0.0]], "weights": [1.0]}', "field 'n' must be an integer, got None"),
+        ('{"n": 3}', "code field 'points' is missing"),
+        ('{"n": 3, "points": [[1.0, 0.0, 0.0]]}', "code field 'weights' is missing"),
     ],
 )
 def test_code_from_json_rejects_malformed_payload(text, message):

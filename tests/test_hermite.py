@@ -5,15 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spherelp.bounds import ULB_INTERVAL, design_uub, ulb, uub
-from spherelp.hermite import (
-    NodeMultiset,
-    dominance_grid,
-    hermite_interpolant,
-    hermite_operator,
-    ulb_nodes,
-    uub_nodes,
-    verify_dominance,
-)
+from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -27,10 +19,17 @@ from spherelp.potentials import (
 from spherelp.quadrature import dgs_bound, rule_from_s, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
+ALL = slice(0, None)  # every node doubled
 
 
-def _interpolant(h, multiset, n):
-    return hermite_interpolant(h, hermite_operator(multiset, n), n)
+def _doubled(rule, upper):
+    """The nodes where a bound's certificate matches h': all but -1 for lower
+    bounds, also all but s for upper bounds."""
+    return slice(rule.eps, -1 if upper else None)
+
+
+def _interpolant(h, points, doubled, n):
+    return hermite_interpolant(h, hermite_operator(points, doubled, n))
 
 
 def _dominance(series, h, direction, lo, hi, nodes=()):
@@ -39,29 +38,10 @@ def _dominance(series, h, direction, lo, hi, nodes=()):
     return verify_dominance(series, h, direction, grid, gegenbauer_table(series.n, series.degree, grid))
 
 
-def test_multiset_validation():
-    with pytest.raises(ValueError):
-        NodeMultiset(((0.5, 2), (-0.5, 2)))  # not ascending
-    with pytest.raises(ValueError):
-        NodeMultiset(((-0.5, 1), (0.5, 2)))  # simple node away from -1 / endpoint
-    with pytest.raises(ValueError):
-        NodeMultiset(((-0.5, 3),))
-    ok = NodeMultiset(((-1.0, 1), (0.0, 2), (0.5, 1)))
-    assert ok.total == 4
-
-
-def test_multiset_builders():
-    nodes = (-1.0, -0.3, 0.4)
-    assert ulb_nodes(nodes, 1).entries == ((-1.0, 1), (-0.3, 2), (0.4, 2))
-    assert ulb_nodes(nodes[1:], 0).entries == ((-0.3, 2), (0.4, 2))
-    assert uub_nodes(nodes, 1).entries == ((-1.0, 1), (-0.3, 2), (0.4, 1))
-    assert uub_nodes(nodes[1:], 0).entries == ((-0.3, 2), (0.4, 1))
-
-
 def test_constant_potential_reproduced_exactly():
     # a polynomial h of degree <= total-1 is its own interpolant
     h = newton(2)
-    report = _interpolant(h, ulb_nodes((-0.7, -0.1, 0.6), 0), 3)
+    report = _interpolant(h, (-0.7, -0.1, 0.6), ALL, 3)
     assert_allclose(report.gegenbauer.coeffs, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), atol=1e-12)
     assert report.node_residual < 1e-12
 
@@ -69,7 +49,7 @@ def test_constant_potential_reproduced_exactly():
 def test_single_doubled_node_is_tangent_line():
     h = riesz(1)
     a = -0.25
-    report = _interpolant(h, ulb_nodes((a,), 0), 3)
+    report = _interpolant(h, (a,), ALL, 3)
     want = (
         potential_eval(h, a) - a * potential_derivative(h, a),
         potential_derivative(h, a),
@@ -82,7 +62,7 @@ def test_uub_degree_two_closed_form():
     # simple nodes {-1, s}: the secant line through the endpoints
     h = gaussian(1.5)
     s = 0.35
-    report = _interpolant(h, NodeMultiset(((-1.0, 1), (s, 1))), 4)
+    report = _interpolant(h, (-1.0, s), slice(1, -1), 4)
     hs, hm = potential_eval(h, s), potential_eval(h, -1.0)
     want = ((hs + s * hm) / (1 + s), (hs - hm) / (1 + s))
     assert_allclose(report.gegenbauer.coeffs, want, rtol=1e-12)
@@ -91,7 +71,7 @@ def test_uub_degree_two_closed_form():
 def test_interpolation_conditions_on_rule_nodes():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     for h in (riesz(1), gaussian(2.0), logarithmic(), fejes_toth()):
-        report = _interpolant(h, ulb_nodes(rule.nodes, rule.eps), 3)
+        report = _interpolant(h, rule.nodes, _doubled(rule, False), 3)
         assert report.gegenbauer.degree <= rule.m
         assert report.node_residual < 1e-10
 
@@ -100,14 +80,14 @@ def test_interpolation_conditions_on_rule_nodes():
 @pytest.mark.parametrize("n,capacity", [(3, 20.0), (4, 24.0), (8, 50.0), (3, PENTAKIS_CAPACITY)])
 def test_ulb_interpolant_positive_definite(h, n, capacity):
     rule = solve_ulb_rule(n, capacity)
-    report = _interpolant(h, ulb_nodes(rule.nodes, rule.eps), n)
+    report = _interpolant(h, rule.nodes, _doubled(rule, False), n)
     coeffs = np.asarray(report.gegenbauer.coeffs)
     assert np.min(coeffs[1:]) >= -1e-9
 
 
 def test_dominance_below_for_table_rule():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    report = _interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
+    report = _interpolant(riesz(1), rule.nodes, _doubled(rule, False), 3)
     ok, violation = _dominance(report.gegenbauer, riesz(1), "below", -1.0, 0.999, rule.nodes)
     assert ok and violation <= 1e-9
 
@@ -149,14 +129,14 @@ def test_dominance_on_a_tabulated_grid_matches_clenshaw(h):
 
 def test_dominance_zero_for_exact_match():
     h = newton(2)
-    report = _interpolant(h, ulb_nodes((-0.5, 0.2), 0), 3)
+    report = _interpolant(h, (-0.5, 0.2), ALL, 3)
     ok, violation = _dominance(report.gegenbauer, h, "below", -1.0, 0.999)
     assert ok and violation == 0.0
 
 
 def test_dominance_negative_control():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    report = _interpolant(riesz(1), ulb_nodes(rule.nodes, rule.eps), 3)
+    report = _interpolant(riesz(1), rule.nodes, _doubled(rule, False), 3)
     broken = _lifted(report.gegenbauer, 0, 1e-3)  # the certificate touches h at the nodes
     ok, violation = _dominance(broken, riesz(1), "below", -1.0, 0.999, rule.nodes)
     assert not ok and violation > 1e-9
@@ -167,10 +147,26 @@ def test_dominance_negative_control():
 
 
 def test_nodes_above_one_rejected():
+    for points in ((0.5, 1.0), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="below 1"):
+            hermite_operator(points, slice(0, -1), 3)
     with pytest.raises(ValueError):
-        hermite_operator(NodeMultiset(((0.5, 2), (1.0, 1))), 3)
-    with pytest.raises(ValueError):
-        _dominance(_interpolant(riesz(1), ulb_nodes((0.0,), 0), 3).gegenbauer, riesz(1), "sideways", -1.0, 0.5)
+        _dominance(_interpolant(riesz(1), (0.0,), ALL, 3).gegenbauer, riesz(1), "sideways", -1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "points,doubled",
+    [
+        # a repeated node whose value and slope rows stay independent: the
+        # LU factorisation succeeds, so only the ordering check catches it
+        ((-1.0, -0.3, -0.3, 0.5), slice(1, 3)),
+        ((0.5, -0.5), ALL),
+    ],
+    ids=["repeated", "descending"],
+)
+def test_nodes_not_strictly_ascending_rejected(points, doubled):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        hermite_operator(points, doubled, 3)
 
 
 def _dominance_grid_loop(lo, hi, nodes, points=4001):
@@ -198,19 +194,18 @@ def test_dominance_grid_matches_per_node_loop(lo, hi, nodes):
     assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
 
 
-def _node_residual_loop(h, multiset, series):
+def _node_residual_loop(h, points, doubled, series):
     """Reference: the interpolation defect with one evaluation per node, slopes
     from P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2."""
     n, c = series.n, np.asarray(series.coeffs)
-    pts = np.array([a for a, _ in multiset.entries])
+    pts = np.array(points)
     hvals = potential_eval(h, pts)
     scale = max(1.0, float(np.max(np.abs(hvals))))
     residual = max(abs(float(series(a)) - float(potential_eval(h, a))) for a in pts) / scale
     j = np.arange(1, c.size)
-    for a, mult in multiset.entries:
-        if mult == 2:
-            slope = float(c[1:] @ (j * (j + n - 2) / (n - 1) * gegenbauer_table(n + 2, c.size - 2, a)))
-            residual = max(residual, abs(slope - float(potential_derivative(h, a))) / scale)
+    for a in pts[doubled]:
+        slope = float(c[1:] @ (j * (j + n - 2) / (n - 1) * gegenbauer_table(n + 2, c.size - 2, a)))
+        residual = max(residual, abs(slope - float(potential_derivative(h, a))) / scale)
     return residual
 
 
@@ -219,11 +214,11 @@ def test_node_residual_matches_per_node_loop(h):
     for m in range(1, 21):
         lo, hi = validity_interval(4, m)
         rule = rule_from_s(4, m, 0.5 * (lo + hi))
-        for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
-            report = _interpolant(h, multiset, 4)
+        for doubled in (_doubled(rule, False), _doubled(rule, True)):
+            report = _interpolant(h, rule.nodes, doubled, 4)
             # both are round-off: the system residual and the per-node evaluation
             assert report.node_residual <= 1e-14
-            assert abs(report.node_residual - _node_residual_loop(h, multiset, report.gegenbauer)) <= 1e-14
+            assert abs(report.node_residual - _node_residual_loop(h, rule.nodes, doubled, report.gegenbauer)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 30])
@@ -244,21 +239,20 @@ def test_gegenbauer_derivative_identity(n):
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
-def _mp_hermite_rows(mpmath, n, multiset):
+def _mp_hermite_rows(mpmath, n, points, doubled):
     """Rows P_j and P_j' at the nodes, from the three-term recurrence and its
     derivative in extended precision (not from the identity under test)."""
-    d = multiset.total - 1
+    d = len(points) + len(points[doubled]) - 1
     values, slopes = [], []
-    for a, mult in multiset.entries:
+    for a in points:
         t = mpmath.mpf(a)
         p, dp = [mpmath.mpf(1), t], [mpmath.mpf(0), mpmath.mpf(1)]
         for i in range(1, d):
             p.append(((2 * i + n - 2) * t * p[i] - i * p[i - 1]) / (i + n - 2))
             dp.append(((2 * i + n - 2) * (p[i] + t * dp[i]) - i * dp[i - 1]) / (i + n - 2))
         values.append(p[: d + 1])
-        if mult == 2:
-            slopes.append(dp[: d + 1])
-    return values + slopes
+        slopes.append(dp[: d + 1])
+    return values + slopes[doubled]
 
 
 # n = 30 sits at the floor set by rounding the jet to double: a 50-digit solve
@@ -279,14 +273,13 @@ def test_hermite_coefficients_match_extended_precision_reference(n):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.95):
                 rule = rule_from_s(n, m, lo + frac * (hi - lo))
-                for multiset in (ulb_nodes(rule.nodes, rule.eps), uub_nodes(rule.nodes, rule.eps)):
-                    rows = mpmath.matrix(_mp_hermite_rows(mpmath, n, multiset))
-                    nodes = [mpmath.mpf(a) for a, _ in multiset.entries]
-                    doubled = [mpmath.mpf(a) for a, mult in multiset.entries if mult == 2]
+                for doubled in (_doubled(rule, False), _doubled(rule, True)):
+                    rows = mpmath.matrix(_mp_hermite_rows(mpmath, n, rule.nodes, doubled))
+                    nodes = [mpmath.mpf(a) for a in rule.nodes]
                     for h, (f, df) in jets.items():
-                        jet = mpmath.matrix([f(a) for a in nodes] + [df(a) for a in doubled])
+                        jet = mpmath.matrix([f(a) for a in nodes] + [df(a) for a in nodes[doubled]])
                         ref = np.array([float(c) for c in mpmath.lu_solve(rows, jet)])
-                        got = np.asarray(_interpolant(h, multiset, n).gegenbauer.coeffs)
+                        got = np.asarray(_interpolant(h, rule.nodes, doubled, n).gegenbauer.coeffs)
                         error = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                         assert error <= HERMITE_RTOL[n], (m, frac, h.label(), error)
 
@@ -295,19 +288,20 @@ def test_defect_is_the_residual_of_the_system():
     from dataclasses import replace
 
     rule = solve_ulb_rule(4, 24.0)
-    op = hermite_operator(ulb_nodes(rule.nodes, rule.eps), 4)
-    assert hermite_interpolant(riesz(1), op, 4).node_residual <= 1e-14
+    op = hermite_operator(rule.nodes, _doubled(rule, False), 4)
+    assert hermite_interpolant(riesz(1), op).node_residual <= 1e-14
     # coefficients solved on the factors but checked against a matrix off by 1e-6
     off = replace(op, matrix=op.matrix + 1e-6)
-    assert hermite_interpolant(riesz(1), off, 4).node_residual > 1e-7
+    assert hermite_interpolant(riesz(1), off).node_residual > 1e-7
 
 
 def test_operator_is_read_only_and_matches_a_fresh_build():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    multiset = ulb_nodes(rule.nodes, rule.eps)
-    op = hermite_operator(multiset, 3)
-    assert op.matrix.shape == (multiset.total, multiset.total)
+    doubled = _doubled(rule, False)
+    op = hermite_operator(rule.nodes, doubled, 3)
+    total = len(rule.nodes) + len(rule.nodes[doubled])
+    assert op.n == 3 and op.matrix.shape == (total, total)
     for array in (op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
         assert not array.flags.writeable
     for h in (riesz(1), gaussian(2.0), logarithmic()):
-        assert hermite_interpolant(h, op, 3) == _interpolant(h, multiset, 3)
+        assert hermite_interpolant(h, op) == _interpolant(h, rule.nodes, doubled, 3)
