@@ -24,7 +24,7 @@ import numpy as np
 from .codes import check_weights
 from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from .orthopoly import GegenbauerSeries, gegenbauer_table
-from .potentials import Potential, _closed_form_class, derivative_nonneg_from, potential_eval
+from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
 from .quadrature import (
     QuadratureRule,
     dgs_bound,
@@ -237,7 +237,7 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
     positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
     lam = max((gt[i] / f[i] for i in positive), default=0.0)
-    if _closed_form_class(h).absolutely_monotone and f.size > 2:
+    if classify(h).absolutely_monotone and f.size > 2:
         shortcut = float(max((gt[i] / f[i] for i in range(1, min(gt.size, f.size - 1))), default=0.0))
         agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
         checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
@@ -342,7 +342,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     """
     if not -1 <= s < 1:
         raise ValueError("s must lie in [-1, 1)")
-    m = select_degree_from_s(n, s)[0] if m_override is None else m_override
+    m = select_degree_from_s(n, s) if m_override is None else m_override
     if not derivative_nonneg_from(h, m):
         raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
     return _upper_bound(n, capacity, s, m, h, design=False)

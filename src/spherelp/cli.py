@@ -91,10 +91,10 @@ CONFIG_HELP = " | ".join(
 
 
 def load_config(spec: str) -> codes.WeightedCode:
-    name, _, param = spec.partition(":")
+    name, colon, param = spec.partition(":")
     name = codes.CONFIG_SPELLINGS.get(name.strip().lower())
     if name is not None:
-        return codes.build_config(name, int(param) if codes.CONFIGS[name].param and param else None)
+        return codes.build_config(name, param if colon else None)
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return codes.code_from_json(fh.read())
@@ -102,14 +102,14 @@ def load_config(spec: str) -> codes.WeightedCode:
 
 
 def _resolve_capacity(args):
-    sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name, None)]
+    sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name)]
     if len(sources) != 1:
         raise UsageError("exactly one of --capacity, --weights-file, --config is required")
     if args.capacity is not None:
         if not args.capacity > 2:
             raise UsageError("capacity must exceed 2")
         return args.capacity, None
-    if getattr(args, "weights_file", None):
+    if args.weights_file:
         with open(args.weights_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict):
@@ -178,22 +178,14 @@ def _print_report(args, report) -> int:
     return EXIT_OK
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for this command")
-
-
 def cmd_lower(args) -> int:
     """``ulb`` and ``design-ulb``: lower bounds at a capacity."""
     capacity, code = _resolve_capacity(args)
-    design = args.command == "design-ulb"
-    _require(args, ["tau", "potential"] if design else ["potential"])
     n = args.n if args.n is not None else (code.n if code else None)
     if n is None:
         raise UsageError("--n is required when no --config is given")
     h = parse_potential(args.potential, n)
-    if design:
+    if args.command == "design-ulb":
         report = bounds.design_ulb(n, capacity, args.tau, h)
     else:
         report = bounds.ulb(n, capacity, h)
@@ -207,10 +199,8 @@ def cmd_upper(args) -> int:
     s = args.s if args.s is not None else (code.max_inner_product if code else None)
     if n is None or s is None:
         raise UsageError("--n and --s are required when no --config is given")
-    design = args.command == "design-uub"
-    _require(args, ["tau", "potential"] if design else ["potential"])
     h = parse_potential(args.potential, n)
-    if design:
+    if args.command == "design-uub":
         report = bounds.design_uub(n, capacity, s, args.tau, h)
     else:
         report = bounds.uub(n, capacity, s, h, m_override=args.m_override)
@@ -218,7 +208,6 @@ def cmd_upper(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    _require(args, ["config", "potential"])
     code = load_config(args.config)
     h = parse_potential(args.potential, code.n)
     value = codes.energy(code, h)
@@ -238,10 +227,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_design_check(args) -> int:
-    _require(args, ["config"])
     code = load_config(args.config)
-    tau_max = args.tau if args.tau is not None else 12
-    report = codes.design_strength(code, tau_max, args.tol)
+    report = codes.design_strength(code, args.tau, args.tol)
     payload = {
         "schema": 1,
         "command": "design-check",
@@ -258,7 +245,6 @@ def cmd_design_check(args) -> int:
 
 
 def cmd_test_functions(args) -> int:
-    _require(args, ["n", "capacity", "jmax"])
     report = bounds.test_functions(args.n, args.capacity, args.jmax)
 
     def classify_value(j, v):
@@ -318,53 +304,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spherelp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_rule_flags=True):
-        p.add_argument("--n", type=int, help="dimension of the ambient space")
-        p.add_argument("--potential", help="riesz:A | newton | gaussian:A | log | fejes-toth | shift:C:BASE")
+    def command(name, summary, func):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        if with_rule_flags:
-            p.add_argument("--capacity", type=float, help="effective cardinality N_W (or N_1 source)")
-            p.add_argument("--weights-file", help="JSON file holding the weight vector")
-            p.add_argument("--config", help=CONFIG_HELP)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ulb", help="lower bound on weighted energy")
-    common(p)
-    p.set_defaults(func=cmd_lower)
+    potential = "riesz:A | newton | gaussian:A | log | fejes-toth | shift:C:BASE"
+    for name, summary, func in (
+        ("ulb", "lower bound on weighted energy", cmd_lower),
+        ("uub", "upper bound on weighted energy at maximal inner product s", cmd_upper),
+        ("design-ulb", "lower bound for weighted designs", cmd_lower),
+        ("design-uub", "upper bound for weighted designs", cmd_upper),
+    ):
+        p = command(name, summary, func)
+        p.add_argument("--n", type=int, help="dimension of the ambient space (default: the config's)")
+        p.add_argument("--potential", required=True, help=potential)
+        p.add_argument("--capacity", type=float, help="effective cardinality N_W (or N_1 source)")
+        p.add_argument("--weights-file", help="JSON file holding the weight vector")
+        p.add_argument("--config", help=CONFIG_HELP)
+        if func is cmd_upper:
+            p.add_argument("--s", type=float, help="maximal inner product (default: the config's)")
+        if name == "uub":
+            p.add_argument("--m-override", type=int, help="force the Levenshtein degree (table-reproduction mode)")
+        elif name.startswith("design"):
+            p.add_argument(
+                "--tau", type=int, required=True,
+                help="rule degree; the code must be a design of strength tau (design-ulb) or tau-1 (design-uub)",
+            )
 
-    p = sub.add_parser("uub", help="upper bound on weighted energy at maximal inner product s")
-    common(p)
-    p.add_argument("--s", type=float, help="maximal inner product")
-    p.add_argument("--m-override", type=int, help="force the Levenshtein degree (table-reproduction mode)")
-    p.set_defaults(func=cmd_upper)
+    p = command("energy", "weighted energy of a configuration", cmd_energy)
+    p.add_argument("--config", required=True, help=CONFIG_HELP)
+    p.add_argument("--potential", required=True, help=potential)
 
-    p = sub.add_parser("design-ulb", help="lower bound for weighted designs")
-    common(p)
-    p.add_argument("--tau", type=int, help="design strength / rule degree")
-    p.set_defaults(func=cmd_lower)
-
-    p = sub.add_parser("design-uub", help="upper bound for weighted designs")
-    common(p)
-    p.add_argument("--s", type=float, help="maximal inner product")
-    p.add_argument("--tau", type=int, help="rule degree (certificate degree tau-1 must not exceed the design strength)")
-    p.set_defaults(func=cmd_upper)
-
-    p = sub.add_parser("energy", help="weighted energy of a configuration")
-    common(p, with_rule_flags=False)
-    p.add_argument("--config", help=CONFIG_HELP)
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("design-check", help="verify design strength by weighted moments")
-    common(p, with_rule_flags=False)
-    p.add_argument("--config", help=CONFIG_HELP)
-    p.add_argument("--tau", type=int, help="largest moment order to inspect (default 12)")
+    p = command("design-check", "verify design strength by weighted moments", cmd_design_check)
+    p.add_argument("--config", required=True, help=CONFIG_HELP)
+    p.add_argument("--tau", type=int, default=12, help="largest moment order to inspect (default 12)")
     p.add_argument("--tol", type=float, default=1e-9, help="moment tolerance")
-    p.set_defaults(func=cmd_design_check)
 
-    p = sub.add_parser("test-functions", help="test-function values Q_j for a capacity")
-    common(p, with_rule_flags=False)
-    p.add_argument("--capacity", type=float)
-    p.add_argument("--jmax", type=int)
-    p.set_defaults(func=cmd_test_functions)
+    p = command("test-functions", "test-function values Q_j for a capacity", cmd_test_functions)
+    p.add_argument("--n", type=int, required=True, help="dimension of the ambient space")
+    p.add_argument("--capacity", type=float, required=True, help="effective cardinality N_W")
+    p.add_argument("--jmax", type=int, required=True, help="largest index j of Q_j")
 
     p = sub.add_parser("reproduce", help="regenerate reference tables and compare")
     p.add_argument("--table", required=True, choices=sorted(_tables.TABLES) + ["all"])

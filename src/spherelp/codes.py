@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 from math import comb, fsum, isfinite, sqrt
+from operator import index
 
 import numpy as np
 
@@ -424,20 +425,26 @@ CONFIG_SPELLINGS = {
 }
 
 
-def _require_dim(n):
-    if n is None:
-        raise ValueError("this configuration needs a dimension or point-count parameter")
-    return int(n)
-
-
-def build_config(name: str, n: int | None = None) -> WeightedCode:
-    """Construct a named configuration; n is the dimension (or the point
-    count for regular polygons) and is ignored by the fixed ones."""
+def build_config(name: str, n: int | str | None = None) -> WeightedCode:
+    """Construct a named configuration.  A fixed one takes no n; a
+    parameterised one needs n, its dimension (or the point count of a
+    regular polygon), an integer >= 1 given as an int or in decimal."""
     try:
         entry = CONFIGS[name]
     except KeyError:
         raise ValueError(f"unknown configuration {name!r}") from None
-    return entry.build(_require_dim(n)) if entry.param else entry.build()
+    if not entry.param:
+        if n is not None:
+            raise ValueError(f"configuration {name!r} takes no parameter, got {n!r}")
+        return entry.build()
+    try:
+        value = int(n) if isinstance(n, str) else index(n)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        got = "" if n is None else f", got {n!r}"
+        raise ValueError(f"configuration {name!r} needs an integer parameter {entry.param} >= 1{got}")
+    return entry.build(value)
 
 
 def with_equal_weights(code: WeightedCode) -> WeightedCode:
@@ -469,7 +476,8 @@ def closed_form_energy(name: str, n: int | None, h: Potential) -> float:
             ]
         )
     if name == "cube_crosspolytope":
-        n = _require_dim(n)
+        if n is None:
+            raise ValueError("cube_crosspolytope needs a dimension n")
         w_p = 1.0 / (2 * n + n * n)
         w_c = n * n / (2**n * (2 * n + n * n))
         rn = sqrt(n)

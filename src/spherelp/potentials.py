@@ -162,7 +162,7 @@ def derivative_nonneg_from(h: Potential, order: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _closed_form_class(h: Potential) -> MonotonicityClass:
+def classify(h: Potential) -> MonotonicityClass:
     """Monotonicity flags for h from closed-form per-kind knowledge alone."""
     min_order = min_nonneg_derivative_order(h)
     if h.kind == "logarithmic":
@@ -177,35 +177,6 @@ def _closed_form_class(h: Potential) -> MonotonicityClass:
         strictly_absolutely_monotone=strictly,
         min_nonneg_derivative_order=min_order,
     )
-
-
-_SAMPLE_GRID = np.linspace(-1.0, 0.95, 40)
-
-
-def classify(h: Potential) -> MonotonicityClass:
-    """Monotonicity flags for h, set from closed-form per-kind knowledge.
-
-    Derivative-sign sampling on a fixed grid (values, h', and a central
-    second difference of h') is run only as a consistency check against
-    the claims.
-    """
-    cls = _closed_form_class(h)
-    _consistency_check(h, cls)
-    return cls
-
-
-def _consistency_check(h: Potential, cls: MonotonicityClass) -> None:
-    tol = 1e-7
-    grid = _SAMPLE_GRID
-    if cls.min_nonneg_derivative_order == 0 and np.min(potential_eval(h, grid)) < -tol:
-        raise RuntimeError(f"{h.label()}: claimed nonnegative but sampled value is negative")
-    if np.min(potential_derivative(h, grid)) < -tol:
-        raise RuntimeError(f"{h.label()}: first derivative sampled negative")
-    inner = grid[(grid > -0.999) & (grid < 0.9)]
-    step = 1e-4
-    second = (potential_derivative(h, inner + step) - potential_derivative(h, inner - step)) / (2 * step)
-    if second.size and np.min(second) < -1e-4 * (1.0 + np.max(np.abs(second))):
-        raise RuntimeError(f"{h.label()}: second derivative sampled negative")
 
 
 def parse_potential(text: str, n: int | None = None) -> Potential:

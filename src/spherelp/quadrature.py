@@ -92,8 +92,8 @@ def dgs_bound(n: int, m: int) -> int:
     return comb(n + k - 2 + eps, n - 1) + comb(n + k - 2, n - 1)
 
 
-def select_degree_from_capacity(n: int, capacity: float) -> tuple[int, int, int]:
-    """The unique m >= 1 with D(n, m) < capacity <= D(n, m+1), plus (k, eps).
+def select_degree_from_capacity(n: int, capacity: float) -> int:
+    """The unique m >= 1 with D(n, m) < capacity <= D(n, m+1).
 
     Capacities at or below D(n, 1) = 2 fall into m = 1 by the same
     half-open convention.
@@ -105,8 +105,7 @@ def select_degree_from_capacity(n: int, capacity: float) -> tuple[int, int, int]
         m += 1
         if m > MAX_RULE_DEGREE:
             raise ValueError(f"capacity {capacity} needs degree above cap {MAX_RULE_DEGREE}")
-    k, eps = split_degree(m)
-    return m, k, eps
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -127,15 +126,14 @@ def validity_interval(n: int, m: int) -> tuple[float, float]:
     return lo, largest_zero(eps, k)
 
 
-def select_degree_from_s(n: int, s: float) -> tuple[int, int, int]:
+def select_degree_from_s(n: int, s: float) -> int:
     """The degree m whose validity interval contains s; ties go to smaller m."""
     if not -1 <= s < 1:
         raise ValueError("s must lie in [-1, 1)")
     for m in range(1, MAX_RULE_DEGREE + 1):
         _, hi = validity_interval(n, m)
         if s <= hi:
-            k, eps = split_degree(m)
-            return m, k, eps
+            return m
     raise ValueError(f"s = {s} needs degree above cap {MAX_RULE_DEGREE}")
 
 
@@ -272,7 +270,7 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     """
     if not capacity > 2:
         raise ValueError(f"capacity must exceed 2, got {capacity!r}")
-    m = select_degree_from_capacity(n, capacity)[0]
+    m = select_degree_from_capacity(n, capacity)
     lo, hi = validity_interval(n, m)
 
     def f(x):
@@ -292,15 +290,6 @@ def _rule(n: int, m: int, s: float, capacity: float) -> QuadratureRule:
     k, eps = split_degree(m)
     nodes, weights = compute_weights(n, m, s, capacity)
     return QuadratureRule(n, m, k, eps, tuple(nodes), tuple(weights), float(capacity))
-
-
-def rule_from_s(n: int, m: int, s: float, allow_outside_validity: bool = False) -> QuadratureRule:
-    """Rule whose nodes are the Levenshtein-polynomial roots for (n, m, s).
-
-    The capacity is N_1 = L_m(n, s); this is the upper-bound direction,
-    where s is prescribed and the capacity is derived.
-    """
-    return _rule(n, m, s, levenshtein_function(n, m, s, allow_outside_validity))
 
 
 def levenshtein_polynomial(

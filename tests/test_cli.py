@@ -260,6 +260,77 @@ def test_usage_error_missing_command(capsys):
     assert run(capsys, "bogus-command")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("icosahedron:7", "icosahedron"),
+        ("pentakis:abc", "pentakis_dodecahedron"),
+        ("ngon:0", "regular_ngon"),
+        ("cross:0", "crosspolytope"),
+        ("cube:-1", "cube"),
+        ("cube:0", "cube"),
+        ("cube:2.5", "cube"),
+    ],
+)
+@pytest.mark.parametrize("command", [("energy", "--potential", "riesz:1"), ("design-check",)], ids=lambda c: c[0])
+def test_bad_config_parameter_is_a_named_usage_error(capsys, spec, name, command):
+    code, out, err = run(capsys, command[0], "--config", spec, *command[1:])
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"error: configuration '{name}' ") and repr(spec.partition(":")[2]) in err
+
+
+SUBCOMMANDS = ("ulb", "uub", "design-ulb", "design-uub", "energy", "design-check", "test-functions", "reproduce")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_help_exits_zero(capsys, command):
+    # a stray % in a help string fails only when the help is formatted
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: spherelp {command}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--config", "pentakis", "--potential", "riesz:1", "--n", "99"),
+        ("design-check", "--config", "pentakis", "--n", "3"),
+        ("design-check", "--config", "pentakis", "--potential", "riesz:1"),
+        ("test-functions", "--n", "3", "--capacity", "31.9565", "--jmax", "27", "--potential", "riesz:1"),
+    ],
+    ids=["energy-n", "design-check-n", "design-check-potential", "test-functions-potential"],
+)
+def test_options_no_handler_reads_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ulb", "--n", "3", "--capacity", "14"), "--potential"),
+        (("uub", "--n", "3", "--capacity", "14", "--s", "0.5"), "--potential"),
+        (("design-ulb", "--n", "3", "--capacity", "14", "--tau", "5"), "--potential"),
+        (("design-uub", "--n", "3", "--capacity", "14", "--s", "0.5", "--tau", "5"), "--potential"),
+        (("energy", "--config", "pentakis"), "--potential"),
+        (("design-ulb", "--n", "3", "--capacity", "14", "--potential", "riesz:1"), "--tau"),
+        (("design-uub", "--n", "3", "--capacity", "14", "--s", "0.5", "--potential", "riesz:1"), "--tau"),
+        (("energy", "--potential", "riesz:1"), "--config"),
+        (("design-check",), "--config"),
+        (("test-functions", "--capacity", "14", "--jmax", "9"), "--n"),
+        (("test-functions", "--n", "3", "--jmax", "9"), "--capacity"),
+        (("test-functions", "--n", "3", "--capacity", "14"), "--jmax"),
+    ],
+)
+def test_omitted_required_option_is_named(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the following arguments are required: ") and option in err
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys, "ulb", "--n", "3", "--capacity", "14", "--potential", "newton:3", "--format", "text"

@@ -238,6 +238,10 @@ def test_build_config_names():
         build_config("octahedron")
     with pytest.raises(ValueError):
         build_config("cube")
+    with pytest.raises(ValueError, match="'icosahedron' takes no parameter, got 3"):
+        build_config("icosahedron", 3)
+    with pytest.raises(ValueError, match="'cube' needs an integer parameter N >= 1, got 0"):
+        build_config("cube", 0)
 
 
 def test_twenty_four_cell_is_equal_weighted():

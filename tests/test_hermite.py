@@ -16,7 +16,7 @@ from spherelp.potentials import (
     potential_eval,
     riesz,
 )
-from spherelp.quadrature import dgs_bound, rule_from_s, solve_ulb_rule, validity_interval
+from spherelp.quadrature import dgs_bound, levenshtein_polynomial, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
 ALL = slice(0, None)  # every node doubled
@@ -213,7 +213,7 @@ def _node_residual_loop(h, points, doubled, series):
 def test_node_residual_matches_per_node_loop(h):
     for m in range(1, 21):
         lo, hi = validity_interval(4, m)
-        rule = rule_from_s(4, m, 0.5 * (lo + hi))
+        rule = levenshtein_polynomial(4, m, 0.5 * (lo + hi)).rule
         for doubled in (_doubled(rule, False), _doubled(rule, True)):
             report = _interpolant(h, rule.nodes, doubled, 4)
             # both are round-off: the system residual and the per-node evaluation
@@ -272,7 +272,7 @@ def test_hermite_coefficients_match_extended_precision_reference(n):
         for m in (5, 12, 20, 25):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.95):
-                rule = rule_from_s(n, m, lo + frac * (hi - lo))
+                rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo)).rule
                 for doubled in (_doubled(rule, False), _doubled(rule, True)):
                     rows = mpmath.matrix(_mp_hermite_rows(mpmath, n, rule.nodes, doubled))
                     nodes = [mpmath.mpf(a) for a in rule.nodes]

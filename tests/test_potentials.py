@@ -118,28 +118,18 @@ def test_classify_constant_not_strict():
 
 @pytest.mark.parametrize("h", ALL_KINDS + [shifted(riesz(2.0), -0.5)], ids=lambda h: h.label())
 def test_classify_sampled_check_passes_for_builtin_kinds(h):
+    # the closed-form claims against samples of h, h' and a central
+    # difference of h' on a fixed grid
     cls = classify(h)
     assert cls.min_nonneg_derivative_order == (0 if derivative_nonneg_from(h, 0) else 1)
-
-
-def test_classify_still_runs_the_sampled_check(monkeypatch):
-    import spherelp.potentials as potentials
-
-    monkeypatch.setattr(potentials, "potential_derivative", lambda h, t: -np.ones_like(t))
-    with pytest.raises(RuntimeError, match="first derivative sampled negative"):
-        classify(riesz(1))
-
-
-def test_upper_bound_skips_the_sampled_check(monkeypatch):
-    import spherelp.potentials as potentials
-    from spherelp.bounds import uub
-
-    def fail(*args):
-        raise AssertionError("sampled check ran")
-
-    monkeypatch.setattr(potentials, "_consistency_check", fail)
-    report = uub(3, 30.0, 0.5, riesz(1))
-    assert report.diagnostic("lambda_star_shortcut").ok
+    grid = np.linspace(-1.0, 0.95, 40)
+    tol = 1e-7
+    assert (np.min(potential_eval(h, grid)) >= -tol) == (cls.min_nonneg_derivative_order == 0)
+    assert np.min(potential_derivative(h, grid)) >= -tol
+    inner = grid[(grid > -0.999) & (grid < 0.9)]
+    step = 1e-4
+    second = (potential_derivative(h, inner + step) - potential_derivative(h, inner - step)) / (2 * step)
+    assert np.min(second) >= -1e-4 * (1.0 + np.max(np.abs(second)))
 
 
 def test_derivative_nonneg_gates():

@@ -14,7 +14,6 @@ from spherelp.quadrature import (
     exactness_residuals,
     levenshtein_function,
     levenshtein_polynomial,
-    rule_from_s,
     select_degree_from_capacity,
     select_degree_from_s,
     solve_ulb_rule,
@@ -39,13 +38,13 @@ def test_dgs_examples():
 
 
 def test_select_degree_from_capacity():
-    assert select_degree_from_capacity(3, PENTAKIS_CAPACITY)[0] == 9
-    assert select_degree_from_capacity(3, 13.95)[0] == 5
+    assert select_degree_from_capacity(3, PENTAKIS_CAPACITY) == 9
+    assert select_degree_from_capacity(3, 13.95) == 5
     # right-closed interval boundary
     for n, m in [(3, 4), (4, 7), (5, 3)]:
         boundary = dgs_bound(n, m + 1)
-        assert select_degree_from_capacity(n, float(boundary))[0] == m
-        assert select_degree_from_capacity(n, boundary + 1e-9)[0] == m + 1
+        assert select_degree_from_capacity(n, float(boundary)) == m
+        assert select_degree_from_capacity(n, boundary + 1e-9) == m + 1
 
 
 @pytest.mark.parametrize("capacity", [float("nan"), 1.0, 0.5, -3.0])
@@ -156,12 +155,12 @@ def test_validity_interval_endpoints_match_extended_precision_reference(n):
 
 
 def test_select_degree_from_s():
-    assert select_degree_from_s(4, -1.0)[0] == 1
+    assert select_degree_from_s(4, -1.0) == 1
     # t_1^{1,1} = 0 is shared by degrees 2 and 3; ties go down
-    assert select_degree_from_s(4, 0.0)[0] == 2
+    assert select_degree_from_s(4, 0.0) == 2
     # the reference table lists degree 5 here, which its own N_1 violates;
     # selection by validity interval lands one degree higher
-    assert select_degree_from_s(3, 1 / math.sqrt(3))[0] == 6
+    assert select_degree_from_s(3, 1 / math.sqrt(3)) == 6
 
 
 def test_table2_rule():
@@ -311,9 +310,10 @@ def test_levenshtein_polynomial_invariants():
 
 
 def test_rule_from_s_matches_capacity_solve():
-    # prescribing the solved s reproduces the capacity-built rule
+    # the Levenshtein polynomial's rule at the solved s reproduces the
+    # capacity-built rule
     rule = solve_ulb_rule(5, 40.0)
-    other = rule_from_s(5, rule.m, rule.s)
+    other = levenshtein_polynomial(5, rule.m, rule.s).rule
     assert_allclose(other.nodes, rule.nodes, atol=1e-10)
     assert_allclose(other.weights, rule.weights, atol=1e-10)
     assert other.capacity == pytest.approx(40.0, rel=1e-9)
@@ -378,7 +378,7 @@ def test_weights_match_extended_precision_reference(n):
     for m in range(1, 21):
         lo, hi = validity_interval(n, m)
         for frac in (0.05, 0.5, 0.95):
-            rule = rule_from_s(n, m, lo + frac * (hi - lo))
+            rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo)).rule
             ref = _mp_lagrange_weights(mpmath, n, rule.nodes, rule.capacity)
             for w, r in zip(rule.weights, ref):
                 assert abs(float((w - r) / r)) <= tol, (m, frac)
@@ -389,7 +389,7 @@ def test_node_errors_name_inputs(monkeypatch):
 
     # below its validity interval, s is not the largest node of its rule
     with pytest.raises(QuadratureError) as info:
-        rule_from_s(3, 3, -0.9, allow_outside_validity=True)
+        levenshtein_polynomial(3, 3, -0.9, allow_outside_validity=True)
     message = str(info.value)
     assert message.startswith("largest node does not match s for (n=3, m=3, s=-0.9, capacity=")
     assert "it is 0.058823529411764" in message and "array" not in message
@@ -397,7 +397,7 @@ def test_node_errors_name_inputs(monkeypatch):
     # a double eigenvalue at 0.25 stands in for a collapsed rule
     monkeypatch.setattr(quadrature, "eigh_tridiagonal", lambda diag, off: (np.array([0.25, 0.25]), np.eye(2)))
     with pytest.raises(QuadratureError) as info:
-        rule_from_s(3, 3, 0.25)
+        levenshtein_polynomial(3, 3, 0.25)
     message = str(info.value)
     assert message.startswith("repeated nodes for (n=3, m=3, s=0.25, capacity=")
     assert "nodes 0 and 1 are " in message and "array" not in message
@@ -424,7 +424,7 @@ def test_nodes_match_extended_precision_reference(n):
         for m in (2, 5, 10, 15, 16, 18, 20, 25):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.5, 0.95):
-                rule = rule_from_s(n, m, lo + frac * (hi - lo))
+                rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo)).rule
                 capacity = _mp_levenshtein(mpmath, n, m, mpmath.mpf(rule.s))
                 for a in rule.nodes[rule.eps:-1]:
                     ref = mpmath.findroot(lambda t: _mp_levenshtein(mpmath, n, m, t) - capacity, mpmath.mpf(a))

@@ -15,7 +15,7 @@ from spherelp.quadrature import (
     QuadratureError,
     dgs_bound,
     exactness_residuals,
-    rule_from_s,
+    levenshtein_polynomial,
     solve_ulb_rule,
     validity_interval,
 )
@@ -45,7 +45,7 @@ def test_seeded_inner_products_give_valid_rules():
         n = int(rng.integers(2, 40))
         m = int(rng.integers(1, MAX_RULE_DEGREE + 1))
         s = float(rng.uniform(*validity_interval(n, m)))
-        rule = rule_from_s(n, m, s)
+        rule = levenshtein_polynomial(n, m, s).rule
         assert rule.nodes[-1] == s
         assert_valid_rule(rule)
 
