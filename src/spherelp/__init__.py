@@ -26,7 +26,6 @@ from .codes import (
 from .hermite import hermite_interpolant, hermite_operator, verify_dominance
 from .orthopoly import (
     GegenbauerSeries,
-    MonomialPoly,
     from_gegenbauer,
     gegenbauer_eval,
     measure_moment,

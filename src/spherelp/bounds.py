@@ -32,6 +32,7 @@ from .quadrature import (
     levenshtein_polynomial,
     select_degree_from_s,
     solve_ulb_rule,
+    validity_interval,
 )
 
 COEFF_TOL = 1e-9
@@ -257,7 +258,7 @@ def _upper_bound(
     """
     if not (isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
-    lp = levenshtein_polynomial(n, m, s, allow_outside_validity=True)
+    lp = levenshtein_polynomial(n, m, s)
     rule = lp.rule
     n1 = rule.capacity
 
@@ -313,8 +314,10 @@ def _upper_bound(
             "" if attained else "N_1 < N_W: no code attains this capacity at this inner product",
         )
     )
-    if lp.outside_validity and not design:
-        checks.append(CheckResult("s_within_validity", False, s, "degree override outside validity interval"))
+    if not design:
+        lo, hi = validity_interval(n, m)
+        if not lo - 1e-9 <= s <= hi + 1e-9:
+            checks.append(CheckResult("s_within_validity", False, s, "degree override outside validity interval"))
 
     feasible = bool(ok_signs and ok_dom and ok_val and g_t.node_residual <= 1e-9)
     return BoundReport(

@@ -157,13 +157,22 @@ def _report_payload(command: str, report: bounds.BoundReport) -> dict:
     return payload
 
 
+def _write(text: str) -> None:
+    """Print to stdout; a reader that closed the pipe ends the output, not the run."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, which would raise anew
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print(args, payload, rows, header) -> None:
     if args.format == "csv":
-        print(_emit_csv(rows, header))
+        _write(_emit_csv(rows, header))
     elif args.format == "text":
-        print(_emit_text(payload))
+        _write(_emit_text(payload))
     else:
-        print(_emit_json(payload))
+        _write(_emit_json(payload))
 
 
 def _print_report(args, report) -> int:
@@ -290,22 +299,22 @@ def cmd_reproduce(args) -> int:
             "passed": len(cells) - len(failed),
             "failed": len(failed),
         }
-        print(_emit_json(payload))
+        _write(_emit_json(payload))
     else:
         width = max(len(c.label) for c in cells)
         for c in cells:
             status = "ok  " if c.ok else "FAIL"
-            print(f"[{status}] {c.label:<{width}}  computed={c.computed:.10g}  reference={c.printed:g}")
-        print(f"{len(cells) - len(failed)}/{len(cells)} cells match")
+            _write(f"[{status}] {c.label:<{width}}  computed={c.computed:.10g}  reference={c.printed:g}")
+        _write(f"{len(cells) - len(failed)}/{len(cells)} cells match")
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spherelp", description=__doc__)
+    parser = _Parser(prog="spherelp", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, func):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.set_defaults(func=func)
         return p
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=float, required=True, help="effective cardinality N_W")
     p.add_argument("--jmax", type=int, required=True, help="largest index j of Q_j")
 
-    p = sub.add_parser("reproduce", help="regenerate reference tables and compare")
+    p = sub.add_parser("reproduce", help="regenerate reference tables and compare", allow_abbrev=False)
     p.add_argument("--table", required=True, choices=sorted(_tables.TABLES) + ["all"])
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_reproduce)

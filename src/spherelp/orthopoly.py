@@ -19,34 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 64
-
-
-def _trim(coeffs) -> tuple[float, ...]:
-    c = [float(x) for x in coeffs]
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    return tuple(c)
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Real polynomial c_0 + c_1*t + ... + c_d*t**d in the power basis."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-        if self.degree > MAX_DEGREE:
-            raise ValueError(f"degree {self.degree} exceeds cap {MAX_DEGREE}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, np.asarray(self.coeffs))
-
 
 @dataclass(frozen=True)
 class GegenbauerSeries:
@@ -145,8 +117,9 @@ def _times_t_matrix(n: int, size: int) -> np.ndarray:
     return out
 
 
-def to_gegenbauer(p: MonomialPoly, n: int) -> GegenbauerSeries:
-    """Expand a power-basis polynomial in the Gegenbauer basis for dimension n.
+def to_gegenbauer(coeffs, n: int) -> GegenbauerSeries:
+    """Expand c_0 + c_1*t + ... + c_d*t**d (``coeffs``, lowest power first)
+    in the Gegenbauer basis for dimension n.
 
     Synthesis runs Horner's scheme with multiplication by t performed
     directly in the Gegenbauer basis (exact recurrence coefficients), which
@@ -154,9 +127,10 @@ def to_gegenbauer(p: MonomialPoly, n: int) -> GegenbauerSeries:
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    times_t = _times_t_matrix(n, len(p.coeffs))
-    g = np.zeros(len(p.coeffs))
-    for c in reversed(p.coeffs):
+    coeffs = [float(c) for c in coeffs]
+    times_t = _times_t_matrix(n, len(coeffs))
+    g = np.zeros(len(coeffs))
+    for c in reversed(coeffs):
         g = times_t @ g
         g[0] += c
     return GegenbauerSeries(n, g)
@@ -173,25 +147,17 @@ def gegenbauer_from_roots(n: int, roots) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=128)
-def gegenbauer_monomial_table(n: int, imax: int) -> tuple[np.ndarray, ...]:
-    """Power-basis coefficient vectors of P_0, ..., P_imax, read-only."""
-    rows = [np.array([1.0])]
-    if imax >= 1:
-        rows.append(np.array([0.0, 1.0]))
-    for i in range(1, imax):
+def from_gegenbauer(g: GegenbauerSeries) -> np.ndarray:
+    """Power-basis coefficients of g, lowest power first: the inverse of
+    :func:`to_gegenbauer`.  The rows of P_0, P_1, ... follow the
+    three-term recurrence in the power basis."""
+    n = g.n
+    rows = [np.array([1.0]), np.array([0.0, 1.0])]
+    for i in range(1, g.degree):
         shifted = np.concatenate(([0.0], rows[i]))
         prev = np.concatenate((rows[i - 1], [0.0, 0.0]))
         rows.append(((2 * i + n - 2) * shifted - i * prev) / (i + n - 2))
-    for row in rows:
-        row.flags.writeable = False
-    return tuple(rows)
-
-
-def from_gegenbauer(g: GegenbauerSeries) -> MonomialPoly:
-    """Inverse of :func:`to_gegenbauer`."""
-    rows = gegenbauer_monomial_table(g.n, g.degree)
     out = np.zeros(g.degree + 1)
     for c, row in zip(g.coeffs, rows):
         out[: row.size] += c * row
-    return MonomialPoly(tuple(out))
+    return out

@@ -34,21 +34,19 @@ class QuadratureError(RuntimeError):
     """Internal inconsistency while building a rule (bad roots or weights)."""
 
 
-class ValidityError(ValueError):
-    """s lies outside the validity interval of the requested Levenshtein degree."""
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of a 1/N-quadrature of degree m = 2k-1+eps."""
 
     n: int
     m: int
-    k: int
-    eps: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     capacity: float
+
+    @property
+    def eps(self) -> int:
+        return split_degree(self.m)[1]
 
     @property
     def s(self) -> float:
@@ -64,16 +62,8 @@ class LevenshteinPolynomial:
     strictly positive and f(1)/f_0 recovers the Levenshtein function value.
     """
 
-    n: int
-    m: int
-    s: float
     rule: QuadratureRule
     gegenbauer: GegenbauerSeries
-    outside_validity: bool = False
-
-    @property
-    def nodes(self) -> tuple[float, ...]:
-        return self.rule.nodes
 
 
 def split_degree(m: int) -> tuple[int, int]:
@@ -137,16 +127,13 @@ def select_degree_from_s(n: int, s: float) -> int:
     raise ValueError(f"s = {s} needs degree above cap {MAX_RULE_DEGREE}")
 
 
-def levenshtein_function(n: int, m: int, s: float, allow_outside_validity: bool = False) -> float:
+def levenshtein_function(n: int, m: int, s: float) -> float:
     """Levenshtein bound L_m(n, s) for the maximal cardinality at inner product s.
 
-    Outside the validity interval the rational expression is still defined
-    but loses its meaning as a cardinality bound; such calls must opt in.
+    The closed-form rational expression; it is a cardinality bound only for
+    s in :func:`validity_interval`, which callers check where it matters.
     """
     k, eps = split_degree(m)
-    lo, hi = validity_interval(n, m)
-    if not allow_outside_validity and not (lo - 1e-9 <= s <= hi + 1e-9):
-        raise ValidityError(f"s = {s} outside validity interval [{lo}, {hi}] of degree {m}")
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
     table = gegenbauer_table(n, k + eps, s)
@@ -182,8 +169,8 @@ def _ratio(diag, off, j: int, x: float) -> float:
     return q
 
 
-def compute_weights(n: int, m: int, s: float, capacity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the degree-m 1/N rule whose largest node is s.
+def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule:
+    """The verified degree-m 1/N rule whose largest node is s.
 
     Testing the 1/N identity on f = (1 - t) g shows that rho_i (1 - alpha_i)
     is a Gauss-type rule for nu = (1 - t) dmu_n, a probability measure: a
@@ -248,7 +235,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> tuple[np.ndarr
             f"quadrature exactness failure for {where}: "
             f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
         )
-    return nodes, weights
+    return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity))
 
 
 def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int, table=None) -> np.ndarray:
@@ -274,7 +261,7 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     lo, hi = validity_interval(n, m)
 
     def f(x):
-        return levenshtein_function(n, m, x, allow_outside_validity=True) - capacity
+        return levenshtein_function(n, m, x) - capacity
 
     flo, fhi = f(lo), f(hi)
     if flo >= 0:
@@ -283,18 +270,10 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
         s = hi
     else:
         s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return _rule(n, m, s, capacity)
+    return compute_weights(n, m, s, capacity)
 
 
-def _rule(n: int, m: int, s: float, capacity: float) -> QuadratureRule:
-    k, eps = split_degree(m)
-    nodes, weights = compute_weights(n, m, s, capacity)
-    return QuadratureRule(n, m, k, eps, tuple(nodes), tuple(weights), float(capacity))
-
-
-def levenshtein_polynomial(
-    n: int, m: int, s: float, allow_outside_validity: bool = False
-) -> LevenshteinPolynomial:
+def levenshtein_polynomial(n: int, m: int, s: float) -> LevenshteinPolynomial:
     """Monic Levenshtein polynomial of degree m for inner product s, with
     the rule on its roots.
 
@@ -302,10 +281,8 @@ def levenshtein_polynomial(
     positive away from interval endpoints) and f(1)/f_0 equal to
     L_m(n, s) within 1e-9 relative.
     """
-    capacity = levenshtein_function(n, m, s, allow_outside_validity)
-    lo, hi = validity_interval(n, m)
-    outside = not (lo - 1e-9 <= s <= hi + 1e-9)
-    rule = _rule(n, m, s, capacity)
+    capacity = levenshtein_function(n, m, s)
+    rule = compute_weights(n, m, s, capacity)
     interior = rule.nodes[rule.eps:-1]
     series = GegenbauerSeries(n, gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior))
     g = np.asarray(series.coeffs)
@@ -323,4 +300,4 @@ def levenshtein_polynomial(
             f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
             f"function value {capacity:.12g}"
         )
-    return LevenshteinPolynomial(n, m, float(s), rule, series, outside)
+    return LevenshteinPolynomial(rule, series)

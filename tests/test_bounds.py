@@ -19,7 +19,7 @@ from spherelp.potentials import (
     riesz,
     shifted,
 )
-from spherelp.quadrature import QuadratureError, dgs_bound, solve_ulb_rule, validity_interval
+from spherelp.quadrature import QuadratureError, dgs_bound, select_degree_from_s, solve_ulb_rule, validity_interval
 
 PENTAKIS_CAPACITY = 735 / 23
 PENTAKIS_S = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
@@ -154,6 +154,26 @@ def test_uub_override_reports_hypothesis():
     assert not report.diagnostic("s_within_validity").ok
     assert report.feasible  # certificate itself is still valid
     assert report.value == pytest.approx(0.7357, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "n, s", [(3, PENTAKIS_S), (4, 0.0), (5, validity_interval(5, 7)[1]), (8, validity_interval(8, 12)[0])]
+)
+def test_uub_override_at_selected_degree_reports_no_validity_flag(n, s):
+    # s inside (or at an endpoint of) the interval of the degree uub selects
+    m = select_degree_from_s(n, s)
+    report = uub(n, 50.0, s, riesz(1), m_override=m)
+    assert "s_within_validity" not in {c.name for c in report.diagnostics}
+    assert report.diagnostics == uub(n, 50.0, s, riesz(1)).diagnostics
+
+
+def test_design_uub_never_reports_validity():
+    # 1/sqrt(3) lies above the degree-5 validity interval of n = 3
+    s = 1 / math.sqrt(3)
+    assert s > validity_interval(3, 5)[1] + 1e-9
+    report = design_uub(3, qp_capacity(3), s, 5, newton(3))
+    assert "s_within_validity" not in {c.name for c in report.diagnostics}
+    assert "s_within_validity" in {c.name for c in uub(3, qp_capacity(3), s, newton(3), m_override=5).diagnostics}
 
 
 def test_test_functions_vanish_up_to_m():

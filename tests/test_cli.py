@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +332,48 @@ def test_omitted_required_option_is_named(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: the following arguments are required: ") and option in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ulb", "--n", "3", "--cap", "14", "--potential", "riesz:1"), "--cap"),
+        (("ulb", "--n", "3", "--capacity", "14", "--pot", "riesz:1"), "--pot"),
+        (("ulb", "--n", "3", "--capacity", "14", "--potential", "riesz:1", "--form", "text"), "--form"),
+        (("uub", "--n", "3", "--capacity", "14", "--s", "0.5", "--potential", "newton:3", "--m-over", "5"), "--m-over"),
+        (("energy", "--conf", "pentakis", "--potential", "riesz:1"), "--conf"),
+        (("design-check", "--config", "pentakis", "--t", "5"), "--t"),
+        (("design-check", "--config", "pentakis", "--to", "1e-9"), "--to"),
+        (("test-functions", "--n", "3", "--capacity", "14", "--jm", "9"), "--jm"),
+        (("reproduce", "--tab", "2"), "--tab"),
+    ],
+)
+def test_option_abbreviations_are_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ulb", "--n", "3", "--capacity", "14", "--potential", "riesz:1", "--format", "text"),
+        ("reproduce", "--table", "2"),
+    ],
+    ids=["ulb", "reproduce"],
+)
+def test_closed_stdout_is_not_an_error(argv):
+    # the reader closes its end before the command writes anything
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; from spherelp.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_text_format(capsys):

@@ -8,7 +8,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from spherelp.quadrature import (
     QuadratureError,
-    ValidityError,
     compute_weights,
     dgs_bound,
     exactness_residuals,
@@ -68,16 +67,16 @@ def test_levenshtein_low_degree_closed_forms():
 
 
 def test_levenshtein_table_value():
-    assert levenshtein_function(3, 5, 1 / math.sqrt(3), allow_outside_validity=True) == pytest.approx(
+    assert levenshtein_function(3, 5, 1 / math.sqrt(3)) == pytest.approx(
         16.098, abs=5e-4
     )
 
 
 def test_levenshtein_validity_gate():
-    lo, hi = validity_interval(3, 5)
-    with pytest.raises(ValidityError):
-        levenshtein_function(3, 5, hi + 0.05)
-    levenshtein_function(3, 5, hi + 0.05, allow_outside_validity=True)
+    # outside its validity interval L_2 is still the closed-form expression
+    for n in (2, 3, 5, 8):
+        s = validity_interval(n, 2)[1] + 1e-3
+        assert levenshtein_function(n, 2, s) == pytest.approx(2 * n * (1 - s) / (1 - n * s), rel=1e-12)
 
 
 def test_validity_intervals_tile():
@@ -165,7 +164,7 @@ def test_select_degree_from_s():
 
 def test_table2_rule():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
-    assert (rule.m, rule.k, rule.eps) == (9, 5, 0)
+    assert (rule.m, rule.eps, len(rule.nodes)) == (9, 0, 5)
     assert_allclose(rule.nodes, TABLE2_NODES, atol=1e-4)
     assert_allclose(rule.weights, TABLE2_WEIGHTS, atol=1e-4)
     assert sum(rule.weights) == pytest.approx(1 - 1 / PENTAKIS_CAPACITY, abs=1e-10)
@@ -237,7 +236,7 @@ def test_all_nodes_solve_the_capacity_equation():
     # every node of the rule satisfies L_m(n, alpha_i) = N_W
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     for a in rule.nodes:
-        assert levenshtein_function(3, rule.m, a, allow_outside_validity=True) == pytest.approx(
+        assert levenshtein_function(3, rule.m, a) == pytest.approx(
             rule.capacity, rel=1e-9
         )
 
@@ -262,7 +261,7 @@ def test_round_trip_capacity():
         n = int(rng.integers(2, 8))
         capacity = float(rng.uniform(2.1, dgs_bound(n, 11)))
         rule = solve_ulb_rule(n, capacity)
-        back = levenshtein_function(n, rule.m, rule.s, allow_outside_validity=True)
+        back = levenshtein_function(n, rule.m, rule.s)
         assert back == pytest.approx(capacity, rel=1e-9)
 
 
@@ -286,8 +285,8 @@ def test_levenshtein_polynomial_low_degrees():
 def test_levenshtein_polynomial_pentakis_roots():
     s = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
     lp = levenshtein_polynomial(3, 9, s)
-    assert_allclose(lp.nodes, (-0.9247, -0.6213, -0.1493, 0.3703, 0.7946), atol=1e-4)
-    assert lp.nodes[-1] == pytest.approx(s, abs=1e-14)
+    assert_allclose(lp.rule.nodes, (-0.9247, -0.6213, -0.1493, 0.3703, 0.7946), atol=1e-4)
+    assert lp.rule.nodes[-1] == pytest.approx(s, abs=1e-14)
 
 
 def test_levenshtein_polynomial_invariants():
@@ -306,7 +305,7 @@ def test_levenshtein_polynomial_invariants():
         # vanishes at its nodes, nonpositive on [-1, s]
         grid = np.linspace(-1, s, 500)
         assert np.max(lp.gegenbauer(grid)) <= 1e-9
-        assert np.max(np.abs(lp.gegenbauer(np.asarray(lp.nodes)))) < 1e-9
+        assert np.max(np.abs(lp.gegenbauer(np.asarray(lp.rule.nodes)))) < 1e-9
 
 
 def test_rule_from_s_matches_capacity_solve():
@@ -389,7 +388,7 @@ def test_node_errors_name_inputs(monkeypatch):
 
     # below its validity interval, s is not the largest node of its rule
     with pytest.raises(QuadratureError) as info:
-        levenshtein_polynomial(3, 3, -0.9, allow_outside_validity=True)
+        levenshtein_polynomial(3, 3, -0.9)
     message = str(info.value)
     assert message.startswith("largest node does not match s for (n=3, m=3, s=-0.9, capacity=")
     assert "it is 0.058823529411764" in message and "array" not in message
@@ -435,7 +434,7 @@ def test_levenshtein_polynomial_errors_name_inputs():
     # past the validity interval of m = 5 in n = 4, which ends at 0.538, the
     # mean f_0 of the Levenshtein polynomial turns negative
     with pytest.raises(QuadratureError) as info:
-        levenshtein_polynomial(4, 5, 0.71, allow_outside_validity=True)
+        levenshtein_polynomial(4, 5, 0.71)
     message = str(info.value)
     prefix = "Levenshtein polynomial for (n=4, m=5, s=0.71) has a negative coefficient: coefficient 0 of 6 is "
     assert message.startswith(prefix)
@@ -454,7 +453,7 @@ def test_levenshtein_coefficients_match_extended_precision_reference(n):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.95):
                 lp = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
-                roots = (lp.s,) + lp.nodes[: lp.rule.eps] + 2 * lp.nodes[lp.rule.eps : -1]
+                roots = (lp.rule.s,) + lp.rule.nodes[: lp.rule.eps] + 2 * lp.rule.nodes[lp.rule.eps : -1]
                 points = [mpmath.cos(mpmath.pi * (i + mpmath.mpf(1) / 2) / (m + 1)) for i in range(m + 1)]
                 rows = []
                 for t in points:
