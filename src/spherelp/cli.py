@@ -102,14 +102,14 @@ def load_config(spec: str) -> codes.WeightedCode:
 
 
 def _resolve_capacity(args):
-    sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name)]
+    sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name) is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of --capacity, --weights-file, --config is required")
     if args.capacity is not None:
         if not args.capacity > 2:
             raise UsageError("capacity must exceed 2")
         return args.capacity, None
-    if args.weights_file:
+    if args.weights_file is not None:
         with open(args.weights_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict):

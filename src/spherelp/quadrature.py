@@ -23,7 +23,6 @@ from math import comb, sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .orthopoly import GegenbauerSeries, gegenbauer_from_roots, gegenbauer_table
 
@@ -252,8 +251,8 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     """Build the 1/N_W-quadrature rule for a capacity N_W > 2.
 
     Selects the degree from the capacity, solves L_m(n, s) = N_W by Brent's
-    method on the validity interval, then builds the rule with largest
-    node s by :func:`compute_weights`.
+    method on the validity interval (:func:`_brent_root`), then builds the
+    rule with largest node s by :func:`compute_weights`.
     """
     if not capacity > 2:
         raise ValueError(f"capacity must exceed 2, got {capacity!r}")
@@ -269,8 +268,50 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     elif fhi <= 0:
         s = hi
     else:
-        s = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        s = _brent_root(f, lo, hi, flo, fhi, f"(n={n}, m={m}, capacity={capacity:.12g})")
     return compute_weights(n, m, s, capacity)
+
+
+def _brent_root(f, xpre, xcur, fpre, fcur, where):
+    """Root of f on [xpre, xcur], where f changes sign, by Brent's method.
+
+    Scipy's C ``brentq`` (Zeros/brentq.c) step for step, with xtol = 1e-15,
+    rtol = 8.9e-16 and at most 100 steps, so every iterate and the root
+    agree with ``scipy.optimize.brentq`` to the bit; the end values
+    fpre = f(xpre) and fcur = f(xcur) are the caller's.
+    """
+    xtol, rtol, maxiter = 1e-15, 8.9e-16, 100
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise QuadratureError(
+        f"Brent's method did not converge in {maxiter} steps for {where}: last iterate {xcur:.17g}"
+    )
 
 
 def levenshtein_polynomial(n: int, m: int, s: float) -> LevenshteinPolynomial:

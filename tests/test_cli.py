@@ -80,6 +80,29 @@ def test_mutually_exclusive_sources(capsys):
     assert "exactly one" in err
 
 
+_ZERO_CAPACITY_COMMANDS = [
+    ("ulb", "--n", "3"),
+    ("uub", "--n", "3", "--s", "0.5"),
+    ("design-ulb", "--n", "3", "--tau", "4"),
+]
+
+
+@pytest.mark.parametrize("zero", ["0", "0.0"])
+@pytest.mark.parametrize("command", _ZERO_CAPACITY_COMMANDS, ids=lambda c: c[0])
+def test_zero_capacity_is_given_and_rejected(capsys, command, zero):
+    # a zero capacity is a given option that fails the guard, not a missing one
+    code, out, err = run(capsys, *command, "--capacity", zero, "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert "capacity must exceed 2" in err
+
+
+@pytest.mark.parametrize("command", _ZERO_CAPACITY_COMMANDS, ids=lambda c: c[0])
+def test_zero_capacity_with_a_config_is_two_sources(capsys, command):
+    code, out, err = run(capsys, *command, "--capacity", "0", "--config", "pentakis", "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert "exactly one of --capacity, --weights-file, --config is required" in err
+
+
 def test_energy_command(capsys):
     code, out, _ = run(capsys, "energy", "--config", "pentakis", "--potential", "riesz:1")
     assert code == 0
@@ -374,6 +397,37 @@ def test_closed_stdout_is_not_an_error(argv):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+_RUN_AND_LIST_SCIPY = """
+import contextlib, io, json, sys
+import spherelp
+from spherelp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv.split()) for argv in sys.argv[1:]]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("scipy."))]))
+"""
+
+
+def test_bounds_and_energy_load_only_scipy_linalg():
+    # start-up cost: scipy.optimize alone would pull in sparse, special,
+    # spatial and fft, about a third of the time a CLI call takes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    commands = [
+        "ulb --n 3 --capacity 31.9565 --potential riesz:1",
+        "uub --config pentakis --potential riesz:1",
+        "energy --config pentakis --potential riesz:1",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, *commands],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0, 0, 0]
+    assert "scipy.linalg" in loaded
+    for package in ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.spatial"):
+        assert not [name for name in loaded if name == package or name.startswith(package + ".")], package
 
 
 def test_text_format(capsys):

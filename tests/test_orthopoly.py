@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre, roots_jacobi
 
 from spherelp.orthopoly import (
+    SMALL_TABLE,
     GegenbauerSeries,
     from_gegenbauer,
     gegenbauer_eval,
@@ -69,14 +70,20 @@ def _gegenbauer_table_reference(n, imax, t):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 30])
 def test_gegenbauer_table_matches_array_expression(n):
-    # the scalar path runs on Python floats and the array path in place; both
-    # do the reference's operations in its order, so the bits agree
+    # inputs of at most SMALL_TABLE points run on Python floats and larger
+    # ones in place; both do the reference's operations in its order, so the
+    # bits agree, and both return a C-ordered table, whose layout can change
+    # the round-off of a later product such as table @ weights
     rng = np.random.default_rng(n)
+    limit = SMALL_TABLE
     for imax in (0, 1, 2, 9, 25, 75):
         for t in (0.3, -1.0, 1.0, np.float64(-0.7), np.array(0.25), rng.uniform(-1, 1, 13),
-                  rng.uniform(-1, 1, (3, 4)), np.linspace(-1, 0.999, 4500), np.empty(0)):
+                  rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, limit - 1), rng.uniform(-1, 1, limit),
+                  rng.uniform(-1, 1, limit + 1), rng.uniform(-1, 1, (2, limit // 2)),
+                  rng.uniform(-1, 1, (3, limit // 2)), np.linspace(-1, 0.999, 4500), np.empty(0)):
             got, ref = gegenbauer_table(n, imax, t), _gegenbauer_table_reference(n, imax, t)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (imax, t)
+            assert got.dtype == np.float64 and got.flags.c_contiguous, (imax, np.shape(t))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 30])

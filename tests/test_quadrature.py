@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
 from spherelp.quadrature import (
+    MAX_RULE_DEGREE,
     QuadratureError,
+    _brent_root,
     compute_weights,
     dgs_bound,
     exactness_residuals,
@@ -268,6 +270,97 @@ def test_round_trip_capacity():
 def test_capacity_guard():
     with pytest.raises(ValueError):
         solve_ulb_rule(3, 2.0)
+
+
+def _brent_cases():
+    """(n, m, capacity): 1600 seeded draws over n < 41, m <= 25, half of them
+    1e-15 to 1e-1 relative inside an end of (D(n, m), D(n, m+1)], and a
+    grid of capacities 1e-15 to 1e-12 inside both ends for three n."""
+    rng = np.random.default_rng(2403)
+    for _ in range(1600):
+        n, m = int(rng.integers(2, 41)), int(rng.integers(1, MAX_RULE_DEGREE + 1))
+        d_lo, d_hi = dgs_bound(n, m), dgs_bound(n, m + 1)
+        delta = 10.0 ** -int(rng.integers(1, 16))
+        yield n, m, (d_lo * (1 + delta), d_hi * (1 - delta), float(rng.uniform(d_lo, d_hi)))[int(rng.integers(3))]
+    for n in (3, 16, 39):
+        for m in range(1, MAX_RULE_DEGREE + 1):
+            for delta in (1e-15, 1e-14, 1e-12):
+                yield n, m, dgs_bound(n, m) * (1 + delta)
+                yield n, m, dgs_bound(n, m + 1) * (1 - delta)
+
+
+def test_brent_root_repeats_scipy_brentq_step_for_step():
+    # the capacity solve runs scipy's brentq operation for operation: the
+    # same evaluation points in the same order, so the same root to the bit;
+    # scipy evaluates both ends itself, the helper takes them from its caller
+    from scipy.optimize import brentq
+
+    solved = 0
+    for n, m, capacity in _brent_cases():
+        lo, hi = validity_interval(n, m)
+        points = []
+
+        def f(x):
+            points.append(x)
+            return levenshtein_function(n, m, x) - capacity
+
+        flo, fhi = f(lo), f(hi)
+        if flo >= 0 or fhi <= 0:  # solve_ulb_rule takes an end, no search
+            continue
+        points.clear()
+        root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        reference = points.copy()
+        points.clear()
+        assert _brent_root(f, lo, hi, flo, fhi, "") == root, (n, m, capacity)
+        assert reference == [lo, hi] + points, (n, m, capacity)
+        if dgs_bound(n, m) * 1.1 < capacity < dgs_bound(n, m + 1) * 0.9:
+            assert solve_ulb_rule(n, capacity).s == root
+        solved += 1
+    assert solved > 1700
+
+
+def test_brent_root_stops_at_its_iteration_cap():
+    # a triple root defeats both interpolation steps: scipy's brentq also
+    # gives up after 100 iterations here
+    from scipy.optimize import brentq
+
+    def f(x):
+        return (x - 0.3) ** 3
+
+    last, info = brentq(f, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16, full_output=True, disp=False)
+    assert not info.converged and info.iterations == 100
+    with pytest.raises(QuadratureError) as error:
+        _brent_root(f, -1.0, 1.0, f(-1.0), f(1.0), "(cube)")
+    assert str(error.value) == f"Brent's method did not converge in 100 steps for (cube): last iterate {last:.17g}"
+
+
+def test_capacity_solve_that_does_not_converge_names_its_inputs(monkeypatch, capsys):
+    import spherelp.quadrature as quadrature
+    from spherelp.bounds import _ulb_setup
+    from spherelp.cli import main
+
+    # the solve's own f = L - N converges within the cap everywhere; a triple
+    # root, which both interpolation steps handle badly, reaches it
+    brent_root = quadrature._brent_root
+
+    def on_a_triple_root(f, lo, hi, flo, fhi, where):
+        def cube(x):
+            return (x - (lo + 0.3 * (hi - lo))) ** 3
+
+        return brent_root(cube, lo, hi, cube(lo), cube(hi), where)
+
+    monkeypatch.setattr(quadrature, "_brent_root", on_a_triple_root)
+    with pytest.raises(QuadratureError) as info:
+        solve_ulb_rule(3, 31.25)
+    assert re.fullmatch(
+        r"Brent's method did not converge in 100 steps for \(n=3, m=9, capacity=31\.25\): "
+        r"last iterate 0\.\d+",
+        str(info.value),
+    )
+    # a RuntimeError, so the CLI reports it as a failed computation
+    _ulb_setup.cache_clear()
+    assert main(["ulb", "--n", "3", "--capacity", "31.25", "--potential", "riesz:1"]) == 2
+    assert "did not converge in 100 steps for (n=3, m=9, capacity=31.25)" in capsys.readouterr().err
 
 
 def test_levenshtein_polynomial_low_degrees():
