@@ -87,9 +87,9 @@ class TestFunctionReport:
         return bool(self.negative_indices)
 
 
-def _rule_energy(rule: QuadratureRule, h: Potential) -> float:
-    vals = potential_eval(h, np.asarray(rule.nodes))
-    return fsum(w * v for w, v in zip(rule.weights, np.atleast_1d(vals)))
+def _rule_energy(rule: QuadratureRule, at_nodes: np.ndarray) -> float:
+    """sum_i rho_i h(alpha_i), correctly rounded, from h at the rule's nodes."""
+    return fsum(w * v for w, v in zip(rule.weights, at_nodes.tolist()))
 
 
 def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
@@ -165,8 +165,10 @@ def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
 def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport:
     rule, scan, certificate = setup
     n = rule.n
-    value = _rule_energy(rule, h)
-    cert = hermite_interpolant(h, certificate.operator)
+    # h at the nodes, evaluated once for the rule energy and the Hermite jet
+    at_nodes = potential_eval(h, certificate.operator.points)
+    value = _rule_energy(rule, at_nodes)
+    cert = hermite_interpolant(h, certificate.operator, at_nodes)
     checks = [CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual)]
     ok_dom, violation = verify_dominance(cert.gegenbauer, h, "below", certificate.grid, certificate.table)
     checks.append(CheckResult("dominance_below", ok_dom, violation))
@@ -263,7 +265,9 @@ def _upper_bound(
     n1 = rule.capacity
 
     setup = _certificate_setup(rule, slice(rule.eps, -1), (-1.0, s), m)
-    g_t = hermite_interpolant(h, setup.operator)
+    # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
+    at_nodes = potential_eval(h, setup.operator.points)
+    g_t = hermite_interpolant(h, setup.operator, at_nodes)
     checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
     gt = np.asarray(g_t.gegenbauer.coeffs)
     f = np.asarray(lp.gegenbauer.coeffs)
@@ -282,14 +286,13 @@ def _upper_bound(
     checks.append(CheckResult("dominance_above", ok_dom, violation))
     if not design:
         # g_T - lambda* f at the nodes, from the node table
-        at_nodes = g_coeffs @ setup.node_table[: g_coeffs.size] - potential_eval(h, setup.operator.points)
-        touch = float(np.max(np.abs(at_nodes)))
+        touch = float(abs(g_coeffs @ setup.node_table[: g_coeffs.size] - at_nodes).max())
         checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
 
     gt0 = float(gt[0])
     gt1 = g_t.gegenbauer.value_at_one()
     value = -lam * f[0] * (1.0 - n1 / capacity) + gt0 - gt1 / capacity
-    alt = (-lam * f[0] + gt1 / n1) * (1.0 - n1 / capacity) + _rule_energy(rule, h)
+    alt = (-lam * f[0] + gt1 / n1) * (1.0 - n1 / capacity) + _rule_energy(rule, at_nodes)
     ok_val = abs(value - alt) <= VALUE_TOL * max(1.0, abs(value))
     checks.append(CheckResult("objective_consistency", ok_val, abs(value - alt)))
 

@@ -5,7 +5,7 @@ h at quadrature nodes: doubled nodes match h and h', simple nodes match
 the value only.  The doubled nodes are contiguous, so a slice of the node
 array names them: all but -1 for lower bounds, also all but s for upper
 bounds.  The coefficients solve one square system in P_0..P_{T-1},
-which depends on the nodes alone, so its factored operator serves every
+which depends on the nodes alone, so one row-scaled operator serves every
 potential.  Dominance of the interpolant over (or under) h is always
 verified on a dense grid, as one product with the grid's Gegenbauer table,
 rather than assumed from the error formula.
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, potential_derivative, potential_eval
@@ -37,8 +36,8 @@ class InterpolantReport:
 @dataclass(frozen=True)
 class HermiteOperator:
     """The square system ``matrix`` taking coefficients in dimension ``n``
-    to the values at ``points`` and the slopes at ``doubled``, held as the LU
-    factors of its rows divided by ``row_scale``; read-only, so one operator
+    to the values at ``points`` and the slopes at ``doubled``, also held as
+    ``scaled``, its rows divided by ``row_scale``; read-only, so one operator
     serves every potential on its nodes."""
 
     n: int
@@ -46,8 +45,7 @@ class HermiteOperator:
     doubled: np.ndarray
     matrix: np.ndarray
     row_scale: np.ndarray
-    lu: np.ndarray
-    pivots: np.ndarray
+    scaled: np.ndarray
 
 
 def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None = None) -> HermiteOperator:
@@ -56,15 +54,15 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None =
 
     Slope rows use P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2.
     ``values`` may hold ``gegenbauer_table(n, d, points)``, d >= T - 1, if
-    the caller has it.  Rows are scaled to unit max norm before the LU
-    factorisation: slope rows grow like j^2, and unscaled pivoting loses up
-    to 4x in accuracy at n = 30.
+    the caller has it.  Rows are scaled to unit max norm for the solve:
+    slope rows grow like j^2, and unscaled pivoting loses up to 4x in
+    accuracy at n = 30.
     """
     points = np.array(points, dtype=float)
     # LU alone need not see a repeated node: its value and slope rows can stay independent
-    if np.any(np.diff(points) <= 0):
+    if (np.diff(points) <= 0).any():
         raise ValueError("interpolation nodes must be strictly ascending")
-    if np.any(points >= 1.0):
+    if (points >= 1.0).any():
         raise ValueError("interpolation nodes must lie below 1")
     doubled = points[doubled]
     degree = points.size + doubled.size - 1
@@ -75,23 +73,28 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None =
     if values is None:
         values = gegenbauer_table(n, degree, points)
     matrix = np.vstack((values[: degree + 1].T, slopes))
-    row_scale = np.max(np.abs(matrix), axis=1)
-    lu, pivots, info = lapack.dgetrf(matrix / row_scale[:, None])
-    if info:
-        raise ValueError(f"singular Hermite system on nodes {points.tolist()}")
-    for array in (points, doubled, matrix, row_scale, lu, pivots):
+    row_scale = abs(matrix).max(axis=1)
+    scaled = matrix / row_scale[:, None]
+    for array in (points, doubled, matrix, row_scale, scaled):
         array.flags.writeable = False
-    return HermiteOperator(n, points, doubled, matrix, row_scale, lu, pivots)
+    return HermiteOperator(n, points, doubled, matrix, row_scale, scaled)
 
 
-def hermite_interpolant(h: Potential, op: HermiteOperator) -> InterpolantReport:
+def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray | None = None) -> InterpolantReport:
     """Interpolate h on the operator's nodes: values everywhere, h' at
-    doubled nodes.  The defect |A c - jet| is reported relative to max(1, |h|).
+    doubled nodes.  ``values`` may hold h at ``op.points`` if the caller has
+    it.  The defect |A c - jet| is reported relative to max(1, |h|).
     """
-    values = potential_eval(h, op.points)
+    if values is None:
+        values = potential_eval(h, op.points)
     jet = np.concatenate((values, potential_derivative(h, op.doubled)))
-    coeffs = lapack.dgetrs(op.lu, op.pivots, jet / op.row_scale)[0]
-    residual = float(np.max(np.abs(op.matrix @ coeffs - jet))) / max(1.0, float(np.max(np.abs(values))))
+    try:
+        # LU with partial pivoting (LAPACK dgesv) on every call; an explicit
+        # inverse would lose 5-100x in accuracy
+        coeffs = np.linalg.solve(op.scaled, jet / op.row_scale)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"singular Hermite system on nodes {op.points.tolist()}") from None
+    residual = float(abs(op.matrix @ coeffs - jet).max()) / max(1.0, float(abs(values).max()))
     return InterpolantReport(GegenbauerSeries(op.n, coeffs), residual)
 
 
@@ -116,7 +119,7 @@ def verify_dominance(
         raise ValueError("direction must be 'below' or 'above'")
     diff = potential_eval(h, grid) - np.asarray(series.coeffs) @ table[: series.degree + 1]
     if direction == "below":
-        violation = max(0.0, -float(np.min(diff)))
+        violation = max(0.0, -float(diff.min()))
     else:
-        violation = max(0.0, float(np.max(diff)))
+        violation = max(0.0, float(diff.max()))
     return violation <= 1e-9, violation

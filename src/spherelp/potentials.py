@@ -90,7 +90,7 @@ def shifted(base: Potential, c: float) -> Potential:
 
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t >= 1.0):
+    if (t >= 1.0).any():
         raise ValueError("potential evaluated at t >= 1")
     return t
 

@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .orthopoly import GegenbauerSeries, gegenbauer_from_roots, gegenbauer_table
 
@@ -109,7 +108,7 @@ def validity_interval(n: int, m: int) -> tuple[float, float]:
 
     def largest_zero(b: int, j: int) -> float:
         diag, off = _jacobi_matrix(n, b, j)
-        return float(eigvalsh_tridiagonal(np.asarray(diag), np.asarray(off))[-1])
+        return float(np.linalg.eigvalsh(_tridiagonal(diag, off))[-1])
 
     lo = largest_zero(1 - eps, k - 1 + eps) if k - 1 + eps else -1.0
     return lo, largest_zero(eps, k)
@@ -160,6 +159,22 @@ def _jacobi_matrix(n: int, b: int, size: int) -> tuple[tuple[float, ...], tuple[
     return tuple(diag), tuple(off)
 
 
+def _tridiagonal(diag, off) -> np.ndarray:
+    """The symmetric tridiagonal matrix as a dense array, its lower triangle
+    filled (the triangle ``np.linalg.eigh`` reads)."""
+    size = len(diag)
+    matrix = np.zeros((size, size))
+    matrix.flat[:: size + 1] = diag
+    matrix.flat[size :: size + 1] = off
+    return matrix
+
+
+def _eigh_tridiagonal(diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unit eigenvectors (columns) of the symmetric
+    tridiagonal matrix with ``diag`` and ``off``, by LAPACK through numpy."""
+    return np.linalg.eigh(_tridiagonal(diag, off))
+
+
 def _ratio(diag, off, j: int, x: float) -> float:
     """p_j(x) / p_{j-1}(x) for the monic polynomials of a Jacobi matrix."""
     q = x - diag[0]
@@ -195,7 +210,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule
         diag[k - 1] = s - off[k - 2] ** 2 / _ratio(diag, off, k - 1, s)
     else:
         diag[0] = s
-    nodes, vectors = eigh_tridiagonal(np.asarray(diag), np.asarray(off))
+    nodes, vectors = _eigh_tridiagonal(diag, off)
     where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
     if nodes.size > 1:
         gap = int(np.argmin(np.diff(nodes)))

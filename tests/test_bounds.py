@@ -438,7 +438,7 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     assert calls == [4]
     setup = bounds._ulb_setup(4, 24.0)
     certificate, op = setup.certificate, setup.certificate.operator
-    for array in (certificate.table, op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
+    for array in (certificate.table, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         certificate.table[0, 0] = 0.0

@@ -295,13 +295,26 @@ def test_defect_is_the_residual_of_the_system():
     assert hermite_interpolant(riesz(1), off).node_residual > 1e-7
 
 
+def test_singular_system_raises_a_named_error():
+    from dataclasses import replace
+
+    rule = solve_ulb_rule(4, 24.0)
+    op = hermite_operator(rule.nodes, _doubled(rule, False), 4)
+    # two equal rows: the solve finds an exact zero pivot
+    scaled = op.scaled.copy()
+    scaled[1] = scaled[0]
+    with pytest.raises(ValueError) as info:
+        hermite_interpolant(riesz(1), replace(op, scaled=scaled))
+    assert str(info.value) == f"singular Hermite system on nodes {[float(a) for a in rule.nodes]}"
+
+
 def test_operator_is_read_only_and_matches_a_fresh_build():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     doubled = _doubled(rule, False)
     op = hermite_operator(rule.nodes, doubled, 3)
     total = len(rule.nodes) + len(rule.nodes[doubled])
     assert op.n == 3 and op.matrix.shape == (total, total)
-    for array in (op.points, op.doubled, op.matrix, op.row_scale, op.lu, op.pivots):
+    for array in (op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
     for h in (riesz(1), gaussian(2.0), logarithmic()):
         assert hermite_interpolant(h, op) == _interpolant(h, rule.nodes, doubled, 3)

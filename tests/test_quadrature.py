@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal
 
 from spherelp.quadrature import (
     MAX_RULE_DEGREE,
@@ -431,12 +430,14 @@ def test_compute_weights_errors_name_inputs(monkeypatch):
         str(info.value),
     )
 
+    eigh = quadrature._eigh_tridiagonal
+
     def vanishing_first_component(diag, off):
-        nodes, vectors = eigh_tridiagonal(diag, off)
+        nodes, vectors = eigh(diag, off)
         vectors[0, 0] = 0.0
         return nodes, vectors
 
-    monkeypatch.setattr(quadrature, "eigh_tridiagonal", vanishing_first_component)
+    monkeypatch.setattr(quadrature, "_eigh_tridiagonal", vanishing_first_component)
     with pytest.raises(QuadratureError) as info:
         solve_ulb_rule(30, 2947546837)
     message = str(info.value)
@@ -487,7 +488,7 @@ def test_node_errors_name_inputs(monkeypatch):
     assert "it is 0.058823529411764" in message and "array" not in message
 
     # a double eigenvalue at 0.25 stands in for a collapsed rule
-    monkeypatch.setattr(quadrature, "eigh_tridiagonal", lambda diag, off: (np.array([0.25, 0.25]), np.eye(2)))
+    monkeypatch.setattr(quadrature, "_eigh_tridiagonal", lambda diag, off: (np.array([0.25, 0.25]), np.eye(2)))
     with pytest.raises(QuadratureError) as info:
         levenshtein_polynomial(3, 3, 0.25)
     message = str(info.value)
