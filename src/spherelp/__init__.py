@@ -15,11 +15,8 @@ from .codes import (
     DesignCheckReport,
     WeightedCode,
     build_config,
-    closed_form_energy,
-    design_point_identity_check,
     design_strength,
     energy,
-    sphere_quadrature_check,
     weighted_moment,
     with_equal_weights,
 )
@@ -28,7 +25,6 @@ from .orthopoly import (
     GegenbauerSeries,
     from_gegenbauer,
     gegenbauer_eval,
-    measure_moment,
     to_gegenbauer,
 )
 from .potentials import (

@@ -26,6 +26,7 @@ from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermi
 from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
 from .quadrature import (
+    MAX_RULE_DEGREE,
     QuadratureRule,
     dgs_bound,
     exactness_residuals,
@@ -260,6 +261,8 @@ def _upper_bound(
     """
     if not (isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
+    if m > MAX_RULE_DEGREE:
+        raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
     lp = levenshtein_polynomial(n, m, s)
     rule = lp.rule
     n1 = rule.capacity

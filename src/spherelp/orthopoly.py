@@ -8,8 +8,8 @@ with respect to the probability measure
 
 the projection of the uniform measure of the unit sphere in R^n onto a
 coordinate axis.  The module evaluates these polynomials by forward
-recurrence, multiplies out linear factors in their basis, converts between
-the power basis and the Gegenbauer basis, and computes moments of mu_n.
+recurrence, multiplies out linear factors in their basis, and converts
+between the power basis and the Gegenbauer basis.
 """
 
 from __future__ import annotations
@@ -100,20 +100,6 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
         row -= scratch
         row /= j + n - 2
     return out
-
-
-def measure_moment(n: int, j: int) -> float:
-    """Moment integral t^j dmu_n: zero for odd j, double-factorial ratio for even."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if j < 0:
-        raise ValueError("exponent must be >= 0")
-    if j % 2 == 1:
-        return 0.0
-    v = 1.0
-    for i in range(1, j // 2 + 1):
-        v *= (2 * i - 1) / (n + 2 * i - 2)
-    return v
 
 
 @lru_cache(maxsize=128)

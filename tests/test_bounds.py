@@ -104,6 +104,14 @@ def test_upper_bounds_reject_nonfinite_or_nonpositive_capacity(capacity):
         design_uub(3, capacity, 0.5, 3, riesz(1))
 
 
+def test_upper_bounds_reject_degree_above_cap():
+    # the override and tau bypass degree selection, so the cap is enforced again
+    with pytest.raises(ValueError, match=r"degree 26 above cap 25"):
+        uub(3, 30.0, 0.7, riesz(1), m_override=26)
+    with pytest.raises(ValueError, match=r"degree 26 above cap 25"):
+        design_uub(3, 30.0, 0.7, 26, riesz(1))
+
+
 def test_uub_pentakis():
     report = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert report.value == pytest.approx(0.8234054, abs=1e-6)

@@ -18,6 +18,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _env_with_src():
+    """The environment with this checkout's src first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_ulb_json(capsys):
     code, out, _ = run(capsys, "ulb", "--n", "3", "--capacity", "31.9565", "--potential", "riesz:1")
     assert code == 0
@@ -387,16 +393,43 @@ def test_option_abbreviations_are_rejected(capsys, argv, option):
 )
 def test_closed_stdout_is_not_an_error(argv):
     # the reader closes its end before the command writes anything
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     with subprocess.Popen(
         [sys.executable, "-c", "import sys; from spherelp.cli import main; sys.exit(main())", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
     ) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("design-check", "--config", "{c1}"), "error: dimension must be >= 2"),
+        (("uub", "--config", "{c1}", "--potential", "riesz:1"), "error: dimension must be >= 2"),
+        (
+            ("uub", "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", "--m-override", "30"),
+            "error: degree 30 above cap 25",
+        ),
+        (
+            ("design-uub", "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", "--tau", "26"),
+            "error: degree 26 above cap 25",
+        ),
+    ],
+    ids=["design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau"],
+)
+def test_out_of_range_dimension_or_degree_is_a_named_usage_error(tmp_path, argv, message):
+    c1 = tmp_path / "c1.json"
+    c1.write_text(json.dumps({"n": 1, "points": [[1.0], [-1.0]], "weights": [0.5, 0.5]}))
+    done = subprocess.run(
+        [sys.executable, "-m", "spherelp.cli", *(arg.format(c1=c1) for arg in argv)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 _RUN_AND_LIST_SCIPY = """
@@ -412,19 +445,22 @@ print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[
 def test_bounds_and_energy_load_no_scipy():
     # start-up cost: scipy.linalg alone takes about half the time of a CLI
     # call; numpy is the only run-time dependency
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     commands = [
         "ulb --n 3 --capacity 31.9565 --potential riesz:1",
         "uub --config pentakis --potential riesz:1",
         "energy --config pentakis --potential riesz:1",
+        "design-ulb --n 3 --capacity 31.9565 --tau 9 --potential riesz:1",
+        "design-uub --config cube-cross:4 --s 0.5 --tau 5 --potential newton",
+        "design-check --config cube-cross:5",
+        "test-functions --n 3 --capacity 31.9565 --jmax 27",
+        "reproduce --table all",
     ]
     done = subprocess.run(
         [sys.executable, "-c", _RUN_AND_LIST_SCIPY, *commands],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=_env_with_src(), timeout=120, check=True,
     )
     codes, loaded = json.loads(done.stdout)
-    assert codes == [0, 0, 0]
+    assert codes == [0] * len(commands)
     assert loaded == []
 
 

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import (
+    _surface_monomial_integral,
+    closed_form_energy,
+    design_point_identity_check,
+    sphere_quadrature_check,
+)
 from spherelp import codes
 from spherelp.codes import (
     BLOCK_ROWS,
     ExactAccumulator,
     WeightedCode,
-    _surface_monomial_integral,
     build_config,
     check_weights,
-    closed_form_energy,
     code_from_json,
     code_to_json,
     cube_crosspolytope,
-    design_point_identity_check,
     design_strength,
     dodecahedron,
     energy,
@@ -26,7 +29,6 @@ from spherelp.codes import (
     icosahedron,
     pentakis_dodecahedron,
     regular_ngon,
-    sphere_quadrature_check,
     weighted_moment,
     with_equal_weights,
 )
@@ -265,6 +267,12 @@ def test_icosahedron_dodecahedron_inner_products():
 def test_empty_code_is_rejected_by_name():
     with pytest.raises(ValueError, match="at least one point"):
         WeightedCode(3, np.empty((0, 3)), np.empty(0))
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_code_below_dimension_two_is_rejected(n):
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        WeightedCode(n, np.ones((2, n)), np.full(2, 0.5))
 
 
 def test_validation_errors():

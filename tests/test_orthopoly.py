@@ -6,13 +6,13 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import eval_legendre, roots_jacobi
 
+from oracles import measure_moment
 from spherelp.orthopoly import (
     SMALL_TABLE,
     GegenbauerSeries,
     from_gegenbauer,
     gegenbauer_eval,
     gegenbauer_table,
-    measure_moment,
     to_gegenbauer,
 )
 
