@@ -27,6 +27,7 @@ from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
 from .quadrature import (
     MAX_RULE_DEGREE,
+    QuadratureError,
     QuadratureRule,
     dgs_bound,
     exactness_residuals,
@@ -263,7 +264,17 @@ def _upper_bound(
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
-    lp = levenshtein_polynomial(n, m, s)
+    try:
+        lp = levenshtein_polynomial(n, m, s)
+    except QuadratureError as exc:
+        # an overridden degree far from s: a usage error, not a failed rule
+        lo, hi = validity_interval(n, m)
+        if design or lo - 1e-9 <= s <= hi + 1e-9:
+            raise
+        raise ValueError(
+            f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of degree {m} "
+            f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
+        ) from exc
     rule = lp.rule
     n1 = rule.capacity
 

@@ -11,8 +11,9 @@ polygons.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 from math import fsum, isfinite, sqrt
 from operator import index
@@ -42,11 +43,10 @@ class WeightedCode:
     """Distinct unit vectors with positive weights summing to 1.
 
     Two points count as distinct when their Euclidean distance exceeds 1e-9.
-    Construction forms the Gram matrix once and uses only it plus the pairs
-    it flags, so memory stays O(N^2): unit vectors (to 1e-12) at distance
-    <= 1e-9 have inner product above 1 - 1e-11, so only pairs whose Gram
-    entry exceeds 1 - 1e-6 can be coincident, and only those pairs have
-    their distance measured directly.
+    Construction checks this on sorted projections (see
+    :func:`_has_coincident_pair`) in O(N log N) time and O(N) memory, and
+    stores no Gram matrix: energy, moments, the maximal inner product and
+    :meth:`gram` read its rows in blocks from :func:`_gram_rows`.
     """
 
     n: int
@@ -69,13 +69,8 @@ class WeightedCode:
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("points must be unit vectors")
         check_weights(self.weights)
-        gram = self.points @ self.points.T
-        np.clip(gram, -1.0, 1.0, out=gram)
-        i, j = np.divmod(np.flatnonzero(gram > 1.0 - 1e-6), gram.shape[0])
-        i, j = i[i < j], j[i < j]
-        if np.any(np.linalg.norm(self.points[i] - self.points[j], axis=1) <= 1e-9):
+        if _has_coincident_pair(self.points):
             raise ValueError("points must be pairwise distinct")
-        self._gram = gram
 
     @property
     def size(self) -> int:
@@ -95,12 +90,52 @@ class WeightedCode:
     def max_inner_product(self) -> float:
         if self.size < 2:
             raise ValueError("a code needs at least two points to have a maximal inner product")
-        off = self._gram.copy()
-        np.fill_diagonal(off, -np.inf)
-        return float(off.max())
+        best = -np.inf
+        for start, stop, block in _gram_rows(self):
+            diagonal = np.arange(stop - start)
+            block[diagonal, start + diagonal] = -np.inf
+            best = max(best, block.max())
+        return float(best)
 
     def gram(self) -> np.ndarray:
-        return self._gram.copy()
+        return np.vstack([block for _, _, block in _gram_rows(self)])
+
+
+@lru_cache(maxsize=16)
+def _projection_axis(n: int) -> np.ndarray:
+    """A fixed unit vector in R^n with seeded pseudo-random entries, so the
+    symmetric bundled families (cubes, cross-polytopes, polygons) put no
+    two distinct points at nearly one projection."""
+    rng = random.Random(n)
+    axis = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+    axis /= np.linalg.norm(axis)
+    axis.flags.writeable = False
+    return axis
+
+
+def _has_coincident_pair(points: np.ndarray) -> bool:
+    """Whether two rows lie within Euclidean distance 1e-9 of each other.
+
+    Projecting onto a unit vector shrinks no distance, so two rows within
+    1e-9 have projections within 1e-9 plus rounding, and only pairs whose
+    projections lie within 2e-9 are candidates.  In sorted order the
+    candidates at rank distance gap + 1 are a subset of those at gap, and
+    each has its distance measured directly: O(N log N) time and O(N)
+    memory unless many points share nearly one projection.
+    """
+    proj = points @ _projection_axis(points.shape[1])
+    order = np.argsort(proj)
+    proj = proj[order]
+    live = np.arange(proj.size - 1)
+    for gap in range(1, proj.size):
+        live = live[proj[live + gap] - proj[live] <= 2e-9]
+        if not live.size:
+            break
+        apart = points[order[live]] - points[order[live + gap]]
+        if np.any(np.linalg.norm(apart, axis=1) <= 1e-9):
+            return True
+        live = live[live + gap + 1 < proj.size]
+    return False
 
 
 @dataclass(frozen=True)
@@ -117,9 +152,10 @@ _HUGE_EXP = 960
 _BIN_SCALE = np.arange(_LEAST_EXP - 27, _HUGE_EXP - 26)
 # terms per bin filling: below 2**26 keeps every bin total exact
 _BIN_LIMIT = 2**26 - 1
-# rows of the Gram matrix per block in energy and the moments: a block of a
+# rows of the Gram matrix per block from _gram_rows: a block of a
 # 1000-point code stays in a core's L2 cache, and codes of up to 64 points
-# take one block, so their moments are one matrix product each
+# take one block, so their moments are one matrix product each and their
+# Gram matrix is the one product points @ points.T
 BLOCK_ROWS = 64
 
 
@@ -210,35 +246,46 @@ def exact_sum(values) -> float:
     return acc.total()
 
 
-def _row_blocks(rows: int):
-    """(start, stop) of consecutive blocks of BLOCK_ROWS rows covering range(rows)."""
-    return ((start, min(start + BLOCK_ROWS, rows)) for start in range(0, rows, BLOCK_ROWS))
+def _gram_rows(code: WeightedCode):
+    """The Gram matrix, clipped to [-1, 1], as (start, stop, rows start..stop)
+    for consecutive blocks of BLOCK_ROWS rows; each block is a fresh array.
+    The only place Gram entries are computed."""
+    points = code.points
+    for start in range(0, code.size, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, code.size)
+        block = points[start:stop] @ points.T
+        np.clip(block, -1.0, 1.0, out=block)
+        yield start, stop, block
 
 
 def energy(code: WeightedCode, h: Potential) -> float:
     """Weighted h-energy: sum over ordered distinct pairs of w_i w_j h(x_i . x_j).
 
     Works on the upper triangle of the Gram matrix, streamed in row blocks
-    of BLOCK_ROWS rows: per block, the inner products above the diagonal,
-    one call of h on them, terms (2 w_i) w_j h(x_i . x_j), and one
+    from :func:`_gram_rows`: per block, the entries above the diagonal of
+    its square on the diagonal and the whole rectangle to the right of
+    that square, terms (2 w_i) w_j h(x_i . x_j), and one
     :class:`ExactAccumulator` across all blocks, so the result equals
     ``math.fsum`` of the N(N-1)/2 terms and matches high-precision
-    reference values to the last printed digit.  Working memory beyond the
-    Gram matrix is O(BLOCK_ROWS N).  A one-point code has no pairs and
-    energy 0.
+    reference values to the last printed digit.  Working memory is
+    O(BLOCK_ROWS N).  A one-point code has no pairs and energy 0.
     """
-    size, w = code.size, code.weights
+    w = code.weights
+    w2 = 2.0 * w
     acc = ExactAccumulator()
-    # row k of a block starting at row r pairs with the columns r + 1 + c, c >= k
-    upper = np.arange(size - 1) >= np.arange(min(BLOCK_ROWS, size))[:, None]
-    for start, stop in _row_blocks(size - 1):
-        mask = upper[: stop - start, : size - 1 - start]
-        g = code._gram[start:stop, start + 1 :][mask]
-        if g.max() >= 1.0 - 1e-15:
-            raise ValueError("coincident points: energy would need h(1)")
-        terms = (2.0 * w[start:stop, None] * w[start + 1 :])[mask]
-        terms *= potential_eval(h, g)
-        acc.add(terms)
+    upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
+    for start, stop, block in _gram_rows(code):
+        mask = upper[: stop - start, : stop - start]
+        for g, pair_weights in (
+            (block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]),
+            (block[:, stop:], np.multiply.outer(w2[start:stop], w[stop:])),
+        ):
+            if not g.size:
+                continue
+            if g.max() >= 1.0 - 1e-15:
+                raise ValueError("coincident points: energy would need h(1)")
+            pair_weights *= potential_eval(h, g)
+            acc.add(pair_weights)
     return acc.total()
 
 
@@ -247,8 +294,8 @@ def _moments(code: WeightedCode, tau: int) -> np.ndarray:
     Gegenbauer table never exceeds (tau + 1) x BLOCK_ROWS x N."""
     w = code.weights
     moments = np.zeros(tau)
-    for start, stop in _row_blocks(code.size):
-        table = gegenbauer_table(code.n, tau, code._gram[start:stop])
+    for start, stop, block in _gram_rows(code):
+        table = gegenbauer_table(code.n, tau, block)
         moments += [w[start:stop] @ table[ell] @ w for ell in range(1, tau + 1)]
     return moments
 

@@ -10,6 +10,7 @@ import pytest
 
 from spherelp.cli import main
 from spherelp.codes import code_to_json, cube_crosspolytope
+from spherelp.quadrature import validity_interval
 
 
 def run(capsys, *argv):
@@ -171,6 +172,22 @@ def test_uub_m_override_flag(capsys):
     payload = json.loads(out)
     assert payload["m"] == 5
     assert payload["value"] == pytest.approx(0.7357, abs=1e-4)
+
+
+@pytest.mark.parametrize("m", [15, 20, 25])
+def test_uub_m_override_far_outside_validity_is_a_named_usage_error(capsys, m):
+    # s = 0.7 lies well below each interval: the forced rule fails its node
+    # checks, which is the caller's choice of degree, not a failed bound
+    lo, hi = validity_interval(3, m)
+    code, out, err = run(
+        capsys,
+        "uub", "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", "--m-override", str(m),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        f"error: s = 0.7 lies outside the validity interval [{lo!r}, {hi!r}] of degree {m} for n = 3"
+    )
 
 
 def test_reproduce_tables(capsys):
@@ -438,13 +455,18 @@ import spherelp
 from spherelp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv.split()) for argv in sys.argv[1:]]
-print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+print(json.dumps([
+    codes,
+    sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    "numpy.ma" in sys.modules,
+]))
 """
 
 
 def test_bounds_and_energy_load_no_scipy():
     # start-up cost: scipy.linalg alone takes about half the time of a CLI
-    # call; numpy is the only run-time dependency
+    # call; numpy is the only run-time dependency, and numpy.ma (which
+    # np.unique imports on first use) adds 13-14 ms
     commands = [
         "ulb --n 3 --capacity 31.9565 --potential riesz:1",
         "uub --config pentakis --potential riesz:1",
@@ -459,9 +481,10 @@ def test_bounds_and_energy_load_no_scipy():
         [sys.executable, "-c", _RUN_AND_LIST_SCIPY, *commands],
         capture_output=True, text=True, env=_env_with_src(), timeout=120, check=True,
     )
-    codes, loaded = json.loads(done.stdout)
+    codes, loaded, masked = json.loads(done.stdout)
     assert codes == [0] * len(commands)
     assert loaded == []
+    assert not masked
 
 
 def test_text_format(capsys):

@@ -390,6 +390,71 @@ def test_distinctness_matches_difference_tensor_rule():
 
 def test_large_code_builds():
     assert random_code(np.random.default_rng(11), 3000, 3).size == 3000
+    # the Gram matrix of the polygon alone would take 3.2 GB
+    assert codes.cube(12).size == 4096
+    assert codes.crosspolytope(500).size == 1000
+    assert cube_crosspolytope(10).size == 1044
+    assert regular_ngon(20000).size == 20000
+
+
+def planted_pair_points(rng, size, n, distance):
+    """Random unit vectors with row j moved to the given distance from row i."""
+    points = rng.standard_normal((size, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    i, j = rng.choice(size, 2, replace=False)
+    a = points[i]
+    b = rng.standard_normal(n)
+    b -= (b @ a) * a
+    b /= np.linalg.norm(b)
+    theta = 2.0 * math.asin(distance / 2.0)
+    points[j] = math.cos(theta) * a + math.sin(theta) * b
+    assert np.linalg.norm(points[i] - points[j]) == pytest.approx(distance, rel=1e-6)
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_planted_pair_in_a_large_code(n):
+    rng = np.random.default_rng(53 + n)
+    size = 3000
+    weights = np.full(size, 1.0 / size)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="distinct"):
+            WeightedCode(n, planted_pair_points(rng, size, n, 5e-10), weights)
+        assert WeightedCode(n, planted_pair_points(rng, size, n, 2e-9), weights).size == size
+
+
+def test_distinctness_among_points_sharing_one_projection():
+    # every point on one slice orthogonal to the projection axis: all pairs are
+    # candidates, and a coincident pair far apart in sorted order is still found
+    rng = np.random.default_rng(59)
+    for n in (3, 4, 6):
+        axis = codes._projection_axis(n)
+        for planted in (False, True):
+            free = rng.standard_normal((40, n))
+            free -= (free @ axis)[:, None] * axis
+            free /= np.linalg.norm(free, axis=1)[:, None]
+            points = 0.6 * axis + 0.8 * free
+            points /= np.linalg.norm(points, axis=1)[:, None]
+            if planted:
+                points[31] = points[2] + 3e-10 * free[5]
+                points[31] /= np.linalg.norm(points[31])
+            assert codes._has_coincident_pair(points) == (not pairwise_distinct_reference(points))
+            assert codes._has_coincident_pair(points) == planted
+
+
+def test_construction_memory_stays_below_the_gram_matrix():
+    rng = np.random.default_rng(61)
+    size, n = 3000, 5
+    points = rng.standard_normal((size, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    weights = np.full(size, 1.0 / size)
+    tracemalloc.start()
+    try:
+        WeightedCode(n, points, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size**2 / 4
 
 
 def test_non_finite_points_rejected():
@@ -432,15 +497,19 @@ def masked_max_inner_product(code):
     return float(np.max(code.gram()[~np.eye(code.size, dtype=bool)]))
 
 
-def test_max_inner_product_equals_masked_max_and_is_computed_once():
+def test_max_inner_product_equals_masked_max_and_is_computed_once(monkeypatch):
     rng = np.random.default_rng(41)
-    codes = [pentakis_dodecahedron(), cube_crosspolytope(10), regular_ngon(7), pair_code(1e-8)]
-    codes += [random_code(rng, size, n) for size, n in ((2, 3), (3, 2), (90, 4), (400, 7))]
-    for code in codes:
+    examples = [pentakis_dodecahedron(), cube_crosspolytope(10), regular_ngon(7), pair_code(1e-8)]
+    examples += [random_code(rng, size, n) for size, n in ((2, 3), (3, 2), (90, 4), (400, 7))]
+    calls = []
+    gram_rows = codes._gram_rows
+    monkeypatch.setattr(codes, "_gram_rows", lambda code: calls.append(code) or gram_rows(code))
+    for code in examples:
         want = masked_max_inner_product(code)
+        calls.clear()
         assert code.max_inner_product == want
-        code._gram = None  # a second access must not look at the Gram matrix again
-        assert code.max_inner_product == want
+        assert code.max_inner_product == want  # a second access must not stream the Gram matrix again
+        assert len(calls) == 1
 
 
 def fsum_outcome(values):
@@ -569,7 +638,7 @@ def test_energy_memory_stays_below_the_gram_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < code._gram.nbytes / 4
+    assert peak < 8 * code.size**2 / 4
 
 
 def test_moments_over_row_blocks_match_the_full_table():

@@ -194,6 +194,21 @@ def test_dominance_grid_matches_per_node_loop(lo, hi, nodes):
     assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
 
 
+def test_dominance_grid_equals_np_unique_on_seeded_nodes():
+    # clustered nodes, nodes on the ends and exact repeats make overlapping
+    # refinements with duplicate points to drop
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        lo = float(rng.choice([-1.0, rng.uniform(-1.0, 0.0)]))
+        hi = float(rng.choice([ULB_INTERVAL[1], rng.uniform(0.0, 1.0)]))
+        nodes = rng.uniform(lo, hi, int(rng.integers(0, 14)))
+        nodes = np.concatenate((nodes, nodes[:2] + rng.uniform(-1e-3, 1e-3, nodes[:2].size), [lo, hi][: rng.integers(3)]))
+        nodes = np.sort(np.clip(nodes, lo, hi))
+        local = np.clip(nodes[:, None] + np.linspace(-1e-3, 1e-3, 81), lo, hi)
+        want = np.unique(np.concatenate((np.linspace(lo, hi, 4001), local.ravel())))
+        assert dominance_grid(lo, hi, nodes).tobytes() == want.tobytes()
+
+
 def _node_residual_loop(h, points, doubled, series):
     """Reference: the interpolation defect with one evaluation per node, slopes
     from P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2."""
