@@ -267,12 +267,13 @@ def _upper_bound(
     try:
         lp = levenshtein_polynomial(n, m, s)
     except QuadratureError as exc:
-        # an overridden degree far from s: a usage error, not a failed rule
+        # an overridden degree or a design's tau far from s: a usage error, not a failed rule
         lo, hi = validity_interval(n, m)
-        if design or lo - 1e-9 <= s <= hi + 1e-9:
+        if lo - 1e-9 <= s <= hi + 1e-9:
             raise
+        what = f"tau = {m}" if design else f"degree {m}"
         raise ValueError(
-            f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of degree {m} "
+            f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of {what} "
             f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
         ) from exc
     rule = lp.rule

@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
-from math import fsum, isfinite, sqrt
+from math import frexp, fsum, isfinite, ldexp, sqrt
 from operator import index
 
 import numpy as np
 
 from .orthopoly import gegenbauer_table
-from .potentials import Potential, potential_eval
+from .potentials import Potential, _values
 
 GOLDEN = (1 + sqrt(5)) / 2
 
@@ -145,13 +145,12 @@ class DesignCheckReport:
     tol: float
 
 
-# frexp exponents of finite doubles run from -1073 (the least subnormal) to
-# 1024; terms with |x| >= 2**960 (exponent above _HUGE_EXP) are not binned
-_LEAST_EXP = -1073
-_HUGE_EXP = 960
-_BIN_SCALE = np.arange(_LEAST_EXP - 27, _HUGE_EXP - 26)
-# terms per bin filling: below 2**26 keeps every bin total exact
-_BIN_LIMIT = 2**26 - 1
+# chunks holding a value with |x| >= 2**960 (or a non-finite one) are kept
+# raw: the sigma = 2**(e + k), k < 64, that extraction adds could overflow
+_EXTRACT_LIMIT = 2.0**960
+# parts kept before they are extracted again into a few, so the memory of
+# an accumulator stays bounded however many chunks it takes
+_PARTS_LIMIT = 1024
 # rows of the Gram matrix per block from _gram_rows: a block of a
 # 1000-point code stays in a core's L2 cache, and codes of up to 64 points
 # take one block, so their moments are one matrix product each and their
@@ -159,83 +158,77 @@ _BIN_LIMIT = 2**26 - 1
 BLOCK_ROWS = 64
 
 
+def _exact_parts(x: np.ndarray, top: float, scratch: np.ndarray):
+    """Yield floats whose exact sum is that of the finite chunk x, given
+    top = max |x| < 2**960; x is overwritten, scratch is the work buffer.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    2008): with top < 2**e and 2**k > x.size + 1, q = (x + sigma) - sigma
+    for sigma = 2**(e + k) is exact, and so are x - q and the sum of the q
+    in any order; the remainders lie below 2**(e + k - 53), so each level
+    takes at least 52 - k binades.  At sigma = 2**-1022, the floor, q = x:
+    at 2**-1021 an odd multiple of 2**-1074 would round to q = 0 for ever.
+    """
+    first = True
+    while top:
+        k = (x.size + 1).bit_length()
+        sigma = ldexp(1.0, max(frexp(top)[1] + k, -1022))
+        q = scratch[: x.size]
+        np.add(x, sigma, out=q)
+        q -= sigma
+        yield float(q.sum())
+        x -= q
+        if first:
+            # 0.0 at sigma = 2**-1022: 2**-1075 rounds to 0
+            top, first = sigma * 2.0**-53, False
+        else:
+            x = x[x != 0.0]
+            top = max(x.max(), -x.min()) if x.size else 0.0
+
+
 class ExactAccumulator:
     """Streaming correctly rounded sum: ``total()`` equals ``math.fsum`` of
     every value passed to ``add``, in order, bit for bit.
 
-    Each term is split by ``frexp`` into mantissa * 2**e.  The mantissa,
-    scaled by 2**27, splits into a signed integer part below 2**27 and a
-    fraction on a 2**-26 grid.  Both parts are summed per exponent e with
-    ``bincount`` into bins laid out against one fixed base that covers every
-    double, so the bins of successive chunks simply add.  While a filling
-    holds fewer than 2**26 terms every partial sum fits in 53 bits, so each
-    bin total is exact; a full filling is flushed to its few scaled bin
-    totals (exact parts) and binning starts again.  ``fsum`` of the parts
-    gives the rounded sum.
-
-    A chunk holding a non-finite value or one with |x| >= 2**960 (whose
-    scaled bin totals could overflow) switches to keeping values as they
-    come: the bins so far are flushed to exact parts and ``fsum`` then sees
-    those parts followed by every later value.  That gives ``fsum``'s
-    outcome on non-finite values, and its value or overflow on huge ones;
-    only its intermediate-overflow check, which depends on how it split
-    the earlier values, could judge a running sum at the very edge of the
-    double range differently.
+    Each chunk becomes a few exact parts by :func:`_exact_parts`, in one
+    scratch array grown to the largest chunk, and ``total()`` is their
+    ``fsum``; past ``_PARTS_LIMIT`` parts, the parts are extracted again.
+    A chunk holding a non-finite value or one with |x| >= 2**960 switches
+    to keeping values as they come, after the parts so far.  That gives
+    ``fsum``'s outcome on non-finite values, and its value or overflow on
+    huge ones; only its intermediate-overflow check, which depends on how
+    it split the earlier values, could judge a running sum at the very edge
+    of the double range differently.
     """
 
     def __init__(self):
-        self._whole = np.zeros(_BIN_SCALE.size)
-        self._frac = np.zeros(_BIN_SCALE.size)
-        self._binned = 0
         self._parts: list[float] = []
         self._raw = False
+        self._scratch = np.empty(0)
 
     def add(self, values) -> None:
-        x = np.asarray(values, dtype=float).ravel()
+        self._add_owned(np.array(values, dtype=float).ravel())
+
+    def _add_owned(self, x: np.ndarray) -> None:
+        """``add`` for a 1-d float array the accumulator may overwrite."""
         if x.size == 0:
             return
-        if self._raw:
-            self._parts.extend(x.tolist())
-            return
-        if not np.all(np.isfinite(x)):
-            self._keep_raw(x)
-            return
-        frac, exp = np.frexp(x)
-        if exp.max() > _HUGE_EXP:
-            self._keep_raw(x)
-            return
-        exp -= _LEAST_EXP
-        frac *= 2.0**27
-        whole = np.floor(frac)
-        frac -= whole
-        start = 0
-        while start < x.size:
-            if self._binned == _BIN_LIMIT:
-                self._flush()
-            stop = min(x.size, start + _BIN_LIMIT - self._binned)
-            self._whole += np.bincount(exp[start:stop], whole[start:stop], _BIN_SCALE.size)
-            self._frac += np.bincount(exp[start:stop], frac[start:stop], _BIN_SCALE.size)
-            self._binned += stop - start
-            start = stop
-
-    def _bin_parts(self) -> list[float]:
-        parts = np.concatenate([np.ldexp(self._whole, _BIN_SCALE), np.ldexp(self._frac, _BIN_SCALE)])
-        return parts[parts != 0.0].tolist()
-
-    def _flush(self) -> None:
-        self._parts.extend(self._bin_parts())
-        self._whole[:] = 0.0
-        self._frac[:] = 0.0
-        self._binned = 0
-
-    def _keep_raw(self, x: np.ndarray) -> None:
-        self._flush()
-        self._raw = True
+        if not self._raw:
+            top = max(x.max(), -x.min())
+            if top < _EXTRACT_LIMIT:  # false for NaN and infinities too
+                if self._scratch.size < x.size:
+                    self._scratch = np.empty(x.size)
+                self._parts.extend(_exact_parts(x, top, self._scratch))
+                if len(self._parts) > _PARTS_LIMIT:
+                    parts, self._parts = np.array(self._parts), []
+                    self._add_owned(parts)
+                return
+            self._raw = True
         self._parts.extend(x.tolist())
 
     def total(self) -> float:
         """The correctly rounded sum so far; the accumulator stays usable."""
-        return fsum(self._parts + self._bin_parts())
+        return fsum(self._parts)
 
 
 def exact_sum(values) -> float:
@@ -264,11 +257,13 @@ def energy(code: WeightedCode, h: Potential) -> float:
     Works on the upper triangle of the Gram matrix, streamed in row blocks
     from :func:`_gram_rows`: per block, the entries above the diagonal of
     its square on the diagonal and the whole rectangle to the right of
-    that square, terms (2 w_i) w_j h(x_i . x_j), and one
-    :class:`ExactAccumulator` across all blocks, so the result equals
-    ``math.fsum`` of the N(N-1)/2 terms and matches high-precision
-    reference values to the last printed digit.  Working memory is
-    O(BLOCK_ROWS N).  A one-point code has no pairs and energy 0.
+    that square.  Each of these rejects an inner product >= 1 - 1e-15
+    (coincident points) once, then forms the terms (2 w_i) w_j h(x_i . x_j)
+    with h's closed form, unchecked, in the pair weights' own array, which
+    the one :class:`ExactAccumulator` across all blocks may overwrite.  The
+    result equals ``math.fsum`` of the N(N-1)/2 terms and matches
+    high-precision reference values to the last printed digit.  Working
+    memory is O(BLOCK_ROWS N).  A one-point code has no pairs and energy 0.
     """
     w = code.weights
     w2 = 2.0 * w
@@ -284,8 +279,8 @@ def energy(code: WeightedCode, h: Potential) -> float:
                 continue
             if g.max() >= 1.0 - 1e-15:
                 raise ValueError("coincident points: energy would need h(1)")
-            pair_weights *= potential_eval(h, g)
-            acc.add(pair_weights)
+            pair_weights *= _values(h, g)
+            acc._add_owned(pair_weights.ravel())
     return acc.total()
 
 

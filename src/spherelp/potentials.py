@@ -97,21 +97,23 @@ def _check_domain(t):
 
 def potential_eval(h: Potential, t):
     """Value of h at t (scalar or array); t = 1 is a domain error."""
-    t = _check_domain(t)
-    if h.kind == "riesz":
-        v = (2.0 * (1.0 - t)) ** (-h.param / 2.0)
-    elif h.kind == "newton":
-        v = (2.0 * (1.0 - t)) ** (1.0 - h.param / 2.0)
-    elif h.kind == "gaussian":
-        v = np.exp(-h.param * (1.0 - t))
-    elif h.kind == "logarithmic":
-        v = -np.log(2.0 * (1.0 - t))
-    elif h.kind == "fejes_toth":
-        v = -np.sqrt(2.0 * (1.0 - t))
-    else:
-        v = potential_eval(h.base, t) + h.param
-    v = np.asarray(v)
+    v = np.asarray(_values(h, _check_domain(t)))
     return v if v.ndim else float(v)
+
+
+def _values(h: Potential, t: np.ndarray):
+    """The closed form of h at a float array t, unchecked: callers make sure t < 1."""
+    if h.kind == "riesz":
+        return (2.0 * (1.0 - t)) ** (-h.param / 2.0)
+    if h.kind == "newton":
+        return (2.0 * (1.0 - t)) ** (1.0 - h.param / 2.0)
+    if h.kind == "gaussian":
+        return np.exp(-h.param * (1.0 - t))
+    if h.kind == "logarithmic":
+        return -np.log(2.0 * (1.0 - t))
+    if h.kind == "fejes_toth":
+        return -np.sqrt(2.0 * (1.0 - t))
+    return _values(h.base, t) + h.param
 
 
 def potential_derivative(h: Potential, t):

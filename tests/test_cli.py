@@ -449,6 +449,38 @@ def test_out_of_range_dimension_or_degree_is_a_named_usage_error(tmp_path, argv,
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, what, m",
+    [
+        (("uub", "--m-override", "25"), "degree", 25),
+        (("design-uub", "--tau", "25"), "tau =", 25),
+        (("design-uub", "--tau", "15"), "tau =", 15),
+    ],
+    ids=["uub-m-override-25", "design-uub-tau-25", "design-uub-tau-15"],
+)
+def test_s_far_outside_the_interval_of_the_degree_is_a_named_usage_error(capsys, argv, what, m):
+    # the degree-m Levenshtein rule at s = 0.7 fails its node checks: the
+    # caller's choice of degree or tau, not a failed bound
+    lo, hi = validity_interval(3, m)
+    command, *rest = argv
+    code, out, err = run(
+        capsys, command, "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", *rest
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: s = 0.7 lies outside the validity interval [{lo!r}, {hi!r}] of {what} {m} for n = 3")
+
+
+def test_design_uub_outside_the_interval_of_tau_runs_where_the_rule_builds(capsys):
+    lo, hi = validity_interval(4, 5)
+    assert hi < 0.6
+    code, out, _ = run(
+        capsys, "design-uub", "--config", "cube-cross:4", "--s", "0.6", "--tau", "5", "--potential", "riesz:1"
+    )
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
+
+
 _RUN_AND_LIST_SCIPY = """
 import contextlib, io, json, sys
 import spherelp
@@ -471,6 +503,7 @@ def test_bounds_and_energy_load_no_scipy():
         "ulb --n 3 --capacity 31.9565 --potential riesz:1",
         "uub --config pentakis --potential riesz:1",
         "energy --config pentakis --potential riesz:1",
+        "energy --config cube-cross:10 --potential riesz:1",
         "design-ulb --n 3 --capacity 31.9565 --tau 9 --potential riesz:1",
         "design-uub --config cube-cross:4 --s 0.5 --tau 5 --potential newton",
         "design-check --config cube-cross:5",

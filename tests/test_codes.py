@@ -583,23 +583,87 @@ def test_accumulator_over_chunks_matches_fsum(values):
         assert same_outcome(accumulated_outcome([values[:cut], values[cut:]]), want)
     assert same_outcome(accumulated_outcome([[v] for v in values]), want)
     assert same_outcome(accumulated_outcome([[], values, []]), want)
-    # after a binned chunk, so non-finite and huge values arrive with a prefix
+    # after an extracted chunk, so non-finite and huge values arrive with a prefix
     prefix = [0.75, -3.0, 1e-310]
     assert same_outcome(accumulated_outcome([prefix, values]), fsum_outcome(prefix + values))
 
 
-def test_accumulator_flushes_full_bins_exactly(monkeypatch):
-    # a bin filling is capped below 2**26 terms; lower the cap to run the flush
-    monkeypatch.setattr(codes, "_BIN_LIMIT", 7)
-    rng = np.random.default_rng(13)
-    for trial in range(100):
-        values = rng.standard_normal(int(rng.integers(1, 60))) * 2.0 ** rng.integers(-60, 60)
-        if trial % 2:
-            values = np.concatenate([values, -values[::-1], [1e-300]])
+def extraction_levels(values):
+    """The parts ``_exact_parts`` yields for one chunk, one per level; the
+    ``bounded_extraction`` fixture fails an extraction that would not end."""
+    x = np.array(values, dtype=float)
+    return list(codes._exact_parts(x, max(x.max(), -x.min()), np.empty(x.size)))
+
+
+def test_extraction_ends_on_odd_multiples_of_the_least_subnormal():
+    # sigma = 2**-1021 would round each such value half-to-even to q = 0
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 7, 300):
+        values = (2 * rng.integers(0, 2**20, size) + 1) * rng.choice([-1.0, 1.0], size) * 2.0**-1074
+        assert len(extraction_levels(values)) == 1
         want = math.fsum(values.tolist())
         assert exact_sum(values) == want
-        cuts = np.sort(rng.integers(0, values.size + 1, 3))
+        assert accumulated_outcome(np.array_split(values, 3)) == want
+
+
+def test_extraction_over_the_whole_exponent_range():
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        size = int(rng.integers(1, 500))
+        values = rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(-1074, 960, size).astype(float)
+        values = np.concatenate([values * rng.choice([-1.0, 1.0], size), [2.0**-1074, 2.0**959]])
+        if trial % 2:
+            values = np.concatenate([values, -rng.permutation(values)[: size // 2]])  # exact cancellation
+        values = rng.permutation(values)
+        want = math.fsum(values.tolist())
+        assert math.fsum(extraction_levels(values)) == want
+        cuts = np.sort(rng.integers(0, values.size + 1, 4))
         assert accumulated_outcome(np.split(values, cuts)) == want
+
+
+def test_extraction_levels_on_energy_terms():
+    # pair terms within a few binades of each other take two levels
+    code = random_code(np.random.default_rng(23), 2 * BLOCK_ROWS + 1, 4)
+    g, w = code.gram()[:BLOCK_ROWS, BLOCK_ROWS:], code.weights
+    terms = np.multiply.outer(2.0 * w[:BLOCK_ROWS], w[BLOCK_ROWS:]) * potential_eval(riesz(1), g)
+    assert len(extraction_levels(terms.ravel())) <= 2
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1], ids=["below", "at", "above"])
+def test_accumulator_switches_to_raw_values_at_two_to_the_960(edge):
+    huge = np.nextafter(2.0**960, [0.0, 2.0**960, np.inf][edge + 1])
+    for chunks in (
+        [[huge]],
+        [[0.75, -3.0, 1e-310], [huge, 1e-300], [-huge, 2.5]],
+        [[huge, -huge], [1e300, 5e-324]],
+        [[-huge, huge * 0.5, 1.0], [huge * 0.5]],
+        [[1.0], [huge] * 3, [-1e-320]],
+    ):
+        want = fsum_outcome([v for chunk in chunks for v in chunk])
+        assert same_outcome(accumulated_outcome(chunks), want)
+
+
+def test_accumulator_keeps_few_parts_over_many_chunks():
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal(3000) * 2.0 ** rng.integers(-40, 40, 3000)
+    acc = ExactAccumulator()
+    for i, value in enumerate(values):
+        acc.add([value, -value / 3])
+        assert len(acc._parts) <= codes._PARTS_LIMIT
+        if i % 500 == 0:
+            assert acc.total() == math.fsum(np.column_stack([values, -values / 3])[: i + 1].ravel().tolist())
+    assert acc.total() == math.fsum(np.column_stack([values, -values / 3]).ravel().tolist())
+    # parts of 2**960 or more cannot be extracted again: the values are kept raw
+    acc, big = ExactAccumulator(), [1.75 * 2.0**959] * 2
+    for _ in range(2 * codes._PARTS_LIMIT):
+        acc.add(big)
+    assert acc.total() == math.fsum(big * 2 * codes._PARTS_LIMIT)
+
+
+def test_accumulator_of_negative_zeros_matches_fsum():
+    for chunks in ([[-0.0] * 5], [[-0.0], [-0.0, -0.0]], [[1.0, -1.0], [-0.0] * 3], [[-0.0] * 4, [5e-324]]):
+        want = fsum_outcome([v for chunk in chunks for v in chunk])
+        assert same_outcome(accumulated_outcome(chunks), want)
 
 
 FIVE_POTENTIALS = [riesz(1), newton(4), gaussian(1.7), logarithmic(), fejes_toth()]
