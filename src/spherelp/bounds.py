@@ -1,14 +1,15 @@
 """Universal energy bounds for weighted spherical codes and designs.
 
-The lower bound at capacity N_W evaluates the potential at the nodes of
-the 1/N_W-quadrature; its certificate is the Hermite interpolant sitting
-below h with nonnegative Gegenbauer coefficients.  The upper bound at
-maximal inner product s interpolates h at the roots of the Levenshtein
-polynomial and subtracts the smallest multiple lambda* of that polynomial
-that drives all nonconstant coefficients nonpositive.  Design variants
-drop the coefficient sign conditions.  Every certificate condition is
-re-verified numerically and recorded; a failed check marks the report
-infeasible instead of raising.
+All four bounds are certified by one routine, ``_certify``, on a 1/N
+quadrature rule: at capacity N_W for lower bounds, at the roots of the
+Levenshtein polynomial f for maximal inner product s for upper bounds.
+The certificate is the Hermite interpolant g_T of h at the nodes minus
+lambda* f, the least multiple of f that drives all nonconstant
+coefficients nonpositive (``uub`` only; lambda* = 0 for the other
+kinds).  It must stay below h with nonnegative coefficients (lower) or
+above h on [-1, s] with nonpositive ones (upper); design variants drop
+the sign conditions.  Every condition is re-verified numerically and
+recorded; a failed check marks the report infeasible instead of raising.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ class TestFunctionReport:
         return bool(self.negative_indices)
 
 
-def _rule_energy(rule: QuadratureRule, at_nodes: np.ndarray) -> float:
-    """sum_i rho_i h(alpha_i), correctly rounded, from h at the rule's nodes."""
-    return fsum(w * v for w, v in zip(rule.weights, at_nodes.tolist()))
-
-
 def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
     """Test-function values Q_1..Q_jmax against the lower-bound rule.
 
@@ -118,38 +114,33 @@ def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckRe
     return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])) if j_max > rule.m else None, note)
 
 
-class _CertificateSetup(NamedTuple):
+class _Setup(NamedTuple):
+    rule: QuadratureRule
     node_table: np.ndarray
     operator: HermiteOperator
     grid: np.ndarray
     table: np.ndarray
+    closing: tuple[CheckResult, ...]
 
 
-def _certificate_setup(
-    rule: QuadratureRule, doubled: slice, interval: tuple[float, float], node_degree: int
-) -> _CertificateSetup:
+def _setup(rule: QuadratureRule, doubled: slice, interval: tuple[float, float], node_degree: int) -> _Setup:
     """The part of a certificate check on the rule that does not depend on h.
 
     ``doubled`` slices the nodes where the certificate also matches h'.
     P_0..P_node_degree at the nodes give the Hermite operator's value rows;
     the dominance grid on the interval and its table P_0..P_m (both
-    read-only) turn each dominance check into one product.
+    read-only) turn each dominance check into one product.  ``closing``,
+    the checks on the rule alone that end each report, starts empty.
     """
     node_table = gegenbauer_table(rule.n, node_degree, np.asarray(rule.nodes))
     grid = dominance_grid(*interval, rule.nodes)
     table = gegenbauer_table(rule.n, rule.m, grid)
     grid.flags.writeable = table.flags.writeable = False
-    return _CertificateSetup(node_table, hermite_operator(rule.nodes, doubled, rule.n, node_table), grid, table)
-
-
-class _UlbSetup(NamedTuple):
-    rule: QuadratureRule
-    scan: CheckResult
-    certificate: _CertificateSetup
+    return _Setup(rule, node_table, hermite_operator(rule.nodes, doubled, rule.n, node_table), grid, table, ())
 
 
 @lru_cache(maxsize=1)
-def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
+def _ulb_setup(n: int, capacity: float) -> _Setup:
     """The part of a lower bound at (n, N_W) that does not depend on h.
 
     The rule, its Q_j scan up to 3m and its certificate setup on
@@ -160,44 +151,93 @@ def _ulb_setup(n: int, capacity: float) -> _UlbSetup:
     """
     rule = solve_ulb_rule(n, capacity)
     # P_0..P_3m at the nodes serve both the Q_j scan and the operator's value rows
-    setup = _certificate_setup(rule, slice(rule.eps, None), ULB_INTERVAL, 3 * rule.m)
-    return _UlbSetup(rule, _scan_checks(rule, 3 * rule.m, setup.node_table), setup)
+    setup = _setup(rule, slice(rule.eps, None), ULB_INTERVAL, 3 * rule.m)
+    return setup._replace(closing=(_scan_checks(rule, 3 * rule.m, setup.node_table),))
 
 
-def _ulb_from_setup(setup: _UlbSetup, h: Potential, design: bool) -> BoundReport:
-    rule, scan, certificate = setup
-    n = rule.n
-    # h at the nodes, evaluated once for the rule energy and the Hermite jet
-    at_nodes = potential_eval(h, certificate.operator.points)
-    value = _rule_energy(rule, at_nodes)
-    cert = hermite_interpolant(h, certificate.operator, at_nodes)
-    checks = [CheckResult("interpolation", cert.node_residual <= 1e-9, cert.node_residual)]
-    ok_dom, violation = verify_dominance(cert.gegenbauer, h, "below", certificate.grid, certificate.table)
-    checks.append(CheckResult("dominance_below", ok_dom, violation))
-    coeffs = np.asarray(cert.gegenbauer.coeffs)
-    if design:
-        ok_pd = True
-        checks.append(
-            CheckResult("positive_definite", True, None, "not required for design bounds")
-        )
+def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
+    positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
+    lam = max((gt[i] / f[i] for i in positive), default=0.0)
+    if classify(h).absolutely_monotone and f.size > 2:
+        shortcut = float(max((gt[i] / f[i] for i in range(1, min(gt.size, f.size - 1))), default=0.0))
+        agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
+        checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
+    return float(lam)
+
+
+def _certify(
+    kind: str, setup: _Setup, h: Potential, capacity: float, f: GegenbauerSeries | None = None
+) -> BoundReport:
+    """The bound of ``kind`` at capacity N_W on the setup's rule, with its checks.
+
+    The certificate is g = g_T - lambda* f; only ``uub`` passes the
+    Levenshtein polynomial f, so lambda* = 0 for the other kinds.  With N_1
+    the rule's capacity, ``objective_consistency`` compares
+
+        objective = -lambda* f_0 (1 - N_1/N_W) + g_T,0 - g_T(1)/N_W
+        energy    = (-lambda* f_0 + g_T(1)/N_1) (1 - N_1/N_W) + sum_i rho_i h(alpha_i).
+
+    Lower bounds pass N_W = N_1, which with lambda* = 0 reduces these bit
+    for bit to g_T,0 - g_T(1)/N_W and the rule energy, and report the
+    energy side; upper bounds report the objective side.  Interpolation,
+    coefficient signs, dominance and objective consistency decide
+    ``feasible``; the other checks are reported only.
+    """
+    rule, node_table, operator, grid, table, closing = setup
+    lower = kind in ("ulb", "design_ulb")
+    n1 = rule.capacity
+    # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
+    at_nodes = potential_eval(h, operator.points)
+    g_t = hermite_interpolant(h, operator, at_nodes)
+    checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
+    gt = np.asarray(g_t.gegenbauer.coeffs)
+    lam, f0, cert = 0.0, 0.0, g_t.gegenbauer
+    if f is not None:
+        fc = np.asarray(f.coeffs)
+        lam, f0 = _lambda_star(gt, fc, h, checks), fc[0]
+        gt_pad = np.pad(gt, (0, fc.size - gt.size)) if gt.size < fc.size else gt[: fc.size]
+        cert = GegenbauerSeries(rule.n, gt_pad - lam * fc)
+    coeffs = np.asarray(cert.coeffs)
+
+    sign_name = "positive_definite" if lower else "coefficient_signs"
+    if kind.startswith("design"):
+        signs = CheckResult(sign_name, True, None, "not required for design bounds")
+    elif lower:
+        worst = float(coeffs[1:].min()) if coeffs.size > 1 else 0.0
+        signs = CheckResult(sign_name, worst >= -COEFF_TOL, worst)
     else:
-        ok_pd = bool(coeffs[1:].min() >= -COEFF_TOL) if coeffs.size > 1 else True
-        checks.append(CheckResult("positive_definite", ok_pd, float(coeffs[1:].min()) if coeffs.size > 1 else 0.0))
-    objective = cert.gegenbauer.coeffs[0] - cert.gegenbauer.value_at_one() / rule.capacity
-    ok_val = abs(objective - value) <= VALUE_TOL * max(1.0, abs(value))
-    checks.append(CheckResult("objective_consistency", ok_val, abs(objective - value)))
-    checks.append(scan)
-    feasible = bool(cert.node_residual <= 1e-9 and ok_dom and ok_pd and ok_val)
+        worst = float(coeffs[1:].max())
+        signs = CheckResult(sign_name, worst <= COEFF_TOL, worst)
+    ok_dom, violation = verify_dominance(cert, h, "below" if lower else "above", grid, table)
+    dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation)
+    checks += [dominance, signs] if lower else [signs, dominance]
+    if f is not None:
+        # g_T - lambda* f at the nodes, from the node table
+        touch = float(abs(coeffs @ node_table[: coeffs.size] - at_nodes).max())
+        checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
+
+    gt0, gt1 = float(gt[0]), g_t.gegenbauer.value_at_one()
+    objective = -lam * f0 * (1.0 - n1 / capacity) + gt0 - gt1 / capacity
+    # sum_i rho_i h(alpha_i) correctly rounded
+    rule_energy = fsum(w * v for w, v in zip(rule.weights, at_nodes.tolist()))
+    energy = (-lam * f0 + gt1 / n1) * (1.0 - n1 / capacity) + rule_energy
+    value = energy if lower else objective
+    ok_val = abs(objective - energy) <= VALUE_TOL * max(1.0, abs(value))
+    checks.append(CheckResult("objective_consistency", ok_val, abs(objective - energy)))
+
+    feasible = bool(g_t.node_residual <= 1e-9 and signs.ok and ok_dom and ok_val)
     return BoundReport(
-        kind="design_ulb" if design else "ulb",
-        n=n,
+        kind=kind,
+        n=rule.n,
         m=rule.m,
         rule=rule,
-        value=value,
-        certificate=cert.gegenbauer,
+        value=float(value),
+        certificate=cert,
         potential=h,
         feasible=feasible,
-        diagnostics=tuple(checks),
+        diagnostics=tuple(checks) + closing,
+        lambda_star=None if lower else lam,
+        n1=None if lower else float(n1),
     )
 
 
@@ -205,7 +245,7 @@ def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
     """Universal lower bound on the weighted energy at capacity N_W > 2."""
     if not derivative_nonneg_from(h, 1):
         raise ValueError(f"potential {h.label()} lacks nonnegative derivatives of order >= 1")
-    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, design=False)
+    return _certify("ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
 
 
 def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
@@ -236,121 +276,47 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="
             f" ({dgs_bound(n, tau)}, {dgs_bound(n, tau + 1)}]"
         )
-    return _ulb_from_setup(_ulb_setup(index(n), float(capacity)), h, design=True)
+    return _certify("design_ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
 
 
-def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
-    positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
-    lam = max((gt[i] / f[i] for i in positive), default=0.0)
-    if classify(h).absolutely_monotone and f.size > 2:
-        shortcut = float(max((gt[i] / f[i] for i in range(1, min(gt.size, f.size - 1))), default=0.0))
-        agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
-        checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
-    return float(lam)
+def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potential) -> BoundReport:
+    """Upper bound of ``kind`` at maximal inner product s from the degree-m rule.
 
-
-def _upper_bound(
-    n: int, capacity: float, s: float, m: int, h: Potential, design: bool
-) -> BoundReport:
-    """Upper bound at maximal inner product s from the degree-m rule.
-
-    The certificate is the Hermite interpolant g_T of h at the roots of the
-    Levenshtein polynomial f, minus lambda* f.  Design bounds fix lambda* = 0
-    and drop the coefficient sign conditions, so they skip that check, the
-    lambda* shortcut, the node-contact check of the corrected polynomial
-    and the validity-interval flag.
+    The report closes with the checks on the rule alone: the N_1 interval
+    hypothesis, the capacity and, for ``uub``, s outside the validity interval.
     """
     if not (isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
+    lo, hi = validity_interval(n, m)
+    within = lo - 1e-9 <= s <= hi + 1e-9
     try:
         lp = levenshtein_polynomial(n, m, s)
     except QuadratureError as exc:
         # an overridden degree or a design's tau far from s: a usage error, not a failed rule
-        lo, hi = validity_interval(n, m)
-        if lo - 1e-9 <= s <= hi + 1e-9:
+        if within:
             raise
-        what = f"tau = {m}" if design else f"degree {m}"
+        what = f"degree {m}" if kind == "uub" else f"tau = {m}"
         raise ValueError(
             f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of {what} "
             f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
         ) from exc
-    rule = lp.rule
-    n1 = rule.capacity
-
-    setup = _certificate_setup(rule, slice(rule.eps, -1), (-1.0, s), m)
-    # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
-    at_nodes = potential_eval(h, setup.operator.points)
-    g_t = hermite_interpolant(h, setup.operator, at_nodes)
-    checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
-    gt = np.asarray(g_t.gegenbauer.coeffs)
-    f = np.asarray(lp.gegenbauer.coeffs)
-    if design:
-        lam, cert = 0.0, g_t.gegenbauer
-        ok_signs = True
-        checks.append(CheckResult("coefficient_signs", True, None, "not required for design bounds"))
-    else:
-        lam = _lambda_star(gt, f, h, checks)
-        gt_pad = np.pad(gt, (0, f.size - gt.size)) if gt.size < f.size else gt[: f.size]
-        g_coeffs = gt_pad - lam * f
-        cert = GegenbauerSeries(n, g_coeffs)
-        ok_signs = bool(np.max(g_coeffs[1:]) <= COEFF_TOL)
-        checks.append(CheckResult("coefficient_signs", ok_signs, float(np.max(g_coeffs[1:]))))
-    ok_dom, violation = verify_dominance(cert, h, "above", setup.grid, setup.table)
-    checks.append(CheckResult("dominance_above", ok_dom, violation))
-    if not design:
-        # g_T - lambda* f at the nodes, from the node table
-        touch = float(abs(g_coeffs @ setup.node_table[: g_coeffs.size] - at_nodes).max())
-        checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
-
-    gt0 = float(gt[0])
-    gt1 = g_t.gegenbauer.value_at_one()
-    value = -lam * f[0] * (1.0 - n1 / capacity) + gt0 - gt1 / capacity
-    alt = (-lam * f[0] + gt1 / n1) * (1.0 - n1 / capacity) + _rule_energy(rule, at_nodes)
-    ok_val = abs(value - alt) <= VALUE_TOL * max(1.0, abs(value))
-    checks.append(CheckResult("objective_consistency", ok_val, abs(value - alt)))
-
+    n1 = lp.rule.capacity
     hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
-    checks.append(
-        CheckResult(
-            "n1_interval_hypothesis",
-            hyp,
-            n1,
-            f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
-            + ("" if hyp else "; reported only, bound still computed"),
-        )
-    )
+    dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
     # a code with sum of squared weights 1/N_W has at least N_W points, and its
     # cardinality is capped by N_1; below that the bound is valid but vacuous
-    attained = n1 >= capacity - 1e-9
-    checks.append(
-        CheckResult(
-            "capacity_consistency",
-            bool(attained),
-            n1,
-            "" if attained else "N_1 < N_W: no code attains this capacity at this inner product",
-        )
+    attained = bool(n1 >= capacity - 1e-9)
+    vacuous = "N_1 < N_W: no code attains this capacity at this inner product"
+    closing = (
+        CheckResult("n1_interval_hypothesis", hyp, n1, dgs + ("" if hyp else "; reported only, bound still computed")),
+        CheckResult("capacity_consistency", attained, n1, "" if attained else vacuous),
     )
-    if not design:
-        lo, hi = validity_interval(n, m)
-        if not lo - 1e-9 <= s <= hi + 1e-9:
-            checks.append(CheckResult("s_within_validity", False, s, "degree override outside validity interval"))
-
-    feasible = bool(ok_signs and ok_dom and ok_val and g_t.node_residual <= 1e-9)
-    return BoundReport(
-        kind="design_uub" if design else "uub",
-        n=n,
-        m=m,
-        rule=rule,
-        value=float(value),
-        certificate=cert,
-        potential=h,
-        feasible=feasible,
-        diagnostics=tuple(checks),
-        lambda_star=lam,
-        n1=float(n1),
-    )
+    if kind == "uub" and not within:
+        closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
+    setup = _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s), m)._replace(closing=closing)
+    return _certify(kind, setup, h, capacity, lp.gegenbauer if kind == "uub" else None)
 
 
 def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:
@@ -366,7 +332,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     m = select_degree_from_s(n, s) if m_override is None else m_override
     if not derivative_nonneg_from(h, m):
         raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
-    return _upper_bound(n, capacity, s, m, h, design=False)
+    return _upper_bound("uub", n, capacity, s, m, h)
 
 
 def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> BoundReport:
@@ -380,4 +346,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
         raise ValueError("s must lie in [-1, 1)")
     if not derivative_nonneg_from(h, tau):
         raise ValueError(f"potential {h.label()} lacks h^({tau}) >= 0")
-    return _upper_bound(n, capacity, s, tau, h, design=True)
+    return _upper_bound("design_uub", n, capacity, s, tau, h)

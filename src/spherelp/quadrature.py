@@ -104,6 +104,8 @@ def validity_interval(n: int, m: int) -> tuple[float, float]:
     polynomial: the top eigenvalue of its Jacobi matrix (Golub-Welsch),
     within about 2e-15 of the zero up to m = 25.  t_0^{1,1} = -1 by convention.
     """
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
     k, eps = split_degree(m)
 
     def largest_zero(b: int, j: int) -> float:

@@ -112,6 +112,17 @@ def test_upper_bounds_reject_degree_above_cap():
         design_uub(3, 30.0, 0.7, 26, riesz(1))
 
 
+def test_upper_bounds_reject_dimension_below_two():
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        validity_interval(1, 3)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        uub(1, 30.0, 0.5, riesz(1))
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        uub(1, 30.0, 0.5, riesz(1), m_override=3)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        design_uub(1, 30.0, 0.5, 3, riesz(1))
+
+
 def test_uub_pentakis():
     report = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert report.value == pytest.approx(0.8234054, abs=1e-6)
@@ -352,6 +363,70 @@ def test_vacuous_capacity_flagged():
     assert good.diagnostic("capacity_consistency").ok
 
 
+LOWER_NAMES = ("interpolation", "dominance_below", "positive_definite", "objective_consistency", "test_function_scan")
+UPPER_HEAD = ("interpolation", "lambda_star_shortcut", "coefficient_signs", "dominance_above", "nodes_touch")
+UPPER_TAIL = ("objective_consistency", "n1_interval_hypothesis", "capacity_consistency")
+
+
+@pytest.mark.parametrize(
+    "compute, names",
+    [
+        (lambda: ulb(3, PENTAKIS_CAPACITY, riesz(1)), LOWER_NAMES),
+        (lambda: design_ulb(3, PENTAKIS_CAPACITY, 9, riesz(1)), LOWER_NAMES),
+        (lambda: uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1)), UPPER_HEAD + UPPER_TAIL),
+        # the shortcut is checked for absolutely monotone potentials only
+        (
+            lambda: uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, fejes_toth()),
+            UPPER_HEAD[:1] + UPPER_HEAD[2:] + UPPER_TAIL,
+        ),
+        (
+            lambda: uub(3, qp_capacity(3), 1 / math.sqrt(3), newton(3), m_override=5),
+            UPPER_HEAD + UPPER_TAIL + ("s_within_validity",),
+        ),
+        (
+            lambda: design_uub(3, qp_capacity(3), 1 / math.sqrt(3), 5, newton(3)),
+            ("interpolation", "coefficient_signs", "dominance_above") + UPPER_TAIL,
+        ),
+    ],
+    ids=["ulb", "design_ulb", "uub", "uub-not-absolutely-monotone", "uub-m-override", "design_uub"],
+)
+def test_diagnostic_names_in_order(compute, names):
+    assert tuple(c.name for c in compute().diagnostics) == names
+
+
+LOWER_GATES = ("interpolation", "dominance_below", "positive_definite", "objective_consistency")
+UPPER_GATES = ("interpolation", "coefficient_signs", "dominance_above", "objective_consistency")
+GATES = {"ulb": LOWER_GATES, "design_ulb": LOWER_GATES, "uub": UPPER_GATES, "design_uub": UPPER_GATES}
+
+
+def test_feasible_is_the_conjunction_of_the_four_gates():
+    # two reports that round-off in the certificate makes infeasible (large
+    # n and m), then a seeded sample of every kind
+    reports = [ulb(36, 10917558293.94429, gaussian(1)), uub(35, 1e9, 0.6358760441441441, gaussian(1))]
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        n, m = int(rng.integers(2, 12)), int(rng.integers(1, 12))
+        lo_d, hi_d = dgs_bound(n, m), dgs_bound(n, m + 1)
+        capacity = lo_d + (hi_d - lo_d) * float(rng.uniform(0.05, 1.0))
+        s = float(rng.uniform(*validity_interval(n, m)))
+        h = (riesz(1), gaussian(1), logarithmic(), newton(n))[int(rng.integers(4))]
+        reports += [
+            ulb(n, capacity, h),
+            design_ulb(n, capacity, m, h),
+            uub(n, 1e9, s, h),
+            uub(n, capacity, s, h, m_override=m),
+            design_uub(n, capacity, s, m, h),
+        ]
+    for report in reports:
+        gates = GATES[report.kind]
+        assert report.feasible == all(report.diagnostic(name).ok for name in gates)
+    # a failed check outside the gates leaves the report feasible
+    assert any(
+        report.feasible and not all(c.ok for c in report.diagnostics if c.name not in GATES[report.kind])
+        for report in reports
+    )
+
+
 def report_fields(report):
     return (report.value, report.certificate.coeffs, report.rule, report.diagnostics, report.feasible)
 
@@ -420,7 +495,7 @@ def test_ulb_memo_is_bounded_and_its_grid_read_only():
         assert bounds._ulb_setup.cache_info().currsize <= maxsize
     setup = bounds._ulb_setup(3, float(capacity))
     assert bounds._ulb_setup.cache_info().hits == 1
-    grid = setup.certificate.grid
+    grid = setup.grid
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 0.0
@@ -445,12 +520,12 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     design_ulb(4, 24.0, 5, newton(4))
     assert calls == [4]
     setup = bounds._ulb_setup(4, 24.0)
-    certificate, op = setup.certificate, setup.certificate.operator
-    for array in (certificate.table, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
+    op = setup.operator
+    for array in (setup.table, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        certificate.table[0, 0] = 0.0
-    assert np.array_equal(certificate.table, gegenbauer_table(4, setup.rule.m, certificate.grid))
+        setup.table[0, 0] = 0.0
+    assert np.array_equal(setup.table, gegenbauer_table(4, setup.rule.m, setup.grid))
 
 
 def test_ulb_n2_degree_24_is_feasible():

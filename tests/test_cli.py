@@ -433,8 +433,17 @@ def test_closed_stdout_is_not_an_error(argv):
             ("design-uub", "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", "--tau", "26"),
             "error: degree 26 above cap 25",
         ),
+        (("uub", "--n", "0", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1"), "error: dimension must be >= 2"),
+        (
+            ("uub", "--n", "1", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--m-override", "3"),
+            "error: dimension must be >= 2",
+        ),
+        (
+            ("design-uub", "--n", "1", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--tau", "3"),
+            "error: dimension must be >= 2",
+        ),
     ],
-    ids=["design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau"],
+    ids=["design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau", "uub-n0", "uub-n1-m-override", "design-uub-n1"],
 )
 def test_out_of_range_dimension_or_degree_is_a_named_usage_error(tmp_path, argv, message):
     c1 = tmp_path / "c1.json"
