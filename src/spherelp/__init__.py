@@ -28,7 +28,6 @@ from .orthopoly import (
     to_gegenbauer,
 )
 from .potentials import (
-    MonotonicityClass,
     Potential,
     classify,
     fejes_toth,

@@ -35,6 +35,7 @@ from .quadrature import (
     levenshtein_polynomial,
     select_degree_from_s,
     solve_ulb_rule,
+    split_degree,
     validity_interval,
 )
 
@@ -158,7 +159,7 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
     positive = [i for i in range(1, f.size) if i < gt.size and gt[i] > 1e-12]
     lam = max((gt[i] / f[i] for i in positive), default=0.0)
-    if classify(h).absolutely_monotone and f.size > 2:
+    if classify(h) and f.size > 2:
         shortcut = float(max((gt[i] / f[i] for i in range(1, min(gt.size, f.size - 1))), default=0.0))
         agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
         checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
@@ -269,6 +270,7 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
     Valid for any potential with h^(tau+1) >= 0; the certificate need not be
     positive definite because the first tau moments vanish.
     """
+    split_degree(tau)  # tau below 1 is named as such, before the derivative gate
     if not derivative_nonneg_from(h, tau + 1):
         raise ValueError(f"potential {h.label()} lacks h^({tau + 1}) >= 0")
     if not dgs_bound(n, tau) < capacity <= dgs_bound(n, tau + 1):
@@ -282,9 +284,16 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
 def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potential) -> BoundReport:
     """Upper bound of ``kind`` at maximal inner product s from the degree-m rule.
 
-    The report closes with the checks on the rule alone: the N_1 interval
-    hypothesis, the capacity and, for ``uub``, s outside the validity interval.
+    Only ``uub`` reads the Levenshtein polynomial f; ``design_uub`` needs
+    the rule alone.  The report closes with the checks on the rule alone:
+    the N_1 interval hypothesis, the capacity and, for ``uub``, s outside
+    the validity interval.
     """
+    if not -1 <= s < 1:
+        raise ValueError("s must lie in [-1, 1)")
+    split_degree(m)  # a degree below 1 is named as such, before the derivative gate
+    if not derivative_nonneg_from(h, m):
+        raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
     if not (isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     if m > MAX_RULE_DEGREE:
@@ -293,6 +302,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     within = lo - 1e-9 <= s <= hi + 1e-9
     try:
         lp = levenshtein_polynomial(n, m, s)
+        f = lp.gegenbauer if kind == "uub" else None
     except QuadratureError as exc:
         # an overridden degree or a design's tau far from s: a usage error, not a failed rule
         if within:
@@ -316,7 +326,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     if kind == "uub" and not within:
         closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
     setup = _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s), m)._replace(closing=closing)
-    return _certify(kind, setup, h, capacity, lp.gegenbauer if kind == "uub" else None)
+    return _certify(kind, setup, h, capacity, f)
 
 
 def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:
@@ -327,11 +337,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     the N_1 interval hypothesis is checked and reported rather than
     enforced.
     """
-    if not -1 <= s < 1:
-        raise ValueError("s must lie in [-1, 1)")
     m = select_degree_from_s(n, s) if m_override is None else m_override
-    if not derivative_nonneg_from(h, m):
-        raise ValueError(f"potential {h.label()} lacks h^({m}) >= 0")
     return _upper_bound("uub", n, capacity, s, m, h)
 
 
@@ -342,8 +348,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
     lambda = 0); only h^(tau) >= 0 and dominance above h on [-1, s] are
     required.
     """
-    if not -1 <= s < 1:
-        raise ValueError("s must lie in [-1, 1)")
-    if not derivative_nonneg_from(h, tau):
-        raise ValueError(f"potential {h.label()} lacks h^({tau}) >= 0")
     return _upper_bound("design_uub", n, capacity, s, tau, h)

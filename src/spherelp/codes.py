@@ -442,17 +442,6 @@ def with_equal_weights(code: WeightedCode) -> WeightedCode:
     )
 
 
-def code_to_json(code: WeightedCode) -> str:
-    payload = {
-        "n": code.n,
-        "points": [[float(x) for x in p] for p in code.points],
-        "weights": [float(w) for w in code.weights],
-    }
-    if code.name:
-        payload["name"] = code.name
-    return json.dumps(payload)
-
-
 def code_from_json(text: str) -> WeightedCode:
     data = json.loads(text)
     if not isinstance(data, dict):

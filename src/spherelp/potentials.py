@@ -1,7 +1,7 @@
 """Built-in potential functions of the inner product t on [-1, 1).
 
-Each kind carries a closed-form value and first derivative plus a
-monotonicity classification that gates which bounds apply to it:
+Each kind carries a closed-form value and first derivative plus the
+derivative signs that gate which bounds apply to it:
 
     riesz(alpha)   (2(1-t))**(-alpha/2), alpha > 0
     newton(n)      (2(1-t))**(1-n/2)  (riesz with alpha = n-2; constant for n=2)
@@ -51,17 +51,6 @@ class Potential:
         if self.kind == "fejes_toth":
             return "fejes-toth"
         return f"shift:{self.param:g}:{self.base.label()}"
-
-
-@dataclass(frozen=True)
-class MonotonicityClass:
-    absolutely_monotone: bool
-    strictly_absolutely_monotone: bool
-    min_nonneg_derivative_order: int | None
-
-    def __post_init__(self):
-        if self.strictly_absolutely_monotone and not self.absolutely_monotone:
-            raise ValueError("strict implies absolutely monotone")
 
 
 def riesz(alpha: float) -> Potential:
@@ -136,14 +125,6 @@ def potential_derivative(h: Potential, t):
     return v if v.ndim else float(v)
 
 
-def _is_polynomial(h: Potential) -> bool:
-    if h.kind == "newton" and h.param == 2:
-        return True
-    if h.kind == "shifted":
-        return _is_polynomial(h.base)
-    return False
-
-
 def min_nonneg_derivative_order(h: Potential) -> int:
     """Smallest order from which on every derivative of h is >= 0 on [-1, 1).
 
@@ -164,21 +145,11 @@ def derivative_nonneg_from(h: Potential, order: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def classify(h: Potential) -> MonotonicityClass:
-    """Monotonicity flags for h from closed-form per-kind knowledge alone."""
-    min_order = min_nonneg_derivative_order(h)
-    if h.kind == "logarithmic":
-        # conventionally grouped with the absolutely monotone kinds; only its
-        # derivative orders >= 1 are nonnegative, and no bound consumes order 0
-        absolutely = True
-    else:
-        absolutely = min_order == 0
-    strictly = absolutely and not _is_polynomial(h)
-    return MonotonicityClass(
-        absolutely_monotone=absolutely,
-        strictly_absolutely_monotone=strictly,
-        min_nonneg_derivative_order=min_order,
-    )
+def classify(h: Potential) -> bool:
+    """Whether h counts as absolutely monotone, from closed-form per-kind knowledge."""
+    # logarithmic is conventionally grouped with the absolutely monotone kinds;
+    # only its derivative orders >= 1 are nonnegative, and no bound consumes order 0
+    return h.kind == "logarithmic" or min_nonneg_derivative_order(h) == 0
 
 
 def parse_potential(text: str, n: int | None = None) -> Potential:

@@ -18,7 +18,7 @@ are the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -58,10 +58,38 @@ class LevenshteinPolynomial:
     For m = 2k-1 it is (t - s) K(t)^2 with K monic of degree k-1; for
     m = 2k an extra factor (t + 1) appears.  Its Gegenbauer coefficients are
     strictly positive and f(1)/f_0 recovers the Levenshtein function value.
+    Only the rule is built up front: ``gegenbauer`` multiplies out the roots
+    and checks both facts on first read, so a caller that needs the rule
+    alone builds no f.
     """
 
     rule: QuadratureRule
-    gegenbauer: GegenbauerSeries
+
+    @cached_property
+    def gegenbauer(self) -> GegenbauerSeries:
+        """The Gegenbauer series of f, checked for nonnegative coefficients
+        (strictly positive away from interval endpoints) and f(1)/f_0 equal
+        to the rule's capacity L_m(n, s) within 1e-9 relative."""
+        rule = self.rule
+        n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
+        interior = rule.nodes[rule.eps:-1]
+        series = GegenbauerSeries(n, gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior))
+        g = np.asarray(series.coeffs)
+        where = f"(n={n}, m={m}, s={s:.12g})"
+        # strict positivity can degrade to a zero coefficient at interval endpoints
+        low = int(np.argmin(g))
+        if g[low] < -1e-10 * np.max(np.abs(g)):
+            raise QuadratureError(
+                f"Levenshtein polynomial for {where} has a negative coefficient: "
+                f"coefficient {low} of {g.size} is {g[low]:.6g}"
+            )
+        ratio = series.value_at_one() / g[0]
+        if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
+            raise QuadratureError(
+                f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
+                f"function value {capacity:.12g}"
+            )
+        return series
 
 
 def split_degree(m: int) -> tuple[int, int]:
@@ -136,8 +164,12 @@ def levenshtein_function(n: int, m: int, s: float) -> float:
     k, eps = split_degree(m)
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
-    table = gegenbauer_table(n, k + eps, s)
-    pk, pke, pkm = (float(table[i]) for i in (k, k + eps, k - 1 + eps))
+    # P_0..P_{k+eps} at s on Python floats: gegenbauer_table's recurrence, operation for operation
+    x = float(s)
+    p = [1.0, x]
+    for j in range(1, k + eps):
+        p.append(((2 * j + n - 2) * x * p[j] - j * p[j - 1]) / (j + n - 2))
+    pk, pke, pkm = p[k], p[k + eps], p[k - 1 + eps]
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
     return float(lead * (head - num / den))
@@ -332,30 +364,7 @@ def _brent_root(f, xpre, xcur, fpre, fcur, where):
 
 
 def levenshtein_polynomial(n: int, m: int, s: float) -> LevenshteinPolynomial:
-    """Monic Levenshtein polynomial of degree m for inner product s, with
-    the rule on its roots.
-
-    Consistency checks: nonnegative Gegenbauer coefficients (strictly
-    positive away from interval endpoints) and f(1)/f_0 equal to
-    L_m(n, s) within 1e-9 relative.
-    """
-    capacity = levenshtein_function(n, m, s)
-    rule = compute_weights(n, m, s, capacity)
-    interior = rule.nodes[rule.eps:-1]
-    series = GegenbauerSeries(n, gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior))
-    g = np.asarray(series.coeffs)
-    where = f"(n={n}, m={m}, s={s:.12g})"
-    # strict positivity can degrade to a zero coefficient at interval endpoints
-    low = int(np.argmin(g))
-    if g[low] < -1e-10 * np.max(np.abs(g)):
-        raise QuadratureError(
-            f"Levenshtein polynomial for {where} has a negative coefficient: "
-            f"coefficient {low} of {g.size} is {g[low]:.6g}"
-        )
-    ratio = series.value_at_one() / g[0]
-    if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
-        raise QuadratureError(
-            f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
-            f"function value {capacity:.12g}"
-        )
-    return LevenshteinPolynomial(rule, series)
+    """Monic Levenshtein polynomial of degree m for inner product s: the
+    verified rule on its roots, at capacity L_m(n, s), with the polynomial
+    itself built and checked on first read of ``gegenbauer``."""
+    return LevenshteinPolynomial(compute_weights(n, m, s, levenshtein_function(n, m, s)))

@@ -123,6 +123,35 @@ def test_upper_bounds_reject_dimension_below_two():
         design_uub(1, 30.0, 0.5, 3, riesz(1))
 
 
+def test_degree_below_one_is_named_before_the_derivative_gate():
+    # log lacks h^(0) >= 0 and every potential has h^(-1) >= 0, so a derivative
+    # test ahead of the degree check would misname or let through these degrees
+    for h in (riesz(1), logarithmic()):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                uub(3, 30.0, 0.5, h, m_override=m)
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                design_uub(3, 30.0, 0.5, m, h)
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                design_ulb(3, 30.0, m, h)
+
+
+def test_only_uub_builds_the_levenshtein_polynomial(monkeypatch):
+    import spherelp.quadrature as quadrature
+
+    calls = []
+    real = quadrature.gegenbauer_from_roots
+    monkeypatch.setattr(quadrature, "gegenbauer_from_roots", lambda *args: calls.append(args) or real(*args))
+    m = select_degree_from_s(3, PENTAKIS_S)
+    assert design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, m, riesz(1)).feasible
+    # past the validity interval of m = 5 in n = 4 f has a negative mean, which
+    # a design bound never reads
+    assert design_uub(4, 20.0, 0.71, 5, riesz(1)).kind == "design_uub"
+    assert calls == []
+    assert uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1)).feasible
+    assert len(calls) == 1
+
+
 def test_uub_pentakis():
     report = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert report.value == pytest.approx(0.8234054, abs=1e-6)

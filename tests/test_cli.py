@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spherelp.cli import main
-from spherelp.codes import code_to_json, cube_crosspolytope
+from spherelp.codes import cube_crosspolytope
 from spherelp.quadrature import validity_interval
 
 
@@ -250,7 +250,8 @@ def test_weights_file_and_code_file(tmp_path, capsys):
     assert json.loads(out)["rule"]["capacity"] == pytest.approx(24.0)
 
     cf = tmp_path / "code.json"
-    cf.write_text(code_to_json(cube_crosspolytope(3)))
+    cube = cube_crosspolytope(3)
+    cf.write_text(json.dumps({"n": cube.n, "points": cube.points.tolist(), "weights": cube.weights.tolist()}))
     code, out, _ = run(capsys, "energy", "--config", str(cf), "--potential", "newton:3")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.7070, abs=1e-4)
@@ -442,8 +443,24 @@ def test_closed_stdout_is_not_an_error(argv):
             ("design-uub", "--n", "1", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--tau", "3"),
             "error: dimension must be >= 2",
         ),
+        (
+            ("uub", "--n", "3", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--m-override", "-1"),
+            "error: degree must be >= 1",
+        ),
+        (
+            ("uub", "--n", "3", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--m-override", "0"),
+            "error: degree must be >= 1",
+        ),
+        (
+            ("design-uub", "--n", "3", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--tau", "-1"),
+            "error: degree must be >= 1",
+        ),
+        (("design-ulb", "--n", "3", "--capacity", "30", "--potential", "log", "--tau", "-1"), "error: degree must be >= 1"),
     ],
-    ids=["design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau", "uub-n0", "uub-n1-m-override", "design-uub-n1"],
+    ids=[
+        "design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau", "uub-n0", "uub-n1-m-override", "design-uub-n1",
+        "uub-m-override-negative", "uub-m-override-zero", "design-uub-tau-negative", "design-ulb-tau-negative-log",
+    ],
 )
 def test_out_of_range_dimension_or_degree_is_a_named_usage_error(tmp_path, argv, message):
     c1 = tmp_path / "c1.json"

@@ -9,6 +9,7 @@ from spherelp.potentials import (
     fejes_toth,
     gaussian,
     logarithmic,
+    min_nonneg_derivative_order,
     newton,
     parse_potential,
     potential_derivative,
@@ -94,37 +95,38 @@ def test_shift_equivariance_exact():
 
 
 def test_classify_riesz_strict():
-    cls = classify(riesz(1))
-    assert cls.absolutely_monotone and cls.strictly_absolutely_monotone
-    assert cls.min_nonneg_derivative_order == 0
+    assert classify(riesz(1)) is True
+    assert min_nonneg_derivative_order(riesz(1)) == 0
 
 
 def test_classify_fejes_shift_only():
-    cls = classify(fejes_toth())
-    assert not cls.absolutely_monotone
-    assert cls.min_nonneg_derivative_order == 1
+    assert classify(fejes_toth()) is False
+    assert min_nonneg_derivative_order(fejes_toth()) == 1
 
 
 def test_classify_shifted_fejes_absolute():
-    cls = classify(shifted(fejes_toth(), 2.0))
-    assert cls.absolutely_monotone
-    assert cls.min_nonneg_derivative_order == 0
+    h = shifted(fejes_toth(), 2.0)
+    assert classify(h) is True
+    assert min_nonneg_derivative_order(h) == 0
 
 
-def test_classify_constant_not_strict():
-    cls = classify(newton(2))
-    assert cls.absolutely_monotone and not cls.strictly_absolutely_monotone
+def test_classify_constant_absolute():
+    # a constant counts as absolutely monotone, though not strictly
+    assert classify(newton(2)) is True
+    assert min_nonneg_derivative_order(newton(2)) == 0
 
 
 @pytest.mark.parametrize("h", ALL_KINDS + [shifted(riesz(2.0), -0.5)], ids=lambda h: h.label())
 def test_classify_sampled_check_passes_for_builtin_kinds(h):
     # the closed-form claims against samples of h, h' and a central
     # difference of h' on a fixed grid
-    cls = classify(h)
-    assert cls.min_nonneg_derivative_order == (0 if derivative_nonneg_from(h, 0) else 1)
+    order = min_nonneg_derivative_order(h)
+    assert order == (0 if derivative_nonneg_from(h, 0) else 1)
+    # the logarithmic kind is grouped with the absolutely monotone ones
+    assert classify(h) is (order == 0 or h.kind == "logarithmic")
     grid = np.linspace(-1.0, 0.95, 40)
     tol = 1e-7
-    assert (np.min(potential_eval(h, grid)) >= -tol) == (cls.min_nonneg_derivative_order == 0)
+    assert (np.min(potential_eval(h, grid)) >= -tol) == (order == 0)
     assert np.min(potential_derivative(h, grid)) >= -tol
     inner = grid[(grid > -0.999) & (grid < 0.9)]
     step = 1e-4

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherelp.orthopoly import gegenbauer_table
 from spherelp.quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
@@ -78,6 +79,28 @@ def test_levenshtein_validity_gate():
     for n in (2, 3, 5, 8):
         s = validity_interval(n, 2)[1] + 1e-3
         assert levenshtein_function(n, 2, s) == pytest.approx(2 * n * (1 - s) / (1 - n * s), rel=1e-12)
+
+
+def _levenshtein_from_table(n, m, s):
+    """L_m(n, s) with P_0..P_{k+eps} at s read from gegenbauer_table."""
+    k, eps = split_degree(m)
+    table = gegenbauer_table(n, k + eps, s)
+    pk, pke, pkm = (float(table[i]) for i in (k, k + eps, k - 1 + eps))
+    num = (1 + s) ** eps * (pkm - pke)
+    den = (1 - s) * (eps * pk + pke)
+    return float(math.comb(k + n - 3 + eps, n - 2) * ((2 * k + n - 3 + 2 * eps) / (n - 1) - num / den))
+
+
+def test_levenshtein_function_equals_the_table_formula():
+    # the float recurrence is gegenbauer_table's, operation for operation, so
+    # the values agree to the bit, at the ends of each validity interval too
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, MAX_RULE_DEGREE + 1))
+        lo, hi = validity_interval(n, m)
+        for s in (lo, hi, float(rng.uniform(lo, hi))):
+            assert levenshtein_function(n, m, s) == _levenshtein_from_table(n, m, s), (n, m, s)
 
 
 def test_validity_intervals_tile():
@@ -526,9 +549,11 @@ def test_nodes_match_extended_precision_reference(n):
 
 def test_levenshtein_polynomial_errors_name_inputs():
     # past the validity interval of m = 5 in n = 4, which ends at 0.538, the
-    # mean f_0 of the Levenshtein polynomial turns negative
+    # mean f_0 of the Levenshtein polynomial turns negative; the rule still
+    # builds, and f is checked when it is first read
+    lp = levenshtein_polynomial(4, 5, 0.71)
     with pytest.raises(QuadratureError) as info:
-        levenshtein_polynomial(4, 5, 0.71)
+        lp.gegenbauer
     message = str(info.value)
     prefix = "Levenshtein polynomial for (n=4, m=5, s=0.71) has a negative coefficient: coefficient 0 of 6 is "
     assert message.startswith(prefix)
