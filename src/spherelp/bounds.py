@@ -112,7 +112,7 @@ def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckRe
         note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
     else:
         note = f"Q_j >= 0 for j <= {j_max}"
-    return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])) if j_max > rule.m else None, note)
+    return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])), note)
 
 
 class _Setup(NamedTuple):
@@ -196,15 +196,14 @@ def _certify(
     if f is not None:
         fc = np.asarray(f.coeffs)
         lam, f0 = _lambda_star(gt, fc, h, checks), fc[0]
-        gt_pad = np.pad(gt, (0, fc.size - gt.size)) if gt.size < fc.size else gt[: fc.size]
-        cert = GegenbauerSeries(rule.n, gt_pad - lam * fc)
+        cert = GegenbauerSeries(rule.n, np.pad(gt, (0, fc.size - gt.size)) - lam * fc)
     coeffs = np.asarray(cert.coeffs)
 
     sign_name = "positive_definite" if lower else "coefficient_signs"
     if kind.startswith("design"):
         signs = CheckResult(sign_name, True, None, "not required for design bounds")
     elif lower:
-        worst = float(coeffs[1:].min()) if coeffs.size > 1 else 0.0
+        worst = float(coeffs[1:].min())
         signs = CheckResult(sign_name, worst >= -COEFF_TOL, worst)
     else:
         worst = float(coeffs[1:].max())

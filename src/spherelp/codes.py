@@ -27,8 +27,10 @@ GOLDEN = (1 + sqrt(5)) / 2
 
 
 def check_weights(weights) -> np.ndarray:
-    """The weights as a float array, once they are finite, positive and sum to 1."""
+    """The weights as a 1-d float array, once they are finite, positive and sum to 1."""
     w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"weights must be a flat list of numbers, got an array of shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     if np.any(w <= 0):
@@ -58,17 +60,16 @@ class WeightedCode:
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         self.points = np.asarray(self.points, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != self.n:
             raise ValueError("points must be an N x n array")
-        if self.weights.shape != (self.points.shape[0],):
-            raise ValueError("one weight per point required")
         if not self.points.shape[0]:
             raise ValueError("a code needs at least one point")
+        self.weights = check_weights(self.weights)
+        if self.weights.shape != (self.points.shape[0],):
+            raise ValueError("one weight per point required")
         norms = np.linalg.norm(self.points, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("points must be unit vectors")
-        check_weights(self.weights)
         if _has_coincident_pair(self.points):
             raise ValueError("points must be pairwise distinct")
 
@@ -148,9 +149,6 @@ class DesignCheckReport:
 # chunks holding a value with |x| >= 2**960 (or a non-finite one) are kept
 # raw: the sigma = 2**(e + k), k < 64, that extraction adds could overflow
 _EXTRACT_LIMIT = 2.0**960
-# parts kept before they are extracted again into a few, so the memory of
-# an accumulator stays bounded however many chunks it takes
-_PARTS_LIMIT = 1024
 # rows of the Gram matrix per block from _gram_rows: a block of a
 # 1000-point code stays in a core's L2 cache, and codes of up to 64 points
 # take one block, so their moments are one matrix product each and their
@@ -186,57 +184,30 @@ def _exact_parts(x: np.ndarray, top: float, scratch: np.ndarray):
             top = max(x.max(), -x.min()) if x.size else 0.0
 
 
-class ExactAccumulator:
-    """Streaming correctly rounded sum: ``total()`` equals ``math.fsum`` of
-    every value passed to ``add``, in order, bit for bit.
+def exact_sum(chunks) -> float:
+    """Correctly rounded sum of an iterable of 1-d float arrays, which it
+    may overwrite: ``math.fsum`` of all their values, bit for bit.
 
     Each chunk becomes a few exact parts by :func:`_exact_parts`, in one
-    scratch array grown to the largest chunk, and ``total()`` is their
-    ``fsum``; past ``_PARTS_LIMIT`` parts, the parts are extracted again.
-    A chunk holding a non-finite value or one with |x| >= 2**960 switches
-    to keeping values as they come, after the parts so far.  That gives
-    ``fsum``'s outcome on non-finite values, and its value or overflow on
-    huge ones; only its intermediate-overflow check, which depends on how
-    it split the earlier values, could judge a running sum at the very edge
-    of the double range differently.
+    scratch array grown to the largest chunk.  From the first chunk holding
+    a non-finite value or one with |x| >= 2**960, values are kept as they
+    come, after the parts so far.  That gives ``fsum``'s outcome on
+    non-finite values, and its value or overflow on huge ones; only its
+    intermediate-overflow check, which depends on how it split the earlier
+    values, could judge a sum at the very edge of the double range differently.
     """
-
-    def __init__(self):
-        self._parts: list[float] = []
-        self._raw = False
-        self._scratch = np.empty(0)
-
-    def add(self, values) -> None:
-        self._add_owned(np.array(values, dtype=float).ravel())
-
-    def _add_owned(self, x: np.ndarray) -> None:
-        """``add`` for a 1-d float array the accumulator may overwrite."""
-        if x.size == 0:
-            return
-        if not self._raw:
-            top = max(x.max(), -x.min())
+    parts, raw, scratch = [], False, np.empty(0)
+    for x in chunks:
+        if not raw:
+            top = max(x.max(), -x.min()) if x.size else 0.0
             if top < _EXTRACT_LIMIT:  # false for NaN and infinities too
-                if self._scratch.size < x.size:
-                    self._scratch = np.empty(x.size)
-                self._parts.extend(_exact_parts(x, top, self._scratch))
-                if len(self._parts) > _PARTS_LIMIT:
-                    parts, self._parts = np.array(self._parts), []
-                    self._add_owned(parts)
-                return
-            self._raw = True
-        self._parts.extend(x.tolist())
-
-    def total(self) -> float:
-        """The correctly rounded sum so far; the accumulator stays usable."""
-        return fsum(self._parts)
-
-
-def exact_sum(values) -> float:
-    """Correctly rounded sum of a float array, equal to ``math.fsum`` bit for
-    bit: one chunk through :class:`ExactAccumulator`."""
-    acc = ExactAccumulator()
-    acc.add(values)
-    return acc.total()
+                if scratch.size < x.size:
+                    scratch = np.empty(x.size)
+                parts.extend(_exact_parts(x, top, scratch))
+                continue
+            raw = True
+        parts.extend(x.tolist())
+    return fsum(parts)
 
 
 def _gram_rows(code: WeightedCode):
@@ -254,34 +225,31 @@ def _gram_rows(code: WeightedCode):
 def energy(code: WeightedCode, h: Potential) -> float:
     """Weighted h-energy: sum over ordered distinct pairs of w_i w_j h(x_i . x_j).
 
-    Works on the upper triangle of the Gram matrix, streamed in row blocks
-    from :func:`_gram_rows`: per block, the entries above the diagonal of
-    its square on the diagonal and the whole rectangle to the right of
-    that square.  Each of these rejects an inner product >= 1 - 1e-15
-    (coincident points) once, then forms the terms (2 w_i) w_j h(x_i . x_j)
-    with h's closed form, unchecked, in the pair weights' own array, which
-    the one :class:`ExactAccumulator` across all blocks may overwrite.  The
-    result equals ``math.fsum`` of the N(N-1)/2 terms and matches
-    high-precision reference values to the last printed digit.  Working
-    memory is O(BLOCK_ROWS N).  A one-point code has no pairs and energy 0.
+    Streams the upper triangle of the Gram matrix in row blocks from
+    :func:`_gram_rows`: per block, the entries above the diagonal of its
+    square on the diagonal and the whole rectangle to the right of that
+    square.  Each piece rejects an inner product >= 1 - 1e-15 (coincident
+    points) once, then forms the terms (2 w_i) w_j h(x_i . x_j) with h's
+    closed form, unchecked, in the pair weights' own array, which goes to
+    :func:`exact_sum`: the result is ``math.fsum`` of the N(N-1)/2 terms.
+    Working memory is O(BLOCK_ROWS N).  A one-point code has energy 0.
     """
-    w = code.weights
-    w2 = 2.0 * w
-    acc = ExactAccumulator()
+    w, w2 = code.weights, 2.0 * code.weights
     upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
-    for start, stop, block in _gram_rows(code):
-        mask = upper[: stop - start, : stop - start]
-        for g, pair_weights in (
-            (block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]),
-            (block[:, stop:], np.multiply.outer(w2[start:stop], w[stop:])),
-        ):
-            if not g.size:
-                continue
-            if g.max() >= 1.0 - 1e-15:
-                raise ValueError("coincident points: energy would need h(1)")
-            pair_weights *= _values(h, g)
-            acc._add_owned(pair_weights.ravel())
-    return acc.total()
+
+    def terms():
+        for start, stop, block in _gram_rows(code):
+            mask = upper[: stop - start, : stop - start]
+            for g, pair_weights in (
+                (block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]),
+                (block[:, stop:], np.multiply.outer(w2[start:stop], w[stop:])),
+            ):
+                if g.size and g.max() >= 1.0 - 1e-15:
+                    raise ValueError("coincident points: energy would need h(1)")
+                pair_weights *= _values(h, g)
+                yield pair_weights.ravel()
+
+    return exact_sum(terms())
 
 
 def _moments(code: WeightedCode, tau: int) -> np.ndarray:

@@ -83,6 +83,8 @@ def test_ulb_for_weights_validation():
         ulb_for_weights([0.5, -0.5, 1.0], 3, riesz(1))
     with pytest.raises(ValueError, match="weights must be finite"):
         ulb_for_weights([0.5, math.nan, 0.5], 3, riesz(1))
+    with pytest.raises(ValueError, match=r"flat list of numbers, got an array of shape \(40, 1\)"):
+        ulb_for_weights(np.full((40, 1), 1 / 40), 3, riesz(1))
 
 
 @pytest.mark.parametrize("capacity", [math.nan, 2.0, 1.0, -math.inf])

@@ -79,6 +79,19 @@ def test_nan_weight_is_a_usage_error(tmp_path, capsys):
     assert "weights must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "payload, shape",
+    [([[0.25, 0.25], [0.25, 0.25]], "(2, 2)"), ({"weights": [[0.5], [0.5]]}, "(2, 1)"), ({"weights": 1.0}, "()")],
+    ids=["square", "column", "scalar"],
+)
+def test_weights_file_that_is_not_a_flat_list_is_a_usage_error(tmp_path, capsys, payload, shape):
+    wf = tmp_path / "weights.json"
+    wf.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "ulb", "--n", "3", "--weights-file", str(wf), "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert err == f"error: weights must be a flat list of numbers, got an array of shape {shape}\n"
+
+
 def test_mutually_exclusive_sources(capsys):
     code, _, err = run(
         capsys, "ulb", "--n", "3", "--capacity", "10", "--config", "pentakis", "--potential", "riesz:1"

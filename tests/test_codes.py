@@ -16,7 +16,6 @@ from oracles import (
 from spherelp import codes
 from spherelp.codes import (
     BLOCK_ROWS,
-    ExactAccumulator,
     WeightedCode,
     build_config,
     check_weights,
@@ -296,6 +295,9 @@ def test_validation_errors():
         ([0.5, -0.5, 1.0], "weights must be positive"),
         ([0.5, 0.0, 0.5], "weights must be positive"),
         ([0.3, 0.3, 0.3], "weights must sum to 1"),
+        ([[0.25, 0.25], [0.25, 0.25]], re.escape("flat list of numbers, got an array of shape (2, 2)")),
+        ([[1 / 3], [1 / 3], [1 / 3]], re.escape("flat list of numbers, got an array of shape (3, 1)")),
+        (1.0, re.escape("flat list of numbers, got an array of shape ()")),
     ],
 )
 def test_weight_validation(weights, message):
@@ -522,7 +524,7 @@ def fsum_outcome(values):
 
 def exact_sum_outcome(values):
     try:
-        return exact_sum(np.asarray(values, dtype=float))
+        return exact_sum([np.array(values, dtype=float)])
     except (ValueError, OverflowError) as exc:
         return type(exc)
 
@@ -564,15 +566,13 @@ def test_exact_sum_random_arrays():
             values = np.concatenate([values, -values[::-1]])  # exact cancellation
         elif trial % 3 == 1:
             values *= 2.0 ** -1000  # many subnormals
-        assert same_outcome(exact_sum(values), math.fsum(values.tolist()))
+        assert same_outcome(exact_sum([values.copy()]), math.fsum(values.tolist()))
 
 
 def accumulated_outcome(chunks):
+    """``exact_sum`` over fresh copies of the chunks, or the error it raised."""
     try:
-        acc = ExactAccumulator()
-        for chunk in chunks:
-            acc.add(np.asarray(chunk, dtype=float))
-        return acc.total()
+        return exact_sum(np.array(chunk, dtype=float) for chunk in chunks)
     except (ValueError, OverflowError) as exc:
         return type(exc)
 
@@ -603,7 +603,7 @@ def test_extraction_ends_on_odd_multiples_of_the_least_subnormal():
         values = (2 * rng.integers(0, 2**20, size) + 1) * rng.choice([-1.0, 1.0], size) * 2.0**-1074
         assert len(extraction_levels(values)) == 1
         want = math.fsum(values.tolist())
-        assert exact_sum(values) == want
+        assert exact_sum([values.copy()]) == want
         assert accumulated_outcome(np.array_split(values, 3)) == want
 
 
@@ -647,18 +647,12 @@ def test_accumulator_switches_to_raw_values_at_two_to_the_960(edge):
 def test_accumulator_keeps_few_parts_over_many_chunks():
     rng = np.random.default_rng(31)
     values = rng.standard_normal(3000) * 2.0 ** rng.integers(-40, 40, 3000)
-    acc = ExactAccumulator()
-    for i, value in enumerate(values):
-        acc.add([value, -value / 3])
-        assert len(acc._parts) <= codes._PARTS_LIMIT
-        if i % 500 == 0:
-            assert acc.total() == math.fsum(np.column_stack([values, -values / 3])[: i + 1].ravel().tolist())
-    assert acc.total() == math.fsum(np.column_stack([values, -values / 3]).ravel().tolist())
-    # parts of 2**960 or more cannot be extracted again: the values are kept raw
-    acc, big = ExactAccumulator(), [1.75 * 2.0**959] * 2
-    for _ in range(2 * codes._PARTS_LIMIT):
-        acc.add(big)
-    assert acc.total() == math.fsum(big * 2 * codes._PARTS_LIMIT)
+    pairs = np.column_stack([values, -values / 3])
+    for stop in (1, 501, 1001, 1501, 2001, 2501, 3000):
+        assert accumulated_outcome(pairs[:stop]) == math.fsum(pairs[:stop].ravel().tolist())
+    # chunks just below 2**960, each extracted, whose parts reach past 2**960
+    big = [1.75 * 2.0**959] * 2
+    assert accumulated_outcome([big] * 2048) == math.fsum(big * 2048)
 
 
 def test_accumulator_of_negative_zeros_matches_fsum():
@@ -680,6 +674,26 @@ def test_energy_equals_fsum_at_block_edges(h):
         for i in range(size):
             terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])))
         assert energy(code, h) == math.fsum(terms)
+
+
+def test_energy_switches_to_raw_values_in_a_late_chunk(monkeypatch):
+    size = 2 * BLOCK_ROWS + 1
+    points = random_code(np.random.default_rng(53), size, 3).points
+    # rows 100 and 101, 1e-6 apart, share the triangle chunk of the second block
+    a, b = points[100], np.cross(points[100], [0.0, 0.0, 1.0])
+    b /= np.linalg.norm(b)
+    points[101] = math.cos(1e-6) * a + math.sin(1e-6) * b
+    code, h = WeightedCode(3, points, np.full(size, 1.0 / size)), riesz(50)
+    g, w = code.gram(), code.weights
+    terms = [2.0 * w[i] * w[i + 1 :] * potential_eval(h, g[i, i + 1 :]) for i in range(size)]
+    huge = [v for row in terms for v in row if v >= 2.0**960]
+    assert len(huge) == 1 and math.isfinite(huge[0])
+    extracted = []
+    exact_parts = codes._exact_parts
+    monkeypatch.setattr(codes, "_exact_parts", lambda x, *rest: extracted.append(x.size) or exact_parts(x, *rest))
+    assert energy(code, h) == math.fsum(np.concatenate(terms).tolist())
+    # the first block's triangle and rectangle are extracted; the rest is kept raw
+    assert extracted == [BLOCK_ROWS * (BLOCK_ROWS - 1) // 2, BLOCK_ROWS * (size - BLOCK_ROWS)]
 
 
 def test_coincident_pair_in_last_block_raises():
