@@ -17,7 +17,6 @@ from .codes import (
     build_config,
     design_strength,
     energy,
-    weighted_moment,
     with_equal_weights,
 )
 from .hermite import hermite_interpolant, hermite_operator, verify_dominance

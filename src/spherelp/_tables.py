@@ -26,7 +26,6 @@ PENTAKIS_CAPACITY = 735 / 23
 
 @dataclass(frozen=True)
 class Cell:
-    section: str
     label: str
     computed: float
     printed: float
@@ -144,18 +143,18 @@ def reproduce_table1() -> list[Cell]:
             elif counts != mine:
                 counts = [-1] * len(mine)  # rows of one type must be identical
         for (value, _), got, want in zip(TABLE1_COLUMNS, counts, TABLE1_COUNTS[type_name]):
-            cells.append(Cell("table1", f"{type_name}@{value:+.4f}", float(got), float(want), None))
+            cells.append(Cell(f"{type_name}@{value:+.4f}", float(got), float(want), None))
     return cells
 
 
 def reproduce_table2() -> list[Cell]:
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     cells = [
-        Cell("table2", f"alpha_{i}", float(a), p, 4)
+        Cell(f"alpha_{i}", float(a), p, 4)
         for i, (a, p) in enumerate(zip(rule.nodes, TABLE2_NODES))
     ]
     cells += [
-        Cell("table2", f"rho_{i}", float(w), p, 4)
+        Cell(f"rho_{i}", float(w), p, 4)
         for i, (w, p) in enumerate(zip(rule.weights, TABLE2_WEIGHTS))
     ]
     return cells
@@ -167,13 +166,13 @@ def reproduce_table3() -> list[Cell]:
         capacity = _qp_capacity(n)
         report = bounds.ulb(n, capacity, newton(n))
         code = codes.cube_crosspolytope(n)
-        cells.append(Cell("table3", f"n={n} N_W", capacity, *row["n_w"]))
+        cells.append(Cell(f"n={n} N_W", capacity, *row["n_w"]))
         for i, (a, printed) in enumerate(zip(report.rule.nodes, row["nodes"])):
-            cells.append(Cell("table3", f"n={n} alpha_{i}", float(a), *printed))
+            cells.append(Cell(f"n={n} alpha_{i}", float(a), *printed))
         for i, (w, printed) in enumerate(zip(report.rule.weights, row["weights"])):
-            cells.append(Cell("table3", f"n={n} rho_{i}", float(w), *printed))
-        cells.append(Cell("table3", f"n={n} ULB", report.value, *row["ulb"]))
-        cells.append(Cell("table3", f"n={n} energy", codes.energy(code, newton(n)), *row["energy"]))
+            cells.append(Cell(f"n={n} rho_{i}", float(w), *printed))
+        cells.append(Cell(f"n={n} ULB", report.value, *row["ulb"]))
+        cells.append(Cell(f"n={n} energy", codes.energy(code, newton(n)), *row["energy"]))
     return cells
 
 
@@ -182,8 +181,8 @@ def reproduce_table4() -> list[Cell]:
     for n, row in TABLE4.items():
         capacity = _qp_capacity(n)
         report = bounds.uub(n, capacity, row["s"], newton(n), m_override=row["m"])
-        cells.append(Cell("table4", f"n={n} N_1", report.n1, *row["n1"]))
-        cells.append(Cell("table4", f"n={n} UUB", report.value, *row["uub"]))
+        cells.append(Cell(f"n={n} N_1", report.n1, *row["n1"]))
+        cells.append(Cell(f"n={n} UUB", report.value, *row["uub"]))
     return cells
 
 
@@ -199,39 +198,37 @@ EXAMPLE_DESIGN_UUB = (
 def reproduce_examples() -> list[Cell]:
     pent = codes.pentakis_dodecahedron()
     cells = [
-        Cell("examples", "pentakis energy", codes.energy(pent, riesz(1)), 0.8050318, 7),
-        Cell("examples", "pentakis ULB", bounds.ulb(3, PENTAKIS_CAPACITY, riesz(1)).value, 0.804786, 6),
+        Cell("pentakis energy", codes.energy(pent, riesz(1)), 0.8050318, 7),
+        Cell("pentakis ULB", bounds.ulb(3, PENTAKIS_CAPACITY, riesz(1)).value, 0.804786, 6),
     ]
     upper = bounds.uub(3, PENTAKIS_CAPACITY, PENTAKIS_B, riesz(1))
-    cells.append(Cell("examples", "pentakis UUB", upper.value, 0.8234054, 7))
-    cells.append(Cell("examples", "pentakis lambda*", upper.lambda_star, 7.47994, 5))
+    cells.append(Cell("pentakis UUB", upper.value, 0.8234054, 7))
+    cells.append(Cell("pentakis lambda*", upper.lambda_star, 7.47994, 5))
     for i, (a, printed) in enumerate(
         zip(upper.rule.nodes, (-0.9247, -0.6213, -0.1493, 0.3703, 0.7946))
     ):
-        cells.append(Cell("examples", f"pentakis uub alpha_{i}", float(a), printed, 4))
+        cells.append(Cell(f"pentakis uub alpha_{i}", float(a), printed, 4))
     for label, n, capacity, s, degree, h, printed, decimals in EXAMPLE_DESIGN_UUB:
         report = bounds.design_uub(n, capacity, s, degree, h)
-        cells.append(Cell("examples", label, report.value, printed, decimals))
+        cells.append(Cell(label, report.value, printed, decimals))
     cells.append(
         Cell(
-            "examples",
             "equal-weight pentakis energy",
             codes.energy(codes.with_equal_weights(pent), riesz(1)),
             0.8052,
             4,
         )
     )
-    cells.append(Cell("examples", "ULB(3,32)", bounds.ulb(3, 32.0, riesz(1)).value, 0.8049, 4))
+    cells.append(Cell("ULB(3,32)", bounds.ulb(3, 32.0, riesz(1)).value, 0.8049, 4))
     cells.append(
         Cell(
-            "examples",
             "equal-weight cube+cross energy",
             codes.energy(codes.with_equal_weights(codes.cube_crosspolytope(3)), newton(3)),
             0.70757,
             5,
         )
     )
-    cells.append(Cell("examples", "ULB(3,14)", bounds.ulb(3, 14.0, newton(3)).value, 0.70629, 5))
+    cells.append(Cell("ULB(3,14)", bounds.ulb(3, 14.0, newton(3)).value, 0.70629, 5))
     return cells
 
 

@@ -26,9 +26,17 @@ from .potentials import Potential, _values
 GOLDEN = (1 + sqrt(5)) / 2
 
 
+def _float_array(values, message: str) -> np.ndarray:
+    """values as a float array, or a ValueError naming the field when numpy cannot convert them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{message}, got a {type(values).__name__} that does not convert to floats") from None
+
+
 def check_weights(weights) -> np.ndarray:
     """The weights as a 1-d float array, once they are finite, positive and sum to 1."""
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, "weights must be a flat list of numbers")
     if w.ndim != 1:
         raise ValueError(f"weights must be a flat list of numbers, got an array of shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -54,12 +62,11 @@ class WeightedCode:
     n: int
     points: np.ndarray
     weights: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = _float_array(self.points, "points must be an N x n array")
         if self.points.ndim != 2 or self.points.shape[1] != self.n:
             raise ValueError("points must be an N x n array")
         if not self.points.shape[0]:
@@ -263,13 +270,6 @@ def _moments(code: WeightedCode, tau: int) -> np.ndarray:
     return moments
 
 
-def weighted_moment(code: WeightedCode, ell: int) -> float:
-    """Moment M_ell: the full double sum of P_ell over the Gram matrix."""
-    if ell < 1:
-        raise ValueError("moment order must be >= 1")
-    return float(_moments(code, ell)[-1])
-
-
 def design_strength(code: WeightedCode, tau_max: int, tol: float = 1e-9) -> DesignCheckReport:
     """Largest tau <= tau_max with M_1, ..., M_tau all below tol."""
     if tau_max < 1:
@@ -297,7 +297,7 @@ def icosahedron() -> WeightedCode:
         for sb in (1.0, -1.0):
             pts.extend(_cyclic((0.0, sa * GOLDEN, sb)))
     arr = np.asarray(pts) / sqrt(1 + GOLDEN**2)
-    return WeightedCode(3, arr, np.full(12, 1 / 12), "icosahedron")
+    return WeightedCode(3, arr, np.full(12, 1 / 12))
 
 
 def dodecahedron() -> WeightedCode:
@@ -311,30 +311,30 @@ def dodecahedron() -> WeightedCode:
         for sb in (1.0, -1.0):
             pts.extend(_cyclic((0.0, sa / GOLDEN, sb * GOLDEN)))
     arr = np.asarray(pts) / sqrt(3)
-    return WeightedCode(3, arr, np.full(20, 1 / 20), "dodecahedron")
+    return WeightedCode(3, arr, np.full(20, 1 / 20))
 
 
 def cube(n: int) -> WeightedCode:
     pts = np.array([[1 - 2 * ((i >> j) & 1) for j in range(n)] for i in range(2**n)], dtype=float)
-    return WeightedCode(n, pts / sqrt(n), np.full(2**n, 1.0 / 2**n), f"cube:{n}")
+    return WeightedCode(n, pts / sqrt(n), np.full(2**n, 1.0 / 2**n))
 
 
 def crosspolytope(n: int) -> WeightedCode:
     pts = np.vstack([np.eye(n), -np.eye(n)])
-    return WeightedCode(n, pts, np.full(2 * n, 1.0 / (2 * n)), f"crosspolytope:{n}")
+    return WeightedCode(n, pts, np.full(2 * n, 1.0 / (2 * n)))
 
 
 def regular_ngon(count: int) -> WeightedCode:
     angles = 2 * np.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
-    return WeightedCode(2, pts, np.full(count, 1.0 / count), f"ngon:{count}")
+    return WeightedCode(2, pts, np.full(count, 1.0 / count))
 
 
 def pentakis_dodecahedron() -> WeightedCode:
     ico, dod = icosahedron(), dodecahedron()
     pts = np.vstack([ico.points, dod.points])
     weights = np.concatenate([np.full(12, 5 / 168), np.full(20, 9 / 280)])
-    return WeightedCode(3, pts, weights, "pentakis_dodecahedron")
+    return WeightedCode(3, pts, weights)
 
 
 def cube_crosspolytope(n: int) -> WeightedCode:
@@ -347,12 +347,11 @@ def cube_crosspolytope(n: int) -> WeightedCode:
     w_c = n * n / (2**n * (2 * n + n * n))
     pts = np.vstack([crosspolytope(n).points, cube(n).points])
     weights = np.concatenate([np.full(2 * n, w_p), np.full(2**n, w_c)])
-    return WeightedCode(n, pts, weights, f"cube_crosspolytope:{n}")
+    return WeightedCode(n, pts, weights)
 
 
 def twenty_four_cell() -> WeightedCode:
-    code = cube_crosspolytope(4)
-    return WeightedCode(4, code.points, code.weights, "twenty_four_cell")
+    return cube_crosspolytope(4)
 
 
 class ConfigEntry(NamedTuple):
@@ -402,12 +401,7 @@ def build_config(name: str, n: int | str | None = None) -> WeightedCode:
 
 
 def with_equal_weights(code: WeightedCode) -> WeightedCode:
-    return WeightedCode(
-        code.n,
-        code.points,
-        np.full(code.size, 1.0 / code.size),
-        f"{code.name}:equal" if code.name else "",
-    )
+    return WeightedCode(code.n, code.points, np.full(code.size, 1.0 / code.size))
 
 
 def code_from_json(text: str) -> WeightedCode:
@@ -420,9 +414,4 @@ def code_from_json(text: str) -> WeightedCode:
     for key in ("points", "weights"):
         if key not in data:
             raise ValueError(f"code field '{key}' is missing")
-    return WeightedCode(
-        n,
-        np.asarray(data["points"], dtype=float),
-        np.asarray(data["weights"], dtype=float),
-        data.get("name", ""),
-    )
+    return WeightedCode(n, data["points"], data["weights"])

@@ -14,7 +14,6 @@ derivative signs that gate which bounds apply to it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,7 +143,6 @@ def derivative_nonneg_from(h: Potential, order: int) -> bool:
     return order >= min_nonneg_derivative_order(h)
 
 
-@lru_cache(maxsize=64)
 def classify(h: Potential) -> bool:
     """Whether h counts as absolutely monotone, from closed-form per-kind knowledge."""
     # logarithmic is conventionally grouped with the absolutely monotone kinds;

@@ -60,20 +60,35 @@ def test_ulb_gate_rejects_small_capacity():
 def test_ulb_for_weights_pentakis():
     weights = pentakis_dodecahedron().weights
     report = ulb_for_weights(weights, 3, riesz(1))
-    assert report.diagnostic("capacity").value == pytest.approx(PENTAKIS_CAPACITY, rel=1e-12)
+    assert report.rule.capacity == pytest.approx(PENTAKIS_CAPACITY, rel=1e-12)
     assert report.value == pytest.approx(0.804786, abs=1e-6)
-    assert report.diagnostic("weight_variance").value > 0
 
 
 def test_ulb_for_weights_equal_is_cardinality():
     report = ulb_for_weights(np.full(24, 1 / 24), 4, newton(4))
-    assert report.diagnostic("capacity").value == pytest.approx(24.0, rel=1e-14)
-    assert report.diagnostic("weight_variance").value == pytest.approx(0.0, abs=1e-18)
+    assert report.rule.capacity == pytest.approx(24.0, rel=1e-14)
 
 
 def test_ulb_for_weights_cube_cross_n4():
     report = ulb_for_weights(cube_crosspolytope(4).weights, 4, newton(4))
-    assert report.diagnostic("capacity").value == pytest.approx(24.0, rel=1e-12)
+    assert report.rule.capacity == pytest.approx(24.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weights, n, h",
+    [
+        (pentakis_dodecahedron().weights, 3, riesz(1)),
+        (np.full(24, 1 / 24), 4, newton(4)),
+        (cube_crosspolytope(4).weights, 4, newton(4)),
+    ],
+    ids=["pentakis", "equal-24", "cube-cross-4"],
+)
+def test_ulb_for_weights_is_ulb_at_one_over_the_sum_of_squared_weights(weights, n, h):
+    got, want = ulb_for_weights(weights, n, h), ulb(n, 1 / np.dot(weights, weights), h)
+    assert got.value == want.value
+    assert got.rule == want.rule
+    assert np.array_equal(got.certificate.coeffs, want.certificate.coeffs)
+    assert got.diagnostics == want.diagnostics
 
 
 def test_ulb_for_weights_validation():

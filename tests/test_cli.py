@@ -92,6 +92,34 @@ def test_weights_file_that_is_not_a_flat_list_is_a_usage_error(tmp_path, capsys,
     assert err == f"error: weights must be a flat list of numbers, got an array of shape {shape}\n"
 
 
+def test_weights_file_that_does_not_convert_to_floats_is_a_usage_error(tmp_path, capsys):
+    wf = tmp_path / "weights.json"
+    wf.write_text(json.dumps({"weights": {"a": 0.5, "b": 0.5}}))
+    code, out, err = run(capsys, "ulb", "--n", "3", "--weights-file", str(wf), "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert err == "error: weights must be a flat list of numbers, got a dict that does not convert to floats\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("points", "points must be an N x n array, got a dict that does not convert to floats"),
+        ("weights", "weights must be a flat list of numbers, got a dict that does not convert to floats"),
+    ],
+    ids=["points", "weights"],
+)
+def test_code_file_field_that_does_not_convert_to_floats_is_a_usage_error(tmp_path, capsys, field, message):
+    fields = {"n": 3, "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "weights": [0.5, 0.5]}
+    fields[field] = {"a": fields[field][0], "b": fields[field][1]}
+    cf = tmp_path / "code.json"
+    cf.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "energy", "--config", str(cf), "--potential", "riesz:1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_mutually_exclusive_sources(capsys):
     code, _, err = run(
         capsys, "ulb", "--n", "3", "--capacity", "10", "--config", "pentakis", "--potential", "riesz:1"

@@ -28,7 +28,7 @@ from spherelp.codes import (
     icosahedron,
     pentakis_dodecahedron,
     regular_ngon,
-    weighted_moment,
+    twenty_four_cell,
     with_equal_weights,
 )
 from spherelp.orthopoly import gegenbauer_eval, gegenbauer_table, to_gegenbauer
@@ -100,16 +100,17 @@ def test_cube_cross_table_values():
 
 
 def test_weighted_moments_pentakis():
-    code = pentakis_dodecahedron()
+    moments = design_strength(pentakis_dodecahedron(), 10).moments
     for ell in range(1, 10):
-        assert abs(weighted_moment(code, ell)) < 1e-10
-    assert weighted_moment(code, 10) > 1e-3
+        assert abs(moments[ell - 1]) < 1e-10
+    assert moments[9] > 1e-3
 
 
 def test_weighted_moment_single_point():
     code = WeightedCode(4, np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0]))
+    moments = design_strength(code, 8).moments
     for ell in (1, 3, 8):
-        assert weighted_moment(code, ell) == pytest.approx(1.0, rel=1e-14)
+        assert moments[ell - 1] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_moments_nonnegative():
@@ -120,21 +121,20 @@ def test_moments_nonnegative():
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         w = rng.uniform(0.1, 1.0, pts.shape[0])
         code = WeightedCode(n, pts, w / w.sum())
-        for ell in range(1, 9):
-            assert weighted_moment(code, ell) >= -1e-12
+        for moment in design_strength(code, 8).moments:
+            assert moment >= -1e-12
 
 
 def test_cube_cross_moments_and_strength():
     for n in (3, 4, 5, 6):
-        code = cube_crosspolytope(n)
+        report = design_strength(cube_crosspolytope(n), 8)
         for ell in range(1, 6):
-            assert abs(weighted_moment(code, ell)) < 1e-10
-        assert abs(weighted_moment(code, 6)) > 1e-3
-        report = design_strength(code, 8)
+            assert abs(report.moments[ell - 1]) < 1e-10
+        assert abs(report.moments[5]) > 1e-3
         assert report.strength == 5
         # antipodal symmetry: all odd moments vanish
         for ell in (1, 3, 5, 7):
-            assert abs(weighted_moment(code, ell)) < 1e-12
+            assert abs(report.moments[ell - 1]) < 1e-12
 
 
 def test_design_strengths():
@@ -251,6 +251,12 @@ def test_twenty_four_cell_is_equal_weighted():
     assert code.n_w == pytest.approx(24.0, rel=1e-14)
 
 
+def test_twenty_four_cell_is_the_union_of_cube_and_cross_polytope_in_four_dimensions():
+    code, union = twenty_four_cell(), cube_crosspolytope(4)
+    assert np.array_equal(code.points, union.points)
+    assert np.array_equal(code.weights, union.weights)
+
+
 def test_weights_of_cube_cross_n3():
     code = cube_crosspolytope(3)
     assert_allclose(code.weights[:6], 1 / 15)
@@ -298,6 +304,9 @@ def test_validation_errors():
         ([[0.25, 0.25], [0.25, 0.25]], re.escape("flat list of numbers, got an array of shape (2, 2)")),
         ([[1 / 3], [1 / 3], [1 / 3]], re.escape("flat list of numbers, got an array of shape (3, 1)")),
         (1.0, re.escape("flat list of numbers, got an array of shape ()")),
+        ({"a": 0.5, "b": 0.5}, "flat list of numbers, got a dict that does not convert to floats"),
+        (["a", "b", "c"], "flat list of numbers, got a list that does not convert to floats"),
+        ([0.5, [0.25, 0.25]], "flat list of numbers, got a list that does not convert to floats"),
     ],
 )
 def test_weight_validation(weights, message):
@@ -305,6 +314,12 @@ def test_weight_validation(weights, message):
         check_weights(weights)
     with pytest.raises(ValueError, match=message):
         WeightedCode(3, np.eye(3), weights)
+
+
+@pytest.mark.parametrize("points", [{"x": [1.0, 0.0, 0.0]}, [[1.0, 0.0, 0.0], [0.0, 1.0]], [["a", 0.0, 0.0]]])
+def test_points_that_do_not_convert_to_floats_are_named(points):
+    with pytest.raises(ValueError, match=r"points must be an N x n array, got a (dict|list) that does not convert"):
+        WeightedCode(3, points, [1.0])
 
 
 def test_with_equal_weights():
@@ -315,12 +330,12 @@ def test_with_equal_weights():
 
 def test_json_round_trip_exact():
     code = pentakis_dodecahedron()
-    text = json.dumps({"n": code.n, "points": code.points.tolist(), "weights": code.weights.tolist(), "name": code.name})
-    back = code_from_json(text)
-    assert back.n == code.n
-    assert np.array_equal(back.points, code.points)
-    assert np.array_equal(back.weights, code.weights)
-    assert back.name == code.name
+    fields = {"n": code.n, "points": code.points.tolist(), "weights": code.weights.tolist()}
+    for text in (json.dumps(fields), json.dumps({**fields, "name": "pentakis"})):  # a "name" key is ignored
+        back = code_from_json(text)
+        assert back.n == code.n
+        assert np.array_equal(back.points, code.points)
+        assert np.array_equal(back.weights, code.weights)
 
 
 @pytest.mark.parametrize(
@@ -727,4 +742,3 @@ def test_moments_over_row_blocks_match_the_full_table():
         table = gegenbauer_table(code.n, 8, code.gram())
         want = [float(w @ table[ell] @ w) for ell in range(1, 9)]
         assert_allclose(design_strength(code, 8).moments, want, rtol=1e-12, atol=1e-15)
-        assert weighted_moment(code, 8) == pytest.approx(want[-1], rel=1e-12, abs=1e-15)
