@@ -181,7 +181,7 @@ def reproduce_table4() -> list[Cell]:
     for n, row in TABLE4.items():
         capacity = _qp_capacity(n)
         report = bounds.uub(n, capacity, row["s"], newton(n), m_override=row["m"])
-        cells.append(Cell(f"n={n} N_1", report.n1, *row["n1"]))
+        cells.append(Cell(f"n={n} N_1", report.rule.capacity, *row["n1"]))
         cells.append(Cell(f"n={n} UUB", report.value, *row["uub"]))
     return cells
 

@@ -64,7 +64,6 @@ class BoundReport:
     feasible: bool
     diagnostics: tuple[CheckResult, ...]
     lambda_star: float | None = None
-    n1: float | None = None
 
     def diagnostic(self, name: str) -> CheckResult:
         for check in self.diagnostics:
@@ -190,7 +189,8 @@ def _certify(
     # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
     at_nodes = potential_eval(h, operator.points)
     g_t = hermite_interpolant(h, operator, at_nodes)
-    checks = [CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)]
+    interpolation = CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)
+    checks = [interpolation]
     gt = np.asarray(g_t.gegenbauer.coeffs)
     lam, f0, cert = 0.0, 0.0, g_t.gegenbauer
     if f is not None:
@@ -225,7 +225,7 @@ def _certify(
     ok_val = abs(objective - energy) <= VALUE_TOL * max(1.0, abs(value))
     checks.append(CheckResult("objective_consistency", ok_val, abs(objective - energy)))
 
-    feasible = bool(g_t.node_residual <= 1e-9 and signs.ok and ok_dom and ok_val)
+    feasible = bool(interpolation.ok and signs.ok and ok_dom and ok_val)
     return BoundReport(
         kind=kind,
         n=rule.n,
@@ -237,7 +237,6 @@ def _certify(
         feasible=feasible,
         diagnostics=tuple(checks) + closing,
         lambda_star=None if lower else lam,
-        n1=None if lower else float(n1),
     )
 
 

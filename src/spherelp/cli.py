@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Thin adapters over the library: every value printed here equals the
-corresponding library call bit for bit.  Exit codes: 0 success, 1 usage
-error, 2 infeasible bound (a certificate check failed), 3 reference-table
-mismatch from ``reproduce``.
+Thin adapters over the library: every value printed here is the
+corresponding library value rounded to 12 significant digits.  Exit
+codes: 0 success, 1 usage error, 2 infeasible bound (a certificate check
+failed) or failed rule, 3 reference-table mismatch from ``reproduce``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _tables, bounds, codes
 from .potentials import parse_potential
+from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,13 +27,9 @@ EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _sig12(x):
@@ -98,16 +95,16 @@ def load_config(spec: str) -> codes.WeightedCode:
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return codes.code_from_json(fh.read())
-    raise UsageError(f"unknown configuration {spec!r} (expected {CONFIG_HELP})")
+    raise ValueError(f"unknown configuration {spec!r} (expected {CONFIG_HELP})")
 
 
 def _resolve_capacity(args):
     sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name) is not None]
     if len(sources) != 1:
-        raise UsageError("exactly one of --capacity, --weights-file, --config is required")
+        raise ValueError("exactly one of --capacity, --weights-file, --config is required")
     if args.capacity is not None:
         if not args.capacity > 2:
-            raise UsageError("capacity must exceed 2")
+            raise ValueError("capacity must exceed 2")
         return args.capacity, None
     if args.weights_file is not None:
         with open(args.weights_file, "r", encoding="utf-8") as fh:
@@ -122,16 +119,6 @@ def _resolve_capacity(args):
     return code.n_w, code
 
 
-def _rule_payload(rule) -> dict:
-    return {
-        "m": rule.m,
-        "eps": rule.eps,
-        "capacity": rule.capacity,
-        "nodes": list(rule.nodes),
-        "weights": list(rule.weights),
-    }
-
-
 def _report_payload(command: str, report: bounds.BoundReport) -> dict:
     payload = {
         "schema": 1,
@@ -143,12 +130,18 @@ def _report_payload(command: str, report: bounds.BoundReport) -> dict:
         "value": report.value,
         "feasible": report.feasible,
     }
-    if report.lambda_star is not None:
+    rule = report.rule
+    if report.lambda_star is not None:  # upper bounds
         payload["lambda_star"] = report.lambda_star
-    if report.n1 is not None:
-        payload["n1"] = report.n1
-    payload["s"] = report.rule.s
-    payload["rule"] = _rule_payload(report.rule)
+        payload["n1"] = rule.capacity
+    payload["s"] = rule.s
+    payload["rule"] = {
+        "m": rule.m,
+        "eps": rule.eps,
+        "capacity": rule.capacity,
+        "nodes": list(rule.nodes),
+        "weights": list(rule.weights),
+    }
     payload["certificate"] = list(report.certificate.coeffs)
     payload["diagnostics"] = [
         {"name": c.name, "ok": c.ok, "value": c.value, "note": c.note}
@@ -192,7 +185,7 @@ def cmd_lower(args) -> int:
     capacity, code = _resolve_capacity(args)
     n = args.n if args.n is not None else (code.n if code else None)
     if n is None:
-        raise UsageError("--n is required when no --config is given")
+        raise ValueError("--n is required when no --config is given")
     h = parse_potential(args.potential, n)
     if args.command == "design-ulb":
         report = bounds.design_ulb(n, capacity, args.tau, h)
@@ -207,7 +200,7 @@ def cmd_upper(args) -> int:
     n = args.n if args.n is not None else (code.n if code else None)
     s = args.s if args.s is not None else (code.max_inner_product if code else None)
     if n is None or s is None:
-        raise UsageError("--n and --s are required when no --config is given")
+        raise ValueError("--n and --s are required when no --config is given")
     h = parse_potential(args.potential, n)
     if args.command == "design-uub":
         report = bounds.design_uub(n, capacity, s, args.tau, h)
@@ -246,7 +239,7 @@ def cmd_design_check(args) -> int:
         "size": code.size,
         "capacity": code.n_w,
         "strength": report.strength,
-        "tol": report.tol,
+        "tol": args.tol,
         "moments": list(report.moments),
     }
     _print(args, payload, enumerate(report.moments, start=1), ("ell", "M_ell"))
@@ -369,10 +362,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a deeply nested shift: spec
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # rule construction failed its own verification
+    except QuadratureError as exc:  # rule construction failed its own verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

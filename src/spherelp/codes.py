@@ -150,7 +150,6 @@ def _has_coincident_pair(points: np.ndarray) -> bool:
 class DesignCheckReport:
     strength: int
     moments: tuple[float, ...]
-    tol: float
 
 
 # chunks holding a value with |x| >= 2**960 (or a non-finite one) are kept
@@ -282,7 +281,7 @@ def design_strength(code: WeightedCode, tau_max: int, tol: float = 1e-9) -> Desi
         if abs(value) > tol:
             break
         strength += 1
-    return DesignCheckReport(strength, moments, tol)
+    return DesignCheckReport(strength, moments)
 
 
 def _cyclic(v):

@@ -111,7 +111,7 @@ def potential_derivative(h: Potential, t):
         v = h.param * (2.0 * (1.0 - t)) ** (-h.param / 2.0 - 1.0)
     elif h.kind == "newton":
         a = h.param - 2.0
-        v = a * (2.0 * (1.0 - t)) ** (-a / 2.0 - 1.0) if a else np.zeros_like(t)
+        v = a * (2.0 * (1.0 - t)) ** (-a / 2.0 - 1.0)
     elif h.kind == "gaussian":
         v = h.param * np.exp(-h.param * (1.0 - t))
     elif h.kind == "logarithmic":

@@ -383,7 +383,7 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
         g0, g1 = g_t.coeffs[0], g_t.value_at_one()
         assert report.value == g0 - g1 / capacity
         rule_sum = math.fsum(w * potential_eval(h, a) for a, w in zip(rule.nodes, rule.weights))
-        rule_form = (capacity - report.n1) * g1 / (capacity * report.n1) + rule_sum
+        rule_form = (capacity - rule.capacity) * g1 / (capacity * rule.capacity) + rule_sum
         assert report.value == pytest.approx(rule_form, rel=1e-12)
     # at degree 1 the Levenshtein correction vanishes, so uub is the same bound
     lo, hi = validity_interval(3, 1)
@@ -403,7 +403,7 @@ def test_design_uub_at_most_uub():
 def test_vacuous_capacity_flagged():
     # N_1 below N_W: no code realizes the pair, and the report says so
     report = uub(3, 20.0, 0.3, riesz(1))
-    assert report.n1 < 20.0
+    assert report.rule.capacity < 20.0
     assert not report.diagnostic("capacity_consistency").ok
     good = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert good.diagnostic("capacity_consistency").ok

@@ -548,6 +548,25 @@ def test_design_uub_outside_the_interval_of_tau_runs_where_the_rule_builds(capsy
     assert json.loads(out)["feasible"] is True
 
 
+def test_deeply_nested_shift_spec_is_a_usage_error():
+    # parsing recurses once per shift: level; past the recursion limit that is bad input, not a failed bound
+    spec = "shift:1:" * 3000 + "log"
+    done = subprocess.run(
+        [sys.executable, "-m", "spherelp.cli", "ulb", "--n", "3", "--capacity", "14", "--potential", spec],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_failed_rule_exits_2(capsys):
+    # the rule for ngon:21 sits at the left edge of degree 20 and fails its weight gate
+    code, out, err = run(capsys, "ulb", "--config", "ngon:21", "--potential", "riesz:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
+
+
 _RUN_AND_LIST_SCIPY = """
 import contextlib, io, json, sys
 import spherelp

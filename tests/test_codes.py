@@ -157,7 +157,9 @@ def test_design_strength_rejects_invalid_tol(tol):
     # a NaN tolerance used to pass every moment (abs(M) > nan is false)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         design_strength(cube_crosspolytope(3), 12, tol)
-    assert design_strength(cube_crosspolytope(3), 12, 0.0).tol == 0.0  # zero is a valid tolerance
+    zero = design_strength(cube_crosspolytope(3), 12, 0.0)  # zero is a valid tolerance
+    assert zero.moments == design_strength(cube_crosspolytope(3), 12).moments
+    assert zero.strength == next(i for i, m in enumerate(zero.moments) if m != 0.0)
 
 
 def test_s_of_cube_cross():

@@ -104,11 +104,13 @@ def test_levenshtein_function_equals_the_table_formula():
 
 
 def test_validity_intervals_tile():
-    for n in (2, 3, 5, 8):
+    # adjacent intervals take their shared endpoint from the same Jacobi
+    # matrix, so they agree bit for bit
+    for n in range(2, 60):
         prev_hi = -1.0
-        for m in range(1, 12):
+        for m in range(1, MAX_RULE_DEGREE + 1):
             lo, hi = validity_interval(n, m)
-            assert lo == pytest.approx(prev_hi, abs=1e-12)
+            assert lo == prev_hi, (n, m)
             assert hi > lo
             prev_hi = hi
 
