@@ -248,15 +248,7 @@ def cmd_design_check(args) -> int:
 
 def cmd_test_functions(args) -> int:
     report = bounds.test_functions(args.n, args.capacity, args.jmax)
-
-    def classify_value(j, v):
-        if j <= report.m or abs(v) <= 1e-9:
-            return "zero"
-        return "nonneg" if v >= 0 else "neg"
-
-    values = [
-        {"j": j, "q": v, "class": classify_value(j, v)} for j, v in sorted(report.values.items())
-    ]
+    values = [{"j": j, "q": v, "class": report.verdict(j, report.m, v)} for j, v in sorted(report.values.items())]
     payload = {
         "schema": 1,
         "command": "test-functions",
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a deeply nested shift: spec
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deeply nested JSON in a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureError as exc:  # rule construction failed its own verification

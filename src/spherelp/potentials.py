@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _KINDS = ("riesz", "newton", "gaussian", "logarithmic", "fejes_toth", "shifted")
+# shift: levels a spec may nest: label() and _values recurse once per level
+MAX_SHIFT_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -152,23 +154,31 @@ def classify(h: Potential) -> bool:
 
 def parse_potential(text: str, n: int | None = None) -> Potential:
     """Parse CLI spellings: riesz:1.0, newton, gaussian:2.5, log, fejes-toth,
-    shift:2.0:fejes-toth."""
+    shift:2.0:fejes-toth, with at most MAX_SHIFT_DEPTH shift: levels."""
+    shifts = []
     head, _, rest = text.partition(":")
+    while head.strip().lower() == "shift":
+        c, _, text = rest.partition(":")
+        shifts.append(c)
+        head, _, rest = text.partition(":")
+    if len(shifts) > MAX_SHIFT_DEPTH:
+        raise ValueError(f"potential spec nests {len(shifts)} shift: levels, above the cap of {MAX_SHIFT_DEPTH}")
     head = head.strip().lower()
     if head == "riesz":
-        return riesz(float(rest))
-    if head == "newton":
+        h = riesz(float(rest))
+    elif head == "newton":
         dim = int(rest) if rest else n
         if dim is None:
             raise ValueError("newton potential needs a dimension")
-        return newton(dim)
-    if head == "gaussian":
-        return gaussian(float(rest))
-    if head in ("log", "logarithmic"):
-        return logarithmic()
-    if head in ("fejes-toth", "fejes_toth"):
-        return fejes_toth()
-    if head == "shift":
-        c, _, base = rest.partition(":")
-        return shifted(parse_potential(base, n), float(c))
-    raise ValueError(f"unknown potential spec {text!r}")
+        h = newton(dim)
+    elif head == "gaussian":
+        h = gaussian(float(rest))
+    elif head in ("log", "logarithmic"):
+        h = logarithmic()
+    elif head in ("fejes-toth", "fejes_toth"):
+        h = fejes_toth()
+    else:
+        raise ValueError(f"unknown potential spec {text!r}")
+    for c in reversed(shifts):  # innermost first, as the nesting reads
+        h = shifted(h, float(c))
+    return h

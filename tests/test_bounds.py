@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,33 @@ def test_test_functions_random_capacities():
 def test_test_functions_jmax_guard():
     with pytest.raises(ValueError):
         compute_test_functions(3, 10.0, 0)
+
+
+_TOL = bounds.COEFF_TOL
+
+
+@pytest.mark.parametrize(
+    "q", [_TOL, -_TOL, math.nextafter(_TOL, 1), math.nextafter(-_TOL, -1)],
+    ids=["tol", "minus-tol", "above-tol", "below-minus-tol"],
+)
+@pytest.mark.parametrize("offset", [0, 1], ids=["j=m", "j=m+1"])
+def test_test_function_verdict_at_its_edges(offset, q):
+    # exactness makes Q_j zero up to j = m; beyond it, only |Q_j| > COEFF_TOL has a sign
+    report = compute_test_functions(3, PENTAKIS_CAPACITY, 27)
+    j = report.m + offset
+    edged = dataclasses.replace(report, values={**report.values, j: q})
+    want = "zero" if offset == 0 or abs(q) <= _TOL else ("nonneg" if q > 0 else "neg")
+    assert edged.verdict(j, edged.m, q) == want
+    classes = {k: edged.verdict(k, edged.m, v) for k, v in edged.values.items()}
+    assert edged.negative_indices == tuple(sorted(k for k, c in classes.items() if c == "neg"))
+    assert (j in edged.negative_indices) == (want == "neg")
+
+
+def test_scan_check_and_test_functions_share_the_verdict():
+    report = compute_test_functions(3, PENTAKIS_CAPACITY, 27)  # j_max = 3m, as in the scan
+    scan = ulb(3, PENTAKIS_CAPACITY, riesz(1)).diagnostic("test_function_scan")
+    assert report.negative_indices
+    assert scan.note == f"ULB improvable, degree >= m+3: negative Q_j at j={list(report.negative_indices)}"
 
 
 def test_lp_optimality_at_degree_m():

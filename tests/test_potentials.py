@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherelp.potentials import (
+    MAX_SHIFT_DEPTH,
     classify,
     derivative_nonneg_from,
     fejes_toth,
@@ -181,3 +182,10 @@ def test_parse_newton_needs_dimension():
         parse_potential("newton")
     with pytest.raises(ValueError):
         parse_potential("bogus:1")
+
+
+def test_shift_nesting_is_capped_below_the_recursion_limit():
+    spec = "shift:1:" * MAX_SHIFT_DEPTH + "log"
+    assert parse_potential(spec).label() == spec
+    with pytest.raises(ValueError, match=rf"nests {MAX_SHIFT_DEPTH + 1} shift: levels, above the cap of {MAX_SHIFT_DEPTH}$"):
+        parse_potential(" Shift :1:" + spec)
