@@ -77,16 +77,8 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     if t.size <= SMALL_TABLE:  # Python floats: the same operations, without ufunc overhead
-        steps = [(2 * j + n - 2, j, j + n - 2) for j in range(1, imax)]
-        columns = []
-        for x in t.ravel().tolist():
-            column, prev, cur = [1.0, x], 1.0, x
-            for c, j, d in steps:
-                prev, cur = cur, (c * x * cur - j * prev) / d
-                column.append(cur)
-            columns.append(column[: imax + 1])
         # copy() makes the transpose C-contiguous, the layout of the array path
-        return np.array(columns).T.copy().reshape((imax + 1,) + t.shape)
+        return np.array(_float_columns(n, imax, t.ravel().tolist())).T.copy().reshape((imax + 1,) + t.shape)
     out = np.empty((imax + 1,) + t.shape)
     out[0] = 1.0
     if imax >= 1:
@@ -111,6 +103,19 @@ def _times_t_matrix(n: int, size: int) -> np.ndarray:
     out = np.diag(up, -1) + np.diag(i / (2 * i + n - 2), 1)
     out.flags.writeable = False
     return out
+
+
+def _float_columns(n: int, imax: int, points: list[float]) -> list[list[float]]:
+    """[P_0(x), ..., P_imax(x)] per float x, in the operation order of gegenbauer_table's array path."""
+    steps = [(2 * j + n - 2, j, j + n - 2) for j in range(1, imax)]
+    columns = []
+    for x in points:
+        column, prev, cur = [1.0, x], 1.0, x
+        for c, j, d in steps:
+            prev, cur = cur, (c * x * cur - j * prev) / d
+            column.append(cur)
+        columns.append(column[: imax + 1])
+    return columns
 
 
 def to_gegenbauer(coeffs, n: int) -> GegenbauerSeries:

@@ -23,7 +23,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .orthopoly import GegenbauerSeries, gegenbauer_from_roots, gegenbauer_table
+from .orthopoly import GegenbauerSeries, _float_columns, gegenbauer_from_roots, gegenbauer_table
 
 MAX_RULE_DEGREE = 25
 
@@ -164,11 +164,8 @@ def levenshtein_function(n: int, m: int, s: float) -> float:
     k, eps = split_degree(m)
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
-    # P_0..P_{k+eps} at s on Python floats: gegenbauer_table's recurrence, operation for operation
-    x = float(s)
-    p = [1.0, x]
-    for j in range(1, k + eps):
-        p.append(((2 * j + n - 2) * x * p[j] - j * p[j - 1]) / (j + n - 2))
+    # P_0..P_{k+eps} at s, to the bit as gegenbauer_table gives them
+    (p,) = _float_columns(n, k + eps, [float(s)])
     pk, pke, pkm = p[k], p[k + eps], p[k - 1 + eps]
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
@@ -201,12 +198,6 @@ def _tridiagonal(diag, off) -> np.ndarray:
     matrix.flat[:: size + 1] = diag
     matrix.flat[size :: size + 1] = off
     return matrix
-
-
-def _eigh_tridiagonal(diag, off) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unit eigenvectors (columns) of the symmetric
-    tridiagonal matrix with ``diag`` and ``off``, by LAPACK through numpy."""
-    return np.linalg.eigh(_tridiagonal(diag, off))
 
 
 def _ratio(diag, off, j: int, x: float) -> float:
@@ -244,7 +235,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule
         diag[k - 1] = s - off[k - 2] ** 2 / _ratio(diag, off, k - 1, s)
     else:
         diag[0] = s
-    nodes, vectors = _eigh_tridiagonal(diag, off)
+    nodes, vectors = np.linalg.eigh(_tridiagonal(diag, off))  # ascending, unit eigenvectors as columns
     where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
     if nodes.size > 1:
         gap = int(np.argmin(np.diff(nodes)))
@@ -301,7 +292,10 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
 
     Selects the degree from the capacity, solves L_m(n, s) = N_W by Brent's
     method on the validity interval (:func:`_brent_root`), then builds the
-    rule with largest node s by :func:`compute_weights`.
+    rule with largest node s by :func:`compute_weights` at the degree of s,
+    ties to the smaller (:func:`select_degree_from_s`).  Within round-off
+    above D(n, m) the solve gives s = lo(m) = hi(m-1), where the degree-m
+    weight at -1 vanishes and the degree-(m-1) rule is a 1/D(n, m) rule.
     """
     if not capacity > 2:
         raise ValueError(f"capacity must exceed 2, got {capacity!r}")
@@ -318,7 +312,7 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
         s = hi
     else:
         s = _brent_root(f, lo, hi, flo, fhi, f"(n={n}, m={m}, capacity={capacity:.12g})")
-    return compute_weights(n, m, s, capacity)
+    return compute_weights(n, select_degree_from_s(n, s), s, capacity)
 
 
 def _brent_root(f, xpre, xcur, fpre, fcur, where):

@@ -6,9 +6,8 @@ Two recipes, drawn in a fixed order:
   from [1, 24), a capacity N in (D(n, m), D(n, m+1)) (just above the
   left end, just below the right end with 10^u, u in [-12, -3], or
   uniform in between), s uniform in the degree-m validity interval, and
-  the next of six potentials.  It makes five calls: ulb(n, N, h),
-  uub(n, 1e9, s, h), design_ulb(n, N, m, h), design_uub(n, N, s, m, h)
-  and uub(n, 1e9, s, h, m_override=m+1) (kind ``uub_override``).
+  the next of six potentials.  It makes four calls: ulb(n, N, h),
+  uub(n, 1e9, s, h), design_ulb(n, N, m, h) and design_uub(n, N, s, m, h).
 * boundary: ulb(n, D(n, m)(1 + delta), riesz:1) for n in [2, 40),
   m in [2, 25] and delta in {1e-15, 1e-14, 1e-13}.
 
@@ -80,10 +79,6 @@ def census_calls():
         yield f"{where} uub n={n} capacity=1e9 s={ns} h={label}", partial(uub, n, 1e9, s, h)
         yield f"{where} design_ulb n={n} capacity={nc} tau={m} h={label}", partial(design_ulb, n, capacity, m, h)
         yield f"{where} design_uub n={n} capacity={nc} s={ns} tau={m} h={label}", partial(design_uub, n, capacity, s, m, h)
-        yield (
-            f"{where} uub_override n={n} capacity=1e9 s={ns} m_override={m + 1} h={label}",
-            partial(uub, n, 1e9, s, h, m_override=m + 1),
-        )
 
 
 def boundary_calls():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
-from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron
+from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
 from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator
 from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import (
@@ -16,6 +16,7 @@ from spherelp.potentials import (
     gaussian,
     logarithmic,
     newton,
+    parse_potential,
     potential_eval,
     riesz,
     shifted,
@@ -347,6 +348,17 @@ def test_sandwich_on_examples():
         actual = energy(code, h)
         assert lower <= actual + 1e-9
         assert actual <= upper + 1e-9
+
+
+@pytest.mark.parametrize("spec", ["riesz:1", "riesz:2", "gaussian:1", "log", "newton:2"])
+def test_regular_21gon_attains_its_lower_bound(spec):
+    # N_W = 21 rounds just above D(2, 20) = 21: the solve lands on the shared
+    # end of the degree-19 and degree-20 intervals, and the degree-19 rule
+    # there is the 21-gon's own distance distribution
+    code, h = regular_ngon(21), parse_potential(spec, 2)
+    report = ulb(2, code.n_w, h)
+    assert report.feasible and report.m == 19
+    assert report.value == pytest.approx(energy(code, h), rel=1e-14, abs=0)
 
 
 def test_design_ulb_matches_ulb_for_absolutely_monotone():

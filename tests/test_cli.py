@@ -215,7 +215,7 @@ def test_uub_m_override_flag(capsys):
     assert payload["value"] == pytest.approx(0.7357, abs=1e-4)
 
 
-@pytest.mark.parametrize("m", [15, 20, 25])
+@pytest.mark.parametrize("m", [8, 15, 20, 25])
 def test_uub_m_override_far_outside_validity_is_a_named_usage_error(capsys, m):
     # s = 0.7 lies well below each interval: the forced rule fails its node
     # checks, which is the caller's choice of degree, not a failed bound
@@ -560,8 +560,11 @@ def test_deeply_nested_shift_spec_is_a_usage_error():
 
 
 def test_failed_rule_exits_2(capsys):
-    # the rule for ngon:21 sits at the left edge of degree 20 and fails its weight gate
-    code, out, err = run(capsys, "ulb", "--config", "ngon:21", "--potential", "riesz:1")
+    # at the left end of the degree-4 interval the design rule's weight at -1 vanishes
+    s = repr(validity_interval(3, 4)[0])
+    code, out, err = run(
+        capsys, "design-uub", "--n", "3", "--capacity", "10", "--s", s, "--tau", "4", "--potential", "riesz:1"
+    )
     assert (code, out) == (2, "")
     assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
 

@@ -455,14 +455,14 @@ def test_compute_weights_errors_name_inputs(monkeypatch):
         str(info.value),
     )
 
-    eigh = quadrature._eigh_tridiagonal
+    eigh = np.linalg.eigh
 
-    def vanishing_first_component(diag, off):
-        nodes, vectors = eigh(diag, off)
+    def vanishing_first_component(matrix):
+        nodes, vectors = eigh(matrix)
         vectors[0, 0] = 0.0
         return nodes, vectors
 
-    monkeypatch.setattr(quadrature, "_eigh_tridiagonal", vanishing_first_component)
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", vanishing_first_component)
     with pytest.raises(QuadratureError) as info:
         solve_ulb_rule(30, 2947546837)
     message = str(info.value)
@@ -513,7 +513,7 @@ def test_node_errors_name_inputs(monkeypatch):
     assert "it is 0.058823529411764" in message and "array" not in message
 
     # a double eigenvalue at 0.25 stands in for a collapsed rule
-    monkeypatch.setattr(quadrature, "_eigh_tridiagonal", lambda diag, off: (np.array([0.25, 0.25]), np.eye(2)))
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", lambda matrix: (np.array([0.25, 0.25]), np.eye(2)))
     with pytest.raises(QuadratureError) as info:
         levenshtein_polynomial(3, 3, 0.25)
     message = str(info.value)

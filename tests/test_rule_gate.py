@@ -12,7 +12,6 @@ import pytest
 from spherelp.cli import main
 from spherelp.quadrature import (
     MAX_RULE_DEGREE,
-    QuadratureError,
     dgs_bound,
     exactness_residuals,
     levenshtein_polynomial,
@@ -62,11 +61,10 @@ def test_cli_ulb_just_above_d_30_22(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_capacity_within_round_off_of_the_boundary_fails_by_name():
-    # 1e-15 above D(13, 22) the solve puts s on the left end of the interval,
-    # where the weight at -1 vanishes and b^2 of the modified matrix rounds
-    # below zero; the rule fails its positivity check, named, instead of
-    # taking the square root of a negative number
-    capacity = dgs_bound(13, 22) * (1 + 1e-15)
-    with pytest.raises(QuadratureError, match=r"^nonpositive quadrature weight for \(n=13, m=22, s=.*\): weight 0 of 12 is 0$"):
-        solve_ulb_rule(13, capacity)
+def test_capacity_within_round_off_of_the_boundary_takes_the_lower_degree():
+    # 1e-15 above D(13, 22) the solve puts s on the left end of the degree-22
+    # interval, where that rule's weight at -1 vanishes; s is also the right
+    # end of degree 21, whose rule there is a valid 1/D(13, 22) rule
+    rule = solve_ulb_rule(13, dgs_bound(13, 22) * (1 + 1e-15))
+    assert rule.m == 21 and rule.s == validity_interval(13, 22)[0]
+    assert_valid_rule(rule)
