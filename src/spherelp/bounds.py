@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from operator import index
 from typing import NamedTuple
 
@@ -124,27 +124,26 @@ def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckRe
 
 class _Setup(NamedTuple):
     rule: QuadratureRule
-    node_table: np.ndarray
     operator: HermiteOperator
     grid: np.ndarray
     table: np.ndarray
     closing: tuple[CheckResult, ...]
 
 
-def _setup(rule: QuadratureRule, doubled: slice, interval: tuple[float, float], node_degree: int) -> _Setup:
+def _setup(rule: QuadratureRule, doubled: slice, interval: tuple[float, float]) -> _Setup:
     """The part of a certificate check on the rule that does not depend on h.
 
     ``doubled`` slices the nodes where the certificate also matches h'.
-    P_0..P_node_degree at the nodes give the Hermite operator's value rows;
-    the dominance grid on the interval and its table P_0..P_m (both
-    read-only) turn each dominance check into one product.  ``closing``,
-    the checks on the rule alone that end each report, starts empty.
+    The rule's node table gives the Hermite operator's value rows, so the
+    nodes are tabulated once per rule; the dominance grid on the interval
+    and its table P_0..P_m (both read-only) turn each dominance check into
+    one product.  ``closing``, the checks on the rule alone that end each
+    report, starts empty.
     """
-    node_table = gegenbauer_table(rule.n, node_degree, np.asarray(rule.nodes))
     grid = dominance_grid(*interval, rule.nodes)
     table = gegenbauer_table(rule.n, rule.m, grid)
     grid.flags.writeable = table.flags.writeable = False
-    return _Setup(rule, node_table, hermite_operator(rule.nodes, doubled, rule.n, node_table), grid, table, ())
+    return _Setup(rule, hermite_operator(rule.nodes, doubled, rule.n, rule.table), grid, table, ())
 
 
 @lru_cache(maxsize=1)
@@ -158,9 +157,9 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
     inputs share one entry; a failed solve raises and stores nothing.
     """
     rule = solve_ulb_rule(n, capacity)
-    # P_0..P_3m at the nodes serve both the Q_j scan and the operator's value rows
-    setup = _setup(rule, slice(rule.eps, None), ULB_INTERVAL, 3 * rule.m)
-    return setup._replace(closing=(_scan_checks(rule, 3 * rule.m, setup.node_table),))
+    # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
+    setup = _setup(rule, slice(rule.eps, None), ULB_INTERVAL)
+    return setup._replace(closing=(_scan_checks(rule, 3 * rule.m, rule.table),))
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
@@ -191,7 +190,7 @@ def _certify(
     coefficient signs, dominance and objective consistency decide
     ``feasible``; the other checks are reported only.
     """
-    rule, node_table, operator, grid, table, closing = setup
+    rule, operator, grid, table, closing = setup
     lower = kind in ("ulb", "design_ulb")
     n1 = rule.capacity
     # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
@@ -220,8 +219,8 @@ def _certify(
     dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation)
     checks += [dominance, signs] if lower else [signs, dominance]
     if f is not None:
-        # g_T - lambda* f at the nodes, from the node table
-        touch = float(abs(coeffs @ node_table[: coeffs.size] - at_nodes).max())
+        # g_T - lambda* f at the nodes, from the rule's node table
+        touch = float(abs(coeffs @ rule.table[: coeffs.size] - at_nodes).max())
         checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
 
     gt0, gt1 = float(gt[0]), g_t.gegenbauer.value_at_one()
@@ -270,6 +269,8 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
     split_degree(tau)  # tau below 1 is named as such, before the derivative gate
     if not derivative_nonneg_from(h, tau + 1):
         raise ValueError(f"potential {h.label()} lacks h^({tau + 1}) >= 0")
+    if capacity == inf:
+        raise ValueError(f"capacity must be finite, got {capacity!r}")
     if not dgs_bound(n, tau) < capacity <= dgs_bound(n, tau + 1):
         raise ValueError(
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="
@@ -296,6 +297,11 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
     lo, hi = validity_interval(n, m)
+    if kind == "design_uub" and m % 2 == 0 and s == lo:
+        # at lo(tau) = hi(tau - 1) the even-degree rule's weight at -1 vanishes; a
+        # tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
+        m -= 1
+        lo, hi = validity_interval(n, m)
     within = lo - 1e-9 <= s <= hi + 1e-9
     try:
         lp = levenshtein_polynomial(n, m, s)
@@ -322,7 +328,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     )
     if kind == "uub" and not within:
         closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
-    setup = _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s), m)._replace(closing=closing)
+    setup = _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s))._replace(closing=closing)
     return _certify(kind, setup, h, capacity, f)
 
 

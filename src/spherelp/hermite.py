@@ -20,6 +20,11 @@ import numpy as np
 from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, potential_derivative, potential_eval
 
+# the dominance grid's uniform steps 0..4000 and its offsets around each node
+_STEPS = np.arange(4001.0)
+_OFFSETS = np.linspace(-1e-3, 1e-3, 81)
+_STEPS.flags.writeable = _OFFSETS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class InterpolantReport:
@@ -100,10 +105,23 @@ def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray | 
 
 def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
     """Uniform 4001-point grid on [lo, hi], followed by 81 points within 1e-3
-    of each interpolation node, clipped to [lo, hi].  The points are neither
-    sorted nor deduplicated: the dominance check reads only their extreme."""
-    local = np.clip(np.asarray(nodes, dtype=float)[:, None] + np.linspace(-1e-3, 1e-3, 81), lo, hi)
-    return np.concatenate((np.linspace(lo, hi, 4001), local.ravel()))
+    of each interpolation node, clipped to [lo, hi], written into one array.
+
+    The uniform part is np.linspace's own arithmetic, i * ((hi - lo) / 4000)
+    + lo with the last point hi, and the offsets are ``np.linspace(-1e-3,
+    1e-3, 81)``, so every point is that of the linspace expression to the
+    bit.  The points are neither sorted nor deduplicated: the dominance check
+    reads only their extreme.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    grid = np.empty(_STEPS.size + _OFFSETS.size * nodes.size)
+    uniform, local = grid[: _STEPS.size], grid[_STEPS.size :].reshape(nodes.size, _OFFSETS.size)
+    np.multiply(_STEPS, (hi - lo) / (_STEPS.size - 1), out=uniform)
+    uniform += lo
+    uniform[-1] = hi
+    np.add(nodes[:, None], _OFFSETS, out=local)
+    np.clip(local, lo, hi, out=local)
+    return grid
 
 
 def verify_dominance(

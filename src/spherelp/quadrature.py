@@ -17,9 +17,9 @@ are the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -34,13 +34,20 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a 1/N-quadrature of degree m = 2k-1+eps."""
+    """Nodes and weights of a 1/N-quadrature of degree m = 2k-1+eps.
+
+    ``table`` holds P_0..P_d at the nodes, read-only, with d = 3m for a
+    lower-bound rule and d = m for an upper-bound rule: the one node table
+    that the exactness check, the Hermite operator, the Q_j scan and the
+    node contact check read, each through its row prefix.
+    """
 
     n: int
     m: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     capacity: float
+    table: np.ndarray = field(compare=False, repr=False)
 
     @property
     def eps(self) -> int:
@@ -112,10 +119,12 @@ def select_degree_from_capacity(n: int, capacity: float) -> int:
     """The unique m >= 1 with D(n, m) < capacity <= D(n, m+1).
 
     Capacities at or below D(n, 1) = 2 fall into m = 1 by the same
-    half-open convention.
+    half-open convention; an infinite capacity is named as such.
     """
     if not capacity > 1:
         raise ValueError(f"capacity must exceed 1, got {capacity!r}")
+    if not isfinite(capacity):
+        raise ValueError(f"capacity must be finite, got {capacity!r}")
     m = 1
     while capacity > dgs_bound(n, m + 1):
         m += 1
@@ -165,7 +174,7 @@ def levenshtein_function(n: int, m: int, s: float) -> float:
     lead = comb(k + n - 3 + eps, n - 2)
     head = (2 * k + n - 3 + 2 * eps) / (n - 1)
     # P_0..P_{k+eps} at s, to the bit as gegenbauer_table gives them
-    (p,) = _float_columns(n, k + eps, [float(s)])
+    p = _float_columns(n, k + eps, [float(s)])
     pk, pke, pkm = p[k], p[k + eps], p[k - 1 + eps]
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
@@ -208,8 +217,9 @@ def _ratio(diag, off, j: int, x: float) -> float:
     return q
 
 
-def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule:
-    """The verified degree-m 1/N rule whose largest node is s.
+def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int | None = None) -> QuadratureRule:
+    """The verified degree-m 1/N rule whose largest node is s, with its
+    node table P_0..P_table_degree (default m).
 
     Testing the 1/N identity on f = (1 - t) g shows that rho_i (1 - alpha_i)
     is a Gauss-type rule for nu = (1 - t) dmu_n, a probability measure: a
@@ -220,7 +230,8 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule
     eigenvectors, rho_i = v_0i^2 / (1 - alpha_i) (Golub-Welsch), positive by
     construction.  The capacity enters only the verification: ascending
     nodes in [-1, 1) with s largest and -1 present for even m, positive
-    weights, and exactness on P_0..P_m within 1e-9.
+    weights, and exactness on P_0..P_m within 1e-9, read from the first
+    m + 1 rows of the node table.
     """
     k, eps = split_degree(m)
     diag, off = (list(v) for v in _jacobi_matrix(n, 0, k + eps))
@@ -267,14 +278,16 @@ def compute_weights(n: int, m: int, s: float, capacity: float) -> QuadratureRule
             f"nonpositive quadrature weight for {where}: "
             f"weight {low} of {weights.size} is {weights[low]:.6g}"
         )
-    residuals = exactness_residuals(n, nodes, weights, capacity, m)
+    table = gegenbauer_table(n, m if table_degree is None else table_degree, nodes)
+    table.flags.writeable = False
+    residuals = exactness_residuals(n, nodes, weights, capacity, m, table[: m + 1])
     worst = int(np.argmax(np.abs(residuals)))
     if abs(residuals[worst]) > 1e-9:
         raise QuadratureError(
             f"quadrature exactness failure for {where}: "
             f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
         )
-    return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity))
+    return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity), table)
 
 
 def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int, table=None) -> np.ndarray:
@@ -293,9 +306,10 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     Selects the degree from the capacity, solves L_m(n, s) = N_W by Brent's
     method on the validity interval (:func:`_brent_root`), then builds the
     rule with largest node s by :func:`compute_weights` at the degree of s,
-    ties to the smaller (:func:`select_degree_from_s`).  Within round-off
-    above D(n, m) the solve gives s = lo(m) = hi(m-1), where the degree-m
-    weight at -1 vanishes and the degree-(m-1) rule is a 1/D(n, m) rule.
+    ties to the smaller (:func:`select_degree_from_s`), with its node table
+    up to three times that degree for the Q_j scan.  Within round-off above
+    D(n, m) the solve gives s = lo(m) = hi(m-1), where the degree-m weight
+    at -1 vanishes and the degree-(m-1) rule is a 1/D(n, m) rule.
     """
     if not capacity > 2:
         raise ValueError(f"capacity must exceed 2, got {capacity!r}")
@@ -312,7 +326,8 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
         s = hi
     else:
         s = _brent_root(f, lo, hi, flo, fhi, f"(n={n}, m={m}, capacity={capacity:.12g})")
-    return compute_weights(n, select_degree_from_s(n, s), s, capacity)
+    degree = select_degree_from_s(n, s)
+    return compute_weights(n, degree, s, capacity, 3 * degree)
 
 
 def _brent_root(f, xpre, xcur, fpre, fcur, where):

@@ -115,6 +115,17 @@ def test_lower_bounds_reject_capacity_not_above_two(capacity):
             call()
 
 
+def test_lower_bounds_name_an_infinite_capacity():
+    for call in (
+        lambda: solve_ulb_rule(3, math.inf),
+        lambda: ulb(3, math.inf, riesz(1)),
+        lambda: design_ulb(3, math.inf, 4, riesz(1)),
+        lambda: compute_test_functions(3, math.inf, 5),
+    ):
+        with pytest.raises(ValueError, match="^capacity must be finite, got inf$"):
+            call()
+
+
 @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, 0.0, -5.0])
 def test_upper_bounds_reject_nonfinite_or_nonpositive_capacity(capacity):
     with pytest.raises(ValueError, match="capacity must be finite and positive"):
@@ -440,6 +451,18 @@ def test_design_uub_at_most_uub():
     assert design.value <= full.value + 1e-12
 
 
+def test_design_uub_at_the_left_end_of_an_even_tau_is_the_lower_degree_bound():
+    # at lo(tau) = hi(tau - 1) the degree-tau rule's weight at -1 vanishes; a
+    # tau-design is a (tau - 1)-design, so the report is design_uub at tau - 1
+    for n in (2, 3, 4, 5, 8, 12):
+        h = riesz(1)
+        for tau in range(2, 25, 2):
+            s = validity_interval(n, tau)[0]
+            report, lower = design_uub(n, 10.0, s, tau, h), design_uub(n, 10.0, s, tau - 1, h)
+            assert report.feasible and report.m == tau - 1, (n, tau)
+            assert report_fields(report) == report_fields(lower), (n, tau)
+
+
 def test_vacuous_capacity_flagged():
     # N_1 below N_W: no code realizes the pair, and the report says so
     report = uub(3, 20.0, 0.3, riesz(1))
@@ -612,6 +635,36 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     with pytest.raises(ValueError):
         setup.table[0, 0] = 0.0
     assert np.array_equal(setup.table, gegenbauer_table(4, setup.rule.m, setup.grid))
+
+
+def test_each_bound_tabulates_its_nodes_once(monkeypatch):
+    from spherelp import hermite, orthopoly, quadrature
+
+    calls = []  # (n, imax, points) of every gegenbauer_table call, wherever spherelp holds it
+    table = orthopoly.gegenbauer_table
+
+    def counting_table(n, imax, t):
+        calls.append((n, imax, tuple(np.ravel(t).tolist())))
+        return table(n, imax, t)
+
+    for module in (orthopoly, quadrature, hermite, bounds):
+        monkeypatch.setattr(module, "gegenbauer_table", counting_table)
+    lo, hi = validity_interval(4, 7)
+    s = lo + 0.3 * (hi - lo)
+    bounds._ulb_setup.cache_clear()
+    for build, degree in (
+        (lambda: ulb(4, 24.0, riesz(1)), lambda m: 3 * m),  # a memo miss
+        (lambda: uub(4, 20.0, s, riesz(1)), lambda m: m),
+        (lambda: design_uub(4, 20.0, s, 7, riesz(1)), lambda m: m),
+    ):
+        calls.clear()
+        report = build()
+        at_nodes = [(n, imax) for n, imax, t in calls if n == report.n and t == report.rule.nodes]
+        assert at_nodes == [(report.n, degree(report.m))]
+        assert report.rule.table.shape == (degree(report.m) + 1, len(report.rule.nodes))
+    calls.clear()
+    ulb(4, 24.0, gaussian(1))  # a memo hit tabulates nothing
+    assert calls == []
 
 
 def test_ulb_n2_degree_24_is_feasible():

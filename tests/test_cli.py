@@ -64,6 +64,20 @@ def test_nan_capacity_is_a_usage_error(capsys, argv):
     assert "capacity must exceed 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ulb", "--n", "3", "--capacity", "inf", "--potential", "riesz:1"),
+        ("design-ulb", "--n", "3", "--capacity", "inf", "--tau", "4", "--potential", "riesz:1"),
+        ("test-functions", "--n", "3", "--capacity", "inf", "--jmax", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_infinite_capacity_of_a_lower_bound_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: capacity must be finite, got inf\n")
+
+
 @pytest.mark.parametrize("spec", ["riesz:nan", "riesz:inf", "gaussian:inf", "shift:nan:log"])
 def test_nonfinite_potential_parameter_is_a_usage_error(capsys, spec):
     code, out, err = run(capsys, "ulb", "--n", "3", "--capacity", "31.9565", "--potential", spec)
@@ -560,13 +574,25 @@ def test_deeply_nested_shift_spec_is_a_usage_error():
 
 
 def test_failed_rule_exits_2(capsys):
-    # at the left end of the degree-4 interval the design rule's weight at -1 vanishes
+    # at the left end of the degree-4 interval the degree-4 rule's weight at -1
+    # vanishes, and an overridden uub degree builds that rule
     s = repr(validity_interval(3, 4)[0])
     code, out, err = run(
-        capsys, "design-uub", "--n", "3", "--capacity", "10", "--s", s, "--tau", "4", "--potential", "riesz:1"
+        capsys, "uub", "--n", "3", "--capacity", "10", "--s", s, "--m-override", "4", "--potential", "riesz:1"
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
+
+
+def test_design_uub_at_the_left_end_of_an_even_tau_takes_the_lower_degree(capsys):
+    # a 4-design is a 3-design: at lo(3, 4) = hi(3, 3) the degree-3 rule bounds it
+    argv = ("--n", "3", "--capacity", "10", "--s", "0.2898979485566356", "--potential", "riesz:1")
+    code, out, err = run(capsys, "design-uub", *argv, "--tau", "4")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["m"] == 3 and payload["feasible"] is True
+    code, lower, _ = run(capsys, "design-uub", *argv, "--tau", "3")
+    assert code == 0 and lower == out
 
 
 _RUN_AND_LIST_SCIPY = """

@@ -210,6 +210,23 @@ def test_dominance_grid_equals_np_unique_on_seeded_nodes():
         assert np.unique(dominance_grid(lo, hi, nodes)).tobytes() == want.tobytes()
 
 
+def test_dominance_grid_equals_the_linspace_expression_bytewise():
+    # the grid is written in place with linspace's own arithmetic, so it is the
+    # concatenated linspace expression to the bit, also on an empty interval
+    rng = np.random.default_rng(28)
+    cases = [(-1.0, -1.0, np.array([-1.0])), (-1.0, -1.0, np.empty(0)), (0.25, 0.25, np.array([0.25, 0.25]))]
+    for _ in range(300):
+        lo = float(rng.choice([-1.0, rng.uniform(-1.0, 1.0)]))
+        hi = float(rng.choice([lo, ULB_INTERVAL[1], rng.uniform(lo, 1.0)]))
+        cases.append((lo, hi, np.sort(rng.uniform(lo, hi, int(rng.integers(0, 14))))))
+    for lo, hi, nodes in cases:
+        want = np.concatenate(
+            (np.linspace(lo, hi, 4001), np.clip(nodes[:, None] + np.linspace(-1e-3, 1e-3, 81), lo, hi).ravel())
+        )
+        grid = dominance_grid(lo, hi, nodes)
+        assert grid.dtype == want.dtype and grid.shape == want.shape and grid.tobytes() == want.tobytes(), (lo, hi)
+
+
 def _node_residual_loop(h, points, doubled, series):
     """Reference: the interpolation defect with one evaluation per node, slopes
     from P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2."""
