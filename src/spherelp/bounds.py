@@ -108,13 +108,13 @@ def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
         raise ValueError("j_max must be >= 1")
     rule = _ulb_setup(index(n), float(capacity)).rule
     res = exactness_residuals(n, rule.nodes, rule.weights, rule.capacity, j_max)
-    return TestFunctionReport(n, rule.m, rule, {j: float(res[j]) for j in range(1, j_max + 1)})
+    return TestFunctionReport(n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1)))
 
 
 def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckResult:
     res = exactness_residuals(rule.n, rule.nodes, rule.weights, rule.capacity, j_max, table)
-    q = res.tolist()  # one conversion: a verdict per numpy scalar doubled the scan's time
-    bad = [j for j in range(rule.m + 1, j_max + 1) if TestFunctionReport.verdict(j, rule.m, q[j]) == "neg"]
+    # one conversion: a verdict per numpy scalar doubled the scan's time
+    bad = list(TestFunctionReport(rule.n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1))).negative_indices)
     if bad:
         note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
     else:
@@ -130,20 +130,22 @@ class _Setup(NamedTuple):
     closing: tuple[CheckResult, ...]
 
 
-def _setup(rule: QuadratureRule, doubled: slice, interval: tuple[float, float]) -> _Setup:
+def _setup(
+    rule: QuadratureRule, doubled: slice, interval: tuple[float, float], closing: tuple[CheckResult, ...]
+) -> _Setup:
     """The part of a certificate check on the rule that does not depend on h.
 
     ``doubled`` slices the nodes where the certificate also matches h'.
     The rule's node table gives the Hermite operator's value rows, so the
     nodes are tabulated once per rule; the dominance grid on the interval
     and its table P_0..P_m (both read-only) turn each dominance check into
-    one product.  ``closing``, the checks on the rule alone that end each
-    report, starts empty.
+    one product.  ``closing`` holds the checks on the rule alone that end
+    each report.
     """
     grid = dominance_grid(*interval, rule.nodes)
     table = gegenbauer_table(rule.n, rule.m, grid)
     grid.flags.writeable = table.flags.writeable = False
-    return _Setup(rule, hermite_operator(rule.nodes, doubled, rule.n, rule.table), grid, table, ())
+    return _Setup(rule, hermite_operator(rule.nodes, doubled, rule.n, rule.table), grid, table, closing)
 
 
 @lru_cache(maxsize=1)
@@ -158,8 +160,7 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
     """
     rule = solve_ulb_rule(n, capacity)
     # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
-    setup = _setup(rule, slice(rule.eps, None), ULB_INTERVAL)
-    return setup._replace(closing=(_scan_checks(rule, 3 * rule.m, rule.table),))
+    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule, 3 * rule.m, rule.table),))
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
@@ -328,8 +329,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     )
     if kind == "uub" and not within:
         closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
-    setup = _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s))._replace(closing=closing)
-    return _certify(kind, setup, h, capacity, f)
+    return _certify(kind, _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s), closing), h, capacity, f)
 
 
 def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:

@@ -27,7 +27,9 @@ Which reports are infeasible depends in some cases on the BLAS kernel
 (gates such as dominance_above decided at round-off at N >= 1e8), so
 ``--known`` takes full runs of one commit under several kernels, for
 example OPENBLAS_CORETYPE=Prescott, Nehalem, Sandybridge, Haswell and
-SkylakeX.
+SkylakeX.  numpy's SIMD dispatch flips round-off outcomes as well: with
+its AVX-512 targets off (NPY_DISABLE_CPU_FEATURES), a full run has
+infeasible outcomes that runs differing only in the BLAS kernel do not.
 """
 
 from __future__ import annotations

@@ -1,29 +1,31 @@
 """CLI output pinned byte for byte against recorded runs.
 
-``data/cli_expected.json`` maps each case name to the stdout and exit code
-that ``spherelp`` produced for its argument list before the bound commands
-were merged into one handler per direction.  The bound reports were
-re-recorded when the certificates moved from divided differences to the
-Gegenbauer-basis Hermite system; that changed only round-off: diagnostic
-defects below 1e-15 and certificate digits below 1e-16 absolute.  They
-were re-pinned once more when upper bounds moved to the lower bounds'
-dominance check (one product with the grid's Gegenbauer table instead of
-Clenshaw) and read ``nodes_touch`` from the node table: only the values
-of ``dominance_above`` and ``nodes_touch`` moved, by at most 2.3e-16.
-``reproduce-all-json`` pins every computed cell of every reference table.
-``design-uub`` reports are compared on parsed JSON instead: its value may
-move in the last bits, and its diagnostics are matched by name.
+``data/cli_expected.json`` maps each case name to its argument list and
+to the exit code and stdout that ``spherelp`` gave for it.  The last
+printed digits of a bound depend on round-off, which the host's BLAS
+kernel and numpy's SIMD dispatch decide.  So :func:`record` runs every
+case in one child process whose numerics are fixed before numpy loads,
+and the test compares each case's exit code and stdout with the file,
+byte for byte.
+
+After a deliberate change of output, re-record the file (with spherelp
+importable: installed, or PYTHONPATH=src):
+
+    python tests/test_cli_pinned.py
 """
 
-import contextlib
-import io
 import json
-import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from spherelp.cli import main
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__
 
 EXPECTED = Path(__file__).parent / "data" / "cli_expected.json"
 
@@ -73,6 +75,12 @@ CASES = {
         "--potential", "fejes-toth", "--format", "text",
     ),
     "design-ulb-outside": ("design-ulb", "--n", "3", "--capacity", "31.9565", "--tau", "7", "--potential", "riesz:1"),
+    "design-uub-config": ("design-uub", "--config", "cube-cross:4", "--s", "0.5", "--tau", "5", "--potential", "newton"),
+    "design-uub-pentakis": ("design-uub", "--config", "pentakis", "--tau", "9", "--potential", "riesz:1"),
+    "design-uub-outside": (
+        "design-uub", "--n", "3", "--capacity", "13.953488372093023", "--s", "0.5773502691896258",
+        "--tau", "4", "--potential", "newton:3",
+    ),
     "energy-json": ("energy", "--config", "pentakis", "--potential", "riesz:1"),
     "energy-text": ("energy", "--config", "cube-cross:5", "--potential", "log", "--format", "text"),
     "energy-csv": ("energy", "--config", "icosahedron", "--potential", "gaussian:2", "--format", "csv"),
@@ -92,21 +100,51 @@ CASES = {
     },
 }
 
-DESIGN_UUB_CASES = {
-    "design-uub-config": ("design-uub", "--config", "cube-cross:4", "--s", "0.5", "--tau", "5", "--potential", "newton"),
-    "design-uub-pentakis": ("design-uub", "--config", "pentakis", "--tau", "9", "--potential", "riesz:1"),
-    "design-uub-outside": (
-        "design-uub", "--n", "3", "--capacity", "13.953488372093023", "--s", "0.5773502691896258",
-        "--tau", "4", "--potential", "newton:3",
-    ),
+# the numerics of the recording process: an OpenBLAS kernel that every
+# x86-64 CPU runs, one BLAS thread, and every numpy SIMD dispatch target off
+FIXED_NUMERICS = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "OPENBLAS_NUM_THREADS": "1",
+    "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
 }
 
+# an x86-64 host without AVX-512, the usual AMD runner: its OpenBLAS kernel
+# and numpy's dispatch without AVX-512 move the last printed digits
+NON_AVX512_HOST = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+}
 
-def run(argv):
+# runs each case through spherelp.cli.main; its imports load numpy
+RECORDER = """
+import contextlib, io, json, sys
+from spherelp.cli import main
+record = {}
+for name, argv in json.load(sys.stdin).items():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, out.getvalue()
+        code = main(argv)
+    record[name] = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+json.dump(record, sys.stdout)
+"""
+
+
+def record(environ=os.environ) -> dict:
+    """Every case's argv, exit code and stdout, from one child process.
+
+    The child inherits ``environ`` without its numpy and OpenBLAS
+    settings, which :data:`FIXED_NUMERICS` replaces.
+    """
+    env = {k: v for k, v in environ.items() if not k.startswith(("NPY_", "NUMPY_", "OPENBLAS_"))}
+    child = subprocess.run(
+        [sys.executable, "-c", RECORDER],
+        input=json.dumps({name: list(argv) for name, argv in CASES.items()}),
+        capture_output=True,
+        text=True,
+        env={**env, **FIXED_NUMERICS},
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -114,33 +152,26 @@ def expected():
     return json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def recorded():
+    return record()
+
+
 def test_recorded_cases_match_the_case_lists(expected):
-    assert set(expected) == set(CASES) | set(DESIGN_UUB_CASES)
-    for name, argv in {**CASES, **DESIGN_UUB_CASES}.items():
-        assert expected[name]["argv"] == list(argv)
+    assert {name: case["argv"] for name, case in expected.items()} == {
+        name: list(argv) for name, argv in CASES.items()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_byte_identical(name, expected):
-    code, out = run(CASES[name])
-    assert (code, out) == (expected[name]["exit"], expected[name]["stdout"])
+def test_cli_output_is_byte_identical(name, expected, recorded):
+    got, want = recorded[name], expected[name]
+    assert (got["exit"], got["stdout"]) == (want["exit"], want["stdout"])
 
 
-@pytest.mark.parametrize("name", sorted(DESIGN_UUB_CASES))
-def test_design_uub_output_matches_by_diagnostic_name(name, expected):
-    code, out = run(DESIGN_UUB_CASES[name])
-    want = expected[name]
-    assert code == want["exit"]
-    got, ref = json.loads(out), json.loads(want["stdout"])
-    assert math.isclose(got.pop("value"), ref.pop("value"), rel_tol=1e-12)
-    got_checks = {c.pop("name"): c for c in got.pop("diagnostics")}
-    ref_checks = {c.pop("name"): c for c in ref.pop("diagnostics")}
-    assert got_checks.keys() == ref_checks.keys()
-    # the objective is taken in coefficient form, so the consistency gap
-    # between its two forms moves in the last bits
-    assert got_checks.pop("objective_consistency")["ok"] == ref_checks.pop("objective_consistency")["ok"]
-    # the hypothesis note names D(n, m) and D(n, m + 1), as for uub
-    got_hyp, ref_hyp = got_checks.pop("n1_interval_hypothesis"), ref_checks.pop("n1_interval_hypothesis")
-    assert (got_hyp["ok"], got_hyp["value"]) == (ref_hyp["ok"], ref_hyp["value"])
-    assert got_checks == ref_checks
-    assert got == ref
+def test_pins_do_not_read_the_host_numerics(expected):
+    assert record({**os.environ, **NON_AVX512_HOST}) == expected
+
+
+if __name__ == "__main__":
+    EXPECTED.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
