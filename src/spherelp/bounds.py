@@ -42,6 +42,16 @@ from .quadrature import (
 COEFF_TOL = 1e-9
 VALUE_TOL = 1e-10
 ULB_INTERVAL = (-1.0, 0.999)  # where lower-bound certificates must stay below h
+# The lower-bound grid's first FIXED_POINTS points, its uniform points but the
+# last, are the same for every rule, so their Gegenbauer table is kept per
+# dimension.  The split is a multiple of 32: BLAS dgemv then gives every point
+# the body or tail position it has in one product over the whole grid, so the
+# products of the two pieces keep that product's bits (4001 does not).
+FIXED_POINTS = 4000
+FIXED_DIMENSIONS = 8  # dimensions whose fixed table is kept, the most recent ones
+_FIXED_GRID = dominance_grid(*ULB_INTERVAL, ())[:FIXED_POINTS]
+_FIXED_GRID.flags.writeable = False
+_fixed_tables: dict[int, np.ndarray] = {}  # n -> P_0..P_d on _FIXED_GRID, least recent first
 
 
 @dataclass(frozen=True)
@@ -126,26 +136,50 @@ class _Setup(NamedTuple):
     rule: QuadratureRule
     operator: HermiteOperator
     grid: np.ndarray
-    table: np.ndarray
+    pieces: tuple[np.ndarray, ...]
     closing: tuple[CheckResult, ...]
 
 
 def _setup(
-    rule: QuadratureRule, doubled: slice, interval: tuple[float, float], closing: tuple[CheckResult, ...]
+    rule: QuadratureRule,
+    doubled: slice,
+    interval: tuple[float, float],
+    closing: tuple[CheckResult, ...],
+    head: tuple[np.ndarray, ...] = (),
 ) -> _Setup:
     """The part of a certificate check on the rule that does not depend on h.
 
     ``doubled`` slices the nodes where the certificate also matches h'.
     The rule's node table gives the Hermite operator's value rows, so the
     nodes are tabulated once per rule; the dominance grid on the interval
-    and its table P_0..P_m (both read-only) turn each dominance check into
-    one product.  ``closing`` holds the checks on the rule alone that end
-    each report.
+    and its table P_0..P_m, in consecutive column pieces (all read-only),
+    turn each dominance check into one product per piece.  ``head`` holds
+    the pieces of the grid's first points that the caller keeps; the rule
+    tabulates the rest.  ``closing`` holds the checks on the rule alone
+    that end each report.
     """
     grid = dominance_grid(*interval, rule.nodes)
-    table = gegenbauer_table(rule.n, rule.m, grid)
-    grid.flags.writeable = table.flags.writeable = False
-    return _Setup(rule, hermite_operator(rule.nodes, doubled, rule.n, rule.table), grid, table, closing)
+    tail = gegenbauer_table(rule.n, rule.m, grid[sum(piece.shape[1] for piece in head) :])
+    grid.flags.writeable = tail.flags.writeable = False
+    operator = hermite_operator(rule.nodes, doubled, rule.n, rule.table)
+    return _Setup(rule, operator, grid, head + (tail,), closing)
+
+
+def _fixed_table(n: int, m: int) -> np.ndarray:
+    """P_0..P_m on the lower-bound grid's first FIXED_POINTS points.
+
+    A read-only view of the table kept for dimension n, whose rows grow to
+    the largest m asked for n; each row has the same bits at any height.
+    The tables of the last FIXED_DIMENSIONS dimensions asked for are kept.
+    """
+    table = _fixed_tables.pop(n, None)
+    if table is None or table.shape[0] <= m:
+        table = gegenbauer_table(n, m, _FIXED_GRID)
+        table.flags.writeable = False
+    _fixed_tables[n] = table
+    if len(_fixed_tables) > FIXED_DIMENSIONS:
+        del _fixed_tables[next(iter(_fixed_tables))]
+    return table[: m + 1]
 
 
 @lru_cache(maxsize=1)
@@ -153,14 +187,18 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
     """The part of a lower bound at (n, N_W) that does not depend on h.
 
     The rule, its Q_j scan up to 3m and its certificate setup on
-    ULB_INTERVAL serve every potential at one (n, N_W).  One entry covers
-    potentials run back to back and keeps the grid's table (0.75 MB at
-    m = 20) from piling up.  Callers pass ``int`` and ``float`` so equal
-    inputs share one entry; a failed solve raises and stores nothing.
+    ULB_INTERVAL serve every potential at one (n, N_W).  The dominance
+    table's first piece, the 4000 points shared by every rule, comes from
+    :func:`_fixed_table` (0.67 MB at m = 20, once per dimension); the rule
+    tabulates only the other 1 + 81k points for its k nodes (0.15 MB at
+    m = 20).  One entry covers potentials run back to back and keeps the
+    rules' pieces from piling up.  Callers pass ``int`` and ``float`` so
+    equal inputs share one entry; a failed solve raises and stores nothing.
     """
     rule = solve_ulb_rule(n, capacity)
     # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
-    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule, 3 * rule.m, rule.table),))
+    closing = (_scan_checks(rule, 3 * rule.m, rule.table),)
+    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, closing, (_fixed_table(n, rule.m),))
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
@@ -191,7 +229,7 @@ def _certify(
     coefficient signs, dominance and objective consistency decide
     ``feasible``; the other checks are reported only.
     """
-    rule, operator, grid, table, closing = setup
+    rule, operator, grid, pieces, closing = setup
     lower = kind in ("ulb", "design_ulb")
     n1 = rule.capacity
     # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
@@ -216,7 +254,7 @@ def _certify(
     else:
         worst = float(coeffs[1:].max())
         signs = CheckResult(sign_name, worst <= COEFF_TOL, worst)
-    ok_dom, violation = verify_dominance(cert, h, "below" if lower else "above", grid, table)
+    ok_dom, violation = verify_dominance(cert, h, "below" if lower else "above", grid, pieces)
     dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation)
     checks += [dominance, signs] if lower else [signs, dominance]
     if f is not None:

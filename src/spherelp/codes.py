@@ -314,7 +314,8 @@ def dodecahedron() -> WeightedCode:
 
 
 def cube(n: int) -> WeightedCode:
-    pts = np.array([[1 - 2 * ((i >> j) & 1) for j in range(n)] for i in range(2**n)], dtype=float)
+    # row i holds the signs of i's bits, least significant first
+    pts = (1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)).astype(float)
     return WeightedCode(n, pts / sqrt(n), np.full(2**n, 1.0 / 2**n))
 
 

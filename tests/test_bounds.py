@@ -9,8 +9,8 @@ from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
-from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator
-from spherelp.orthopoly import gegenbauer_table
+from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
+from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
     gaussian,
@@ -605,10 +605,13 @@ def test_ulb_memo_is_bounded_and_its_grid_read_only():
     setup = bounds._ulb_setup(3, float(capacity))
     assert bounds._ulb_setup.cache_info().hits == 1
     grid = setup.grid
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0] = 0.0
+    for array in (grid, *setup.pieces):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[..., 0] = 0.0
     assert np.array_equal(grid, dominance_grid(-1.0, 0.999, setup.rule.nodes))
+    whole = gegenbauer_table(3, setup.rule.m, grid)
+    assert np.hstack(setup.pieces).tobytes() == whole.tobytes()
 
 
 def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
@@ -630,11 +633,58 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     assert calls == [4]
     setup = bounds._ulb_setup(4, 24.0)
     op = setup.operator
-    for array in (setup.table, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
+    for array in (*setup.pieces, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
+    for piece in setup.pieces:
+        with pytest.raises(ValueError):
+            piece[0, 0] = 0.0
+    whole = gegenbauer_table(4, setup.rule.m, setup.grid)
+    assert np.hstack(setup.pieces).tobytes() == whole.tobytes()
+
+
+def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():
+    # the fixed table and a rule's own piece give the product, and so the
+    # (ok, violation) bits, of one table over the whole lower-bound grid
+    rng = np.random.default_rng(31)
+    potentials = (riesz(1), riesz(2.5), gaussian(1), logarithmic(), fejes_toth())
+    for i in range(300):
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 26))
+        nodes = np.sort(rng.uniform(-1.0, bounds.ULB_INTERVAL[1], int(rng.integers(1, 14))))
+        grid = dominance_grid(*bounds.ULB_INTERVAL, nodes)
+        whole = gegenbauer_table(n, m, grid)
+        pieces = (bounds._fixed_table(n, m), gegenbauer_table(n, m, grid[bounds.FIXED_POINTS :]))
+        coeffs = rng.standard_normal(int(rng.integers(1, m + 2))) * 10.0 ** rng.uniform(-3, 3)
+        split = np.concatenate([coeffs @ piece[: coeffs.size] for piece in pieces])
+        assert split.tobytes() == (coeffs @ whole[: coeffs.size]).tobytes(), (n, m, nodes.size)
+        series, h = GegenbauerSeries(n, coeffs), potentials[i % len(potentials)]
+        for direction in ("below", "above"):
+            ok, violation = verify_dominance(series, h, direction, grid, pieces)
+            want_ok, want = verify_dominance(series, h, direction, grid, (whole,))
+            assert (ok, violation.hex()) == (want_ok, want.hex()), (n, m, nodes.size, direction)
+
+
+def test_fixed_table_is_read_only_bounded_and_grows_on_demand():
+    fixed_grid = dominance_grid(*bounds.ULB_INTERVAL, ())[: bounds.FIXED_POINTS]
+    bounds._fixed_tables.clear()
+    small = bounds._fixed_table(5, 3)
+    assert small.shape == (4, bounds.FIXED_POINTS) and not small.flags.writeable
     with pytest.raises(ValueError):
-        setup.table[0, 0] = 0.0
-    assert np.array_equal(setup.table, gegenbauer_table(4, setup.rule.m, setup.grid))
+        small[0, 0] = 0.0
+    grown = bounds._fixed_table(5, 9)  # a higher degree grows the rows
+    assert bounds._fixed_tables[5].shape == (10, bounds.FIXED_POINTS)
+    lower = bounds._fixed_table(5, 6)  # a lower degree reads rows of the grown table
+    assert lower.base is bounds._fixed_tables[5] and lower.shape[0] == 7
+    for m, table in ((3, small), (9, grown), (6, lower)):
+        assert not table.flags.writeable
+        assert table.tobytes() == gegenbauer_table(5, m, fixed_grid).tobytes()
+    kept = bounds.FIXED_DIMENSIONS
+    for n in range(2, 2 + 3 * kept):
+        bounds._fixed_table(n, 2)
+        assert len(bounds._fixed_tables) <= kept
+    assert list(bounds._fixed_tables) == list(range(2 + 2 * kept, 2 + 3 * kept))
+    bounds._fixed_table(2 + 2 * kept, 2)  # asking again makes a dimension the most recent
+    bounds._fixed_table(2 + 3 * kept, 2)
+    assert list(bounds._fixed_tables) == [*range(4 + 2 * kept, 2 + 3 * kept), 2 + 2 * kept, 2 + 3 * kept]
 
 
 def test_each_bound_tabulates_its_nodes_once(monkeypatch):

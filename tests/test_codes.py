@@ -20,6 +20,7 @@ from spherelp.codes import (
     build_config,
     check_weights,
     code_from_json,
+    cube,
     cube_crosspolytope,
     design_strength,
     dodecahedron,
@@ -257,6 +258,16 @@ def test_twenty_four_cell_is_the_union_of_cube_and_cross_polytope_in_four_dimens
     code, union = twenty_four_cell(), cube_crosspolytope(4)
     assert np.array_equal(code.points, union.points)
     assert np.array_equal(code.weights, union.weights)
+
+
+def test_cube_points_equal_the_bitwise_sign_rows_bytewise():
+    # row i holds the signs of i's bits, least significant first, as the
+    # per-entry comprehension wrote them
+    for n in range(2, 13):
+        signs = np.array([[1 - 2 * ((i >> j) & 1) for j in range(n)] for i in range(2**n)], dtype=float)
+        code = cube(n)
+        assert code.points.dtype == signs.dtype and code.points.tobytes() == (signs / math.sqrt(n)).tobytes()
+        assert code.weights.tobytes() == np.full(2**n, 1.0 / 2**n).tobytes()
 
 
 def test_weights_of_cube_cross_n3():

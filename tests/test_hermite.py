@@ -33,9 +33,9 @@ def _interpolant(h, points, doubled, n):
 
 
 def _dominance(series, h, direction, lo, hi, nodes=()):
-    """verify_dominance on a freshly built grid and table."""
+    """verify_dominance on a freshly built grid and its table in one piece."""
     grid = dominance_grid(lo, hi, nodes)
-    return verify_dominance(series, h, direction, grid, gegenbauer_table(series.n, series.degree, grid))
+    return verify_dominance(series, h, direction, grid, (gegenbauer_table(series.n, series.degree, grid),))
 
 
 def test_constant_potential_reproduced_exactly():
@@ -142,8 +142,17 @@ def test_dominance_negative_control():
     assert not ok and violation > 1e-9
     grid = dominance_grid(*ULB_INTERVAL, rule.nodes)
     table = gegenbauer_table(3, rule.m + 2, grid)  # rows past the degree are ignored
-    lifted = verify_dominance(_lifted(report.gegenbauer, 0, 1e-6), riesz(1), "below", grid, table)[1]
+    lifted = verify_dominance(_lifted(report.gegenbauer, 0, 1e-6), riesz(1), "below", grid, (table,))[1]
     assert lifted == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_dominance_pieces_must_cover_the_grid():
+    series = _interpolant(riesz(1), (0.0,), ALL, 3).gegenbauer
+    grid = dominance_grid(-1.0, 0.5, ())
+    table = gegenbauer_table(3, series.degree, grid)
+    for pieces in ((table[:, :4000],), (table[:, :100], table[:, 200:])):
+        with pytest.raises(ValueError, match="cover"):
+            verify_dominance(series, riesz(1), "below", grid, pieces)
 
 
 def test_nodes_above_one_rejected():
