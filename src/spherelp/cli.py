@@ -360,6 +360,10 @@ def main(argv=None) -> int:
     except QuadratureError as exc:  # rule construction failed its own verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as exc:  # a request too large to allocate, such as a huge --tau
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ bounds are tested against: the pentakis dodecahedron (icosahedron plus
 dodecahedron with dual weights) and the union of a cube with a
 cross-polytope in n dimensions, plus the individual polytopes and regular
 polygons.
+
+No Gram matrix is stored: energy, moments and the maximal inner product
+stream its rows in blocks of BLOCK_ROWS through one BLOCK_ROWS x N buffer
+per call, and energy forms its terms in two BLOCK_ROWS x TILE_COLUMNS tile
+buffers: the energy of a 1050-point code peaks at 1.1 MB of numpy memory.
 """
 
 from __future__ import annotations
@@ -106,7 +111,10 @@ class WeightedCode:
         return float(best)
 
     def gram(self) -> np.ndarray:
-        return np.vstack([block for _, _, block in _gram_rows(self)])
+        out = np.empty((self.size, self.size))
+        for start, stop, block in _gram_rows(self):
+            out[start:stop] = block
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -160,6 +168,9 @@ _EXTRACT_LIMIT = 2.0**960
 # take one block, so their moments are one matrix product each and their
 # Gram matrix is the one product points @ points.T
 BLOCK_ROWS = 64
+# columns per tile in which energy walks a block's rectangle: its pair
+# weights and h values, BLOCK_ROWS x TILE_COLUMNS each, take 128 KiB apiece
+TILE_COLUMNS = 256
 
 
 def _exact_parts(x: np.ndarray, top: float, scratch: np.ndarray):
@@ -216,15 +227,23 @@ def exact_sum(chunks) -> float:
     return fsum(parts)
 
 
-def _gram_rows(code: WeightedCode):
+def _gram_rows(code: WeightedCode, upper: bool = False):
     """The Gram matrix, clipped to [-1, 1], as (start, stop, rows start..stop)
-    for consecutive blocks of BLOCK_ROWS rows; each block is a fresh array.
-    The only place Gram entries are computed."""
+    for consecutive blocks of BLOCK_ROWS rows.  The only place Gram entries
+    are computed.
+
+    Each block is a view of one row buffer of min(BLOCK_ROWS, N) x N,
+    allocated per call, which the next block overwrites, so a caller reads
+    a block before it asks for the next.  With upper, only the columns from
+    the block's diagonal on, the ones :func:`energy` reads, are clipped.
+    """
     points = code.points
+    rows = np.empty((min(BLOCK_ROWS, code.size), code.size))
     for start in range(0, code.size, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, code.size)
-        block = points[start:stop] @ points.T
-        np.clip(block, -1.0, 1.0, out=block)
+        block = np.matmul(points[start:stop], points.T, out=rows[: stop - start])
+        clipped = block[:, start:] if upper else block
+        np.clip(clipped, -1.0, 1.0, out=clipped)
         yield start, stop, block
 
 
@@ -233,26 +252,37 @@ def energy(code: WeightedCode, h: Potential) -> float:
 
     Streams the upper triangle of the Gram matrix in row blocks from
     :func:`_gram_rows`: per block, the entries above the diagonal of its
-    square on the diagonal and the whole rectangle to the right of that
-    square.  Each piece rejects an inner product >= 1 - 1e-15 (coincident
-    points) once, then forms the terms (2 w_i) w_j h(x_i . x_j) with h's
-    closed form, unchecked, in the pair weights' own array, which goes to
+    square on the diagonal, then the rectangle to the right of that square
+    in tiles of at most TILE_COLUMNS columns.  Each piece rejects an inner
+    product >= 1 - 1e-15 (coincident points) once, then forms the terms
+    (2 w_i) w_j h(x_i . x_j) with h's closed form, unchecked, which go to
     :func:`exact_sum`: the result is ``math.fsum`` of the N(N-1)/2 terms.
-    Working memory is O(BLOCK_ROWS N).  A one-point code has energy 0.
+    A tile's pair weights and h values are worked in two buffers that every
+    tile reuses, so the working set is the row buffer of BLOCK_ROWS x N
+    plus two of BLOCK_ROWS x TILE_COLUMNS.  A one-point code has energy 0.
     """
     w, w2 = code.weights, 2.0 * code.weights
     upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
+    # flat, so that a tile's first rows x columns entries are one C-contiguous array
+    tile_size = min(BLOCK_ROWS, code.size) * min(TILE_COLUMNS, code.size)
+    pair_buffer, value_buffer = np.empty(tile_size), np.empty(tile_size)
+
+    def pieces(start, stop, block):
+        """(inner products, their pair weights' array) per piece of a block."""
+        mask = upper[: stop - start, : stop - start]
+        yield block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]
+        for left in range(stop, code.size, TILE_COLUMNS):
+            right = min(left + TILE_COLUMNS, code.size)
+            shape = (stop - start, right - left)
+            pair_weights = pair_buffer[: shape[0] * shape[1]].reshape(shape)
+            yield block[:, left:right], np.multiply.outer(w2[start:stop], w[left:right], out=pair_weights)
 
     def terms():
-        for start, stop, block in _gram_rows(code):
-            mask = upper[: stop - start, : stop - start]
-            for g, pair_weights in (
-                (block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]),
-                (block[:, stop:], np.multiply.outer(w2[start:stop], w[stop:])),
-            ):
+        for start, stop, block in _gram_rows(code, upper=True):
+            for g, pair_weights in pieces(start, stop, block):
                 if g.size and g.max() >= 1.0 - 1e-15:
                     raise ValueError("coincident points: energy would need h(1)")
-                pair_weights *= _values(h, g)
+                pair_weights *= _values(h, g, out=value_buffer[: g.size].reshape(g.shape))
                 yield pair_weights.ravel()
 
     return exact_sum(terms())
@@ -266,6 +296,8 @@ def _moments(code: WeightedCode, tau: int) -> np.ndarray:
     for start, stop, block in _gram_rows(code):
         table = gegenbauer_table(code.n, tau, block)
         moments += [w[start:stop] @ table[ell] @ w for ell in range(1, tau + 1)]
+        # freed before the next block's table is built, which then reuses its pages
+        del table
     return moments
 
 

@@ -91,19 +91,37 @@ def potential_eval(h: Potential, t):
     return v if v.ndim else float(v)
 
 
-def _values(h: Potential, t: np.ndarray):
-    """The closed form of h at a float array t, unchecked: callers make sure t < 1."""
-    if h.kind == "riesz":
-        return (2.0 * (1.0 - t)) ** (-h.param / 2.0)
-    if h.kind == "newton":
-        return (2.0 * (1.0 - t)) ** (1.0 - h.param / 2.0)
+def _values(h: Potential, t: np.ndarray, out: np.ndarray | None = None):
+    """The closed form of h at a float array t, unchecked: callers make sure t < 1.
+
+    Worked in place, in out (an array of t's shape) when given, else in one
+    new array, by the ufuncs of the formulas in the module docstring.  A
+    0-d t is worked in numpy scalars, whose pow is the C library's, and
+    gives a scalar unless out is given.
+    """
+    if h.kind == "shifted":
+        v = _values(h.base, t, out)
+        v += h.param
+        return v
+    v = np.subtract(1.0, t, out=out if t.ndim else None)
+    # on a numpy scalar the in-place operators rebind v, and the ufuncs return a new scalar
+    into = v if t.ndim else None
     if h.kind == "gaussian":
-        return np.exp(-h.param * (1.0 - t))
-    if h.kind == "logarithmic":
-        return -np.log(2.0 * (1.0 - t))
-    if h.kind == "fejes_toth":
-        return -np.sqrt(2.0 * (1.0 - t))
-    return _values(h.base, t) + h.param
+        v *= -h.param
+        v = np.exp(v, out=into)
+    else:
+        v *= 2.0
+        if h.kind == "riesz":
+            v **= -h.param / 2.0
+        elif h.kind == "newton":
+            v **= 1.0 - h.param / 2.0
+        else:
+            v = np.log(v, out=into) if h.kind == "logarithmic" else np.sqrt(v, out=into)
+            v = -v if into is None else np.negative(v, out=v)
+    if out is None or v is out:
+        return v
+    out[()] = v
+    return out
 
 
 def potential_derivative(h: Potential, t):

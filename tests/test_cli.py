@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -560,6 +561,24 @@ def test_design_uub_outside_the_interval_of_tau_runs_where_the_rule_builds(capsy
     )
     assert code == 0
     assert json.loads(out)["feasible"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        # moments up to 10**15: the Gegenbauer table alone would take 1.4 EiB
+        (("design-check", "--config", "cube-cross:3", "--tau", str(10**15)), "design-check"),
+        # 2**58 points: their bit patterns alone would take 2 EiB
+        (("energy", "--config", "cube:58", "--potential", "riesz:1"), "energy"),
+    ],
+    ids=["design-check-tau", "energy-cube"],
+)
+def test_request_too_large_to_allocate_is_one_named_line(capsys, argv, command):
+    # each request fails at its first allocation, beyond any 57-bit address space
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {command} ran out of memory: Unable to allocate [^\n]*\n", err)
 
 
 def test_deeply_nested_shift_spec_is_a_usage_error():

@@ -129,22 +129,28 @@ json.dump(record, sys.stdout)
 """
 
 
-def record(environ=os.environ) -> dict:
-    """Every case's argv, exit code and stdout, from one child process.
+def run_under_fixed_numerics(script: str, payload, environ=os.environ):
+    """The JSON that ``script``, run in a child process with ``payload``
+    as JSON on its stdin, prints.
 
     The child inherits ``environ`` without its numpy and OpenBLAS
     settings, which :data:`FIXED_NUMERICS` replaces.
     """
     env = {k: v for k, v in environ.items() if not k.startswith(("NPY_", "NUMPY_", "OPENBLAS_"))}
     child = subprocess.run(
-        [sys.executable, "-c", RECORDER],
-        input=json.dumps({name: list(argv) for name, argv in CASES.items()}),
+        [sys.executable, "-c", script],
+        input=json.dumps(payload),
         capture_output=True,
         text=True,
         env={**env, **FIXED_NUMERICS},
     )
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
+
+
+def record(environ=os.environ) -> dict:
+    """Every case's argv, exit code and stdout, from one child process."""
+    return run_under_fixed_numerics(RECORDER, {name: list(argv) for name, argv in CASES.items()}, environ)
 
 
 @pytest.fixture(scope="module")

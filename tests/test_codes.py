@@ -16,6 +16,7 @@ from oracles import (
 from spherelp import codes
 from spherelp.codes import (
     BLOCK_ROWS,
+    TILE_COLUMNS,
     WeightedCode,
     build_config,
     check_weights,
@@ -32,6 +33,7 @@ from spherelp.codes import (
     twenty_four_cell,
     with_equal_weights,
 )
+from test_cli_pinned import run_under_fixed_numerics
 from spherelp.orthopoly import gegenbauer_eval, gegenbauer_table, to_gegenbauer
 from spherelp.potentials import (
     fejes_toth,
@@ -515,6 +517,67 @@ def test_energy_bundled_codes_to_the_bit():
     assert energy(cube_crosspolytope(10), riesz(1)) == 0.7368426543856972
 
 
+# energy of seeded random codes whose row blocks span several column
+# tiles, recorded under the fixed numerics of the CLI pins; the codes'
+# points are standard normal rows normalised, their weights uniform in
+# [0.5, 1.5] normalised, drawn from np.random.default_rng(seed)
+ENERGY_PINS = {
+    (61, 1050, 8): {
+        "riesz:1": 0.7519099861394989,
+        "riesz:2": 0.5998984450196773,
+        "gaussian:1": 0.3910186366134896,
+        "log": -0.615999759890881,
+        "fejes-toth": -1.388021442857592,
+        "newton:4": 0.5998984450196773,
+        "shift:-0.5:riesz:1": 0.2524268088479556,
+    },
+    (67, 560, 4): {
+        "riesz:1": 0.8452341892465592,
+        "riesz:2": 0.9715737574305512,
+        "gaussian:1": 0.41444921898973075,
+        "log": -0.5013477825173749,
+        "fejes-toth": -1.3565476034857347,
+        "newton:4": 0.9715737574305512,
+        "shift:-0.5:riesz:1": 0.34619693250481515,
+    },
+}
+
+# computes the energies of ENERGY_PINS's codes; its imports load numpy
+PIN_RUNNER = """
+import json, sys
+import numpy as np
+from spherelp.codes import WeightedCode, energy
+from spherelp.potentials import parse_potential
+got = []
+for seed, size, n, specs in json.load(sys.stdin):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((size, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    weights = rng.uniform(0.5, 1.5, size)
+    code = WeightedCode(n, points, weights / weights.sum())
+    got.append({spec: energy(code, parse_potential(spec)) for spec in specs})
+json.dump(got, sys.stdout)
+"""
+
+
+def test_energy_of_multi_tile_codes_is_pinned_to_the_bit():
+    payload = [[*key, list(pins)] for key, pins in ENERGY_PINS.items()]
+    assert run_under_fixed_numerics(PIN_RUNNER, payload) == list(ENERGY_PINS.values())
+
+
+def test_gram_rows_blocks_equal_the_clipped_product_bit_for_bit():
+    rng = np.random.default_rng(59)
+    examples = [pentakis_dodecahedron(), cube_crosspolytope(10), regular_ngon(7), pair_code(1e-8)]
+    examples += [random_code(rng, size, n) for size, n in ((BLOCK_ROWS, 3), (BLOCK_ROWS + 1, 5), (560, 4), (1050, 8))]
+    for code in examples:
+        points, stops = code.points, []
+        for start, stop, block in codes._gram_rows(code):
+            want = np.clip(points[start:stop] @ points.T, -1.0, 1.0)
+            assert block.shape == want.shape and block.tobytes() == want.tobytes()
+            stops.append(stop)
+        assert stops == list(range(BLOCK_ROWS, code.size, BLOCK_ROWS)) + [code.size]
+
+
 def test_one_point_code():
     code = WeightedCode(4, np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0]))
     assert energy(code, riesz(1)) == 0.0
@@ -691,11 +754,18 @@ def test_accumulator_of_negative_zeros_matches_fsum():
 
 FIVE_POTENTIALS = [riesz(1), newton(4), gaussian(1.7), logarithmic(), fejes_toth()]
 
+# code sizes at the edges of row blocks, then ones whose first block's
+# rectangle has TILE_COLUMNS - 1, TILE_COLUMNS and TILE_COLUMNS + 1 columns,
+# then one whose first block's rectangle spans three tiles
+EDGE_SIZES = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1) + tuple(
+    BLOCK_ROWS + TILE_COLUMNS + d for d in (-1, 0, 1)
+) + (BLOCK_ROWS + 2 * TILE_COLUMNS + 1,)
 
-@pytest.mark.parametrize("h", FIVE_POTENTIALS, ids=lambda h: h.label())
+
+@pytest.mark.parametrize("h", FIVE_POTENTIALS + [shifted(fejes_toth(), 1.5)], ids=lambda h: h.label())
 def test_energy_equals_fsum_at_block_edges(h):
     rng = np.random.default_rng(29)
-    for size in (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+    for size in EDGE_SIZES:
         code = random_code(rng, size, 4)
         g, w = code.gram(), code.weights
         terms = []
@@ -737,6 +807,43 @@ def test_coincident_pair_in_last_block_raises():
     assert energy(WeightedCode(3, points[:-1], np.full(size - 1, 1.0 / (size - 1))), riesz(1)) > 0
 
 
+def test_coincident_pair_in_a_later_tile_raises():
+    size = BLOCK_ROWS + 2 * TILE_COLUMNS + 1
+    points = random_code(np.random.default_rng(73), size, 3).points
+    # the first block's rectangle ends in a one-column third tile; rows 0 and 1
+    # meet their near copies in that tile and in the middle of the second
+    for row, col in ((0, size - 1), (1, BLOCK_ROWS + TILE_COLUMNS + 100)):
+        a, b = points[row], np.cross(points[row], [0.0, 0.0, 1.0])
+        b /= np.linalg.norm(b)
+        near = points.copy()
+        near[col] = math.cos(1e-8) * a + math.sin(1e-8) * b
+        with pytest.raises(ValueError, match="coincident points"):
+            energy(WeightedCode(3, near, np.full(size, 1.0 / size)), riesz(1))
+
+
+def test_energy_clips_products_below_minus_one():
+    # antipodal pairs of vectors 1e-12 longer than 1, as construction allows,
+    # in random rows: their products fall below -1 in diagonal squares and tiles
+    rng = np.random.default_rng(79)
+    half = (BLOCK_ROWS + 2 * TILE_COLUMNS) // 2
+    x = rng.standard_normal((half, 4))
+    x *= (1.0 + 2.0**-40) / np.linalg.norm(x, axis=1)[:, None]
+    order = rng.permutation(2 * half)
+    points = np.concatenate([x, -x])[order]
+    code, h = WeightedCode(4, points, np.full(2 * half, 1.0 / (2 * half))), logarithmic()
+    raw = points @ points.T
+    rows, cols = np.nonzero(np.triu(raw < -1.0))
+    assert rows.size == half
+    same_block = rows // BLOCK_ROWS == cols // BLOCK_ROWS
+    assert same_block.any() and not same_block.all()
+    g, w = code.gram(), code.weights
+    terms = [2.0 * w[i] * w[i + 1 :] * potential_eval(h, g[i, i + 1 :]) for i in range(code.size)]
+    unclipped = [2.0 * w[i] * w[i + 1 :] * potential_eval(h, raw[i, i + 1 :]) for i in range(code.size)]
+    want = math.fsum(np.concatenate(terms).tolist())
+    assert want != math.fsum(np.concatenate(unclipped).tolist())
+    assert energy(code, h) == want
+
+
 def test_energy_memory_stays_below_the_gram_matrix():
     code = random_code(np.random.default_rng(43), 3000, 3)
     tracemalloc.start()
@@ -745,7 +852,11 @@ def test_energy_memory_stays_below_the_gram_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * code.size**2 / 4
+    # the row buffer plus six tile-sized arrays: the pair weight and h value
+    # buffers, exact_sum's scratch, an extraction level's copy of a tile and
+    # two as margin; the Gram matrix would take 72 MB, this bound 2.3 MB
+    tile = 8 * BLOCK_ROWS * TILE_COLUMNS
+    assert peak < 8 * BLOCK_ROWS * code.size + 6 * tile
 
 
 def test_moments_over_row_blocks_match_the_full_table():

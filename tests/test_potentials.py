@@ -5,6 +5,7 @@ import pytest
 
 from spherelp.potentials import (
     MAX_SHIFT_DEPTH,
+    _values,
     classify,
     derivative_nonneg_from,
     fejes_toth,
@@ -189,3 +190,50 @@ def test_shift_nesting_is_capped_below_the_recursion_limit():
     assert parse_potential(spec).label() == spec
     with pytest.raises(ValueError, match=rf"nests {MAX_SHIFT_DEPTH + 1} shift: levels, above the cap of {MAX_SHIFT_DEPTH}$"):
         parse_potential(" Shift :1:" + spec)
+
+
+def out_of_place(h, t):
+    """h at t by the module docstring's formulas, one new array per operation."""
+    if h.kind == "riesz":
+        return (2.0 * (1.0 - t)) ** (-h.param / 2.0)
+    if h.kind == "newton":
+        return (2.0 * (1.0 - t)) ** (1.0 - h.param / 2.0)
+    if h.kind == "gaussian":
+        return np.exp(-h.param * (1.0 - t))
+    if h.kind == "logarithmic":
+        return -np.log(2.0 * (1.0 - t))
+    if h.kind == "fejes_toth":
+        return -np.sqrt(2.0 * (1.0 - t))
+    return out_of_place(h.base, t) + h.param
+
+
+def inner_products():
+    """A contiguous grid, a column slice of a 2-D block and a 0-d array, all below 1."""
+    rng = np.random.default_rng(71)
+    block = np.clip(rng.uniform(-1.2, 1.0, (64, 400)), -1.0, 0.999)
+    return [np.linspace(-1.0, 0.999, 1001), block[:, 37:300], np.asarray(-0.3), np.asarray(0.95)]
+
+
+# ** takes numpy's fast paths at exponents -1 (riesz:2, newton:4) and 0 (newton:2)
+VALUE_KINDS = ALL_KINDS + [riesz(2.0), newton(4), shifted(shifted(gaussian(1.0), -0.5), 2.0)]
+
+
+@pytest.mark.parametrize("h", VALUE_KINDS, ids=lambda h: h.label())
+def test_values_into_a_buffer_equal_fresh_values_bit_for_bit(h):
+    for t in inner_products():
+        before = t.copy()
+        want = _values(h, t)
+        # a view of a larger flat buffer, as energy passes its tiles
+        out = np.full(t.size + 5, np.nan)[: t.size].reshape(t.shape)
+        assert _values(h, t, out=out) is out
+        assert out.tobytes() == np.asarray(want).tobytes()
+        assert np.shape(want) == t.shape
+        assert t.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("h", VALUE_KINDS, ids=lambda h: h.label())
+def test_values_equal_the_closed_forms_out_of_place_bit_for_bit(h):
+    for t in inner_products():
+        got, want = _values(h, t), out_of_place(h, t)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
