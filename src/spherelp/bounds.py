@@ -117,19 +117,22 @@ def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     rule = _ulb_setup(index(n), float(capacity)).rule
-    res = exactness_residuals(n, rule.nodes, rule.weights, rule.capacity, j_max)
-    return TestFunctionReport(n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1)))
+    return _test_report(rule, gegenbauer_table(n, j_max, np.asarray(rule.nodes)))
 
 
-def _scan_checks(rule: QuadratureRule, j_max: int, table: np.ndarray) -> CheckResult:
-    res = exactness_residuals(rule.n, rule.nodes, rule.weights, rule.capacity, j_max, table)
+def _test_report(rule: QuadratureRule, table: np.ndarray) -> TestFunctionReport:
+    """Q_1..Q_j for the rows P_0..P_j of ``table`` at the rule's nodes."""
+    res = exactness_residuals(table, rule.weights, rule.capacity)
     # one conversion: a verdict per numpy scalar doubled the scan's time
-    bad = list(TestFunctionReport(rule.n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1))).negative_indices)
+    return TestFunctionReport(rule.n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1)))
+
+
+def _scan_checks(rule: QuadratureRule) -> CheckResult:
+    report = _test_report(rule, rule.table)
+    bad, note = list(report.negative_indices), f"Q_j >= 0 for j <= {len(report.values)}"
     if bad:
         note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
-    else:
-        note = f"Q_j >= 0 for j <= {j_max}"
-    return CheckResult("test_function_scan", not bad, float(np.min(res[rule.m + 1:])), note)
+    return CheckResult("test_function_scan", not bad, min(list(report.values.values())[rule.m :]), note)
 
 
 class _Setup(NamedTuple):
@@ -172,8 +175,8 @@ def _fixed_table(n: int, m: int) -> np.ndarray:
     the largest m asked for n; each row has the same bits at any height.
     The tables of the last FIXED_DIMENSIONS dimensions asked for are kept.
     """
-    table = _fixed_tables.pop(n, None)
-    if table is None or table.shape[0] <= m:
+    table = _fixed_tables.pop(n, ())
+    if len(table) <= m:
         table = gegenbauer_table(n, m, _FIXED_GRID)
         table.flags.writeable = False
     _fixed_tables[n] = table
@@ -197,8 +200,7 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
     """
     rule = solve_ulb_rule(n, capacity)
     # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
-    closing = (_scan_checks(rule, 3 * rule.m, rule.table),)
-    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, closing, (_fixed_table(n, rule.m),))
+    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule),), (_fixed_table(n, rule.m),))
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:

@@ -10,10 +10,7 @@ potential.  Dominance of the interpolant over (or under) h is always
 verified on a dense grid rather than assumed from the error formula: h is
 evaluated once on the whole grid, and f is one product per column piece
 of the grid's Gegenbauer table, so a piece shared by many grids is
-tabulated once.  The lower bounds' grid keeps the table of its first 4000
-points per dimension (0.67 MB at m = 20) and tabulates its other
-1 + 81k points, for k nodes, per rule (0.15 MB); the upper bounds' grid
-on [-1, s] is one piece.
+tabulated once.
 """
 
 from __future__ import annotations
@@ -58,15 +55,15 @@ class HermiteOperator:
     scaled: np.ndarray
 
 
-def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None = None) -> HermiteOperator:
+def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> HermiteOperator:
     """The Hermite conditions on ``points``, with slopes at ``points[doubled]``,
     in the basis P_0..P_{T-1}.
 
-    Slope rows use P_j' = j (j + n - 2) / (n - 1) P_{j-1} of dimension n + 2.
-    ``values`` may hold ``gegenbauer_table(n, d, points)``, d >= T - 1, if
-    the caller has it.  Rows are scaled to unit max norm for the solve:
-    slope rows grow like j^2, and unscaled pivoting loses up to 4x in
-    accuracy at n = 30.
+    ``values`` holds ``gegenbauer_table(n, d, points)``, d >= T - 1, whose
+    first T rows are the value rows.  Slope rows use P_j' = j (j + n - 2) /
+    (n - 1) P_{j-1} of dimension n + 2.  Rows are scaled to unit max norm
+    for the solve: slope rows grow like j^2, and unscaled pivoting loses up
+    to 4x in accuracy at n = 30.
     """
     points = np.array(points, dtype=float)
     # LU alone need not see a repeated node: its value and slope rows can stay independent
@@ -76,12 +73,12 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None =
         raise ValueError("interpolation nodes must lie below 1")
     doubled = points[doubled]
     degree = points.size + doubled.size - 1
+    if values.ndim != 2 or len(values) <= degree or values.shape[1] != points.size:
+        raise ValueError(f"the node table has shape {values.shape}, not (>= {degree + 1}, {points.size})")
     j = np.arange(1, degree + 1)
     slopes = np.zeros((doubled.size, degree + 1))
     if degree:
         slopes[:, 1:] = gegenbauer_table(n + 2, degree - 1, doubled).T * (j * (j + n - 2) / (n - 1))
-    if values is None:
-        values = gegenbauer_table(n, degree, points)
     matrix = np.vstack((values[: degree + 1].T, slopes))
     row_scale = abs(matrix).max(axis=1)
     scaled = matrix / row_scale[:, None]
@@ -90,13 +87,11 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray | None =
     return HermiteOperator(n, points, doubled, matrix, row_scale, scaled)
 
 
-def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray | None = None) -> InterpolantReport:
-    """Interpolate h on the operator's nodes: values everywhere, h' at
-    doubled nodes.  ``values`` may hold h at ``op.points`` if the caller has
-    it.  The defect |A c - jet| is reported relative to max(1, |h|).
+def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray) -> InterpolantReport:
+    """Interpolate h on the operator's nodes: ``values``, h at ``op.points``,
+    everywhere and h' at doubled nodes.  The defect |A c - jet| is reported
+    relative to max(1, |h|).
     """
-    if values is None:
-        values = potential_eval(h, op.points)
     jet = np.concatenate((values, potential_derivative(h, op.doubled)))
     try:
         # LU with partial pivoting (LAPACK dgesv) on every call; an explicit
@@ -150,8 +145,5 @@ def verify_dominance(
         start += piece.shape[1]
     if start != grid.size:
         raise ValueError(f"the table pieces cover {start} of the grid's {grid.size} points")
-    if direction == "below":
-        violation = max(0.0, -float(diff.min()))
-    else:
-        violation = max(0.0, float(diff.max()))
+    violation = max(0.0, -float(diff.min()) if direction == "below" else float(diff.max()))
     return violation <= 1e-9, violation

@@ -7,13 +7,14 @@ with respect to the probability measure
     mu_n(dt) = gamma_n * (1 - t**2)**((n - 3) / 2) dt,
 
 the projection of the uniform measure of the unit sphere in R^n onto a
-coordinate axis.  The module evaluates these polynomials by forward
+coordinate axis.  The module tabulates these polynomials by forward
 recurrence, multiplies out linear factors in their basis, and converts
 between the power basis and the Gegenbauer basis.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,15 +44,6 @@ class GegenbauerSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, t):
-        """Clenshaw's recurrence on (i + n - 2) P_{i+1} = (2i + n - 2) t P_i - i P_{i-1}."""
-        t = np.asarray(t, dtype=float)
-        n, c = self.n, self.coeffs
-        y1 = y2 = np.zeros_like(t)  # b_{i+1}, b_{i+2}
-        for i in range(self.degree, 0, -1):
-            y1, y2 = c[i] + (2 * i + n - 2) / (i + n - 2) * t * y1 - (i + 1) / (i + n - 1) * y2, y1
-        return c[0] + t * y1 - y2 / (n - 1)
-
     def value_at_one(self) -> float:
         """P_i(1) = 1, so the value at 1 is the plain coefficient sum."""
         return float(sum(self.coeffs))
@@ -75,15 +67,21 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
 
         (i + n - 2) P_{i+1}(t) = (2i + n - 2) t P_i(t) - i P_{i-1}(t)
 
-    with P_0 = 1 and P_1 = t, which preserves P_i(1) = 1.
+    with P_0 = 1 and P_1 = t, which preserves P_i(1) = 1.  A table beyond
+    physical memory raises MemoryError up front: the float path's list, 40
+    bytes an entry with its array, grows until the process is killed.
     """
     t = np.asarray(t, dtype=float)
+    shape = (imax + 1,) + t.shape
+    size = (imax + 1) * t.size * (40 if t.size <= SMALL_TABLE else 8)
+    if size > _physical_memory():
+        raise MemoryError(f"Unable to allocate {size / 2**30:.3g} GiB for an array with shape {shape}")
     if t.size <= SMALL_TABLE:  # Python floats: the same operations, without ufunc overhead
         # one point's column after another; copy() makes the transpose
         # C-contiguous, the layout of the array path
         flat = np.array(_float_columns(n, imax, t.ravel().tolist()), dtype=float)
-        return flat.reshape(-1, imax + 1).T.copy().reshape((imax + 1,) + t.shape)
-    out = np.empty((imax + 1,) + t.shape)
+        return flat.reshape(-1, imax + 1).T.copy().reshape(shape)
+    out = np.empty(shape)
     out[0] = 1.0
     if imax >= 1:
         out[1] = t
@@ -96,6 +94,15 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
         row -= scratch
         row /= j + n - 2
     return out
+
+
+@lru_cache(maxsize=1)
+def _physical_memory() -> float:
+    """Bytes of physical memory, read once; inf where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
 
 
 @lru_cache(maxsize=128)

@@ -280,7 +280,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
         )
     table = gegenbauer_table(n, m if table_degree is None else table_degree, nodes)
     table.flags.writeable = False
-    residuals = exactness_residuals(n, nodes, weights, capacity, m, table[: m + 1])
+    residuals = exactness_residuals(table[: m + 1], weights, capacity)
     worst = int(np.argmax(np.abs(residuals)))
     if abs(residuals[worst]) > 1e-9:
         raise QuadratureError(
@@ -290,11 +290,8 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
     return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity), table)
 
 
-def exactness_residuals(n: int, nodes, weights, capacity: float, jmax: int, table=None) -> np.ndarray:
-    """Residual of the 1/N identity on P_0..P_jmax (index j entry is for P_j);
-    ``table`` may hold ``gegenbauer_table(n, jmax, nodes)`` if already built."""
-    if table is None:
-        table = gegenbauer_table(n, jmax, np.asarray(nodes, dtype=float))
+def exactness_residuals(table: np.ndarray, weights, capacity: float) -> np.ndarray:
+    """Residual of the 1/N identity on each row P_j of a node table (entry j for P_j)."""
     res = table @ np.asarray(weights) + 1.0 / capacity
     res[0] -= 1.0
     return res

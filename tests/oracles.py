@@ -1,9 +1,10 @@
 """Independent references the tests check the library against.
 
-These are closed forms and random-polynomial identities that the library
-itself never needs: the moments of the inner-product measure mu_n, exact
-monomial integrals over the sphere, the design and cubature residuals of
-a weighted code, and the closed-form energies of the two flagship
+These are closed forms, evaluators and random-polynomial identities that
+the library itself never needs: Clenshaw evaluation of a Gegenbauer
+series, the moments of the inner-product measure mu_n, exact monomial
+integrals over the sphere, the design and cubature residuals of a
+weighted code, and the closed-form energies of the two flagship
 configurations.  The test files import them as ``from oracles import ...``;
 the module has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -15,7 +16,18 @@ from math import comb, fsum, sqrt
 import numpy as np
 
 from spherelp.codes import WeightedCode
+from spherelp.orthopoly import GegenbauerSeries
 from spherelp.potentials import Potential, potential_eval
+
+
+def clenshaw(series: GegenbauerSeries, t):
+    """Clenshaw's recurrence on (i + n - 2) P_{i+1} = (2i + n - 2) t P_i - i P_{i-1}."""
+    t = np.asarray(t, dtype=float)
+    n, c = series.n, series.coeffs
+    y1 = y2 = np.zeros_like(t)  # b_{i+1}, b_{i+2}
+    for i in range(series.degree, 0, -1):
+        y1, y2 = c[i] + (2 * i + n - 2) / (i + n - 2) * t * y1 - (i + 1) / (i + n - 1) * y2, y1
+    return c[0] + t * y1 - y2 / (n - 1)
 
 
 def measure_moment(n: int, j: int) -> float:

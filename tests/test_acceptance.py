@@ -23,6 +23,7 @@ from spherelp._tables import (
     reproduce_table3,
     reproduce_table4,
 )
+from spherelp.orthopoly import gegenbauer_table
 from spherelp.potentials import gaussian, newton, potential_eval, riesz, shifted
 from spherelp.quadrature import (
     dgs_bound,
@@ -149,7 +150,8 @@ def test_criterion_9_property_suite():
             n = int(rng.integers(2, 9))
             capacity = float(rng.uniform(2.05, dgs_bound(n, 11)))
             rule = solve_ulb_rule(n, capacity)
-            res = exactness_residuals(n, rule.nodes, rule.weights, rule.capacity, rule.m)
+            table = gegenbauer_table(n, rule.m, np.asarray(rule.nodes))
+            res = exactness_residuals(table, rule.weights, rule.capacity)
             assert np.max(np.abs(res)) <= 1e-9
             assert abs(sum(rule.weights) - (1 - 1 / capacity)) <= 1e-10
 

@@ -1,9 +1,31 @@
+import importlib
 import importlib.util
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    # the benchmark's trace mode wraps these spherelp functions by name, so a
+    # library change that drops or renames one breaks the traced run
+    tracing = _load("tracing", ROOT / "perfbench" / "tracing.py")
+    missing = [
+        f"spherelp.{module}.{name}"
+        for module, names in tracing.WRAPPED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"spherelp.{module}"), name, None))
+    ]
+    assert not missing
 
 
 def test_pair_summary_counts_wins_in_the_metric_direction():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import clenshaw
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
 from spherelp.bounds import test_functions as compute_test_functions
@@ -221,8 +222,7 @@ def test_uub_certificate_touches_h_at_nodes():
     report = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     assert report.diagnostic("nodes_touch").ok
     nodes = np.asarray(report.rule.nodes)
-    g = report.certificate
-    assert_allclose(g(nodes), potential_eval(riesz(1), nodes), atol=1e-9)
+    assert_allclose(clenshaw(report.certificate, nodes), potential_eval(riesz(1), nodes), atol=1e-9)
 
 
 def test_uub_override_reports_hypothesis():
@@ -428,7 +428,9 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
     for n, capacity, s, tau, h in cases:
         report = design_uub(n, capacity, s, tau, h)
         rule = report.rule
-        g_t = hermite_interpolant(h, hermite_operator(rule.nodes, slice(rule.eps, -1), n)).gegenbauer
+        nodes = np.asarray(rule.nodes)
+        op = hermite_operator(nodes, slice(rule.eps, -1), n, gegenbauer_table(n, rule.m, nodes))
+        g_t = hermite_interpolant(h, op, potential_eval(h, nodes)).gegenbauer
         assert report.certificate == g_t
         assert report.lambda_star == 0.0
         g0, g1 = g_t.coeffs[0], g_t.value_at_one()
@@ -620,9 +622,9 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     calls = []
     build = hermite.hermite_operator
 
-    def counting_build(points, doubled, n, *values):
+    def counting_build(points, doubled, n, values):
         calls.append(n)
-        return build(points, doubled, n, *values)
+        return build(points, doubled, n, values)
 
     monkeypatch.setattr(bounds, "hermite_operator", counting_build)
     monkeypatch.setattr(hermite, "hermite_operator", counting_build)

@@ -581,6 +581,29 @@ def test_request_too_large_to_allocate_is_one_named_line(capsys, argv, command):
     assert re.fullmatch(rf"error: {command} ran out of memory: Unable to allocate [^\n]*\n", err)
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        # 5 nodes: Q_j tabulated on Python floats
+        (("test-functions", "--n", "3", "--capacity", "31.9565", "--jmax", str(10**5)), "test-functions"),
+        # one 3 x 3 Gram block: the moments tabulated on Python floats
+        (("design-check", "--config", "ngon:3", "--tau", str(10**5)), "design-check"),
+    ],
+    ids=["test-functions-jmax", "design-check-ngon"],
+)
+def test_small_table_beyond_physical_memory_is_one_named_line(monkeypatch, capsys, argv, command):
+    # a small table grows a Python list in steps too small to fail, so the size
+    # is checked up front; with the memory figure patched to 4 MiB these 20 and
+    # 36 MB tables exceed it, and no large table is built even without the check
+    from spherelp import orthopoly
+
+    monkeypatch.setattr(orthopoly, "_physical_memory", lambda: 4 * 2**20)
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {command} ran out of memory: Unable to allocate [^\n]*\n", err)
+
+
 def test_deeply_nested_shift_spec_is_a_usage_error():
     # a spec nested past the cap is bad input named as such, not a RecursionError or a failed bound
     spec = "shift:1:" * 3000 + "log"

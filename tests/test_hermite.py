@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import clenshaw
 from spherelp.bounds import ULB_INTERVAL, design_uub, ulb, uub
 from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
@@ -28,8 +29,18 @@ def _doubled(rule, upper):
     return slice(rule.eps, -1 if upper else None)
 
 
+def _operator(points, doubled, n):
+    """The Hermite operator on ``points``, its value rows from a fresh node table."""
+    points = np.asarray(points, dtype=float)
+    return hermite_operator(points, doubled, n, gegenbauer_table(n, points.size + points[doubled].size - 1, points))
+
+
+def _solve(h, op):
+    return hermite_interpolant(h, op, potential_eval(h, op.points))
+
+
 def _interpolant(h, points, doubled, n):
-    return hermite_interpolant(h, hermite_operator(points, doubled, n))
+    return _solve(h, _operator(points, doubled, n))
 
 
 def _dominance(series, h, direction, lo, hi, nodes=()):
@@ -99,7 +110,7 @@ def _lifted(series, j, amount):
 
 
 def _clenshaw_violation(series, h, direction, grid):
-    diff = potential_eval(h, grid) - series(grid)
+    diff = potential_eval(h, grid) - clenshaw(series, grid)
     return max(0.0, -float(np.min(diff)) if direction == "below" else float(np.max(diff)))
 
 
@@ -123,7 +134,7 @@ def test_dominance_on_a_tabulated_grid_matches_clenshaw(h):
             assert check.ok == (ref <= 1e-9)
             if report.kind == "uub":  # g_T - lambda* f at the nodes, read from the node table
                 nodes = np.asarray(report.rule.nodes)
-                touch = float(np.max(np.abs(report.certificate(nodes) - potential_eval(h, nodes))))
+                touch = float(np.max(np.abs(clenshaw(report.certificate, nodes) - potential_eval(h, nodes))))
                 assert abs(report.diagnostic("nodes_touch").value - touch) <= 1e-11
 
 
@@ -158,9 +169,18 @@ def test_dominance_pieces_must_cover_the_grid():
 def test_nodes_above_one_rejected():
     for points in ((0.5, 1.0), (0.5, 1.5)):
         with pytest.raises(ValueError, match="below 1"):
-            hermite_operator(points, slice(0, -1), 3)
+            _operator(points, slice(0, -1), 3)
     with pytest.raises(ValueError):
         _dominance(_interpolant(riesz(1), (0.0,), ALL, 3).gegenbauer, riesz(1), "sideways", -1.0, 0.5)
+
+
+def test_node_table_of_the_wrong_shape_is_a_named_error():
+    points = np.array([-0.5, 0.0, 0.5])
+    table = gegenbauer_table(3, 5, points)  # T = 6 rows: every node doubled
+    assert hermite_operator(points, ALL, 3, table).matrix.shape == (6, 6)
+    for bad in (table[:5], table[:, :2], table[0]):
+        with pytest.raises(ValueError, match=r"node table has shape .*, not \(>= 6, 3\)"):
+            hermite_operator(points, ALL, 3, bad)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +195,7 @@ def test_nodes_above_one_rejected():
 )
 def test_nodes_not_strictly_ascending_rejected(points, doubled):
     with pytest.raises(ValueError, match="strictly ascending"):
-        hermite_operator(points, doubled, 3)
+        _operator(points, doubled, 3)
 
 
 def _dominance_grid_loop(lo, hi, nodes, points=4001):
@@ -243,7 +263,7 @@ def _node_residual_loop(h, points, doubled, series):
     pts = np.array(points)
     hvals = potential_eval(h, pts)
     scale = max(1.0, float(np.max(np.abs(hvals))))
-    residual = max(abs(float(series(a)) - float(potential_eval(h, a))) for a in pts) / scale
+    residual = max(abs(float(clenshaw(series, a)) - float(potential_eval(h, a))) for a in pts) / scale
     j = np.arange(1, c.size)
     for a in pts[doubled]:
         slope = float(c[1:] @ (j * (j + n - 2) / (n - 1) * gegenbauer_table(n + 2, c.size - 2, a)))
@@ -330,33 +350,33 @@ def test_defect_is_the_residual_of_the_system():
     from dataclasses import replace
 
     rule = solve_ulb_rule(4, 24.0)
-    op = hermite_operator(rule.nodes, _doubled(rule, False), 4)
-    assert hermite_interpolant(riesz(1), op).node_residual <= 1e-14
+    op = _operator(rule.nodes, _doubled(rule, False), 4)
+    assert _solve(riesz(1), op).node_residual <= 1e-14
     # coefficients solved on the factors but checked against a matrix off by 1e-6
     off = replace(op, matrix=op.matrix + 1e-6)
-    assert hermite_interpolant(riesz(1), off).node_residual > 1e-7
+    assert _solve(riesz(1), off).node_residual > 1e-7
 
 
 def test_singular_system_raises_a_named_error():
     from dataclasses import replace
 
     rule = solve_ulb_rule(4, 24.0)
-    op = hermite_operator(rule.nodes, _doubled(rule, False), 4)
+    op = _operator(rule.nodes, _doubled(rule, False), 4)
     # two equal rows: the solve finds an exact zero pivot
     scaled = op.scaled.copy()
     scaled[1] = scaled[0]
     with pytest.raises(ValueError) as info:
-        hermite_interpolant(riesz(1), replace(op, scaled=scaled))
+        _solve(riesz(1), replace(op, scaled=scaled))
     assert str(info.value) == f"singular Hermite system on nodes {[float(a) for a in rule.nodes]}"
 
 
 def test_operator_is_read_only_and_matches_a_fresh_build():
     rule = solve_ulb_rule(3, PENTAKIS_CAPACITY)
     doubled = _doubled(rule, False)
-    op = hermite_operator(rule.nodes, doubled, 3)
+    op = _operator(rule.nodes, doubled, 3)
     total = len(rule.nodes) + len(rule.nodes[doubled])
     assert op.n == 3 and op.matrix.shape == (total, total)
     for array in (op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
     for h in (riesz(1), gaussian(2.0), logarithmic()):
-        assert hermite_interpolant(h, op) == _interpolant(h, rule.nodes, doubled, 3)
+        assert _solve(h, op) == _interpolant(h, rule.nodes, doubled, 3)

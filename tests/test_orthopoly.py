@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import eval_legendre, roots_jacobi
 
-from oracles import measure_moment
+from oracles import clenshaw, measure_moment
 from spherelp.orthopoly import (
     SMALL_TABLE,
     GegenbauerSeries,
@@ -93,8 +93,8 @@ def test_series_clenshaw_matches_table_product(n):
     for degree in (0, 1, 2, 7, 25):
         coeffs = rng.standard_normal(degree + 1)
         series = GegenbauerSeries(n, coeffs)
-        assert_allclose(series(t), coeffs @ gegenbauer_table(n, degree, t), rtol=0, atol=1e-13)
-        assert float(series(0.4)) == pytest.approx(float(coeffs @ gegenbauer_table(n, degree, 0.4)), abs=1e-13)
+        assert_allclose(clenshaw(series, t), coeffs @ gegenbauer_table(n, degree, t), rtol=0, atol=1e-13)
+        assert float(clenshaw(series, 0.4)) == pytest.approx(float(coeffs @ gegenbauer_table(n, degree, 0.4)), abs=1e-13)
 
 
 def test_gegenbauer_domain_errors():
@@ -102,6 +102,23 @@ def test_gegenbauer_domain_errors():
         gegenbauer_eval(1, 2, 0.0)
     with pytest.raises(ValueError):
         gegenbauer_eval(3, -1, 0.0)
+
+
+def test_table_beyond_physical_memory_raises_before_building(monkeypatch):
+    # the memory figure is patched, so nothing large is allocated: at the
+    # limit the table is built, one byte below it MemoryError is raised; the
+    # float path counts 40 bytes per entry, the array path 8
+    from spherelp import orthopoly
+
+    assert orthopoly._physical_memory() > 0
+    for points in (SMALL_TABLE, SMALL_TABLE + 1):
+        t = np.linspace(-1.0, 1.0, points)
+        size = 31 * points * (40 if points <= SMALL_TABLE else 8)
+        monkeypatch.setattr(orthopoly, "_physical_memory", lambda: size)
+        assert gegenbauer_table(3, 30, t).shape == (31, points)
+        monkeypatch.setattr(orthopoly, "_physical_memory", lambda: size - 1)
+        with pytest.raises(MemoryError, match=rf"^Unable to allocate .* GiB for an array with shape \(31, {points}\)"):
+            gegenbauer_table(3, 30, t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -184,4 +201,4 @@ def test_round_trip_random_degree_12():
 
 def test_series_evaluation_matches_value_at_one():
     series = GegenbauerSeries(4, (0.3, -0.2, 0.5, 1.1))
-    assert series.value_at_one() == pytest.approx(float(series(1.0)), rel=1e-13)
+    assert series.value_at_one() == pytest.approx(float(clenshaw(series, 1.0)), rel=1e-13)
