@@ -8,7 +8,6 @@ from .bounds import (
     design_uub,
     test_functions,
     ulb,
-    ulb_for_weights,
     uub,
 )
 from .codes import (
@@ -19,36 +18,17 @@ from .codes import (
     energy,
     with_equal_weights,
 )
-from .hermite import hermite_interpolant, hermite_operator, verify_dominance
-from .orthopoly import (
-    GegenbauerSeries,
-    from_gegenbauer,
-    gegenbauer_eval,
-    to_gegenbauer,
-)
 from .potentials import (
     Potential,
-    classify,
     fejes_toth,
     gaussian,
     logarithmic,
     newton,
     parse_potential,
-    potential_derivative,
     potential_eval,
     riesz,
     shifted,
 )
-from .quadrature import (
-    LevenshteinPolynomial,
-    QuadratureRule,
-    compute_weights,
-    dgs_bound,
-    levenshtein_function,
-    levenshtein_polynomial,
-    select_degree_from_capacity,
-    select_degree_from_s,
-    solve_ulb_rule,
-)
+from .quadrature import dgs_bound
 
 __version__ = "0.1.0"

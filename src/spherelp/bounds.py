@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import check_weights
 from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from .orthopoly import GegenbauerSeries, gegenbauer_table
 from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
@@ -293,12 +292,6 @@ def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
     if not derivative_nonneg_from(h, 1):
         raise ValueError(f"potential {h.label()} lacks nonnegative derivatives of order >= 1")
     return _certify("ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
-
-
-def ulb_for_weights(weights, n: int, h: Potential) -> BoundReport:
-    """Lower bound for an explicit weight vector, at capacity 1 / sum of its squares."""
-    w = check_weights(weights)
-    return ulb(n, 1.0 / float(np.dot(w, w)), h)
 
 
 def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:

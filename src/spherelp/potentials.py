@@ -170,9 +170,18 @@ def classify(h: Potential) -> bool:
     return h.kind == "logarithmic" or min_nonneg_derivative_order(h) == 0
 
 
+def _spec_number(spec: str, part: str, form: str, convert=float):
+    """part of the potential spec converted by convert; a failure names the spec and its form."""
+    try:
+        return convert(part)
+    except ValueError:
+        raise ValueError(f"potential spec {spec!r} is malformed: expected {form}, got {part!r}") from None
+
+
 def parse_potential(text: str, n: int | None = None) -> Potential:
     """Parse CLI spellings: riesz:1.0, newton, gaussian:2.5, log, fejes-toth,
     shift:2.0:fejes-toth, with at most MAX_SHIFT_DEPTH shift: levels."""
+    spec = text
     shifts = []
     head, _, rest = text.partition(":")
     while head.strip().lower() == "shift":
@@ -182,15 +191,17 @@ def parse_potential(text: str, n: int | None = None) -> Potential:
     if len(shifts) > MAX_SHIFT_DEPTH:
         raise ValueError(f"potential spec nests {len(shifts)} shift: levels, above the cap of {MAX_SHIFT_DEPTH}")
     head = head.strip().lower()
+    if rest and head in ("log", "logarithmic", "fejes-toth", "fejes_toth"):
+        raise ValueError(f"potential spec {spec!r} is malformed: expected {head} with no parameter, got {rest!r}")
     if head == "riesz":
-        h = riesz(float(rest))
+        h = riesz(_spec_number(spec, rest, "riesz:A with a number A"))
     elif head == "newton":
-        dim = int(rest) if rest else n
+        dim = _spec_number(spec, rest, "newton or newton:N with an integer N", int) if rest else n
         if dim is None:
             raise ValueError("newton potential needs a dimension")
         h = newton(dim)
     elif head == "gaussian":
-        h = gaussian(float(rest))
+        h = gaussian(_spec_number(spec, rest, "gaussian:A with a number A"))
     elif head in ("log", "logarithmic"):
         h = logarithmic()
     elif head in ("fejes-toth", "fejes_toth"):
@@ -198,5 +209,5 @@ def parse_potential(text: str, n: int | None = None) -> Potential:
     else:
         raise ValueError(f"unknown potential spec {text!r}")
     for c in reversed(shifts):  # innermost first, as the nesting reads
-        h = shifted(h, float(c))
+        h = shifted(h, _spec_number(spec, c, "shift:C:BASE with a number C"))
     return h

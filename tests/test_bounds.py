@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from numpy.testing import assert_allclose
 
 from oracles import clenshaw
 from spherelp import bounds
-from spherelp.bounds import design_ulb, design_uub, ulb, ulb_for_weights, uub
+from spherelp.bounds import design_ulb, design_uub, ulb, uub
 from spherelp.bounds import test_functions as compute_test_functions
+from spherelp.cli import main
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
 from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
@@ -60,49 +62,54 @@ def test_ulb_gate_rejects_small_capacity():
         ulb(3, 1.7, riesz(1))
 
 
+# the lower bound for an explicit weight vector is ulb at capacity 1 / sum of squared weights
 def test_ulb_for_weights_pentakis():
     weights = pentakis_dodecahedron().weights
-    report = ulb_for_weights(weights, 3, riesz(1))
+    report = ulb(3, 1 / np.dot(weights, weights), riesz(1))
     assert report.rule.capacity == pytest.approx(PENTAKIS_CAPACITY, rel=1e-12)
     assert report.value == pytest.approx(0.804786, abs=1e-6)
 
 
 def test_ulb_for_weights_equal_is_cardinality():
-    report = ulb_for_weights(np.full(24, 1 / 24), 4, newton(4))
+    weights = np.full(24, 1 / 24)
+    report = ulb(4, 1 / np.dot(weights, weights), newton(4))
     assert report.rule.capacity == pytest.approx(24.0, rel=1e-14)
 
 
 def test_ulb_for_weights_cube_cross_n4():
-    report = ulb_for_weights(cube_crosspolytope(4).weights, 4, newton(4))
+    weights = cube_crosspolytope(4).weights
+    report = ulb(4, 1 / np.dot(weights, weights), newton(4))
     assert report.rule.capacity == pytest.approx(24.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    "weights, n, h",
+    "weights, n, spec",
     [
-        (pentakis_dodecahedron().weights, 3, riesz(1)),
-        (np.full(24, 1 / 24), 4, newton(4)),
-        (cube_crosspolytope(4).weights, 4, newton(4)),
+        (pentakis_dodecahedron().weights, 3, "riesz:1"),
+        (np.full(24, 1 / 24), 4, "newton:4"),
+        (cube_crosspolytope(4).weights, 4, "newton:4"),
     ],
     ids=["pentakis", "equal-24", "cube-cross-4"],
 )
-def test_ulb_for_weights_is_ulb_at_one_over_the_sum_of_squared_weights(weights, n, h):
-    got, want = ulb_for_weights(weights, n, h), ulb(n, 1 / np.dot(weights, weights), h)
+def test_ulb_for_weights_is_ulb_at_one_over_the_sum_of_squared_weights(tmp_path, capsys, monkeypatch, weights, n, spec):
+    # the CLI's --weights-file derives the capacity itself; its report must be the library's to the bit
+    reports = []
+
+    def recording_ulb(*args):
+        reports.append(ulb(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(bounds, "ulb", recording_ulb)
+    wf = tmp_path / "weights.json"
+    wf.write_text(json.dumps(weights.tolist()))
+    assert main(["ulb", "--n", str(n), "--weights-file", str(wf), "--potential", spec]) == 0
+    capsys.readouterr()
+    (got,) = reports
+    want = ulb(n, 1 / np.dot(weights, weights), parse_potential(spec))
     assert got.value == want.value
     assert got.rule == want.rule
     assert np.array_equal(got.certificate.coeffs, want.certificate.coeffs)
     assert got.diagnostics == want.diagnostics
-
-
-def test_ulb_for_weights_validation():
-    with pytest.raises(ValueError, match="weights must sum to 1"):
-        ulb_for_weights([0.5, 0.6], 3, riesz(1))
-    with pytest.raises(ValueError, match="weights must be positive"):
-        ulb_for_weights([0.5, -0.5, 1.0], 3, riesz(1))
-    with pytest.raises(ValueError, match="weights must be finite"):
-        ulb_for_weights([0.5, math.nan, 0.5], 3, riesz(1))
-    with pytest.raises(ValueError, match=r"flat list of numbers, got an array of shape \(40, 1\)"):
-        ulb_for_weights(np.full((40, 1), 1 / 40), 3, riesz(1))
 
 
 @pytest.mark.parametrize("capacity", [math.nan, 2.0, 1.0, -math.inf])

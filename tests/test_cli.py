@@ -86,6 +86,12 @@ def test_nonfinite_potential_parameter_is_a_usage_error(capsys, spec):
     assert "parameter must be finite" in err
 
 
+def test_malformed_potential_parameter_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ulb", "--n", "3", "--capacity", "30", "--potential", "riesz:")
+    assert (code, out) == (1, "")
+    assert err == "error: potential spec 'riesz:' is malformed: expected riesz:A with a number A, got ''\n"
+
+
 def test_nan_weight_is_a_usage_error(tmp_path, capsys):
     wf = tmp_path / "weights.json"
     wf.write_text(json.dumps([0.5, float("nan"), 0.5]))

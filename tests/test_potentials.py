@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,26 @@ def test_parse_newton_needs_dimension():
         parse_potential("newton")
     with pytest.raises(ValueError):
         parse_potential("bogus:1")
+
+
+@pytest.mark.parametrize(
+    "spec, form, part",
+    [
+        ("riesz:", "riesz:A with a number A", ""),
+        ("riesz:1:2", "riesz:A with a number A", "1:2"),
+        ("gaussian:abc", "gaussian:A with a number A", "abc"),
+        ("newton:x", "newton or newton:N with an integer N", "x"),
+        ("newton:3.5", "newton or newton:N with an integer N", "3.5"),
+        ("shift:abc:riesz:1", "shift:C:BASE with a number C", "abc"),
+        ("shift:1:gaussian:", "gaussian:A with a number A", ""),
+        ("log:2", "log with no parameter", "2"),
+        ("shift:1:Fejes-Toth:x", "fejes-toth with no parameter", "x"),
+    ],
+)
+def test_malformed_parameter_names_the_spec_and_its_form(spec, form, part):
+    message = f"potential spec {spec!r} is malformed: expected {form}, got {part!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_potential(spec, n=3)
 
 
 def test_shift_nesting_is_capped_below_the_recursion_limit():
