@@ -11,6 +11,12 @@ No Gram matrix is stored: energy, moments and the maximal inner product
 stream its rows in blocks of BLOCK_ROWS through one BLOCK_ROWS x N buffer
 per call, and energy forms its terms in two BLOCK_ROWS x TILE_COLUMNS tile
 buffers: the energy of a 1050-point code peaks at 1.1 MB of numpy memory.
+energy reads its rows unclipped: a tile's maximum rejects coincident
+points, and only a tile whose minimum is below -1 is raised to -1.  Each
+tile's terms are summed exactly, a one-signed tile whose magnitudes span
+e1 - emin <= 53 - 2k binades (2**k > its size + 1) in two parts, the
+first extraction level's and the plain sum of its remainders, and any
+other tile level by level.
 """
 
 from __future__ import annotations
@@ -173,32 +179,60 @@ BLOCK_ROWS = 64
 TILE_COLUMNS = 256
 
 
-def _exact_parts(x: np.ndarray, top: float, scratch: np.ndarray):
-    """Yield floats whose exact sum is that of the finite chunk x, given
-    top = max |x| < 2**960; x is overwritten, scratch is the work buffer.
+def _extraction_level(x: np.ndarray, top: float, scratch: np.ndarray) -> tuple[float, float]:
+    """One level of error-free extraction (Rump, Ogita and Oishi, SIAM J.
+    Sci. Comput. 2008) on the finite chunk x, given top >= max |x| with
+    0 < top < 2**960: (the exact sum of the q, sigma), with x overwritten
+    by its remainders x - q and scratch the work buffer.
 
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    2008): with top < 2**e and 2**k > x.size + 1, q = (x + sigma) - sigma
-    for sigma = 2**(e + k) is exact, and so are x - q and the sum of the q
-    in any order; the remainders lie below 2**(e + k - 53), so each level
-    takes at least 52 - k binades.  At sigma = 2**-1022, the floor, q = x:
-    at 2**-1021 an odd multiple of 2**-1074 would round to q = 0 for ever.
+    With top < 2**e and 2**k > x.size + 1, q = (x + sigma) - sigma for
+    sigma = 2**(e + k) is exact, and so are x - q and the sum of the q in
+    any order; the remainders are at most 2**(e + k - 53) in magnitude, so
+    each level takes at least 52 - k binades.  At sigma = 2**-1022, the floor, q = x: at 2**-1021 an odd multiple of
+    2**-1074 would round to q = 0 for ever.
     """
-    first = True
+    k = (x.size + 1).bit_length()
+    sigma = ldexp(1.0, max(frexp(top)[1] + k, -1022))
+    q = scratch[: x.size]
+    np.add(x, sigma, out=q)
+    q -= sigma
+    x -= q
+    return float(q.sum()), sigma
+
+
+def _exact_parts(x: np.ndarray, hi: float, lo: float, scratch: np.ndarray):
+    """Yield floats whose exact sum is that of the finite chunk x, given
+    its largest and smallest values hi and lo with max(hi, -lo) < 2**960;
+    x is overwritten, scratch is the work buffer.
+
+    Two parts when the chunk is one-signed (lo > 0 or hi < 0, so it holds
+    no zero) and its largest and smallest magnitudes have ``frexp``
+    exponents e1 and emin with e1 - emin <= 53 - 2k, 2**k > x.size + 1:
+    the sum of the first level's q, and x.sum() of its remainders.  Every
+    value and every q is a multiple of u = 2**(emin - 53), so each
+    remainder is too, and each is at most 2**(e1 + k - 53) in magnitude; a
+    partial sum of at most 2**k - 1 of them is then a multiple of u (and
+    of 2**-1074) below u * 2**(e1 - emin + 2k) <= u * 2**53, a double, so
+    the sum is exact in any order.  Other chunks go on level by level,
+    each on the remainders still nonzero, until none is left; a first
+    level at the floor sigma = 2**-1022 leaves none.
+    """
+    top = max(hi, -lo)
+    if not top:
+        return
+    least = lo if lo > 0 else -hi if hi < 0 else 0.0
+    two_parts = least and frexp(top)[1] - frexp(least)[1] <= 53 - 2 * (x.size + 1).bit_length()
+    part, sigma = _extraction_level(x, top, scratch)
+    yield part
+    # 0.0 at sigma = 2**-1022: 2**-1075 rounds to 0
+    top = sigma * 2.0**-53
+    if top and two_parts:
+        yield float(x.sum())
+        return
     while top:
-        k = (x.size + 1).bit_length()
-        sigma = ldexp(1.0, max(frexp(top)[1] + k, -1022))
-        q = scratch[: x.size]
-        np.add(x, sigma, out=q)
-        q -= sigma
-        yield float(q.sum())
-        x -= q
-        if first:
-            # 0.0 at sigma = 2**-1022: 2**-1075 rounds to 0
-            top, first = sigma * 2.0**-53, False
-        else:
-            x = x[x != 0.0]
-            top = max(x.max(), -x.min()) if x.size else 0.0
+        yield _extraction_level(x, top, scratch)[0]
+        x = x[x != 0.0]
+        top = max(x.max(), -x.min()) if x.size else 0.0
 
 
 def exact_sum(chunks) -> float:
@@ -206,9 +240,12 @@ def exact_sum(chunks) -> float:
     may overwrite: ``math.fsum`` of all their values, bit for bit.
 
     Each chunk becomes a few exact parts by :func:`_exact_parts`, in one
-    scratch array grown to the largest chunk.  From the first chunk holding
-    a non-finite value or one with |x| >= 2**960, values are kept as they
-    come, after the parts so far.  That gives ``fsum``'s outcome on
+    scratch array grown to the largest chunk: two when it is one-signed
+    and its magnitudes span e1 - emin <= 53 - 2k binades, 2**k > its size
+    + 1 (the first extraction level's, and ``x.sum()`` of its remainders,
+    exact in any order), else one per extraction level.  From the first
+    chunk holding a non-finite value or one with |x| >= 2**960, values are
+    kept as they come, after the parts so far.  That gives ``fsum``'s outcome on
     non-finite values, and its value or overflow on huge ones; only its
     intermediate-overflow check, which depends on how it split the earlier
     values, could judge a sum at the very edge of the double range differently.
@@ -216,34 +253,34 @@ def exact_sum(chunks) -> float:
     parts, raw, scratch = [], False, np.empty(0)
     for x in chunks:
         if not raw:
-            top = max(x.max(), -x.min()) if x.size else 0.0
-            if top < _EXTRACT_LIMIT:  # false for NaN and infinities too
+            hi, lo = (x.max(), x.min()) if x.size else (0.0, 0.0)
+            if max(hi, -lo) < _EXTRACT_LIMIT:  # false for NaN and infinities too
                 if scratch.size < x.size:
                     scratch = np.empty(x.size)
-                parts.extend(_exact_parts(x, top, scratch))
+                parts.extend(_exact_parts(x, hi, lo, scratch))
                 continue
             raw = True
         parts.extend(x.tolist())
     return fsum(parts)
 
 
-def _gram_rows(code: WeightedCode, upper: bool = False):
+def _gram_rows(code: WeightedCode, clip: bool = True):
     """The Gram matrix, clipped to [-1, 1], as (start, stop, rows start..stop)
     for consecutive blocks of BLOCK_ROWS rows.  The only place Gram entries
     are computed.
 
     Each block is a view of one row buffer of min(BLOCK_ROWS, N) x N,
     allocated per call, which the next block overwrites, so a caller reads
-    a block before it asks for the next.  With upper, only the columns from
-    the block's diagonal on, the ones :func:`energy` reads, are clipped.
+    a block before it asks for the next.  Without clip the rows come as
+    the matrix product gives them: :func:`energy` clips the entries it reads.
     """
     points = code.points
     rows = np.empty((min(BLOCK_ROWS, code.size), code.size))
     for start in range(0, code.size, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, code.size)
         block = np.matmul(points[start:stop], points.T, out=rows[: stop - start])
-        clipped = block[:, start:] if upper else block
-        np.clip(clipped, -1.0, 1.0, out=clipped)
+        if clip:
+            np.clip(block, -1.0, 1.0, out=block)
         yield start, stop, block
 
 
@@ -254,7 +291,9 @@ def energy(code: WeightedCode, h: Potential) -> float:
     :func:`_gram_rows`: per block, the entries above the diagonal of its
     square on the diagonal, then the rectangle to the right of that square
     in tiles of at most TILE_COLUMNS columns.  Each piece rejects an inner
-    product >= 1 - 1e-15 (coincident points) once, then forms the terms
+    product >= 1 - 1e-15 (coincident points) by its maximum, and only when
+    its minimum is below -1 raises its entries to -1: the Gram matrix
+    clipped to [-1, 1] in the entries it reads.  It then forms the terms
     (2 w_i) w_j h(x_i . x_j) with h's closed form, unchecked, which go to
     :func:`exact_sum`: the result is ``math.fsum`` of the N(N-1)/2 terms.
     A tile's pair weights and h values are worked in two buffers that every
@@ -278,10 +317,13 @@ def energy(code: WeightedCode, h: Potential) -> float:
             yield block[:, left:right], np.multiply.outer(w2[start:stop], w[left:right], out=pair_weights)
 
     def terms():
-        for start, stop, block in _gram_rows(code, upper=True):
+        for start, stop, block in _gram_rows(code, clip=False):
             for g, pair_weights in pieces(start, stop, block):
-                if g.size and g.max() >= 1.0 - 1e-15:
-                    raise ValueError("coincident points: energy would need h(1)")
+                if g.size:
+                    if g.max() >= 1.0 - 1e-15:
+                        raise ValueError("coincident points: energy would need h(1)")
+                    if g.min() < -1.0:
+                        np.maximum(g, -1.0, out=g)
                 pair_weights *= _values(h, g, out=value_buffer[: g.size].reshape(g.shape))
                 yield pair_weights.ravel()
 

@@ -21,9 +21,10 @@ def bounded_extraction(monkeypatch):
     extraction takes more levels than :func:`level_bound` allows."""
     extract = codes._exact_parts
 
-    def guarded(x, top, scratch):
+    def guarded(x, hi, lo, scratch):
+        top = max(hi, -lo)
         bound = level_bound(x.size, top)
-        for level, part in enumerate(extract(x, top, scratch)):
+        for level, part in enumerate(extract(x, hi, lo, scratch)):
             assert level < bound, f"extracting {x.size} values below {top!r} takes over {bound} levels"
             yield part
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from spherelp.potentials import (
     gaussian,
     logarithmic,
     newton,
+    parse_potential,
     potential_eval,
     riesz,
     shifted,
@@ -684,7 +686,7 @@ def extraction_levels(values):
     """The parts ``_exact_parts`` yields for one chunk, one per level; the
     ``bounded_extraction`` fixture fails an extraction that would not end."""
     x = np.array(values, dtype=float)
-    return list(codes._exact_parts(x, max(x.max(), -x.min()), np.empty(x.size)))
+    return list(codes._exact_parts(x, x.max(), x.min(), np.empty(x.size)))
 
 
 def test_extraction_ends_on_odd_multiples_of_the_least_subnormal():
@@ -719,6 +721,114 @@ def test_extraction_levels_on_energy_terms():
     g, w = code.gram()[:BLOCK_ROWS, BLOCK_ROWS:], code.weights
     terms = np.multiply.outer(2.0 * w[:BLOCK_ROWS], w[BLOCK_ROWS:]) * potential_eval(riesz(1), g)
     assert len(extraction_levels(terms.ravel())) <= 2
+
+
+def one_signed_chunk(size, span, sign):
+    """size values of one sign whose largest magnitude lies in [0.5, 1) and
+    whose smallest, an odd multiple of 2**(-span - 53), has ``frexp``
+    exponent -span; the others leave as large a first-level remainder as
+    that sign allows, so the remainders' sum is as wide as the chunk makes it."""
+    k = (size + 1).bit_length()
+    m = 2**k - 1 if sign > 0 else 2 ** (k - 1) - 1
+    values = np.full(size, 0.5 + m * 2.0**-53)
+    values[size // 2] = math.ldexp(2**52 + 1, -span - 53)
+    return sign * values
+
+
+def levels_and_parts(values, monkeypatch):
+    """The extraction levels ``_exact_parts`` takes on one chunk, and its parts."""
+    levels = []
+    extraction_level = codes._extraction_level
+    monkeypatch.setattr(codes, "_extraction_level", lambda *args: levels.append(1) or extraction_level(*args))
+    parts = extraction_levels(values)
+    monkeypatch.setattr(codes, "_extraction_level", extraction_level)
+    return len(levels), parts
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1021, 2.0**-1022], ids=["unit", "top-normal", "top-subnormal"])
+def test_two_part_rule_at_its_edges(sign, scale, monkeypatch):
+    # sizes 2**k - 2 and 2**k - 1 on each side of a step in k; spans
+    # e1 - emin = 53 - 2k take two parts, one binade more takes the loop
+    for size in (2, 3, 14, 15, 126, 127, 4094, 4095):
+        k = (size + 1).bit_length()
+        for span, two_parts in ((53 - 2 * k, True), (54 - 2 * k, False)):
+            values = one_signed_chunk(size, span, sign) * scale
+            top, least = np.abs(values).max(), np.abs(values).min()
+            assert math.frexp(top)[1] - math.frexp(least)[1] == span
+            want = math.fsum(values.tolist())
+            taken, parts = levels_and_parts(values, monkeypatch)
+            if two_parts:
+                assert (taken, len(parts)) == (1, 2)
+            else:
+                assert taken >= 2
+            assert math.fsum(parts) == want
+            assert exact_sum([values.copy()]) == want
+
+
+def test_remainders_one_binade_past_the_bound_do_not_sum_exactly():
+    # six values: k = 3, span 48 = 54 - 2k; five remainders of 7 * 2**-53 and
+    # one of 2**-101 total 35 * 2**-53 + 2**-101, which needs 54 bits
+    values = one_signed_chunk(6, 48, 1.0)
+    remainders = values.copy()
+    codes._extraction_level(remainders, values.max(), np.empty(values.size))
+    total = sum(map(Fraction, remainders.tolist()))
+    assert total == Fraction(35, 2**53) + Fraction(1, 2**101)
+    # no double is that total, so no order of summation gets it
+    assert Fraction(float(remainders.sum())) != total
+    assert exact_sum([values.copy()]) == math.fsum(values.tolist())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, 0.75, 1.5], [1.0, -0.0, 3.0], [-0.0, -0.5, -0.25], [-1.5, 0.0], [0.5, 0.0, 0.0, 2.0**-30]],
+)
+def test_one_signed_chunk_holding_a_zero_takes_the_loop(values, monkeypatch):
+    values = np.array(values)
+    taken, parts = levels_and_parts(values, monkeypatch)
+    assert taken >= 2
+    assert same_outcome(math.fsum(parts), math.fsum(values.tolist()))
+    assert same_outcome(exact_sum([values.copy()]), math.fsum(values.tolist()))
+
+
+def test_subnormal_chunk_below_the_floor_takes_one_part(monkeypatch):
+    # sigma = 2**(e1 + k) <= 2**-1022 is floored, so q = x and no remainder is left
+    for sign in (1.0, -1.0):
+        values = sign * np.array([3.0, 5.0, 2.0**4 + 1.0, 7.0]) * 2.0**-1074
+        taken, parts = levels_and_parts(values, monkeypatch)
+        assert (taken, parts) == (1, [math.fsum(values.tolist())])
+
+
+@pytest.mark.parametrize("spec, one_level", [("riesz:1", True), ("riesz:2", True), ("gaussian:1", True), ("log", False)])
+def test_energy_tiles_of_one_signed_potentials_sum_in_two_parts(spec, one_level, monkeypatch):
+    # the fast path: a positive tile within the span bound takes one
+    # extraction level and two parts; log changes sign at t = 1/2
+    rng = np.random.default_rng(61)
+    points = rng.standard_normal((1050, 8))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    weights = rng.uniform(0.5, 1.5, 1050)
+    code = WeightedCode(8, points, weights / weights.sum())
+    chunks, exact_parts, extraction_level = [], codes._exact_parts, codes._extraction_level
+
+    def counted_parts(x, *rest):
+        chunks.append([0, 0])
+        for part in exact_parts(x, *rest):
+            chunks[-1][1] += 1
+            yield part
+
+    def counted_level(*args):
+        chunks[-1][0] += 1
+        return extraction_level(*args)
+
+    monkeypatch.setattr(codes, "_exact_parts", counted_parts)
+    monkeypatch.setattr(codes, "_extraction_level", counted_level)
+    energy(code, parse_potential(spec))
+    # 17 row blocks: 17 triangles and 16 + 15 + ... + 1 rectangle tiles of up to 4
+    assert len(chunks) == 57
+    if one_level:
+        assert all(chunk == [1, 2] for chunk in chunks)
+    else:
+        assert any(levels >= 2 for levels, _ in chunks)
 
 
 @pytest.mark.parametrize("edge", [-1, 0, 1], ids=["below", "at", "above"])
