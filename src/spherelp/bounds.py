@@ -8,8 +8,11 @@ lambda* f, the least multiple of f that drives all nonconstant
 coefficients nonpositive (``uub`` only; lambda* = 0 for the other
 kinds).  It must stay below h with nonnegative coefficients (lower) or
 above h on [-1, s] with nonpositive ones (upper); design variants drop
-the sign conditions.  Every condition is re-verified numerically and
-recorded; a failed check marks the report infeasible instead of raising.
+the sign conditions.  g_T and f travel as float arrays of Gegenbauer
+coefficients from the Hermite solve and the Levenshtein product through
+every check; the certificate becomes a ``GegenbauerSeries`` once, in the
+report.  Every condition is re-verified numerically and recorded; a
+failed check marks the report infeasible instead of raising.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
-from .orthopoly import GegenbauerSeries, gegenbauer_table
+from .orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
 from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
 from .quadrature import (
     MAX_RULE_DEGREE,
@@ -31,6 +34,7 @@ from .quadrature import (
     QuadratureRule,
     dgs_bound,
     exactness_residuals,
+    levenshtein_coefficients,
     levenshtein_polynomial,
     select_degree_from_s,
     solve_ulb_rule,
@@ -212,39 +216,36 @@ def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[Check
     return float(lam)
 
 
-def _certify(
-    kind: str, setup: _Setup, h: Potential, capacity: float, f: GegenbauerSeries | None = None
-) -> BoundReport:
+def _certify(kind: str, setup: _Setup, h: Potential, capacity: float, f: np.ndarray | None = None) -> BoundReport:
     """The bound of ``kind`` at capacity N_W on the setup's rule, with its checks.
 
     The certificate is g = g_T - lambda* f; only ``uub`` passes the
-    Levenshtein polynomial f, so lambda* = 0 for the other kinds.  With N_1
-    the rule's capacity, ``objective_consistency`` compares
+    coefficients of the Levenshtein polynomial f, so lambda* = 0 for the
+    other kinds.  With N_1 the rule's capacity, ``objective_consistency``
+    compares
 
         objective = -lambda* f_0 (1 - N_1/N_W) + g_T,0 - g_T(1)/N_W
         energy    = (-lambda* f_0 + g_T(1)/N_1) (1 - N_1/N_W) + sum_i rho_i h(alpha_i).
 
     Lower bounds pass N_W = N_1, which with lambda* = 0 reduces these bit
     for bit to g_T,0 - g_T(1)/N_W and the rule energy, and report the
-    energy side; upper bounds report the objective side.  Interpolation,
-    coefficient signs, dominance and objective consistency decide
-    ``feasible``; the other checks are reported only.
+    energy side; upper bounds report the objective side.  g_T(1) is the
+    left-to-right sum of g_T's coefficients (:func:`value_at_one`).
+    Interpolation, coefficient signs, dominance and objective consistency
+    decide ``feasible``; the other checks are reported only.
     """
     rule, operator, grid, pieces, closing = setup
     lower = kind in ("ulb", "design_ulb")
     n1 = rule.capacity
     # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
     at_nodes = potential_eval(h, operator.points)
-    g_t = hermite_interpolant(h, operator, at_nodes)
-    interpolation = CheckResult("interpolation", g_t.node_residual <= 1e-9, g_t.node_residual)
+    gt, residual = hermite_interpolant(h, operator, at_nodes)
+    interpolation = CheckResult("interpolation", residual <= 1e-9, residual)
     checks = [interpolation]
-    gt = np.asarray(g_t.gegenbauer.coeffs)
-    lam, f0, cert = 0.0, 0.0, g_t.gegenbauer
+    lam, f0, coeffs = 0.0, 0.0, gt
     if f is not None:
-        fc = np.asarray(f.coeffs)
-        lam, f0 = _lambda_star(gt, fc, h, checks), fc[0]
-        cert = GegenbauerSeries(rule.n, np.append(gt, 0.0) - lam * fc)
-    coeffs = np.asarray(cert.coeffs)
+        lam, f0 = _lambda_star(gt, f, h, checks), f[0]
+        coeffs = np.append(gt, 0.0) - lam * f
 
     sign_name = "positive_definite" if lower else "coefficient_signs"
     if kind.startswith("design"):
@@ -255,7 +256,7 @@ def _certify(
     else:
         worst = float(coeffs[1:].max())
         signs = CheckResult(sign_name, worst <= COEFF_TOL, worst)
-    ok_dom, violation = verify_dominance(cert, h, "below" if lower else "above", grid, pieces)
+    ok_dom, violation = verify_dominance(coeffs, h, "below" if lower else "above", grid, pieces)
     dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation)
     checks += [dominance, signs] if lower else [signs, dominance]
     if f is not None:
@@ -263,7 +264,7 @@ def _certify(
         touch = float(abs(coeffs @ rule.table[: coeffs.size] - at_nodes).max())
         checks.append(CheckResult("nodes_touch", touch <= COEFF_TOL, touch))
 
-    gt0, gt1 = float(gt[0]), g_t.gegenbauer.value_at_one()
+    gt0, gt1 = float(gt[0]), value_at_one(gt)
     objective = -lam * f0 * (1.0 - n1 / capacity) + gt0 - gt1 / capacity
     # sum_i rho_i h(alpha_i) correctly rounded
     rule_energy = fsum(w * v for w, v in zip(rule.weights, at_nodes.tolist()))
@@ -279,7 +280,7 @@ def _certify(
         m=rule.m,
         rule=rule,
         value=float(value),
-        certificate=cert,
+        certificate=GegenbauerSeries(rule.n, coeffs),
         potential=h,
         feasible=feasible,
         diagnostics=tuple(checks) + closing,
@@ -316,10 +317,12 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
 def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potential) -> BoundReport:
     """Upper bound of ``kind`` at maximal inner product s from the degree-m rule.
 
-    Only ``uub`` reads the Levenshtein polynomial f; ``design_uub`` needs
-    the rule alone.  The report closes with the checks on the rule alone:
-    the N_1 interval hypothesis, the capacity and, for ``uub``, s outside
-    the validity interval.
+    Only ``uub`` multiplies out the Levenshtein polynomial f; ``design_uub``
+    needs the rule alone.  At s = lo(m) for even m, where no degree-m rule
+    exists, ``uub`` refuses the degree and ``design_uub`` takes m - 1.  The
+    report closes with the checks on the rule alone: the N_1 interval
+    hypothesis, the capacity and, for ``uub``, s outside the validity
+    interval.
     """
     if not -1 <= s < 1:
         raise ValueError("s must lie in [-1, 1)")
@@ -331,15 +334,20 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
     lo, hi = validity_interval(n, m)
-    if kind == "design_uub" and m % 2 == 0 and s == lo:
-        # at lo(tau) = hi(tau - 1) the even-degree rule's weight at -1 vanishes; a
-        # tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
+    if m % 2 == 0 and s == lo:
+        # at lo(m) = hi(m - 1) the even-degree rule's weight at -1 vanishes
+        if kind == "uub":
+            raise ValueError(
+                f"s = {s!r} is lo({m}) = hi({m - 1}) for n = {n}, where the degree-{m} rule's weight at -1 "
+                f"vanishes: no degree-{m} rule exists at this s; degree {m - 1} bounds it"
+            )
+        # a tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
         m -= 1
         lo, hi = validity_interval(n, m)
     within = lo - 1e-9 <= s <= hi + 1e-9
     try:
-        lp = levenshtein_polynomial(n, m, s)
-        f = lp.gegenbauer if kind == "uub" else None
+        rule = levenshtein_polynomial(n, m, s)
+        f = levenshtein_coefficients(rule) if kind == "uub" else None
     except QuadratureError as exc:
         # an overridden degree or a design's tau far from s: a usage error, not a failed rule
         if within:
@@ -349,7 +357,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
             f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of {what} "
             f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
         ) from exc
-    n1 = lp.rule.capacity
+    n1 = rule.capacity
     hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
     dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
     # a code with sum of squared weights 1/N_W has at least N_W points, and its
@@ -362,7 +370,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     )
     if kind == "uub" and not within:
         closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
-    return _certify(kind, _setup(lp.rule, slice(lp.rule.eps, -1), (-1.0, s), closing), h, capacity, f)
+    return _certify(kind, _setup(rule, slice(rule.eps, -1), (-1.0, s), closing), h, capacity, f)
 
 
 def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:

@@ -6,7 +6,8 @@ the value only.  The doubled nodes are contiguous, so a slice of the node
 array names them: all but -1 for lower bounds, also all but s for upper
 bounds.  The coefficients solve one square system in P_0..P_{T-1},
 which depends on the nodes alone, so one row-scaled operator serves every
-potential.  Dominance of the interpolant over (or under) h is always
+potential; they stay one float array, coefficient i on P_i, through the
+checks.  Dominance of the interpolant over (or under) h is always
 verified on a dense grid rather than assumed from the error formula: h is
 evaluated once on the whole grid, and f is one product per column piece
 of the grid's Gegenbauer table, so a piece shared by many grids is
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import GegenbauerSeries, gegenbauer_table
+from .orthopoly import gegenbauer_table
 from .potentials import Potential, potential_derivative, potential_eval
 
 # the dominance grid's uniform steps 0..4000 and its offsets around each node
@@ -29,25 +30,12 @@ _STEPS.flags.writeable = _OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class InterpolantReport:
-    """Hermite interpolant in the Gegenbauer basis.
-
-    ``node_residual`` is the largest relative defect of the interpolation
-    conditions.
-    """
-
-    gegenbauer: GegenbauerSeries
-    node_residual: float
-
-
-@dataclass(frozen=True)
 class HermiteOperator:
-    """The square system ``matrix`` taking coefficients in dimension ``n``
-    to the values at ``points`` and the slopes at ``doubled``, also held as
+    """The square system ``matrix`` taking Gegenbauer coefficients to the
+    values at ``points`` and the slopes at ``doubled``, also held as
     ``scaled``, its rows divided by ``row_scale``; read-only, so one operator
     serves every potential on its nodes."""
 
-    n: int
     points: np.ndarray
     doubled: np.ndarray
     matrix: np.ndarray
@@ -84,12 +72,13 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> Herm
     scaled = matrix / row_scale[:, None]
     for array in (points, doubled, matrix, row_scale, scaled):
         array.flags.writeable = False
-    return HermiteOperator(n, points, doubled, matrix, row_scale, scaled)
+    return HermiteOperator(points, doubled, matrix, row_scale, scaled)
 
 
-def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray) -> InterpolantReport:
+def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Interpolate h on the operator's nodes: ``values``, h at ``op.points``,
-    everywhere and h' at doubled nodes.  The defect |A c - jet| is reported
+    everywhere and h' at doubled nodes.  Returns the coefficients c on
+    P_0..P_{T-1} and the node residual, the largest defect |A c - jet|
     relative to max(1, |h|).
     """
     jet = np.concatenate((values, potential_derivative(h, op.doubled)))
@@ -100,7 +89,7 @@ def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray) -
     except np.linalg.LinAlgError:
         raise ValueError(f"singular Hermite system on nodes {op.points.tolist()}") from None
     residual = float(abs(op.matrix @ coeffs - jet).max()) / max(1.0, float(abs(values).max()))
-    return InterpolantReport(GegenbauerSeries(op.n, coeffs), residual)
+    return coeffs, residual
 
 
 def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
@@ -124,10 +113,9 @@ def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
     return grid
 
 
-def verify_dominance(
-    series: GegenbauerSeries, h: Potential, direction: str, grid: np.ndarray, pieces
-) -> tuple[bool, float]:
-    """Check f <= h ("below") or f >= h ("above") on the grid.
+def verify_dominance(coeffs: np.ndarray, h: Potential, direction: str, grid: np.ndarray, pieces) -> tuple[bool, float]:
+    """Check f <= h ("below") or f >= h ("above") on the grid, for f the
+    sum of ``coeffs[j] P_j``.
 
     ``grid`` is built by :func:`dominance_grid` and ``pieces`` are
     consecutive column blocks of its ``gegenbauer_table(n, d, grid)``, d at
@@ -137,7 +125,6 @@ def verify_dominance(
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
-    coeffs = np.asarray(series.coeffs)
     diff = potential_eval(h, grid)
     start = 0
     for piece in pieces:

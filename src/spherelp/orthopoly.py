@@ -44,9 +44,16 @@ class GegenbauerSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def value_at_one(self) -> float:
-        """P_i(1) = 1, so the value at 1 is the plain coefficient sum."""
-        return float(sum(self.coeffs))
+
+def value_at_one(coeffs) -> float:
+    """sum_i coeffs[i] P_i at t = 1: P_i(1) = 1, so the coefficient sum,
+    added left to right from 0.0.  Python's ``sum`` of floats adds the same
+    way before 3.12 and with compensation from 3.12 on, so the explicit loop
+    keeps the value's bits the same under every interpreter."""
+    total = 0.0
+    for c in np.asarray(coeffs, dtype=float).tolist():
+        total += c
+    return total
 
 
 def gegenbauer_eval(n: int, i: int, t):

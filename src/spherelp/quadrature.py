@@ -11,19 +11,19 @@ function L_m produces nodes alpha_0 < ... < alpha_{k-1+eps} in [-1, 1)
 holds exactly for every polynomial f of degree <= m, f_0 being the mean of
 f against the measure mu_n.  The module builds these rules from a capacity
 (lower-bound direction) or from a maximal inner product s (upper-bound
-direction), and constructs the monic Levenshtein polynomial whose roots
-are the nodes.
+direction), and multiplies out the monic Levenshtein polynomial whose
+roots are the nodes, as one array of Gegenbauer coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, isfinite, sqrt
 
 import numpy as np
 
-from .orthopoly import GegenbauerSeries, _float_columns, gegenbauer_from_roots, gegenbauer_table
+from .orthopoly import _float_columns, gegenbauer_from_roots, gegenbauer_table, value_at_one
 
 MAX_RULE_DEGREE = 25
 
@@ -56,47 +56,6 @@ class QuadratureRule:
     @property
     def s(self) -> float:
         return self.nodes[-1]
-
-
-@dataclass(frozen=True)
-class LevenshteinPolynomial:
-    """Monic degree-m polynomial vanishing at the rule nodes (interior doubled).
-
-    For m = 2k-1 it is (t - s) K(t)^2 with K monic of degree k-1; for
-    m = 2k an extra factor (t + 1) appears.  Its Gegenbauer coefficients are
-    strictly positive and f(1)/f_0 recovers the Levenshtein function value.
-    Only the rule is built up front: ``gegenbauer`` multiplies out the roots
-    and checks both facts on first read, so a caller that needs the rule
-    alone builds no f.
-    """
-
-    rule: QuadratureRule
-
-    @cached_property
-    def gegenbauer(self) -> GegenbauerSeries:
-        """The Gegenbauer series of f, checked for nonnegative coefficients
-        (strictly positive away from interval endpoints) and f(1)/f_0 equal
-        to the rule's capacity L_m(n, s) within 1e-9 relative."""
-        rule = self.rule
-        n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
-        interior = rule.nodes[rule.eps:-1]
-        series = GegenbauerSeries(n, gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior))
-        g = np.asarray(series.coeffs)
-        where = f"(n={n}, m={m}, s={s:.12g})"
-        # strict positivity can degrade to a zero coefficient at interval endpoints
-        low = int(np.argmin(g))
-        if g[low] < -1e-10 * np.max(np.abs(g)):
-            raise QuadratureError(
-                f"Levenshtein polynomial for {where} has a negative coefficient: "
-                f"coefficient {low} of {g.size} is {g[low]:.6g}"
-            )
-        ratio = series.value_at_one() / g[0]
-        if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
-            raise QuadratureError(
-                f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
-                f"function value {capacity:.12g}"
-            )
-        return series
 
 
 def split_degree(m: int) -> tuple[int, int]:
@@ -369,8 +328,38 @@ def _brent_root(f, xpre, xcur, fpre, fcur, where):
     )
 
 
-def levenshtein_polynomial(n: int, m: int, s: float) -> LevenshteinPolynomial:
-    """Monic Levenshtein polynomial of degree m for inner product s: the
-    verified rule on its roots, at capacity L_m(n, s), with the polynomial
-    itself built and checked on first read of ``gegenbauer``."""
-    return LevenshteinPolynomial(compute_weights(n, m, s, levenshtein_function(n, m, s)))
+def levenshtein_polynomial(n: int, m: int, s: float) -> QuadratureRule:
+    """The verified rule on the roots of the monic Levenshtein polynomial of
+    degree m for inner product s, at capacity L_m(n, s); only an upper bound
+    that reads the polynomial itself multiplies it out, by
+    :func:`levenshtein_coefficients`."""
+    return compute_weights(n, m, s, levenshtein_function(n, m, s))
+
+
+def levenshtein_coefficients(rule: QuadratureRule) -> np.ndarray:
+    """Gegenbauer coefficients of the monic Levenshtein polynomial f on the
+    roots of ``rule``, a rule of :func:`levenshtein_polynomial`.
+
+    For m = 2k-1 f is (t - s) K(t)^2 with K monic of degree k-1; for
+    m = 2k an extra factor (t + 1) appears.  Checked for nonnegative
+    coefficients (strictly positive away from interval endpoints) and
+    f(1)/f_0 equal to the rule's capacity L_m(n, s) within 1e-9 relative.
+    """
+    n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
+    interior = rule.nodes[rule.eps:-1]
+    g = gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior)
+    where = f"(n={n}, m={m}, s={s:.12g})"
+    # strict positivity can degrade to a zero coefficient at interval endpoints
+    low = int(np.argmin(g))
+    if g[low] < -1e-10 * np.max(np.abs(g)):
+        raise QuadratureError(
+            f"Levenshtein polynomial for {where} has a negative coefficient: "
+            f"coefficient {low} of {g.size} is {g[low]:.6g}"
+        )
+    ratio = value_at_one(g) / g[0]
+    if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
+        raise QuadratureError(
+            f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
+            f"function value {capacity:.12g}"
+        )
+    return g

@@ -13,8 +13,9 @@ Two recipes, drawn in a fixed order:
 
 Each line is the outcome's key (its name ``recipe#index kind``, then
 the inputs, floats as hex), a tab, then either ``raise Type: message``
-or the report: feasible, value, lambda*, N_1, m, nodes, weights and
-every diagnostic (name, ok, value, note), floats as hex.  Per-kind
+or the report: feasible, value, lambda*, N_1, m, nodes, weights, the
+certificate's Gegenbauer coefficients and every diagnostic (name, ok,
+value, note), floats as hex.  Per-kind
 counts go to stderr.
 
 With spherelp importable (installed, or PYTHONPATH=src):
@@ -108,6 +109,7 @@ def outcome(call) -> str:
         f"m={report.m}",
         "nodes=" + ",".join(map(_hex, rule.nodes)),
         "weights=" + ",".join(map(_hex, rule.weights)),
+        "certificate=" + ",".join(map(_hex, report.certificate.coeffs)),
     ]
     fields += [f"{c.name}={c.ok}:{_hex(c.value)}:{json.dumps(c.note)}" for c in report.diagnostics]
     return "\t".join(fields)

@@ -13,7 +13,7 @@ from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.cli import main
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
 from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
-from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
+from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
 from spherelp.potentials import (
     fejes_toth,
     gaussian,
@@ -53,7 +53,7 @@ def test_ulb_cube_cross_n3():
 
 def test_ulb_objective_equals_certificate_objective():
     report = ulb(4, 30.0, gaussian(1.2))
-    objective = report.certificate.coeffs[0] - report.certificate.value_at_one() / report.rule.capacity
+    objective = report.certificate.coeffs[0] - value_at_one(report.certificate.coeffs) / report.rule.capacity
     assert report.value == pytest.approx(objective, abs=1e-10)
 
 
@@ -177,17 +177,40 @@ def test_degree_below_one_is_named_before_the_derivative_gate():
 def test_only_uub_builds_the_levenshtein_polynomial(monkeypatch):
     import spherelp.quadrature as quadrature
 
-    calls = []
+    calls, multiplied = [], []
     real = quadrature.gegenbauer_from_roots
     monkeypatch.setattr(quadrature, "gegenbauer_from_roots", lambda *args: calls.append(args) or real(*args))
+    coefficients = bounds.levenshtein_coefficients
+    monkeypatch.setattr(bounds, "levenshtein_coefficients", lambda rule: multiplied.append(rule) or coefficients(rule))
     m = select_degree_from_s(3, PENTAKIS_S)
     assert design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, m, riesz(1)).feasible
     # past the validity interval of m = 5 in n = 4 f has a negative mean, which
     # a design bound never reads
     assert design_uub(4, 20.0, 0.71, 5, riesz(1)).kind == "design_uub"
-    assert calls == []
-    assert uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1)).feasible
-    assert len(calls) == 1
+    assert calls == [] and multiplied == []
+    report = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
+    assert report.feasible
+    assert len(calls) == 1 and multiplied == [report.rule]
+
+
+@pytest.mark.parametrize("kind", ["ulb", "design_ulb", "uub", "design_uub"])
+def test_each_bound_builds_one_series_its_certificate(kind, monkeypatch):
+    # coefficients stay arrays from the solve to the report: the certificate
+    # is the only GegenbauerSeries a bound builds, on a memo miss or a hit
+    built = []
+    post_init = GegenbauerSeries.__post_init__
+    monkeypatch.setattr(GegenbauerSeries, "__post_init__", lambda self: built.append(self) or post_init(self))
+    call = {
+        "ulb": lambda: ulb(3, PENTAKIS_CAPACITY, riesz(1)),
+        "design_ulb": lambda: design_ulb(3, PENTAKIS_CAPACITY, 9, riesz(1)),
+        "uub": lambda: uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1)),
+        "design_uub": lambda: design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, 9, riesz(1)),
+    }[kind]
+    bounds._ulb_setup.cache_clear()
+    for _ in range(2):
+        built.clear()
+        report = call()
+        assert report.kind == kind and len(built) == 1 and built[0] is report.certificate
 
 
 def test_uub_pentakis():
@@ -421,7 +444,7 @@ def test_design_uub_values():
 
 def test_design_uub_equals_interpolant_objective():
     report = design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, 9, riesz(1))
-    alt = report.certificate.coeffs[0] - report.certificate.value_at_one() / PENTAKIS_CAPACITY
+    alt = report.certificate.coeffs[0] - value_at_one(report.certificate.coeffs) / PENTAKIS_CAPACITY
     assert report.value == pytest.approx(alt, abs=1e-12)
 
 
@@ -437,10 +460,10 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
         rule = report.rule
         nodes = np.asarray(rule.nodes)
         op = hermite_operator(nodes, slice(rule.eps, -1), n, gegenbauer_table(n, rule.m, nodes))
-        g_t = hermite_interpolant(h, op, potential_eval(h, nodes)).gegenbauer
-        assert report.certificate == g_t
+        g_t = hermite_interpolant(h, op, potential_eval(h, nodes))[0]
+        assert report.certificate == GegenbauerSeries(n, g_t)
         assert report.lambda_star == 0.0
-        g0, g1 = g_t.coeffs[0], g_t.value_at_one()
+        g0, g1 = g_t[0], value_at_one(g_t)
         assert report.value == g0 - g1 / capacity
         rule_sum = math.fsum(w * potential_eval(h, a) for a, w in zip(rule.nodes, rule.weights))
         rule_form = (capacity - rule.capacity) * g1 / (capacity * rule.capacity) + rule_sum
@@ -470,6 +493,23 @@ def test_design_uub_at_the_left_end_of_an_even_tau_is_the_lower_degree_bound():
             report, lower = design_uub(n, 10.0, s, tau, h), design_uub(n, 10.0, s, tau - 1, h)
             assert report.feasible and report.m == tau - 1, (n, tau)
             assert report_fields(report) == report_fields(lower), (n, tau)
+
+
+def test_uub_override_of_an_even_degree_at_its_left_end_is_refused():
+    # no degree-m rule exists at lo(m) = hi(m - 1): its weight at -1 vanishes,
+    # and round-off decided whether it raised QuadratureError or built a rule
+    # on a weight near 0; the refusal is the same at every (n, m)
+    for n in (2, 3, 4, 5, 8, 12, 30, 39):
+        for m in range(2, 25, 2):
+            lo = validity_interval(n, m)[0]
+            with pytest.raises(ValueError) as info:
+                uub(n, 10.0, lo, riesz(1), m_override=m)
+            assert str(info.value) == (
+                f"s = {lo!r} is lo({m}) = hi({m - 1}) for n = {n}, where the degree-{m} rule's weight at -1 "
+                f"vanishes: no degree-{m} rule exists at this s; degree {m - 1} bounds it"
+            )
+            # without an override, ties go to the smaller degree, which bounds this s
+            assert uub(n, 10.0, lo, riesz(1)).m == m - 1
 
 
 def test_vacuous_capacity_flagged():
@@ -665,10 +705,10 @@ def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():
         coeffs = rng.standard_normal(int(rng.integers(1, m + 2))) * 10.0 ** rng.uniform(-3, 3)
         split = np.concatenate([coeffs @ piece[: coeffs.size] for piece in pieces])
         assert split.tobytes() == (coeffs @ whole[: coeffs.size]).tobytes(), (n, m, nodes.size)
-        series, h = GegenbauerSeries(n, coeffs), potentials[i % len(potentials)]
+        h = potentials[i % len(potentials)]
         for direction in ("below", "above"):
-            ok, violation = verify_dominance(series, h, direction, grid, pieces)
-            want_ok, want = verify_dominance(series, h, direction, grid, (whole,))
+            ok, violation = verify_dominance(coeffs, h, direction, grid, pieces)
+            want_ok, want = verify_dominance(coeffs, h, direction, grid, (whole,))
             assert (ok, violation.hex()) == (want_ok, want.hex()), (n, m, nodes.size, direction)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -622,14 +623,28 @@ def test_deeply_nested_shift_spec_is_a_usage_error():
 
 
 def test_failed_rule_exits_2(capsys):
-    # at the left end of the degree-4 interval the degree-4 rule's weight at -1
-    # vanishes, and an overridden uub degree builds that rule
-    s = repr(validity_interval(3, 4)[0])
+    # one ulp below the left end of the degree-4 interval, within its 1e-9
+    # slack, the degree-4 rule's weight at -1 rounds to 0, and an overridden
+    # uub degree builds that rule
+    s = repr(math.nextafter(validity_interval(3, 4)[0], -1.0))
     code, out, err = run(
         capsys, "uub", "--n", "3", "--capacity", "10", "--s", s, "--m-override", "4", "--potential", "riesz:1"
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
+
+
+def test_uub_override_of_an_even_degree_at_its_left_end_exits_1(capsys):
+    # at lo(4) = hi(3) no degree-4 rule exists: a usage error naming the degree that serves s
+    argv = ("--n", "3", "--capacity", "10", "--s", "0.2898979485566356", "--potential", "riesz:1")
+    code, out, err = run(capsys, "uub", *argv, "--m-override", "4")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: s = 0.2898979485566356 is lo(4) = hi(3) for n = 3, where the degree-4 rule's weight at -1 "
+        "vanishes: no degree-4 rule exists at this s; degree 3 bounds it\n"
+    )
+    code, out, err = run(capsys, "uub", *argv, "--m-override", "3")
+    assert (code, err) == (0, "") and json.loads(out)["m"] == 3
 
 
 def test_design_uub_at_the_left_end_of_an_even_tau_takes_the_lower_degree(capsys):

@@ -14,6 +14,7 @@ from spherelp.orthopoly import (
     gegenbauer_eval,
     gegenbauer_table,
     to_gegenbauer,
+    value_at_one,
 )
 
 
@@ -201,4 +202,14 @@ def test_round_trip_random_degree_12():
 
 def test_series_evaluation_matches_value_at_one():
     series = GegenbauerSeries(4, (0.3, -0.2, 0.5, 1.1))
-    assert series.value_at_one() == pytest.approx(float(clenshaw(series, 1.0)), rel=1e-13)
+    assert value_at_one(series.coeffs) == pytest.approx(float(clenshaw(series, 1.0)), rel=1e-13)
+
+
+def test_value_at_one_adds_left_to_right():
+    # 1 + 1e100 rounds to 1e100, so left to right the ones are lost; fsum,
+    # and sum() from Python 3.12 on, would keep them and give 2
+    coeffs = [1.0, 1e100, 1.0, -1e100]
+    assert value_at_one(coeffs) == 0.0 and math.fsum(coeffs) == 2.0
+    assert value_at_one(np.array(coeffs)) == 0.0
+    # from 0.0, as sum() starts: a lone -0.0 gives 0.0
+    assert math.copysign(1.0, value_at_one([-0.0])) == 1.0

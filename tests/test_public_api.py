@@ -23,11 +23,12 @@ MODULE_ONLY = [
     ("orthopoly", "from_gegenbauer"),
     ("orthopoly", "gegenbauer_eval"),
     ("orthopoly", "to_gegenbauer"),
+    ("orthopoly", "value_at_one"),
     ("potentials", "classify"),
     ("potentials", "potential_derivative"),
-    ("quadrature", "LevenshteinPolynomial"),
     ("quadrature", "QuadratureRule"),
     ("quadrature", "compute_weights"),
+    ("quadrature", "levenshtein_coefficients"),
     ("quadrature", "levenshtein_function"),
     ("quadrature", "levenshtein_polynomial"),
     ("quadrature", "select_degree_from_capacity"),

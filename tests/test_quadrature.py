@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import clenshaw
-from spherelp.orthopoly import gegenbauer_table
+from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
 from spherelp.quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
@@ -14,6 +14,7 @@ from spherelp.quadrature import (
     compute_weights,
     dgs_bound,
     exactness_residuals,
+    levenshtein_coefficients,
     levenshtein_function,
     levenshtein_polynomial,
     select_degree_from_capacity,
@@ -393,19 +394,19 @@ def test_levenshtein_polynomial_low_degrees():
     # monic closed forms: degree 1 is (t - s) = -s P_0 + P_1, degree 2 is
     # (t + 1)(t - s) = t^2 + (1 - s) t - s with t^2 = (1 + (n - 1) P_2) / n
     n, s = 4, -0.3
-    lp = levenshtein_polynomial(n, 1, s)
-    assert_allclose(lp.gegenbauer.coeffs, (-s, 1.0), atol=1e-14)
+    f = levenshtein_coefficients(levenshtein_polynomial(n, 1, s))
+    assert_allclose(f, (-s, 1.0), atol=1e-14)
     lo, hi = validity_interval(n, 2)
     s = 0.5 * (lo + hi)
-    lp = levenshtein_polynomial(n, 2, s)
-    assert_allclose(lp.gegenbauer.coeffs, (1 / n - s, 1.0 - s, (n - 1) / n), atol=1e-13)
+    f = levenshtein_coefficients(levenshtein_polynomial(n, 2, s))
+    assert_allclose(f, (1 / n - s, 1.0 - s, (n - 1) / n), atol=1e-13)
 
 
 def test_levenshtein_polynomial_pentakis_roots():
     s = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
-    lp = levenshtein_polynomial(3, 9, s)
-    assert_allclose(lp.rule.nodes, (-0.9247, -0.6213, -0.1493, 0.3703, 0.7946), atol=1e-4)
-    assert lp.rule.nodes[-1] == pytest.approx(s, abs=1e-14)
+    rule = levenshtein_polynomial(3, 9, s)
+    assert_allclose(rule.nodes, (-0.9247, -0.6213, -0.1493, 0.3703, 0.7946), atol=1e-4)
+    assert rule.nodes[-1] == pytest.approx(s, abs=1e-14)
 
 
 def test_levenshtein_polynomial_invariants():
@@ -415,23 +416,24 @@ def test_levenshtein_polynomial_invariants():
         m = int(rng.integers(1, 10))
         lo, hi = validity_interval(n, m)
         s = float(rng.uniform(lo + 0.02 * (hi - lo), hi))
-        lp = levenshtein_polynomial(n, m, s)
-        coeffs = np.asarray(lp.gegenbauer.coeffs)
+        rule = levenshtein_polynomial(n, m, s)
+        coeffs = levenshtein_coefficients(rule)
         assert coeffs.size == m + 1
         assert np.min(coeffs) > 0  # strictly positive away from endpoints
-        ratio = lp.gegenbauer.value_at_one() / coeffs[0]
+        ratio = value_at_one(coeffs) / coeffs[0]
         assert ratio == pytest.approx(levenshtein_function(n, m, s), rel=1e-9)
         # vanishes at its nodes, nonpositive on [-1, s]
         grid = np.linspace(-1, s, 500)
-        assert np.max(clenshaw(lp.gegenbauer, grid)) <= 1e-9
-        assert np.max(np.abs(clenshaw(lp.gegenbauer, np.asarray(lp.rule.nodes)))) < 1e-9
+        f = GegenbauerSeries(n, coeffs)
+        assert np.max(clenshaw(f, grid)) <= 1e-9
+        assert np.max(np.abs(clenshaw(f, np.asarray(rule.nodes)))) < 1e-9
 
 
 def test_rule_from_s_matches_capacity_solve():
     # the Levenshtein polynomial's rule at the solved s reproduces the
     # capacity-built rule
     rule = solve_ulb_rule(5, 40.0)
-    other = levenshtein_polynomial(5, rule.m, rule.s).rule
+    other = levenshtein_polynomial(5, rule.m, rule.s)
     assert_allclose(other.nodes, rule.nodes, atol=1e-10)
     assert_allclose(other.weights, rule.weights, atol=1e-10)
     assert other.capacity == pytest.approx(40.0, rel=1e-9)
@@ -498,7 +500,7 @@ def test_weights_match_extended_precision_reference(n):
     for m in range(1, 21):
         lo, hi = validity_interval(n, m)
         for frac in (0.05, 0.5, 0.95):
-            rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo)).rule
+            rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
             ref = _mp_lagrange_weights(mpmath, n, rule.nodes, rule.capacity)
             for w, r in zip(rule.weights, ref):
                 assert abs(float((w - r) / r)) <= tol, (m, frac)
@@ -544,7 +546,7 @@ def test_nodes_match_extended_precision_reference(n):
         for m in (2, 5, 10, 15, 16, 18, 20, 25):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.5, 0.95):
-                rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo)).rule
+                rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
                 capacity = _mp_levenshtein(mpmath, n, m, mpmath.mpf(rule.s))
                 for a in rule.nodes[rule.eps:-1]:
                     ref = mpmath.findroot(lambda t: _mp_levenshtein(mpmath, n, m, t) - capacity, mpmath.mpf(a))
@@ -554,10 +556,10 @@ def test_nodes_match_extended_precision_reference(n):
 def test_levenshtein_polynomial_errors_name_inputs():
     # past the validity interval of m = 5 in n = 4, which ends at 0.538, the
     # mean f_0 of the Levenshtein polynomial turns negative; the rule still
-    # builds, and f is checked when it is first read
-    lp = levenshtein_polynomial(4, 5, 0.71)
+    # builds, and f is checked when it is multiplied out
+    rule = levenshtein_polynomial(4, 5, 0.71)
     with pytest.raises(QuadratureError) as info:
-        lp.gegenbauer
+        levenshtein_coefficients(rule)
     message = str(info.value)
     prefix = "Levenshtein polynomial for (n=4, m=5, s=0.71) has a negative coefficient: coefficient 0 of 6 is "
     assert message.startswith(prefix)
@@ -575,8 +577,8 @@ def test_levenshtein_coefficients_match_extended_precision_reference(n):
         for m in (3, 10, 20, 25):
             lo, hi = validity_interval(n, m)
             for frac in (0.05, 0.95):
-                lp = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
-                roots = (lp.rule.s,) + lp.rule.nodes[: lp.rule.eps] + 2 * lp.rule.nodes[lp.rule.eps : -1]
+                rule = levenshtein_polynomial(n, m, lo + frac * (hi - lo))
+                roots = (rule.s,) + rule.nodes[: rule.eps] + 2 * rule.nodes[rule.eps : -1]
                 points = [mpmath.cos(mpmath.pi * (i + mpmath.mpf(1) / 2) / (m + 1)) for i in range(m + 1)]
                 rows = []
                 for t in points:
@@ -586,7 +588,7 @@ def test_levenshtein_coefficients_match_extended_precision_reference(n):
                     rows.append(p[: m + 1])
                 values = [mpmath.fprod(t - mpmath.mpf(r) for r in roots) for t in points]
                 ref = np.array([float(c) for c in mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(values))])
-                got = np.asarray(lp.gegenbauer.coeffs)
+                got = levenshtein_coefficients(rule)
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, (m, frac)
 
 

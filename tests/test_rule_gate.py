@@ -46,7 +46,7 @@ def test_seeded_inner_products_give_valid_rules():
         n = int(rng.integers(2, 40))
         m = int(rng.integers(1, MAX_RULE_DEGREE + 1))
         s = float(rng.uniform(*validity_interval(n, m)))
-        rule = levenshtein_polynomial(n, m, s).rule
+        rule = levenshtein_polynomial(n, m, s)
         assert rule.nodes[-1] == s
         assert_valid_rule(rule)
 
