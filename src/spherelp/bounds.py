@@ -32,6 +32,7 @@ from .quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
     QuadratureRule,
+    WeightAtMinusOneError,
     dgs_bound,
     exactness_residuals,
     levenshtein_coefficients,
@@ -51,10 +52,6 @@ ULB_INTERVAL = (-1.0, 0.999)  # where lower-bound certificates must stay below h
 # the body or tail position it has in one product over the whole grid, so the
 # products of the two pieces keep that product's bits (4001 does not).
 FIXED_POINTS = 4000
-FIXED_DIMENSIONS = 8  # dimensions whose fixed table is kept, the most recent ones
-_FIXED_GRID = dominance_grid(*ULB_INTERVAL, ())[:FIXED_POINTS]
-_FIXED_GRID.flags.writeable = False
-_fixed_tables: dict[int, np.ndarray] = {}  # n -> P_0..P_d on _FIXED_GRID, least recent first
 
 
 @dataclass(frozen=True)
@@ -171,21 +168,13 @@ def _setup(
     return _Setup(rule, operator, grid, head + (tail,), closing)
 
 
-def _fixed_table(n: int, m: int) -> np.ndarray:
-    """P_0..P_m on the lower-bound grid's first FIXED_POINTS points.
-
-    A read-only view of the table kept for dimension n, whose rows grow to
-    the largest m asked for n; each row has the same bits at any height.
-    The tables of the last FIXED_DIMENSIONS dimensions asked for are kept.
-    """
-    table = _fixed_tables.pop(n, ())
-    if len(table) <= m:
-        table = gegenbauer_table(n, m, _FIXED_GRID)
-        table.flags.writeable = False
-    _fixed_tables[n] = table
-    if len(_fixed_tables) > FIXED_DIMENSIONS:
-        del _fixed_tables[next(iter(_fixed_tables))]
-    return table[: m + 1]
+@lru_cache(maxsize=8)
+def _fixed_table(n: int) -> np.ndarray:
+    """P_0..P_MAX_RULE_DEGREE on the lower-bound grid's first FIXED_POINTS
+    points, read-only; each row has the same bits at any height."""
+    table = gegenbauer_table(n, MAX_RULE_DEGREE, dominance_grid(*ULB_INTERVAL, ())[:FIXED_POINTS])
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=1)
@@ -194,16 +183,17 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
 
     The rule, its Q_j scan up to 3m and its certificate setup on
     ULB_INTERVAL serve every potential at one (n, N_W).  The dominance
-    table's first piece, the 4000 points shared by every rule, comes from
-    :func:`_fixed_table` (0.67 MB at m = 20, once per dimension); the rule
-    tabulates only the other 1 + 81k points for its k nodes (0.15 MB at
-    m = 20).  One entry covers potentials run back to back and keeps the
-    rules' pieces from piling up.  Callers pass ``int`` and ``float`` so
-    equal inputs share one entry; a failed solve raises and stores nothing.
+    table's first piece, the 4000 points shared by every rule, is the first
+    m + 1 rows of :func:`_fixed_table` (tabulated once per dimension to
+    degree 25, 0.83 MB, for the 8 dimensions used last); the rule tabulates
+    only the other 1 + 81k points for its k nodes (0.15 MB at m = 20).  One
+    entry covers potentials run back to back and keeps the rules' pieces
+    from piling up.  Callers pass ``int`` and ``float`` so equal inputs
+    share one entry; a failed solve raises and stores nothing.
     """
     rule = solve_ulb_rule(n, capacity)
     # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
-    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule),), (_fixed_table(n, rule.m),))
+    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule),), (_fixed_table(n)[: rule.m + 1],))
 
 
 def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
@@ -314,13 +304,37 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
     return _certify("design_ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
 
 
-def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potential) -> BoundReport:
+def _levenshtein_rule(kind: str, n: int, m: int, s: float) -> tuple[QuadratureRule, np.ndarray | None, bool]:
+    """The degree-m Levenshtein rule at s, for ``uub`` its polynomial f, and
+    whether s lies in the validity interval (up to 1e-9 above its right end).
+
+    A rule that fails at an s outside the interval comes from an overridden
+    degree or a design's tau far from s: a usage error, not a failed rule.
+    """
+    lo, hi = validity_interval(n, m)
+    within = lo <= s <= hi + 1e-9
+    try:
+        rule = levenshtein_polynomial(n, m, s)
+        return rule, levenshtein_coefficients(rule) if kind == "uub" else None, within
+    except QuadratureError as exc:
+        if within:
+            raise
+        what = f"degree {m}" if kind == "uub" else f"tau = {m}"
+        raise ValueError(
+            f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of {what} "
+            f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
+        ) from exc
+
+
+def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potential, fallback: bool) -> BoundReport:
     """Upper bound of ``kind`` at maximal inner product s from the degree-m rule.
 
     Only ``uub`` multiplies out the Levenshtein polynomial f; ``design_uub``
-    needs the rule alone.  At s = lo(m) for even m, where no degree-m rule
-    exists, ``uub`` refuses the degree and ``design_uub`` takes m - 1.  The
-    report closes with the checks on the rule alone: the N_1 interval
+    needs the rule alone.  For even m no degree-m rule exists at s = lo(m),
+    where its weight at -1 vanishes, nor a few ulps above, where the rule's
+    own weight check finds that weight rounded to 0; there ``fallback``
+    takes the degree-(m - 1) rule, and otherwise the degree is refused.
+    The report closes with the checks on the rule alone: the N_1 interval
     hypothesis, the capacity and, for ``uub``, s outside the validity
     interval.
     """
@@ -333,30 +347,23 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
         raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     if m > MAX_RULE_DEGREE:
         raise ValueError(f"degree {m} above cap {MAX_RULE_DEGREE}")
-    lo, hi = validity_interval(n, m)
-    if m % 2 == 0 and s == lo:
-        # at lo(m) = hi(m - 1) the even-degree rule's weight at -1 vanishes
-        if kind == "uub":
+    lo = validity_interval(n, m)[0]
+    try:
+        # at lo(m) = hi(m - 1) an even-degree rule's weight at -1 vanishes
+        built = None if m % 2 == 0 and s == lo else _levenshtein_rule(kind, n, m, s)
+    except WeightAtMinusOneError:  # rounded to 0 a few ulps above lo(m)
+        built = None
+    if built is None:
+        if not fallback:
+            where = "is" if s == lo else f"lies just above {lo!r} ="
             raise ValueError(
-                f"s = {s!r} is lo({m}) = hi({m - 1}) for n = {n}, where the degree-{m} rule's weight at -1 "
+                f"s = {s!r} {where} lo({m}) = hi({m - 1}) for n = {n}, where the degree-{m} rule's weight at -1 "
                 f"vanishes: no degree-{m} rule exists at this s; degree {m - 1} bounds it"
             )
         # a tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
         m -= 1
-        lo, hi = validity_interval(n, m)
-    within = lo - 1e-9 <= s <= hi + 1e-9
-    try:
-        rule = levenshtein_polynomial(n, m, s)
-        f = levenshtein_coefficients(rule) if kind == "uub" else None
-    except QuadratureError as exc:
-        # an overridden degree or a design's tau far from s: a usage error, not a failed rule
-        if within:
-            raise
-        what = f"degree {m}" if kind == "uub" else f"tau = {m}"
-        raise ValueError(
-            f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of {what} "
-            f"for n = {n}, and the degree-{m} Levenshtein rule at this s fails its checks: {exc}"
-        ) from exc
+        built = _levenshtein_rule(kind, n, m, s)
+    rule, f, within = built
     n1 = rule.capacity
     hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
     dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
@@ -382,7 +389,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     enforced.
     """
     m = select_degree_from_s(n, s) if m_override is None else m_override
-    return _upper_bound("uub", n, capacity, s, m, h)
+    return _upper_bound("uub", n, capacity, s, m, h, m_override is None)
 
 
 def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> BoundReport:
@@ -392,4 +399,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
     lambda = 0); only h^(tau) >= 0 and dominance above h on [-1, s] are
     required.
     """
-    return _upper_bound("design_uub", n, capacity, s, tau, h)
+    return _upper_bound("design_uub", n, capacity, s, tau, h, True)

@@ -32,6 +32,15 @@ class QuadratureError(RuntimeError):
     """Internal inconsistency while building a rule (bad roots or weights)."""
 
 
+class WeightAtMinusOneError(QuadratureError):
+    """An even-degree rule whose weight at the node -1 is not positive.
+
+    It vanishes at s = lo(m) = hi(m - 1) and can round to 0 a few ulps
+    above, where no degree-m rule exists and the degree-(m - 1) rule
+    bounds s.
+    """
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of a 1/N-quadrature of degree m = 2k-1+eps.
@@ -233,7 +242,7 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
     weights = vectors[0] ** 2 / (1.0 - nodes)
     low = int(np.argmin(weights))
     if weights[low] <= 0:
-        raise QuadratureError(
+        raise (WeightAtMinusOneError if eps == 1 and low == 0 else QuadratureError)(
             f"nonpositive quadrature weight for {where}: "
             f"weight {low} of {weights.size} is {weights[low]:.6g}"
         )

@@ -24,7 +24,16 @@ from spherelp.potentials import (
     riesz,
     shifted,
 )
-from spherelp.quadrature import QuadratureError, dgs_bound, select_degree_from_s, solve_ulb_rule, validity_interval
+from spherelp.quadrature import (
+    MAX_RULE_DEGREE,
+    QuadratureError,
+    WeightAtMinusOneError,
+    dgs_bound,
+    levenshtein_polynomial,
+    select_degree_from_s,
+    solve_ulb_rule,
+    validity_interval,
+)
 
 PENTAKIS_CAPACITY = 735 / 23
 PENTAKIS_S = math.sqrt(1 + 2 / math.sqrt(5)) / math.sqrt(3)
@@ -512,6 +521,59 @@ def test_uub_override_of_an_even_degree_at_its_left_end_is_refused():
             assert uub(n, 10.0, lo, riesz(1)).m == m - 1
 
 
+# (n, m, ulps): s = lo(m) + ulps ulps, where the degree-m rule's weight at -1 rounds to 0
+ABOVE_LEFT_END = (
+    (2, 16, 1), (3, 6, 1), (10, 4, 1), (39, 18, 1), (6, 10, 2),
+    (12, 18, 2), (6, 10, 3), (15, 20, 3), (19, 18, 3), (26, 22, 3),
+)
+
+
+def test_upper_bounds_just_above_an_even_left_end_have_the_outcome_at_it():
+    # a few ulps above lo(m) the degree-m rule's own weight check finds its
+    # weight at -1 rounded to 0: no degree-m rule exists there, as at lo(m)
+    h = riesz(1)
+    for n, m, ulps in ABOVE_LEFT_END:
+        lo = validity_interval(n, m)[0]
+        s = lo
+        for _ in range(ulps):
+            s = math.nextafter(s, 1.0)
+        with pytest.raises(WeightAtMinusOneError, match=f"weight 0 of {m // 2 + 1} is 0"):
+            levenshtein_polynomial(n, m, s)
+        assert select_degree_from_s(n, s) == m
+        report, at_lo = uub(n, 10.0, s, h), uub(n, 10.0, lo, h)
+        assert report.m == at_lo.m == m - 1 and report.feasible, (n, m, ulps)
+        assert report.value == pytest.approx(at_lo.value, rel=1e-13), (n, m, ulps)
+        assert report.diagnostics[-1].name == "capacity_consistency"  # s lies in degree m - 1's interval
+        design = design_uub(n, 10.0, s, m, h)
+        assert design.m == m - 1 and design.feasible, (n, m, ulps)
+        assert report_fields(design) == report_fields(design_uub(n, 10.0, s, m - 1, h))
+        with pytest.raises(ValueError) as info:
+            uub(n, 10.0, s, h, m_override=m)
+        assert str(info.value) == (
+            f"s = {s!r} lies just above {lo!r} = lo({m}) = hi({m - 1}) for n = {n}, where the degree-{m} "
+            f"rule's weight at -1 vanishes: no degree-{m} rule exists at this s; degree {m - 1} bounds it"
+        )
+
+
+def test_upper_bounds_just_below_a_left_end_are_usage_errors():
+    # below lo(m) the degree-m rule does not exist; where it fails to build
+    # that is a usage error naming the interval, not a failed rule
+    h, refused = riesz(1), 0
+    for n in (2, 3, 5, 8, 13, 21, 39):
+        for m in range(2, MAX_RULE_DEGREE + 1):
+            lo, hi = validity_interval(n, m)
+            s = lo - 5e-10
+            for build in (lambda: design_uub(n, 10.0, s, m, h), lambda: uub(n, 10.0, s, h, m_override=m)):
+                try:
+                    report = build()
+                except ValueError as exc:
+                    refused += 1
+                    assert str(exc).startswith(f"s = {s!r} lies outside the validity interval [{lo!r}, {hi!r}] of ")
+                else:  # the rule built: uub flags s, design_uub needs no interval
+                    assert report.kind == "design_uub" or not report.diagnostic("s_within_validity").ok
+    assert refused >= 300
+
+
 def test_vacuous_capacity_flagged():
     # N_1 below N_W: no code realizes the pair, and the report says so
     report = uub(3, 20.0, 0.3, riesz(1))
@@ -701,7 +763,7 @@ def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():
         nodes = np.sort(rng.uniform(-1.0, bounds.ULB_INTERVAL[1], int(rng.integers(1, 14))))
         grid = dominance_grid(*bounds.ULB_INTERVAL, nodes)
         whole = gegenbauer_table(n, m, grid)
-        pieces = (bounds._fixed_table(n, m), gegenbauer_table(n, m, grid[bounds.FIXED_POINTS :]))
+        pieces = (bounds._fixed_table(n)[: m + 1], gegenbauer_table(n, m, grid[bounds.FIXED_POINTS :]))
         coeffs = rng.standard_normal(int(rng.integers(1, m + 2))) * 10.0 ** rng.uniform(-3, 3)
         split = np.concatenate([coeffs @ piece[: coeffs.size] for piece in pieces])
         assert split.tobytes() == (coeffs @ whole[: coeffs.size]).tobytes(), (n, m, nodes.size)
@@ -712,28 +774,37 @@ def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():
             assert (ok, violation.hex()) == (want_ok, want.hex()), (n, m, nodes.size, direction)
 
 
-def test_fixed_table_is_read_only_bounded_and_grows_on_demand():
+def test_fixed_table_is_read_only_full_height_and_bounded():
     fixed_grid = dominance_grid(*bounds.ULB_INTERVAL, ())[: bounds.FIXED_POINTS]
-    bounds._fixed_tables.clear()
-    small = bounds._fixed_table(5, 3)
-    assert small.shape == (4, bounds.FIXED_POINTS) and not small.flags.writeable
+    bounds._fixed_table.cache_clear()
+    table = bounds._fixed_table(5)
+    assert table.shape == (26, bounds.FIXED_POINTS) and not table.flags.writeable
     with pytest.raises(ValueError):
-        small[0, 0] = 0.0
-    grown = bounds._fixed_table(5, 9)  # a higher degree grows the rows
-    assert bounds._fixed_tables[5].shape == (10, bounds.FIXED_POINTS)
-    lower = bounds._fixed_table(5, 6)  # a lower degree reads rows of the grown table
-    assert lower.base is bounds._fixed_tables[5] and lower.shape[0] == 7
-    for m, table in ((3, small), (9, grown), (6, lower)):
-        assert not table.flags.writeable
-        assert table.tobytes() == gegenbauer_table(5, m, fixed_grid).tobytes()
-    kept = bounds.FIXED_DIMENSIONS
-    for n in range(2, 2 + 3 * kept):
-        bounds._fixed_table(n, 2)
-        assert len(bounds._fixed_tables) <= kept
-    assert list(bounds._fixed_tables) == list(range(2 + 2 * kept, 2 + 3 * kept))
-    bounds._fixed_table(2 + 2 * kept, 2)  # asking again makes a dimension the most recent
-    bounds._fixed_table(2 + 3 * kept, 2)
-    assert list(bounds._fixed_tables) == [*range(4 + 2 * kept, 2 + 3 * kept), 2 + 2 * kept, 2 + 3 * kept]
+        table[0, 0] = 0.0
+    for m in (1, 3, 6, 9, 20, 25):  # row j has the same bits at any height
+        assert table[: m + 1].tobytes() == gegenbauer_table(5, m, fixed_grid).tobytes()
+    for n in range(2, 26):
+        assert not bounds._fixed_table(n).flags.writeable
+        assert bounds._fixed_table.cache_info().currsize <= 8
+    assert bounds._fixed_table.cache_info().currsize == 8
+
+
+def test_a_degree_sweep_tabulates_the_fixed_grid_once(monkeypatch):
+    tabulated = []  # (n, imax) of every table on the 4000 fixed points
+    table = bounds.gegenbauer_table
+
+    def counting_table(n, imax, t):
+        if len(t) == bounds.FIXED_POINTS:
+            tabulated.append((n, imax))
+        return table(n, imax, t)
+
+    monkeypatch.setattr(bounds, "gegenbauer_table", counting_table)
+    bounds._fixed_table.cache_clear()
+    for m in (3, 9, 6, 20):
+        report = ulb(4, (dgs_bound(4, m) + dgs_bound(4, m + 1)) / 2, riesz(1))
+        assert report.m == m and report.feasible
+        assert bounds._ulb_setup(4, report.rule.capacity).pieces[0].base is bounds._fixed_table(4)
+    assert tabulated == [(4, MAX_RULE_DEGREE)]
 
 
 def test_each_bound_tabulates_its_nodes_once(monkeypatch):

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spherelp import bounds
 from spherelp.cli import main
 from spherelp.codes import cube_crosspolytope
-from spherelp.quadrature import validity_interval
+from spherelp.quadrature import QuadratureError, validity_interval
 
 
 def run(capsys, *argv):
@@ -622,16 +623,43 @@ def test_deeply_nested_shift_spec_is_a_usage_error():
     assert done.stderr == "error: potential spec nests 3000 shift: levels, above the cap of 100\n"
 
 
-def test_failed_rule_exits_2(capsys):
-    # one ulp below the left end of the degree-4 interval, within its 1e-9
-    # slack, the degree-4 rule's weight at -1 rounds to 0, and an overridden
-    # uub degree builds that rule
-    s = repr(math.nextafter(validity_interval(3, 4)[0], -1.0))
+def test_failed_rule_exits_2(capsys, monkeypatch):
+    # a rule that fails its own checks at an s inside its validity interval
+    def failing(n, m, s):
+        raise QuadratureError(f"nonpositive quadrature weight for (n={n}, m={m}, s={s:.12g}): weight 1 of 3 is -1e-17")
+
+    monkeypatch.setattr(bounds, "levenshtein_polynomial", failing)
+    code, out, err = run(capsys, "uub", "--n", "3", "--capacity", "10", "--s", "0.5", "--potential", "riesz:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
+
+
+def test_uub_just_above_an_even_left_end_takes_the_lower_degree(capsys):
+    # one ulp above lo(2, 16) the degree-16 rule's weight at -1 rounds to 0
+    argv = ("--n", "2", "--capacity", "10", "--s", "0.9324722294043558", "--potential", "riesz:1")
+    code, out, err = run(capsys, "uub", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["m"] == 15 and payload["feasible"] is True
+    code, out, err = run(capsys, "uub", *argv, "--m-override", "16")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: s = 0.9324722294043558 lies just above {validity_interval(2, 16)[0]!r} = lo(16) = hi(15) for n = 2, "
+        "where the degree-16 rule's weight at -1 vanishes: no degree-16 rule exists at this s; degree 15 bounds it\n"
+    )
+
+
+def test_uub_override_just_below_a_left_end_exits_1(capsys):
+    # one ulp below lo(3, 4) the degree-4 rule's weight at -1 rounds to 0:
+    # s lies outside the interval, so the failed rule is a usage error
+    lo, hi = validity_interval(3, 4)
+    s = repr(math.nextafter(lo, -1.0))
     code, out, err = run(
         capsys, "uub", "--n", "3", "--capacity", "10", "--s", s, "--m-override", "4", "--potential", "riesz:1"
     )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: nonpositive quadrature weight ") and err.count("\n") == 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: s = {s} lies outside the validity interval [{lo!r}, {hi!r}] of degree 4 for n = 3")
+    assert "nonpositive quadrature weight" in err and err.count("\n") == 1
 
 
 def test_uub_override_of_an_even_degree_at_its_left_end_exits_1(capsys):
