@@ -1,23 +1,21 @@
 """Universal energy bounds for weighted spherical codes and designs.
 
-All four bounds are certified by one routine, ``_certify``, on a 1/N
-quadrature rule: at capacity N_W for lower bounds, at the roots of the
-Levenshtein polynomial f for maximal inner product s for upper bounds.
-The certificate is the Hermite interpolant g_T of h at the nodes minus
-lambda* f, the least multiple of f that drives all nonconstant
-coefficients nonpositive (``uub`` only; lambda* = 0 for the other
-kinds).  It must stay below h with nonnegative coefficients (lower) or
-above h on [-1, s] with nonpositive ones (upper); design variants drop
-the sign conditions.  g_T and f travel as float arrays of Gegenbauer
-coefficients from the Hermite solve and the Levenshtein product through
-every check; the certificate becomes a ``GegenbauerSeries`` once, in the
-report.  Every condition is re-verified numerically and recorded; a
-failed check marks the report infeasible instead of raising.
+Each bound is a :func:`certificate` on a 1/N quadrature rule (at capacity
+N_W, or on the roots of the Levenshtein polynomial f at maximal inner
+product s) and a :func:`verdict` on it.  The certificate is g = g_T -
+lambda* f: the Hermite interpolant g_T of h at the nodes minus the least
+multiple of f that makes the nonconstant coefficients nonpositive (``uub``
+only).  g must stay below h with nonnegative coefficients (lower) or above
+h on [-1, s] with nonpositive ones (upper); design variants drop the signs.
+A failed check marks the report infeasible instead of raising.
+:func:`write_record` writes a certificate exactly; :func:`read_record`
+gives its report back from that record alone, with no rule solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import fsum, inf, isfinite
 from operator import index
@@ -25,9 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import HermiteOperator, dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
+from .hermite import DOMINANCE_TOL, HermiteOperator, dominance_grid, hermite_interpolant, hermite_jet, hermite_operator
+from .hermite import interpolation_residual, verify_dominance
 from .orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
-from .potentials import Potential, classify, derivative_nonneg_from, potential_eval
+from .potentials import Potential, classify, derivative_nonneg_from
 from .quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
@@ -43,6 +42,8 @@ from .quadrature import (
     validity_interval,
 )
 
+# gates on the node residual, coefficient signs and objective (dominance: DOMINANCE_TOL)
+INTERPOLATION_TOL = 1e-9
 COEFF_TOL = 1e-9
 VALUE_TOL = 1e-10
 ULB_INTERVAL = (-1.0, 0.999)  # where lower-bound certificates must stay below h
@@ -60,6 +61,31 @@ class CheckResult:
     ok: bool
     value: float | None = None
     note: str = ""
+    tol: float | None = None  # the gate it was held to; None for a check reported only
+
+
+@dataclass(eq=False)
+class Certificate:
+    """What a verdict reads: kind, N_W, h, rule, h's :func:`hermite_jet` at the nodes,
+    g_T and (``uub`` only) f, from which lambda* and g = g_T - lambda* f follow."""
+
+    kind: str
+    capacity: float
+    potential: Potential
+    rule: QuadratureRule
+    jet: np.ndarray
+    gt: np.ndarray
+    f: np.ndarray | None
+    lam: float = field(init=False)
+    coeffs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        gt, f, lam, coeffs = self.gt, self.f, 0.0, self.gt
+        if f is not None:
+            ratios = gt[1:] / f[1 : gt.size]  # g_T has m coefficients, f has m + 1
+            lam = float(max(ratios[gt[1:] > 1e-12], default=0.0))
+            coeffs = np.append(gt, 0.0) - lam * f
+        self.lam, self.coeffs = lam, coeffs
 
 
 @dataclass(frozen=True)
@@ -73,6 +99,7 @@ class BoundReport:
     potential: Potential
     feasible: bool
     diagnostics: tuple[CheckResult, ...]
+    source: Certificate = field(compare=False, repr=False)  # what the verdict read
     lambda_star: float | None = None
 
     def diagnostic(self, name: str) -> CheckResult:
@@ -127,7 +154,9 @@ def _test_report(rule: QuadratureRule, table: np.ndarray) -> TestFunctionReport:
     return TestFunctionReport(rule.n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1)))
 
 
-def _scan_checks(rule: QuadratureRule) -> CheckResult:
+@lru_cache(maxsize=1)
+def _scan_check(rule: QuadratureRule) -> CheckResult:
+    """``test_function_scan`` on a lower-bound rule, once for the potentials run back to back on it."""
     report = _test_report(rule, rule.table)
     bad, note = list(report.negative_indices), f"Q_j >= 0 for j <= {len(report.values)}"
     if bad:
@@ -140,32 +169,21 @@ class _Setup(NamedTuple):
     operator: HermiteOperator
     grid: np.ndarray
     pieces: tuple[np.ndarray, ...]
-    closing: tuple[CheckResult, ...]
 
 
-def _setup(
-    rule: QuadratureRule,
-    doubled: slice,
-    interval: tuple[float, float],
-    closing: tuple[CheckResult, ...],
-    head: tuple[np.ndarray, ...] = (),
-) -> _Setup:
-    """The part of a certificate check on the rule that does not depend on h.
-
-    ``doubled`` slices the nodes where the certificate also matches h'.
-    The rule's node table gives the Hermite operator's value rows, so the
-    nodes are tabulated once per rule; the dominance grid on the interval
-    and its table P_0..P_m, in consecutive column pieces (all read-only),
-    turn each dominance check into one product per piece.  ``head`` holds
-    the pieces of the grid's first points that the caller keeps; the rule
-    tabulates the rest.  ``closing`` holds the checks on the rule alone
-    that end each report.
-    """
+def _setup(rule: QuadratureRule, lower: bool) -> _Setup:
+    """What a verdict reads besides the certificate: the Hermite operator (value rows
+    from the rule's node table; slopes at every node but -1, and s for upper bounds)
+    and the dominance grid on ULB_INTERVAL or [-1, s], its table P_0..P_m in pieces."""
+    if lower:
+        doubled, interval, head = slice(rule.eps, None), ULB_INTERVAL, (_fixed_table(rule.n)[: rule.m + 1],)
+    else:
+        doubled, interval, head = slice(rule.eps, -1), (-1.0, rule.s), ()
     grid = dominance_grid(*interval, rule.nodes)
-    tail = gegenbauer_table(rule.n, rule.m, grid[sum(piece.shape[1] for piece in head) :])
+    tail = gegenbauer_table(rule.n, rule.m, grid[FIXED_POINTS if lower else 0 :])
     grid.flags.writeable = tail.flags.writeable = False
     operator = hermite_operator(rule.nodes, doubled, rule.n, rule.table)
-    return _Setup(rule, operator, grid, head + (tail,), closing)
+    return _Setup(rule, operator, grid, head + (tail,))
 
 
 @lru_cache(maxsize=8)
@@ -179,75 +197,56 @@ def _fixed_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _ulb_setup(n: int, capacity: float) -> _Setup:
-    """The part of a lower bound at (n, N_W) that does not depend on h.
-
-    The rule, its Q_j scan up to 3m and its certificate setup on
-    ULB_INTERVAL serve every potential at one (n, N_W).  The dominance
-    table's first piece, the 4000 points shared by every rule, is the first
-    m + 1 rows of :func:`_fixed_table` (tabulated once per dimension to
-    degree 25, 0.83 MB, for the 8 dimensions used last); the rule tabulates
-    only the other 1 + 81k points for its k nodes (0.15 MB at m = 20).  One
-    entry covers potentials run back to back and keeps the rules' pieces
-    from piling up.  Callers pass ``int`` and ``float`` so equal inputs
-    share one entry; a failed solve raises and stores nothing.
-    """
-    rule = solve_ulb_rule(n, capacity)
-    # the rule's node table, P_0..P_3m, serves the Q_j scan and the operator's value rows
-    return _setup(rule, slice(rule.eps, None), ULB_INTERVAL, (_scan_checks(rule),), (_fixed_table(n)[: rule.m + 1],))
+    """The rule at (n, N_W), with its node table P_0..P_3m for the Q_j scan,
+    and its setup, for every potential: one entry covers potentials run back
+    to back and keeps the rules' tables (0.15 MB at m = 20) from piling up.
+    Callers pass ``int`` and ``float`` so equal inputs share one entry; a
+    failed solve raises and stores nothing."""
+    return _setup(solve_ulb_rule(n, capacity), lower=True)
 
 
-def _lambda_star(gt: np.ndarray, f: np.ndarray, h: Potential, checks: list[CheckResult]) -> float:
-    ratios = gt[1:] / f[1 : gt.size]  # g_T has m coefficients, f has m + 1
-    lam = max(ratios[gt[1:] > 1e-12], default=0.0)
-    if classify(h) and f.size > 2:
-        shortcut = float(max(ratios, default=0.0))
-        agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
-        checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
-    return float(lam)
+def certificate(kind: str, setup: _Setup, h: Potential, capacity: float, f: np.ndarray | None) -> Certificate:
+    """The certificate of ``kind`` at N_W on the setup's rule: h at the nodes once, one
+    Hermite solve for g_T, and lambda* from f, which only ``uub`` passes."""
+    jet = hermite_jet(h, setup.operator)
+    return Certificate(kind, capacity, h, setup.rule, jet, hermite_interpolant(setup.operator, jet), f)
 
 
-def _certify(kind: str, setup: _Setup, h: Potential, capacity: float, f: np.ndarray | None = None) -> BoundReport:
-    """The bound of ``kind`` at capacity N_W on the setup's rule, with its checks.
+def verdict(cert: Certificate, setup: _Setup) -> BoundReport:
+    """Every check of the certificate, and its bound, on its rule's setup.
 
-    The certificate is g = g_T - lambda* f; only ``uub`` passes the
-    coefficients of the Levenshtein polynomial f, so lambda* = 0 for the
-    other kinds.  With N_1 the rule's capacity, ``objective_consistency``
-    compares
+    With N_1 the rule's capacity, ``objective_consistency`` compares
 
         objective = -lambda* f_0 (1 - N_1/N_W) + g_T,0 - g_T(1)/N_W
-        energy    = (-lambda* f_0 + g_T(1)/N_1) (1 - N_1/N_W) + sum_i rho_i h(alpha_i).
+        energy    = (-lambda* f_0 + g_T(1)/N_1) (1 - N_1/N_W) + sum_i rho_i h(alpha_i),
 
-    Lower bounds pass N_W = N_1, which with lambda* = 0 reduces these bit
-    for bit to g_T,0 - g_T(1)/N_W and the rule energy, and report the
-    energy side; upper bounds report the objective side.  g_T(1) is the
-    left-to-right sum of g_T's coefficients (:func:`value_at_one`).
-    Interpolation, coefficient signs, dominance and objective consistency
-    decide ``feasible``; the other checks are reported only.
+    with g_T(1) by :func:`value_at_one`.  Lower bounds have N_W = N_1 and
+    lambda* = 0, which reduce these bit for bit to g_T,0 - g_T(1)/N_W and the
+    rule energy, and report the energy side; upper bounds the objective side.
+    The four gates decide ``feasible``; the checks on the rule alone close the
+    report: the Q_j scan (lower); N_1's interval, the capacity and, for
+    ``uub``, s outside the validity interval (upper).
     """
-    rule, operator, grid, pieces, closing = setup
-    lower = kind in ("ulb", "design_ulb")
-    n1 = rule.capacity
-    # h at the nodes, evaluated once for the Hermite jet, node contact and rule energy
-    at_nodes = potential_eval(h, operator.points)
-    gt, residual = hermite_interpolant(h, operator, at_nodes)
-    interpolation = CheckResult("interpolation", residual <= 1e-9, residual)
+    kind, rule, h, gt, f, lam, coeffs = cert.kind, cert.rule, cert.potential, cert.gt, cert.f, cert.lam, cert.coeffs
+    lower, capacity, n1, n, m = kind in ("ulb", "design_ulb"), cert.capacity, rule.capacity, rule.n, rule.m
+    at_nodes = cert.jet[: len(rule.nodes)]
+    residual = interpolation_residual(setup.operator, gt, cert.jet)
+    interpolation = CheckResult("interpolation", residual <= INTERPOLATION_TOL, residual, "", INTERPOLATION_TOL)
     checks = [interpolation]
-    lam, f0, coeffs = 0.0, 0.0, gt
-    if f is not None:
-        lam, f0 = _lambda_star(gt, f, h, checks), f[0]
-        coeffs = np.append(gt, 0.0) - lam * f
+    f0 = 0.0 if f is None else f[0]
+    if f is not None and classify(h) and f.size > 2:
+        shortcut = float(max(gt[1:] / f[1 : gt.size], default=0.0))
+        agree = abs(shortcut - lam) <= 1e-9 * max(1.0, abs(lam))
+        checks.append(CheckResult("lambda_star_shortcut", bool(agree), shortcut))
 
     sign_name = "positive_definite" if lower else "coefficient_signs"
     if kind.startswith("design"):
         signs = CheckResult(sign_name, True, None, "not required for design bounds")
-    elif lower:
-        worst = float(coeffs[1:].min())
-        signs = CheckResult(sign_name, worst >= -COEFF_TOL, worst)
     else:
-        worst = float(coeffs[1:].max())
-        signs = CheckResult(sign_name, worst <= COEFF_TOL, worst)
-    ok_dom, violation = verify_dominance(coeffs, h, "below" if lower else "above", grid, pieces)
-    dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation)
+        worst = float(coeffs[1:].min() if lower else coeffs[1:].max())
+        signs = CheckResult(sign_name, worst >= -COEFF_TOL if lower else worst <= COEFF_TOL, worst, "", COEFF_TOL)
+    ok_dom, violation = verify_dominance(coeffs, h, "below" if lower else "above", setup.grid, setup.pieces)
+    dominance = CheckResult("dominance_below" if lower else "dominance_above", ok_dom, violation, "", DOMINANCE_TOL)
     checks += [dominance, signs] if lower else [signs, dominance]
     if f is not None:
         # g_T - lambda* f at the nodes, from the rule's node table
@@ -260,29 +259,73 @@ def _certify(kind: str, setup: _Setup, h: Potential, capacity: float, f: np.ndar
     rule_energy = fsum(w * v for w, v in zip(rule.weights, at_nodes.tolist()))
     energy = (-lam * f0 + gt1 / n1) * (1.0 - n1 / capacity) + rule_energy
     value = energy if lower else objective
-    ok_val = abs(objective - energy) <= VALUE_TOL * max(1.0, abs(value))
-    checks.append(CheckResult("objective_consistency", ok_val, abs(objective - energy)))
-
+    ok_val = bool(abs(objective - energy) <= VALUE_TOL * max(1.0, abs(value)))
+    checks.append(CheckResult("objective_consistency", ok_val, abs(objective - energy), "", VALUE_TOL))
     feasible = bool(interpolation.ok and signs.ok and ok_dom and ok_val)
+
+    if lower:
+        checks.append(_scan_check(rule))
+    else:
+        hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
+        dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
+        dgs += "" if hyp else "; reported only, bound still computed"
+        checks.append(CheckResult("n1_interval_hypothesis", hyp, n1, dgs))
+        attained = bool(n1 >= capacity - 1e-9)  # a code has N_W points at least, N_1 at most
+        vacuous = "N_1 < N_W: no code attains this capacity at this inner product"
+        checks.append(CheckResult("capacity_consistency", attained, n1, "" if attained else vacuous))
+        lo, hi = validity_interval(n, m)
+        if kind == "uub" and not lo <= rule.s <= hi + 1e-9:
+            checks.append(CheckResult("s_within_validity", False, rule.s, "degree override outside validity interval"))
     return BoundReport(
-        kind=kind,
-        n=rule.n,
-        m=rule.m,
-        rule=rule,
-        value=float(value),
-        certificate=GegenbauerSeries(rule.n, coeffs),
-        potential=h,
-        feasible=feasible,
-        diagnostics=tuple(checks) + closing,
-        lambda_star=None if lower else lam,
+        kind, n, m, rule, float(value), GegenbauerSeries(n, coeffs), h, feasible, tuple(checks), cert, None if lower else lam
     )
+
+
+def _hexed(x):
+    """x for JSON, every float as ``float.hex`` and every sequence a list."""
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [_hexed(v) for v in x]
+    if isinstance(x, dict):
+        return {key: _hexed(v) for key, v in x.items()}
+    return x.hex() if isinstance(x, float) else x
+
+
+def write_record(report: BoundReport) -> str:
+    """The exact record of the report's certificate: one line of JSON, every
+    float as ``float.hex``, holding what :func:`verdict` reads."""
+    cert, rule = report.source, report.source.rule
+    return json.dumps(_hexed({
+        "kind": cert.kind, "n": int(rule.n), "m": int(rule.m), "capacity": float(cert.capacity),
+        "potential": asdict(cert.potential), "nodes": rule.nodes, "weights": rule.weights,
+        "n1": rule.capacity, "gt": cert.gt, "f": cert.f,
+    }))
+
+
+def read_record(text: str) -> BoundReport:
+    """:func:`verdict` on a :func:`write_record` record's certificate; the rule is
+    rebuilt from its nodes and weights, with no rule solve or Hermite solve."""
+    r = json.loads(text)
+    floats = {key: tuple(map(float.fromhex, r[key] or ())) for key in ("nodes", "weights", "gt", "f")}
+    lower = r["kind"] in ("ulb", "design_ulb")
+    table = gegenbauer_table(r["n"], 3 * r["m"] if lower else r["m"], floats["nodes"])
+    table.flags.writeable = False
+    rule = QuadratureRule(r["n"], r["m"], floats["nodes"], floats["weights"], float.fromhex(r["n1"]), table)
+    setup, h = _setup(rule, lower), _record_potential(r["potential"])
+    f = None if r["f"] is None else np.array(floats["f"])
+    jet, gt = hermite_jet(h, setup.operator), np.array(floats["gt"])
+    return verdict(Certificate(r["kind"], float.fromhex(r["capacity"]), h, rule, jet, gt, f), setup)
+
+
+def _record_potential(spec: dict) -> Potential:
+    return Potential(spec["kind"], float.fromhex(spec["param"]), spec["base"] and _record_potential(spec["base"]))
 
 
 def ulb(n: int, capacity: float, h: Potential) -> BoundReport:
     """Universal lower bound on the weighted energy at capacity N_W > 2."""
     if not derivative_nonneg_from(h, 1):
         raise ValueError(f"potential {h.label()} lacks nonnegative derivatives of order >= 1")
-    return _certify("ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
+    setup = _ulb_setup(index(n), float(capacity))
+    return verdict(certificate("ulb", setup, h, float(capacity), None), setup)
 
 
 def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
@@ -301,23 +344,21 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="
             f" ({dgs_bound(n, tau)}, {dgs_bound(n, tau + 1)}]"
         )
-    return _certify("design_ulb", _ulb_setup(index(n), float(capacity)), h, float(capacity))
+    setup = _ulb_setup(index(n), float(capacity))
+    return verdict(certificate("design_ulb", setup, h, float(capacity), None), setup)
 
 
-def _levenshtein_rule(kind: str, n: int, m: int, s: float) -> tuple[QuadratureRule, np.ndarray | None, bool]:
-    """The degree-m Levenshtein rule at s, for ``uub`` its polynomial f, and
-    whether s lies in the validity interval (up to 1e-9 above its right end).
-
-    A rule that fails at an s outside the interval comes from an overridden
-    degree or a design's tau far from s: a usage error, not a failed rule.
-    """
-    lo, hi = validity_interval(n, m)
-    within = lo <= s <= hi + 1e-9
+def _levenshtein_rule(kind: str, n: int, m: int, s: float) -> tuple[QuadratureRule, np.ndarray | None]:
+    """The degree-m Levenshtein rule at s and, for ``uub``, its polynomial f.
+    A rule that fails at an s outside the validity interval (up to 1e-9 above
+    its right end) comes from an overridden degree or a design's tau far from
+    s: a usage error, not a failed rule."""
     try:
         rule = levenshtein_polynomial(n, m, s)
-        return rule, levenshtein_coefficients(rule) if kind == "uub" else None, within
+        return rule, levenshtein_coefficients(rule) if kind == "uub" else None
     except QuadratureError as exc:
-        if within:
+        lo, hi = validity_interval(n, m)
+        if lo <= s <= hi + 1e-9:
             raise
         what = f"degree {m}" if kind == "uub" else f"tau = {m}"
         raise ValueError(
@@ -334,9 +375,6 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
     where its weight at -1 vanishes, nor a few ulps above, where the rule's
     own weight check finds that weight rounded to 0; there ``fallback``
     takes the degree-(m - 1) rule, and otherwise the degree is refused.
-    The report closes with the checks on the rule alone: the N_1 interval
-    hypothesis, the capacity and, for ``uub``, s outside the validity
-    interval.
     """
     if not -1 <= s < 1:
         raise ValueError("s must lie in [-1, 1)")
@@ -361,23 +399,10 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
                 f"vanishes: no degree-{m} rule exists at this s; degree {m - 1} bounds it"
             )
         # a tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
-        m -= 1
-        built = _levenshtein_rule(kind, n, m, s)
-    rule, f, within = built
-    n1 = rule.capacity
-    hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
-    dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
-    # a code with sum of squared weights 1/N_W has at least N_W points, and its
-    # cardinality is capped by N_1; below that the bound is valid but vacuous
-    attained = bool(n1 >= capacity - 1e-9)
-    vacuous = "N_1 < N_W: no code attains this capacity at this inner product"
-    closing = (
-        CheckResult("n1_interval_hypothesis", hyp, n1, dgs + ("" if hyp else "; reported only, bound still computed")),
-        CheckResult("capacity_consistency", attained, n1, "" if attained else vacuous),
-    )
-    if kind == "uub" and not within:
-        closing += (CheckResult("s_within_validity", False, s, "degree override outside validity interval"),)
-    return _certify(kind, _setup(rule, slice(rule.eps, -1), (-1.0, s), closing), h, capacity, f)
+        built = _levenshtein_rule(kind, n, m - 1, s)
+    rule, f = built
+    setup = _setup(rule, lower=False)
+    return verdict(certificate(kind, setup, h, capacity, f), setup)
 
 
 def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None = None) -> BoundReport:

@@ -27,6 +27,7 @@ from .potentials import Potential, potential_derivative, potential_eval
 _STEPS = np.arange(4001.0)
 _OFFSETS = np.linspace(-1e-3, 1e-3, 81)
 _STEPS.flags.writeable = _OFFSETS.flags.writeable = False
+DOMINANCE_TOL = 1e-9  # the largest violation verify_dominance lets pass
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,24 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> Herm
     return HermiteOperator(points, doubled, matrix, row_scale, scaled)
 
 
-def hermite_interpolant(h: Potential, op: HermiteOperator, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Interpolate h on the operator's nodes: ``values``, h at ``op.points``,
-    everywhere and h' at doubled nodes.  Returns the coefficients c on
-    P_0..P_{T-1} and the node residual, the largest defect |A c - jet|
-    relative to max(1, |h|).
-    """
-    jet = np.concatenate((values, potential_derivative(h, op.doubled)))
+def hermite_jet(h: Potential, op: HermiteOperator) -> np.ndarray:
+    """h at the operator's points, then h' at its doubled nodes: its system's right-hand side."""
+    return np.concatenate((potential_eval(h, op.points), potential_derivative(h, op.doubled)))
+
+
+def hermite_interpolant(op: HermiteOperator, jet: np.ndarray) -> np.ndarray:
+    """The coefficients c on P_0..P_{T-1} that interpolate ``jet`` (:func:`hermite_jet`)."""
     try:
         # LU with partial pivoting (LAPACK dgesv) on every call; an explicit
         # inverse would lose 5-100x in accuracy
-        coeffs = np.linalg.solve(op.scaled, jet / op.row_scale)
+        return np.linalg.solve(op.scaled, jet / op.row_scale)
     except np.linalg.LinAlgError:
         raise ValueError(f"singular Hermite system on nodes {op.points.tolist()}") from None
-    residual = float(abs(op.matrix @ coeffs - jet).max()) / max(1.0, float(abs(values).max()))
-    return coeffs, residual
+
+
+def interpolation_residual(op: HermiteOperator, coeffs: np.ndarray, jet: np.ndarray) -> float:
+    """The largest defect |A c - jet| of coefficients c, relative to max(1, |h|) at the nodes."""
+    return float(abs(op.matrix @ coeffs - jet).max()) / max(1.0, float(abs(jet[: op.points.size]).max()))
 
 
 def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
@@ -121,7 +125,7 @@ def verify_dominance(coeffs: np.ndarray, h: Potential, direction: str, grid: np.
     consecutive column blocks of its ``gegenbauer_table(n, d, grid)``, d at
     least the degree of f, so f on the grid is one product per piece, each
     subtracted in place from h on the whole grid.  Tolerates violations up
-    to 1e-9.  Returns (ok, max_violation).
+    to DOMINANCE_TOL.  Returns (ok, max_violation).
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
@@ -133,4 +137,4 @@ def verify_dominance(coeffs: np.ndarray, h: Potential, direction: str, grid: np.
     if start != grid.size:
         raise ValueError(f"the table pieces cover {start} of the grid's {grid.size} points")
     violation = max(0.0, -float(diff.min()) if direction == "below" else float(diff.max()))
-    return violation <= 1e-9, violation
+    return violation <= DOMINANCE_TOL, violation

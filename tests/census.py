@@ -13,24 +13,28 @@ Two recipes, drawn in a fixed order:
 
 Each line is the outcome's key (its name ``recipe#index kind``, then
 the inputs, floats as hex), a tab, then either ``raise Type: message``
-or the report: feasible, value, lambda*, N_1, m, nodes, weights, the
-certificate's Gegenbauer coefficients and every diagnostic (name, ok,
-value, note), floats as hex.  Per-kind
+or two JSON objects split by a tab, every float as hex: the report's
+record (``spherelp.bounds.write_record``: kind, n, m, capacity N_W,
+potential, nodes, weights, n1, gt and f) and the verdict on it
+(feasible, value, lambda_star, the certificate's Gegenbauer
+coefficients and every diagnostic as [name, ok, value, note, tol]).
+``read_record`` gives that verdict back from the record alone.  Per-kind
 counts go to stderr.
 
 With spherelp importable (installed, or PYTHONPATH=src):
 
     python tests/census.py > outcomes.txt             # both recipes in full
-    python tests/census.py --compare before.txt after.txt
+    python tests/census.py --compare before.txt after.txt   # field by field
     python tests/census.py --known run1.txt run2.txt ... > tests/data/census_known.txt
 
 Which reports are infeasible depends in some cases on the BLAS kernel
-(gates such as dominance_above decided at round-off at N >= 1e8), so
-``--known`` takes full runs of one commit under several kernels, for
-example OPENBLAS_CORETYPE=Prescott, Nehalem, Sandybridge, Haswell and
-SkylakeX.  numpy's SIMD dispatch flips round-off outcomes as well: with
-its AVX-512 targets off (NPY_DISABLE_CPU_FEATURES), a full run has
-infeasible outcomes that runs differing only in the BLAS kernel do not.
+(gates such as dominance_above decided at round-off at N >= 1e8) and on
+numpy's SIMD dispatch, so ``--known`` takes full runs of one commit under
+several numerics, for example OPENBLAS_CORETYPE=Prescott, Nehalem,
+Sandybridge, Haswell and SkylakeX, each once as is and once with numpy's
+AVX-512 targets off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"): with them off, a full run has infeasible outcomes that
+runs differing only in the BLAS kernel do not.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import astuple
 from functools import partial
 
-from spherelp.bounds import design_ulb, design_uub, ulb, uub
+from spherelp.bounds import _hexed, design_ulb, design_uub, ulb, uub, write_record
 from spherelp.potentials import parse_potential
 from spherelp.quadrature import dgs_bound, validity_interval
 
@@ -95,24 +100,21 @@ def boundary_calls():
 
 
 def outcome(call) -> str:
-    """The outcome of one call as text: the raised error or the report, floats as hex."""
+    """The outcome of one call as text: the raised error, or the report's record and verdict."""
     try:
         report = call()
     except Exception as exc:  # noqa: BLE001 - every raise is an outcome to record
         return f"raise {type(exc).__name__}: " + " ".join(str(exc).split())
-    rule = report.rule
-    fields = [
-        f"feasible={report.feasible}",
-        f"value={_hex(report.value)}",
-        f"lambda={_hex(report.lambda_star)}",
-        f"n1={_hex(rule.capacity)}",
-        f"m={report.m}",
-        "nodes=" + ",".join(map(_hex, rule.nodes)),
-        "weights=" + ",".join(map(_hex, rule.weights)),
-        "certificate=" + ",".join(map(_hex, report.certificate.coeffs)),
-    ]
-    fields += [f"{c.name}={c.ok}:{_hex(c.value)}:{json.dumps(c.note)}" for c in report.diagnostics]
-    return "\t".join(fields)
+    return f"{write_record(report)}\t{verdict_text(report)}"
+
+
+def verdict_text(report) -> str:
+    """The report's verdict as JSON, floats as hex."""
+    verdict = {
+        "feasible": report.feasible, "value": report.value, "lambda_star": report.lambda_star,
+        "certificate": report.certificate.coeffs, "diagnostics": [astuple(c) for c in report.diagnostics],
+    }
+    return json.dumps(_hexed(verdict))
 
 
 def outcomes(stride: int = 1):
@@ -127,7 +129,15 @@ def status(text: str) -> str:
     """``feasible``, ``infeasible`` or ``raise Type``."""
     if text.startswith("raise "):
         return text.split(":", 1)[0]
-    return "feasible" if text.startswith("feasible=True") else "infeasible"
+    return "feasible" if parsed(text)["feasible"] else "infeasible"
+
+
+def parsed(text: str | None) -> dict:
+    """An outcome's fields: its raise, or its record's and its verdict's."""
+    if text is None or text.startswith("raise "):
+        return {"raise": text}
+    record, verdict = text.split("\t")
+    return {**json.loads(record), **json.loads(verdict)}
 
 
 def name(key: str) -> str:
@@ -154,13 +164,20 @@ def known(paths) -> list[str]:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    """Print every outcome that differs between two census files; 1 if any does."""
+    """Print every outcome whose parsed fields differ between two census files, with
+    those fields; 1 if any does."""
     a, b = _read(path_a), _read(path_b)
     keys = list(a) + [key for key in b if key not in a]
-    differ = [key for key in keys if a.get(key) != b.get(key)]
-    for key in differ:
-        print(f"{key}\n  - {a.get(key)}\n  + {b.get(key)}")
-    print(f"{len(differ)} of {len(keys)} outcomes differ")
+    differ = 0
+    for key in keys:
+        fa, fb = parsed(a.get(key)), parsed(b.get(key))
+        if fa != fb:
+            differ += 1
+            print(key)
+            for field in dict.fromkeys([*fa, *fb]):
+                if fa.get(field) != fb.get(field):
+                    print(f"  {field}\n    - {fa.get(field)}\n    + {fb.get(field)}")
+    print(f"{differ} of {len(keys)} outcomes differ")
     return 1 if differ else 0
 
 

@@ -4,13 +4,14 @@ These are closed forms, evaluators and random-polynomial identities that
 the library itself never needs: Clenshaw evaluation of a Gegenbauer
 series, the moments of the inner-product measure mu_n, exact monomial
 integrals over the sphere, the design and cubature residuals of a
-weighted code, and the closed-form energies of the two flagship
-configurations.  The test files import them as ``from oracles import ...``;
+weighted code, the closed-form energies of the two flagship
+configurations, and three sharp codes built from the E8 roots.  The test files import them as ``from oracles import ...``;
 the module has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -136,3 +137,46 @@ def closed_form_energy(name: str, n: int | None, h: Potential) -> float:
         )
         return fsum(terms)
     raise ValueError(f"no closed-form energy for {name!r}")
+
+
+def e8_roots() -> np.ndarray:
+    """The 240 roots of E8, of norm sqrt 2: (+-1, +-1, 0^6) in any two places,
+    and (+-1/2)^8 with an even number of minus signs."""
+    pairs = np.zeros((112, 8))
+    for row, ((i, j), signs) in enumerate(product(combinations(range(8), 2), product((1.0, -1.0), repeat=2))):
+        pairs[row, [i, j]] = signs
+    halves = np.array(list(product((0.5, -0.5), repeat=8)))
+    return np.vstack((pairs, halves[(halves < 0).sum(axis=1) % 2 == 0]))
+
+
+# name: (n, N, the inner products other than 1); Cohn and Kumar, J. AMS 2007, Table 1
+SHARP_CODES = {
+    "e8": (8, 240, (-1.0, -0.5, 0.0, 0.5)),
+    "gosset": (7, 56, (-1.0, -1 / 3, 1 / 3)),
+    "schlafli": (6, 27, (-0.5, 0.25)),
+}
+
+
+def sharp_code(name: str) -> WeightedCode:
+    """A sharp code of SHARP_CODES with equal weights, from the E8 roots x.
+
+    ``e8``: x / sqrt 2.  ``gosset``: the x with <x, r1> = 1 for r1 = (1, 1,
+    0^6), and ``schlafli``: those with also <x, r2> = 0 for r2 = (1, 0, 1,
+    0^5), <r1, r2> = 1.  Both are centred by their coordinates in an
+    orthonormal basis of the complement of r1 (and r2): (1, -1, 0^6)/sqrt 2
+    and e_3..e_8, or (1, -1, -1, 0^5)/sqrt 3 and e_4..e_8; their norms are
+    sqrt(3/2) and sqrt(4/3).
+    """
+    roots = e8_roots()
+    r1, r2 = np.eye(8)[0] + np.eye(8)[1], np.eye(8)[0] + np.eye(8)[2]
+    if name == "e8":
+        points = roots / sqrt(2)
+    elif name == "gosset":
+        x = roots[roots @ r1 == 1]
+        points = np.column_stack(((x[:, 0] - x[:, 1]) / sqrt(2), x[:, 2:])) / sqrt(3 / 2)
+    else:
+        x = roots[(roots @ r1 == 1) & (roots @ r2 == 0)]
+        points = np.column_stack(((x[:, 0] - x[:, 1] - x[:, 2]) / sqrt(3), x[:, 3:])) / sqrt(4 / 3)
+    n, size, _ = SHARP_CODES[name]
+    assert points.shape == (size, n)
+    return WeightedCode(n, points, np.full(size, 1 / size))

@@ -14,11 +14,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from spherelp import bounds, codes
+import census
+from spherelp import bounds, codes, quadrature
 from spherelp._tables import (
     TABLE2_NODES,
     TABLE2_WEIGHTS,
     cell_matches,
+    reproduce,
     reproduce_table1,
     reproduce_table3,
     reproduce_table4,
@@ -234,6 +236,21 @@ def test_criterion_10_low_degree_closed_forms():
             hs, hm = potential_eval(h, s), potential_eval(h, -1.0)
             want = ((n - 1) * hs + (1 - n * s * s) * hm) / (n * (1 - s * s)) - hm / capacity
             assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("table", ["3", "4", "examples"])  # the tables of reproduce --table all that certify bounds
+def test_criterion_11_reproduce_certificates_come_back_from_their_records(table, monkeypatch):
+    with criterion(11, f"table {table}: each certificate's record alone gives its report back, bit for bit"):
+        reports, verdict = [], bounds.verdict
+        monkeypatch.setattr(bounds, "verdict", lambda cert, setup: reports.append(verdict(cert, setup)) or reports[-1])
+        reproduce(table)
+        monkeypatch.setattr(bounds, "verdict", verdict)
+        assert reports
+        for module in (bounds, quadrature):
+            for solve in ("solve_ulb_rule", "levenshtein_polynomial"):
+                monkeypatch.setattr(module, solve, lambda *args: pytest.fail(f"a rule was solved: {args}"))
+        for report in reports:
+            assert census.verdict_text(bounds.read_record(bounds.write_record(report))) == census.verdict_text(report)
 
 
 def test_reference_table1_structure():

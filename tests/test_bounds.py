@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import clenshaw
+import census
+from oracles import SHARP_CODES, clenshaw, sharp_code
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.cli import main
 from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
-from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
+from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_jet, hermite_operator, verify_dominance
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
 from spherelp.potentials import (
     fejes_toth,
@@ -469,7 +470,7 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
         rule = report.rule
         nodes = np.asarray(rule.nodes)
         op = hermite_operator(nodes, slice(rule.eps, -1), n, gegenbauer_table(n, rule.m, nodes))
-        g_t = hermite_interpolant(h, op, potential_eval(h, nodes))[0]
+        g_t = hermite_interpolant(op, hermite_jet(h, op))
         assert report.certificate == GegenbauerSeries(n, g_t)
         assert report.lambda_star == 0.0
         g0, g1 = g_t[0], value_at_one(g_t)
@@ -843,3 +844,25 @@ def test_ulb_n2_degree_24_is_feasible():
     report = ulb(2, 25.5, riesz(1))
     assert report.m == 24 and report.feasible
     assert report.diagnostic("interpolation").value <= 1e-13
+
+
+SHARP_ULB_DEGREES = {"e8": 6, "gosset": 4, "schlafli": 3}  # N = D(n, m + 1), the right end of each interval
+
+
+@pytest.mark.parametrize("spec", ["riesz:1", "gaussian:1", "log"])
+@pytest.mark.parametrize("name", list(SHARP_CODES))
+def test_sharp_codes_attain_both_bounds(name, spec):
+    # a sharp code's energy is both bounds, and its inner products other than 1
+    # are the rules' nodes of positive weight; which side of the energy each
+    # bound lands on is round-off, so the bracket itself is not pinned here
+    n, size, products = SHARP_CODES[name]
+    code, h = sharp_code(name), parse_potential(spec)
+    e = energy(code, h)
+    lower, upper = ulb(n, size, h), uub(n, size, code.max_inner_product, h)
+    assert lower.m == SHARP_ULB_DEGREES[name]
+    for report in (lower, upper):
+        assert report.feasible
+        nodes = [a for a, w in zip(report.rule.nodes, report.rule.weights) if w > 1e-12]
+        assert len(nodes) == len(products) and max(abs(np.subtract(nodes, products))) <= 1e-12
+        assert abs(report.value - e) <= 4 * np.finfo(float).eps * abs(e)
+        assert census.verdict_text(bounds.read_record(bounds.write_record(report))) == census.verdict_text(report)

@@ -6,7 +6,14 @@ from numpy.testing import assert_allclose
 
 from oracles import clenshaw
 from spherelp.bounds import ULB_INTERVAL, design_uub, ulb, uub
-from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_operator, verify_dominance
+from spherelp.hermite import (
+    dominance_grid,
+    hermite_interpolant,
+    hermite_jet,
+    hermite_operator,
+    interpolation_residual,
+    verify_dominance,
+)
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table
 from spherelp.potentials import (
     fejes_toth,
@@ -36,7 +43,10 @@ def _operator(points, doubled, n):
 
 
 def _solve(h, op):
-    return hermite_interpolant(h, op, potential_eval(h, op.points))
+    """The interpolant's coefficients on the operator and their node residual."""
+    jet = hermite_jet(h, op)
+    coeffs = hermite_interpolant(op, jet)
+    return coeffs, interpolation_residual(op, coeffs, jet)
 
 
 def _interpolant(h, points, doubled, n):
