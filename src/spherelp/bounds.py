@@ -32,6 +32,7 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     WeightAtMinusOneError,
+    _verified_rule,
     dgs_bound,
     exactness_residuals,
     levenshtein_coefficients,
@@ -154,36 +155,32 @@ def _test_report(rule: QuadratureRule, table: np.ndarray) -> TestFunctionReport:
     return TestFunctionReport(rule.n, rule.m, rule, dict(enumerate(res.tolist()[1:], 1)))
 
 
-@lru_cache(maxsize=1)
-def _scan_check(rule: QuadratureRule) -> CheckResult:
-    """``test_function_scan`` on a lower-bound rule, once for the potentials run back to back on it."""
-    report = _test_report(rule, rule.table)
-    bad, note = list(report.negative_indices), f"Q_j >= 0 for j <= {len(report.values)}"
-    if bad:
-        note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
-    return CheckResult("test_function_scan", not bad, min(list(report.values.values())[rule.m :]), note)
-
-
 class _Setup(NamedTuple):
     rule: QuadratureRule
     operator: HermiteOperator
     grid: np.ndarray
     pieces: tuple[np.ndarray, ...]
+    scan: CheckResult | None
 
 
 def _setup(rule: QuadratureRule, lower: bool) -> _Setup:
     """What a verdict reads besides the certificate: the Hermite operator (value rows
-    from the rule's node table; slopes at every node but -1, and s for upper bounds)
-    and the dominance grid on ULB_INTERVAL or [-1, s], its table P_0..P_m in pieces."""
+    from the rule's node table; slopes at every node but -1, and s for upper bounds), the
+    dominance grid on ULB_INTERVAL or [-1, s], its table P_0..P_m in pieces, and (lower) the Q_j scan."""
     if lower:
         doubled, interval, head = slice(rule.eps, None), ULB_INTERVAL, (_fixed_table(rule.n)[: rule.m + 1],)
+        report = _test_report(rule, rule.table)
+        bad, note = list(report.negative_indices), f"Q_j >= 0 for j <= {len(report.values)}"
+        if bad:
+            note = f"ULB improvable, degree >= m+3: negative Q_j at j={bad}"
+        scan = CheckResult("test_function_scan", not bad, min(list(report.values.values())[rule.m :]), note)
     else:
-        doubled, interval, head = slice(rule.eps, -1), (-1.0, rule.s), ()
+        doubled, interval, head, scan = slice(rule.eps, -1), (-1.0, rule.s), (), None
     grid = dominance_grid(*interval, rule.nodes)
     tail = gegenbauer_table(rule.n, rule.m, grid[FIXED_POINTS if lower else 0 :])
     grid.flags.writeable = tail.flags.writeable = False
     operator = hermite_operator(rule.nodes, doubled, rule.n, rule.table)
-    return _Setup(rule, operator, grid, head + (tail,))
+    return _Setup(rule, operator, grid, head + (tail,), scan)
 
 
 @lru_cache(maxsize=8)
@@ -197,8 +194,8 @@ def _fixed_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _ulb_setup(n: int, capacity: float) -> _Setup:
-    """The rule at (n, N_W), with its node table P_0..P_3m for the Q_j scan,
-    and its setup, for every potential: one entry covers potentials run back
+    """The rule at (n, N_W), with its node table P_0..P_3m, and its setup with
+    the Q_j scan, for every potential: one entry covers potentials run back
     to back and keeps the rules' tables (0.15 MB at m = 20) from piling up.
     Callers pass ``int`` and ``float`` so equal inputs share one entry; a
     failed solve raises and stores nothing."""
@@ -264,7 +261,7 @@ def verdict(cert: Certificate, setup: _Setup) -> BoundReport:
     feasible = bool(interpolation.ok and signs.ok and ok_dom and ok_val)
 
     if lower:
-        checks.append(_scan_check(rule))
+        checks.append(setup.scan)
     else:
         hyp = dgs_bound(n, m) < n1 <= dgs_bound(n, m + 1)
         dgs = f"D({n},{m})={dgs_bound(n, m)}, D({n},{m + 1})={dgs_bound(n, m + 1)}"
@@ -302,14 +299,12 @@ def write_record(report: BoundReport) -> str:
 
 
 def read_record(text: str) -> BoundReport:
-    """:func:`verdict` on a :func:`write_record` record's certificate; the rule is
-    rebuilt from its nodes and weights, with no rule solve or Hermite solve."""
+    """:func:`verdict` on a :func:`write_record` record's certificate, with no rule solve or
+    Hermite solve; its rule must pass the gates of a solved rule, or QuadratureError is raised."""
     r = json.loads(text)
     floats = {key: tuple(map(float.fromhex, r[key] or ())) for key in ("nodes", "weights", "gt", "f")}
-    lower = r["kind"] in ("ulb", "design_ulb")
-    table = gegenbauer_table(r["n"], 3 * r["m"] if lower else r["m"], floats["nodes"])
-    table.flags.writeable = False
-    rule = QuadratureRule(r["n"], r["m"], floats["nodes"], floats["weights"], float.fromhex(r["n1"]), table)
+    lower, m = r["kind"] in ("ulb", "design_ulb"), r["m"]
+    rule = _verified_rule(r["n"], m, floats["nodes"], floats["weights"], float.fromhex(r["n1"]), 3 * m if lower else m)
     setup, h = _setup(rule, lower), _record_potential(r["potential"])
     f = None if r["f"] is None else np.array(floats["f"])
     jet, gt = hermite_jet(h, setup.operator), np.array(floats["gt"])

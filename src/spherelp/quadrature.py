@@ -240,17 +240,22 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
             )
         nodes[0] = -1.0
     weights = vectors[0] ** 2 / (1.0 - nodes)
-    low = int(np.argmin(weights))
-    if weights[low] <= 0:
-        raise (WeightAtMinusOneError if eps == 1 and low == 0 else QuadratureError)(
-            f"nonpositive quadrature weight for {where}: "
-            f"weight {low} of {weights.size} is {weights[low]:.6g}"
+    return _verified_rule(n, m, nodes, weights, capacity, m if table_degree is None else table_degree)
+
+
+def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree: int) -> QuadratureRule:
+    """The rule on snapped ``nodes`` (s last) and ``weights``, held to the gates that follow the snapping."""
+    where = f"(n={n}, m={m}, s={nodes[-1]:.12g}, capacity={capacity:.12g})"
+    low = int(np.argmin(weights))  # the first NaN, if any, which fails the gate
+    if not weights[low] > 0:
+        raise (WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError)(
+            f"nonpositive quadrature weight for {where}: weight {low} of {len(weights)} is {weights[low]:.6g}"
         )
-    table = gegenbauer_table(n, m if table_degree is None else table_degree, nodes)
+    table = gegenbauer_table(n, table_degree, nodes)
     table.flags.writeable = False
     residuals = exactness_residuals(table[: m + 1], weights, capacity)
     worst = int(np.argmax(np.abs(residuals)))
-    if abs(residuals[worst]) > 1e-9:
+    if not abs(residuals[worst]) <= 1e-9:
         raise QuadratureError(
             f"quadrature exactness failure for {where}: "
             f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"

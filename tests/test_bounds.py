@@ -729,8 +729,8 @@ def test_ulb_memo_is_bounded_and_its_grid_read_only():
 def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
     from spherelp import hermite
 
-    calls = []
-    build = hermite.hermite_operator
+    calls, scans = [], []
+    build, scan = hermite.hermite_operator, bounds._test_report
 
     def counting_build(points, doubled, n, values):
         calls.append(n)
@@ -738,12 +738,14 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
 
     monkeypatch.setattr(bounds, "hermite_operator", counting_build)
     monkeypatch.setattr(hermite, "hermite_operator", counting_build)
+    monkeypatch.setattr(bounds, "_test_report", lambda rule, table: scans.append(len(table)) or scan(rule, table))
     bounds._ulb_setup.cache_clear()
-    for h in (riesz(1), riesz(2), gaussian(1), logarithmic(), fejes_toth()):
-        ulb(4, 24.0, h)
-    design_ulb(4, 24.0, 5, newton(4))
-    assert calls == [4]
+    reports = [ulb(4, 24.0, h) for h in (riesz(1), riesz(2), gaussian(1), logarithmic(), fejes_toth())]
+    reports.append(design_ulb(4, 24.0, 5, newton(4)))
+    # one operator and one Q_j scan (on P_0..P_3m) for the rule, both in its memo entry
+    assert calls == [4] and scans == [3 * reports[0].m + 1]
     setup = bounds._ulb_setup(4, 24.0)
+    assert all(report.diagnostic("test_function_scan") is setup.scan for report in reports)
     op = setup.operator
     for array in (*setup.pieces, op.points, op.doubled, op.matrix, op.row_scale, op.scaled):
         assert not array.flags.writeable
@@ -752,6 +754,27 @@ def test_ulb_memo_builds_one_operator_per_rule(monkeypatch):
             piece[0, 0] = 0.0
     whole = gegenbauer_table(4, setup.rule.m, setup.grid)
     assert np.hstack(setup.pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda weights: weights[:2] + [-weights[2]] + weights[3:], "nonpositive quadrature weight"),
+        (lambda weights: [w * (1 + 1e-6) for w in weights], "quadrature exactness failure"),
+        (lambda weights: weights[:2] + [math.nan] + weights[3:], "nonpositive quadrature weight"),
+    ],
+    ids=["one-weight-negated", "weights-scaled", "one-weight-nan"],
+)
+def test_read_record_holds_its_rule_to_the_rule_gates(edit, message):
+    # a record's rule passes the gates a solved rule passes, with the same messages
+    report = ulb(3, PENTAKIS_CAPACITY, riesz(1))
+    record = json.loads(bounds.write_record(report))
+    record["weights"] = [w.hex() for w in edit([float.fromhex(w) for w in record["weights"]])]
+    with pytest.raises(QuadratureError) as info:
+        bounds.read_record(json.dumps(record))
+    where = f"(n=3, m=9, s={report.rule.s:.12g}, capacity={report.rule.capacity:.12g})"
+    assert str(info.value).startswith(f"{message} for {where}: ")
+    assert type(info.value) is QuadratureError
 
 
 def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():

@@ -10,8 +10,18 @@ both trees for every workload of ``BENCHMARK.json``, the parent first for odd i 
 a slow spell of the host falls on both sides alike.  For every end-to-end
 metric of ``BENCHMARK.json`` the output holds each side's median and
 quartiles (inclusive method) over its runs, the change of the median in
-percent, ``pairs_better`` (the pairs in which the change was better) and
-the raw runs.  A run that fails stops the comparison with exit status 1.
+percent, ``pairs_better`` (the pairs in which the change was better), a
+``verdict`` and the raw runs.  The verdict is the first that holds of:
+
+* ``gain``: the change is better in at least nine tenths of the pairs, and
+  its median is better than the parent's by more than the parent's q3 - q1;
+* ``worse``: its median is worse than the parent's by more than the
+  metric's ``bound`` in ``BENCHMARK.json``, relative to the parent's median;
+* ``unresolved``: the parent's q3 - q1 exceeds that bound times its median,
+  and some run of the change is no better than some run of the parent;
+* ``within bound``.
+
+A run that fails stops the comparison with exit status 1.
 """
 
 from __future__ import annotations
@@ -41,8 +51,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarise(runs: dict[str, list[float]], better: str) -> dict:
-    """Medians, quartiles, the median's change and pairs_better of two run lists in pair order."""
+def summarise(runs: dict[str, list[float]], better: str, bound: float) -> dict:
+    """Medians, quartiles, the median's change, pairs_better and the verdict of two
+    run lists in pair order, for a metric with this direction and regression bound."""
     out = {}
     for side in SIDES:
         values = runs[side]
@@ -54,6 +65,15 @@ def summarise(runs: dict[str, list[float]], better: str) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
     out["median_change_pct"] = round(100 * (change - parent) / parent, 1)
     out["pairs_better"] = f"{wins} of {len(runs['parent'])}"
+    spread = out["parent"]["q3"] - out["parent"]["q1"]
+    if 10 * wins >= 9 * len(runs["parent"]) and sign * (change - parent) > spread:
+        out["verdict"] = "gain"
+    elif sign * (parent - change) > bound * abs(parent):
+        out["verdict"] = "worse"
+    elif spread > bound * abs(parent) and min(sign * c for c in runs["change"]) <= max(sign * p for p in runs["parent"]):
+        out["verdict"] = "unresolved"
+    else:
+        out["verdict"] = "within bound"
     return out
 
 
@@ -77,7 +97,7 @@ def compare(trees: dict[str, Path], workload: str, pairs: int, seconds: float, m
         out["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            **summarise(runs, metric["better"]),
+            **summarise(runs, metric["better"], metric["bound"]),
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
         }
@@ -115,7 +135,7 @@ def main() -> int:
             f"each side run from its own copy of the tree; {args.pairs} pairs per workload, pair i uses seed i "
             "for both sides; the side that runs first alternates (parent first for odd seeds); medians and "
             "quartiles (inclusive method) over the runs of each side; pairs_better counts the pairs in which "
-            "the change was better (tools/bench_pairs.py)"
+            "the change was better; verdict as defined in tools/bench_pairs.py"
         ),
         "host": host(),
         "workloads": {},
@@ -130,7 +150,8 @@ def main() -> int:
     for workload, result in report["workloads"].items():
         for name, metric in result["metrics"].items():
             print(f"{workload:12} {name:12} parent {metric['parent']['median']:.6g} change "
-                  f"{metric['change']['median']:.6g} ({metric['median_change_pct']:+}%) better in {metric['pairs_better']}")
+                  f"{metric['change']['median']:.6g} ({metric['median_change_pct']:+}%) better in {metric['pairs_better']}: "
+                  f"{metric['verdict']}")
     return 0
 
 
