@@ -26,12 +26,13 @@ import numpy as np
 from .hermite import DOMINANCE_TOL, HermiteOperator, dominance_grid, hermite_interpolant, hermite_jet, hermite_operator
 from .hermite import interpolation_residual, verify_dominance
 from .orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
-from .potentials import Potential, classify, derivative_nonneg_from
+from .potentials import MAX_SHIFT_DEPTH, Potential, classify, derivative_nonneg_from
 from .quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
     QuadratureRule,
     WeightAtMinusOneError,
+    _check_levenshtein,
     _verified_rule,
     dgs_bound,
     exactness_residuals,
@@ -54,6 +55,7 @@ ULB_INTERVAL = (-1.0, 0.999)  # where lower-bound certificates must stay below h
 # the body or tail position it has in one product over the whole grid, so the
 # products of the two pieces keep that product's bits (4001 does not).
 FIXED_POINTS = 4000
+_KINDS = ("ulb", "design_ulb", "uub", "design_uub")
 
 
 @dataclass(frozen=True)
@@ -299,20 +301,55 @@ def write_record(report: BoundReport) -> str:
 
 
 def read_record(text: str) -> BoundReport:
-    """:func:`verdict` on a :func:`write_record` record's certificate, with no rule solve or
-    Hermite solve; its rule must pass the gates of a solved rule, or QuadratureError is raised."""
+    """:func:`verdict` on a :func:`write_record` record's certificate, with no rule solve or Hermite
+    solve.  A malformed field outside the rule raises ValueError naming it; the rule and f must pass
+    the gates of a solved rule and a computed f, or QuadratureError is raised with their messages."""
     r = json.loads(text)
-    floats = {key: tuple(map(float.fromhex, r[key] or ())) for key in ("nodes", "weights", "gt", "f")}
-    lower, m = r["kind"] in ("ulb", "design_ulb"), r["m"]
-    rule = _verified_rule(r["n"], m, floats["nodes"], floats["weights"], float.fromhex(r["n1"]), 3 * m if lower else m)
-    setup, h = _setup(rule, lower), _record_potential(r["potential"])
-    f = None if r["f"] is None else np.array(floats["f"])
-    jet, gt = hermite_jet(h, setup.operator), np.array(floats["gt"])
-    return verdict(Certificate(r["kind"], float.fromhex(r["capacity"]), h, rule, jet, gt, f), setup)
+    if type(r) is not dict:
+        raise ValueError(f"a record is one JSON object, not {r!r:.80}")
+    kind = _field(r, "kind", f"one of {', '.join(_KINDS)}", ok=lambda v: v in _KINDS)
+    n = _field(r, "n", "an integer >= 2", index, lambda v: v >= 2)
+    m = _field(r, "m", f"an integer from 1 to {MAX_RULE_DEGREE}", index, lambda v: 1 <= v <= MAX_RULE_DEGREE)
+    lower, upper, record = kind in ("ulb", "design_ulb"), kind == "uub", f"for a degree-{m} {kind} record"
+    gt = _field(r, "gt", f"{m + lower} numbers {record}", _hex_floats, lambda v: len(v) == m + lower)
+    if upper:
+        f = np.array(_field(r, "f", f"{m + 1} numbers {record}", _hex_floats, lambda v: len(v) == m + 1))
+    else:
+        f = _field(r, "f", f"null {record}", ok=lambda v: v is None)
+    n1 = _field(r, "n1", "a finite nonzero number", float.fromhex, lambda v: isfinite(v) and v != 0)
+    # a lower bound's rule is solved at its capacity N_W, so N_1 = N_W
+    want = "a positive finite number" + (f" equal to n1 {record}" if lower else "")
+    capacity = _field(r, "capacity", want, float.fromhex, lambda v: 0 < v < inf and (v == n1 or not lower))
+    h = _field(r, "potential", f"a recorded potential with at most {MAX_SHIFT_DEPTH} shift levels", _record_potential)
+    nodes, weights = (_field(r, key, "a list of numbers", _hex_floats) for key in ("nodes", "weights"))
+    rule = _verified_rule(n, m, nodes, weights, n1, 3 * m if lower else m)
+    if upper:
+        _check_levenshtein(rule, f)
+    setup = _setup(rule, lower)
+    return verdict(Certificate(kind, capacity, h, rule, hermite_jet(h, setup.operator), np.array(gt), f), setup)
 
 
-def _record_potential(spec: dict) -> Potential:
-    return Potential(spec["kind"], float.fromhex(spec["param"]), spec["base"] and _record_potential(spec["base"]))
+def _field(record: dict, key: str, want: str, read=lambda v: v, ok=lambda v: True):
+    """``read(record[key])`` if ``ok`` accepts it, else a ValueError naming the field and ``want``."""
+    try:
+        if ok(value := read(record[key])):
+            return value
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"record field {key!r} must be {want}, got {record.get(key)!r:.80}")
+
+
+def _hex_floats(values: list) -> tuple[float, ...]:
+    """A JSON list of ``float.hex`` strings as floats."""
+    if type(values) is not list:
+        raise TypeError(f"a list of numbers is a JSON array, not {type(values).__name__}")
+    return tuple(map(float.fromhex, values))
+
+
+def _record_potential(spec: dict, depth: int = 0) -> Potential:
+    if depth > MAX_SHIFT_DEPTH:
+        raise ValueError(f"a potential nests at most {MAX_SHIFT_DEPTH} shift levels")
+    return Potential(spec["kind"], float.fromhex(spec["param"]), spec["base"] and _record_potential(spec["base"], depth + 1))
 
 
 def ulb(n: int, capacity: float, h: Potential) -> BoundReport:

@@ -41,17 +41,18 @@ class Potential:
             raise ValueError("shifted potential needs a base")
 
     def label(self) -> str:
-        if self.kind == "riesz":
-            return f"riesz:{self.param:g}"
+        """The spec :func:`parse_potential` reads back as h: parameters in ``:g`` where that round-trips, else repr."""
+        short = f"{self.param:g}"
+        param = short if float(short) == self.param else repr(self.param)
+        if self.kind in ("riesz", "gaussian"):
+            return f"{self.kind}:{param}"
         if self.kind == "newton":
             return f"newton:{int(self.param)}"
-        if self.kind == "gaussian":
-            return f"gaussian:{self.param:g}"
         if self.kind == "logarithmic":
             return "log"
         if self.kind == "fejes_toth":
             return "fejes-toth"
-        return f"shift:{self.param:g}:{self.base.label()}"
+        return f"shift:{param}:{self.base.label()}"
 
 
 def riesz(alpha: float) -> Potential:

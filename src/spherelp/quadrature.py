@@ -196,10 +196,9 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
     Jacobi matrix of nu carries the fixed nodes as eigenvalues; the
     eigenvalues are the nodes and, with v_0 the first components of the unit
     eigenvectors, rho_i = v_0i^2 / (1 - alpha_i) (Golub-Welsch), positive by
-    construction.  The capacity enters only the verification: ascending
-    nodes in [-1, 1) with s largest and -1 present for even m, positive
-    weights, and exactness on P_0..P_m within 1e-9, read from the first
-    m + 1 rows of the node table.
+    construction.  The largest eigenvalue must lie within 1e-6 of s and,
+    for even m, the smallest within 1e-7 of -1; both are snapped, and the
+    capacity enters only the gates of :func:`_verified_rule`.
     """
     k, eps = split_degree(m)
     diag, off = (list(v) for v in _jacobi_matrix(n, 0, k + eps))
@@ -216,16 +215,6 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
         diag[0] = s
     nodes, vectors = np.linalg.eigh(_tridiagonal(diag, off))  # ascending, unit eigenvectors as columns
     where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
-    if nodes.size > 1:
-        gap = int(np.argmin(np.diff(nodes)))
-        if nodes[gap + 1] - nodes[gap] <= 1e-9:
-            raise QuadratureError(
-                f"repeated nodes for {where}: nodes {gap} and {gap + 1} are "
-                f"{nodes[gap + 1] - nodes[gap]:.6g} apart"
-            )
-    if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
-        bad = 0 if nodes[0] < -1 - 1e-9 else nodes.size - 1
-        raise QuadratureError(f"node outside [-1, 1) for {where}: node {bad} is {nodes[bad]:.17g}")
     if abs(nodes[-1] - s) > 1e-6:
         raise QuadratureError(
             f"largest node does not match s for {where}: it is {nodes[-1]:.17g}, "
@@ -244,8 +233,24 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
 
 
 def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree: int) -> QuadratureRule:
-    """The rule on snapped ``nodes`` (s last) and ``weights``, held to the gates that follow the snapping."""
+    """The rule on snapped ``nodes`` (s last) and ``weights``, held to the one gate of every rule: k + eps of
+    each, nodes strictly ascending in [-1, 1), positive weights and exactness on P_0..P_m within 1e-9."""
+    if not len(nodes) == len(weights) == sum(split_degree(m)):  # k + eps, for m = 2k - 1 + eps
+        raise QuadratureError(
+            f"a degree-{m} rule for (n={n}, capacity={capacity:.12g}) needs {sum(split_degree(m))} nodes and as "
+            f"many weights, not {len(nodes)} nodes and {len(weights)} weights"
+        )
     where = f"(n={n}, m={m}, s={nodes[-1]:.12g}, capacity={capacity:.12g})"
+    if len(nodes) > 1:
+        gap = int(np.argmin(np.diff(nodes)))
+        if nodes[gap + 1] - nodes[gap] <= 1e-9:
+            raise QuadratureError(
+                f"{'descending' if nodes[gap + 1] < nodes[gap] else 'repeated'} nodes for {where}: "
+                f"nodes {gap} and {gap + 1} are {nodes[gap + 1] - nodes[gap]:.6g} apart"
+            )
+    if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
+        bad = 0 if nodes[0] < -1 - 1e-9 else len(nodes) - 1
+        raise QuadratureError(f"node outside [-1, 1) for {where}: node {bad} is {nodes[bad]:.17g}")
     low = int(np.argmin(weights))  # the first NaN, if any, which fails the gate
     if not weights[low] > 0:
         raise (WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError)(
@@ -359,9 +364,13 @@ def levenshtein_coefficients(rule: QuadratureRule) -> np.ndarray:
     coefficients (strictly positive away from interval endpoints) and
     f(1)/f_0 equal to the rule's capacity L_m(n, s) within 1e-9 relative.
     """
-    n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
     interior = rule.nodes[rule.eps:-1]
-    g = gegenbauer_from_roots(n, (s,) + rule.nodes[:rule.eps] + interior + interior)
+    return _check_levenshtein(rule, gegenbauer_from_roots(rule.n, (rule.s,) + rule.nodes[:rule.eps] + interior * 2))
+
+
+def _check_levenshtein(rule: QuadratureRule, g: np.ndarray) -> np.ndarray:
+    """``g``, the Levenshtein polynomial's coefficients on ``rule``, computed or recorded, held to their two gates."""
+    n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
     where = f"(n={n}, m={m}, s={s:.12g})"
     # strict positivity can degrade to a zero coefficient at interval endpoints
     low = int(np.argmin(g))
@@ -371,7 +380,7 @@ def levenshtein_coefficients(rule: QuadratureRule) -> np.ndarray:
             f"coefficient {low} of {g.size} is {g[low]:.6g}"
         )
     ratio = value_at_one(g) / g[0]
-    if abs(ratio - capacity) > 1e-9 * max(1.0, abs(capacity)):
+    if not abs(ratio - capacity) <= 1e-9 * max(1.0, abs(capacity)):  # a NaN fails
         raise QuadratureError(
             f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
             f"function value {capacity:.12g}"

@@ -777,6 +777,76 @@ def test_read_record_holds_its_rule_to_the_rule_gates(edit, message):
     assert type(info.value) is QuadratureError
 
 
+def _edited(record, **fields):
+    """The record with ``fields`` replaced, a callable value applied to the recorded field."""
+    record = json.loads(record)
+    record.update({key: value(record[key]) if callable(value) else value for key, value in fields.items()})
+    return json.dumps(record)
+
+
+def _negated(values):
+    return [(-float.fromhex(v)).hex() for v in values]
+
+
+def _nested(spec, levels):
+    return spec if not levels else _nested({"kind": "shifted", "param": (0.5).hex(), "base": spec}, levels - 1)
+
+
+ULB_9 = "for a degree-9 ulb record, got"  # the record of ulb(3, 735/23, riesz:1)
+ULB_9_RULE = "(n=3, m=9, s=-0.941231293105, capacity=31.9565217391)"  # its nodes reversed, s first
+
+
+@pytest.mark.parametrize(
+    "which, fields, error, message",
+    [
+        pytest.param("ulb", {"m": 8}, ValueError, "record field 'gt' must be 9 numbers for a degree-8 ulb record, got [", id="m-8"),
+        pytest.param("ulb", {"kind": "uub"}, ValueError, "record field 'gt' must be 9 numbers for a degree-9 uub record, got [", id="kind-uub-f-null"),
+        pytest.param("ulb", {"kind": "bogus"}, ValueError, "record field 'kind' must be one of ulb, design_ulb, uub, design_uub, got 'bogus'", id="kind-bogus"),
+        pytest.param(
+            "ulb", {"weights": lambda w: w[:-1]}, QuadratureError,
+            "a degree-9 rule for (n=3, capacity=31.9565217391) needs 5 nodes and as many weights, not 5 nodes and 4 weights", id="one-weight-dropped",
+        ),
+        pytest.param("ulb", {"gt": lambda gt: gt[:-1]}, ValueError, f"record field 'gt' must be 10 numbers {ULB_9} [", id="gt-one-short"),
+        pytest.param("ulb", {"gt": lambda gt: gt + gt[:1]}, ValueError, f"record field 'gt' must be 10 numbers {ULB_9} [", id="gt-one-long"),
+        pytest.param("ulb", {"f": ["0x1p0"] * 10}, ValueError, f"record field 'f' must be null {ULB_9} [", id="f-on-ulb"),
+        pytest.param("ulb", {"n": 3.0}, ValueError, "record field 'n' must be an integer >= 2, got 3.0", id="n-float"),
+        pytest.param("ulb", {"m": 26}, ValueError, "record field 'm' must be an integer from 1 to 25, got 26", id="m-above-cap"),
+        pytest.param(
+            "ulb", {"capacity": None}, ValueError,
+            f"record field 'capacity' must be a positive finite number equal to n1 {ULB_9} None", id="capacity-null",
+        ),
+        pytest.param(
+            "ulb", {"capacity": (40.0).hex()}, ValueError,
+            f"record field 'capacity' must be a positive finite number equal to n1 {ULB_9} '0x1.4000000000000p+5'", id="ulb-capacity-not-n1",
+        ),
+        pytest.param("uub", {"capacity": "0x0p+0"}, ValueError, "record field 'capacity' must be a positive finite number, got '0x0p+0'", id="uub-capacity-zero"),
+        pytest.param(
+            "ulb", {"potential": lambda h: _nested(h, 150)}, ValueError,
+            "record field 'potential' must be a recorded potential with at most 100 shift levels, got {", id="150-shift-levels",
+        ),
+        pytest.param(
+            "ulb", {"nodes": lambda a: a[::-1], "weights": lambda w: w[::-1]}, QuadratureError,
+            f"descending nodes for {ULB_9_RULE}: nodes 1 and 2 are ", id="nodes-and-weights-reversed",
+        ),
+        pytest.param("uub", {"f": None}, ValueError, "record field 'f' must be 6 numbers for a degree-5 uub record, got None", id="uub-f-null"),
+        pytest.param(
+            "uub", {"f": _negated}, QuadratureError,
+            "Levenshtein polynomial for (n=3, m=5, s=0.5) has a negative coefficient: ", id="uub-f-negated",
+        ),
+        pytest.param(
+            "uub", {"f": lambda f: ["nan"] + f[1:]}, QuadratureError,
+            "coefficient ratio nan for (n=3, m=5, s=0.5) disagrees with the Levenshtein function value ", id="uub-f-nan",
+        ),
+    ],
+)
+def test_malformed_record_names_its_field(which, fields, error, message):
+    # a record's fields are checked first, then its rule at the rule gate and, for uub, f by f's own checks
+    report = ulb(3, PENTAKIS_CAPACITY, riesz(1)) if which == "ulb" else uub(3, 20, 0.5, riesz(1))
+    with pytest.raises(error) as info:
+        bounds.read_record(_edited(bounds.write_record(report), **fields))
+    assert str(info.value).startswith(message)
+
+
 def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():
     # the fixed table and a rule's own piece give the product, and so the
     # (ok, violation) bits, of one table over the whole lower-bound grid

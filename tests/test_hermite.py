@@ -175,36 +175,9 @@ def test_dominance_pieces_must_cover_the_grid():
             verify_dominance(coeffs, riesz(1), "below", grid, pieces)
 
 
-def test_nodes_above_one_rejected():
-    for points in ((0.5, 1.0), (0.5, 1.5)):
-        with pytest.raises(ValueError, match="below 1"):
-            _operator(points, slice(0, -1), 3)
-    with pytest.raises(ValueError):
+def test_dominance_direction_must_be_below_or_above():
+    with pytest.raises(ValueError, match="direction must be 'below' or 'above'"):
         _dominance(_interpolant(riesz(1), (0.0,), ALL, 3)[0], riesz(1), "sideways", -1.0, 0.5)
-
-
-def test_node_table_of_the_wrong_shape_is_a_named_error():
-    points = np.array([-0.5, 0.0, 0.5])
-    table = gegenbauer_table(3, 5, points)  # T = 6 rows: every node doubled
-    assert hermite_operator(points, ALL, 3, table).matrix.shape == (6, 6)
-    for bad in (table[:5], table[:, :2], table[0]):
-        with pytest.raises(ValueError, match=r"node table has shape .*, not \(>= 6, 3\)"):
-            hermite_operator(points, ALL, 3, bad)
-
-
-@pytest.mark.parametrize(
-    "points,doubled",
-    [
-        # a repeated node whose value and slope rows stay independent: the
-        # LU factorisation succeeds, so only the ordering check catches it
-        ((-1.0, -0.3, -0.3, 0.5), slice(1, 3)),
-        ((0.5, -0.5), ALL),
-    ],
-    ids=["repeated", "descending"],
-)
-def test_nodes_not_strictly_ascending_rejected(points, doubled):
-    with pytest.raises(ValueError, match="strictly ascending"):
-        _operator(points, doubled, 3)
 
 
 def _dominance_grid_loop(lo, hi, nodes, points=4001):

@@ -178,6 +178,19 @@ def test_parse_potential(text, label):
     assert parse_potential(text).label() == label
 
 
+def test_label_parses_back_to_the_potential():
+    # seeded parameters of every kind, most of them with more digits than :g prints
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        a, c = 10.0 ** rng.uniform(-6, 6), float(rng.normal() * 10.0 ** rng.uniform(-6, 6))
+        base = (riesz(a), gaussian(a), newton(int(rng.integers(2, 40))), logarithmic(), fejes_toth())[rng.integers(5)]
+        for h in (base, shifted(base, c), shifted(shifted(base, c), a)):
+            assert parse_potential(h.label()) == h, h
+    assert riesz(1.23456789).label() == "riesz:1.23456789"
+    assert shifted(riesz(1), 0.1234567).label() == "shift:0.1234567:riesz:1"
+    assert [h.label() for h in (riesz(1), riesz(2.5), gaussian(1e-5))] == ["riesz:1", "riesz:2.5", "gaussian:1e-05"]
+
+
 def test_parse_newton_needs_dimension():
     assert parse_potential("newton", n=4).param == 4
     with pytest.raises(ValueError):
