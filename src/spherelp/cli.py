@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Thin adapters over the library: every value printed here is the
-corresponding library value rounded to 12 significant digits.  Exit
+corresponding library value rounded to 12 significant digits, and JSON
+output writes a NaN or infinity as null.  Exit
 codes: 0 success, 1 usage error, 2 infeasible bound (a certificate check
 failed) or failed rule, 3 reference-table mismatch from ``reproduce``.
 """
@@ -14,6 +15,7 @@ import io
 import json
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -46,8 +48,20 @@ def _sig12(x):
     return x
 
 
+def _null_nonfinite(x):
+    """x as _sig12 gives it, with each NaN or infinity as None, which JSON writes as null."""
+    if isinstance(x, float):
+        return x if isfinite(x) else None
+    if isinstance(x, list):
+        return [_null_nonfinite(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _null_nonfinite(v) for k, v in x.items()}
+    return x
+
+
 def _emit_json(payload) -> str:
-    return json.dumps(_sig12(payload), indent=2)
+    # allow_nan=False: a non-finite number that escapes _null_nonfinite raises, not prints NaN or Infinity
+    return json.dumps(_null_nonfinite(_sig12(payload)), indent=2, allow_nan=False)
 
 
 def _emit_text(payload) -> str:

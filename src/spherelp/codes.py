@@ -11,8 +11,9 @@ No Gram matrix is stored: energy, moments and the maximal inner product
 stream its rows in blocks of BLOCK_ROWS through one BLOCK_ROWS x N buffer
 per call, and energy forms its terms in two BLOCK_ROWS x TILE_COLUMNS tile
 buffers: the energy of a 1050-point code peaks at 1.1 MB of numpy memory.
-energy reads its rows unclipped: a tile's maximum rejects coincident
-points, and only a tile whose minimum is below -1 is raised to -1.  Each
+energy reads its rows unclipped and writes each tile's 1 - g into its
+value buffer: that buffer's minimum rejects coincident points, and only a
+tile whose maximum exceeds 2 is lowered to 2, as g clipped to -1.  Each
 tile's terms are summed exactly, a one-signed tile whose magnitudes span
 e1 - emin <= 53 - 2k binades (2**k > its size + 1) in two parts, the
 first extraction level's and the plain sum of its remainders, and any
@@ -32,7 +33,7 @@ from operator import index
 import numpy as np
 
 from .orthopoly import gegenbauer_table
-from .potentials import Potential, _values
+from .potentials import Potential, _gap_values
 
 GOLDEN = (1 + sqrt(5)) / 2
 
@@ -290,11 +291,14 @@ def energy(code: WeightedCode, h: Potential) -> float:
     Streams the upper triangle of the Gram matrix in row blocks from
     :func:`_gram_rows`: per block, the entries above the diagonal of its
     square on the diagonal, then the rectangle to the right of that square
-    in tiles of at most TILE_COLUMNS columns.  Each piece rejects an inner
-    product >= 1 - 1e-15 (coincident points) by its maximum, and only when
-    its minimum is below -1 raises its entries to -1: the Gram matrix
-    clipped to [-1, 1] in the entries it reads.  It then forms the terms
-    (2 w_i) w_j h(x_i . x_j) with h's closed form, unchecked, which go to
+    in tiles of at most TILE_COLUMNS columns.  Each piece's 1 - g goes into
+    a contiguous value buffer, which is exact for g >= 1/2 (Sterbenz), so
+    its minimum rejects an inner product >= 1 - 1e-15 (coincident points)
+    exactly when g's maximum would; only when its maximum exceeds 2 are
+    its entries lowered to 2, which by monotone rounding are the bits of
+    1 - max(g, -1): the Gram matrix clipped to [-1, 1] in the entries it
+    reads.  h's closed form, unchecked, then turns the buffer into h values
+    in place, and the terms (2 w_i) w_j h(x_i . x_j) go to
     :func:`exact_sum`: the result is ``math.fsum`` of the N(N-1)/2 terms.
     A tile's pair weights and h values are worked in two buffers that every
     tile reuses, so the working set is the row buffer of BLOCK_ROWS x N
@@ -306,25 +310,32 @@ def energy(code: WeightedCode, h: Potential) -> float:
     tile_size = min(BLOCK_ROWS, code.size) * min(TILE_COLUMNS, code.size)
     pair_buffer, value_buffer = np.empty(tile_size), np.empty(tile_size)
 
+    def pair_products(rows, columns):
+        """The (2 w_i) w_j of the slices rows x columns in the pair buffer, each one product."""
+        shape = (rows.stop - rows.start, columns.stop - columns.start)
+        return np.einsum("i,j->ij", w2[rows], w[columns], out=pair_buffer[: shape[0] * shape[1]].reshape(shape))
+
     def pieces(start, stop, block):
         """(inner products, their pair weights' array) per piece of a block."""
-        mask = upper[: stop - start, : stop - start]
-        yield block[:, start:stop][mask], np.multiply.outer(w2[start:stop], w[start:stop])[mask]
+        rows, mask = slice(start, stop), upper[: stop - start, : stop - start]
+        yield block[:, rows][mask], pair_products(rows, rows)[mask]
         for left in range(stop, code.size, TILE_COLUMNS):
-            right = min(left + TILE_COLUMNS, code.size)
-            shape = (stop - start, right - left)
-            pair_weights = pair_buffer[: shape[0] * shape[1]].reshape(shape)
-            yield block[:, left:right], np.multiply.outer(w2[start:stop], w[left:right], out=pair_weights)
+            columns = slice(left, min(left + TILE_COLUMNS, code.size))
+            yield block[:, columns], pair_products(rows, columns)
 
     def terms():
         for start, stop, block in _gram_rows(code, clip=False):
             for g, pair_weights in pieces(start, stop, block):
-                if g.size:
-                    if g.max() >= 1.0 - 1e-15:
+                gap = np.subtract(1.0, g, out=value_buffer[: g.size].reshape(g.shape))
+                if gap.size:
+                    # 1 - g is exact for g >= 1/2 (Sterbenz) and rounding is
+                    # monotone, so this holds exactly when g >= 1 - 1e-15
+                    if gap.min() <= 1.0 - (1.0 - 1e-15):
                         raise ValueError("coincident points: energy would need h(1)")
-                    if g.min() < -1.0:
-                        np.maximum(g, -1.0, out=g)
-                pair_weights *= _values(h, g, out=value_buffer[: g.size].reshape(g.shape))
+                    # min(fl(1 - g), 2) has the bits of 1 - max(g, -1)
+                    if gap.max() > 2.0:
+                        np.minimum(gap, 2.0, out=gap)
+                pair_weights *= _gap_values(h, gap)
                 yield pair_weights.ravel()
 
     return exact_sum(terms())

@@ -17,6 +17,7 @@ tabulated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
@@ -118,7 +119,8 @@ def verify_dominance(coeffs: np.ndarray, h: Potential, direction: str, grid: np.
     consecutive column blocks of its ``gegenbauer_table(n, d, grid)``, d at
     least the degree of f, so f on the grid is one product per piece, each
     subtracted in place from h on the whole grid.  Tolerates violations up
-    to DOMINANCE_TOL.  Returns (ok, max_violation).
+    to DOMINANCE_TOL.  Returns (ok, max_violation); a NaN anywhere in h - f
+    fails the check with the violation NaN.
     """
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
@@ -129,5 +131,7 @@ def verify_dominance(coeffs: np.ndarray, h: Potential, direction: str, grid: np.
         start += piece.shape[1]
     if start != grid.size:
         raise ValueError(f"the table pieces cover {start} of the grid's {grid.size} points")
-    violation = max(0.0, -float(diff.min()) if direction == "below" else float(diff.max()))
+    extreme = -float(diff.min()) if direction == "below" else float(diff.max())
+    # min and max propagate a NaN, which max(0.0, nan) would drop as 0.0
+    violation = extreme if isnan(extreme) else max(0.0, extreme)
     return violation <= DOMINANCE_TOL, violation

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _KINDS = ("riesz", "newton", "gaussian", "logarithmic", "fejes_toth", "shifted")
-# shift: levels a spec may nest: label() and _values recurse once per level
+# shift: levels a spec may nest: label() and _gap_values recurse once per level
 MAX_SHIFT_DEPTH = 100
 
 
@@ -92,21 +92,28 @@ def potential_eval(h: Potential, t):
     return v if v.ndim else float(v)
 
 
-def _values(h: Potential, t: np.ndarray, out: np.ndarray | None = None):
+def _values(h: Potential, t: np.ndarray):
     """The closed form of h at a float array t, unchecked: callers make sure t < 1.
 
-    Worked in place, in out (an array of t's shape) when given, else in one
-    new array, by the ufuncs of the formulas in the module docstring.  A
-    0-d t is worked in numpy scalars, whose pow is the C library's, and
-    gives a scalar unless out is given.
+    One new array (a numpy scalar for a 0-d t) holding 1 - t, which
+    :func:`_gap_values` turns into h in place.
+    """
+    return _gap_values(h, np.subtract(1.0, t))
+
+
+def _gap_values(h: Potential, v):
+    """The closed form of h at t from v = 1 - t, a float array or numpy scalar, unchecked: callers make sure v > 0.
+
+    An array is worked in place by the ufuncs of the formulas in the module
+    docstring and returned; a numpy scalar, whose pow is the C library's,
+    gives a new scalar.
     """
     if h.kind == "shifted":
-        v = _values(h.base, t, out)
+        v = _gap_values(h.base, v)
         v += h.param
         return v
-    v = np.subtract(1.0, t, out=out if t.ndim else None)
     # on a numpy scalar the in-place operators rebind v, and the ufuncs return a new scalar
-    into = v if t.ndim else None
+    into = v if v.ndim else None
     if h.kind == "gaussian":
         v *= -h.param
         v = np.exp(v, out=into)
@@ -119,10 +126,7 @@ def _values(h: Potential, t: np.ndarray, out: np.ndarray | None = None):
         else:
             v = np.log(v, out=into) if h.kind == "logarithmic" else np.sqrt(v, out=into)
             v = -v if into is None else np.negative(v, out=v)
-    if out is None or v is out:
-        return v
-    out[()] = v
-    return out
+    return v
 
 
 def potential_derivative(h: Potential, t):

@@ -228,7 +228,9 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
                 f"{nodes[0]:.17g} (tolerance 1e-7)"
             )
         nodes[0] = -1.0
-    weights = vectors[0] ** 2 / (1.0 - nodes)
+    # s = 1 puts a node at 1, which the rule gate then names: no divide-by-zero warning first
+    with np.errstate(divide="ignore"):
+        weights = vectors[0] ** 2 / (1.0 - nodes)
     return _verified_rule(n, m, nodes, weights, capacity, m if table_degree is None else table_degree)
 
 

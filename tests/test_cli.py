@@ -182,6 +182,33 @@ def test_energy_command(capsys):
     assert payload["size"] == 32
 
 
+def strict_json(text):
+    """text parsed as JSON proper: NaN, Infinity and -Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# riesz:10000 overflows the double range at these inner products
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_json_writes_non_finite_values_as_null(capsys):
+    energy = ("energy", "--config", "cube-cross:3", "--potential", "riesz:10000")
+    code, out, _ = run(capsys, *energy)
+    assert code == 0
+    assert strict_json(out)["value"] is None
+    assert run(capsys, *energy, "--format", "text")[1].splitlines()[-1] == "value = inf"
+    lower = ("ulb", "--n", "3", "--capacity", "20", "--potential", "riesz:10000")
+    code, out, _ = run(capsys, *lower)
+    assert code == 2
+    payload = strict_json(out)
+    assert payload["value"] is None and payload["certificate"] == [None] * 7
+    dominance = next(c for c in payload["diagnostics"] if c["name"] == "dominance_below")
+    assert dominance == {"name": "dominance_below", "ok": False, "value": None, "note": ""}
+    assert "value = nan" in run(capsys, *lower, "--format", "text")[1]
+
+
 def test_design_check_command(capsys):
     code, out, _ = run(capsys, "design-check", "--config", "cube-cross:5")
     assert code == 0

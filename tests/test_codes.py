@@ -954,6 +954,34 @@ def test_energy_clips_products_below_minus_one():
     assert energy(code, h) == want
 
 
+def two_point_code(second):
+    """(1, 0) and second, whose unclipped Gram entry with it is second[0] exactly."""
+    code = WeightedCode(2, [[1.0, 0.0], list(second)], [0.5, 0.5])
+    assert (code.points @ code.points.T)[0, 1] == second[0]
+    return code
+
+
+def test_energy_rejects_an_inner_product_of_exactly_one_minus_1e_15():
+    c = 1 - 1e-15
+    code = two_point_code((c, math.sqrt(1 - c * c)))
+    with pytest.raises(ValueError, match="coincident points"):
+        energy(code, riesz(1))
+
+
+def test_energy_takes_the_inner_product_one_ulp_below_the_coincidence_cut():
+    c = np.nextafter(1 - 1e-15, 0)
+    code = two_point_code((c, math.sqrt(1 - c * c)))
+    assert energy(code, riesz(1)) == math.fsum([2 * 0.5 * 0.5 * potential_eval(riesz(1), c)])
+
+
+@pytest.mark.parametrize("below", [2.0**-52, 2.0**-51], ids=["rounds-to-2", "clipped"])
+@pytest.mark.parametrize("h", [riesz(1), logarithmic(), gaussian(3.0)], ids=lambda h: h.label())
+def test_energy_of_an_inner_product_below_minus_one_is_the_term_at_minus_one(below, h):
+    # 1 - g is 2 + 2**-52, a tie that rounds to 2, or 2 + 2**-51, a double above 2
+    code = two_point_code((-1.0 - below, 0.0))
+    assert energy(code, h) == 2 * 0.5 * 0.5 * potential_eval(h, -1.0)
+
+
 def test_energy_memory_stays_below_the_gram_matrix():
     code = random_code(np.random.default_rng(43), 3000, 3)
     tracemalloc.start()

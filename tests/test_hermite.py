@@ -166,6 +166,21 @@ def test_dominance_negative_control():
     assert lifted == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("direction", ["below", "above"])
+def test_a_nan_in_the_difference_fails_dominance(direction):
+    h = newton(2)
+    coeffs, _ = _interpolant(h, (-0.5, 0.2), ALL, 3)
+    grid = dominance_grid(-1.0, 0.999, ())
+    table = gegenbauer_table(3, coeffs.size - 1, grid)
+    assert _dominance(coeffs, h, direction, -1.0, 0.999) == (True, 0.0)
+    table[1, 1234] = np.nan  # f, and so h - f, is NaN at one grid point
+    ok, violation = verify_dominance(coeffs, h, direction, grid, (table,))
+    assert not ok and np.isnan(violation)
+    # an all-NaN certificate, as riesz:10000 gives at n = 3 and capacity 20
+    ok, violation = verify_dominance(np.full(coeffs.size, np.nan), h, direction, grid, (table,))
+    assert not ok and np.isnan(violation)
+
+
 def test_dominance_pieces_must_cover_the_grid():
     coeffs, _ = _interpolant(riesz(1), (0.0,), ALL, 3)
     grid = dominance_grid(-1.0, 0.5, ())

@@ -17,6 +17,7 @@ from spherelp.quadrature import (
     MAX_RULE_DEGREE,
     QuadratureError,
     _verified_rule,
+    compute_weights,
     dgs_bound,
     exactness_residuals,
     levenshtein_polynomial,
@@ -88,6 +89,14 @@ def test_nodes_above_one_rejected():
     for points in ((0.5, 1.0), (0.5, 1.5)):
         message = _gate_error(3, points)
         assert message == f"node outside [-1, 1) for (n=3, m=3, s={points[1]:.12g}, capacity=10): node 1 is {points[1]:.17g}"
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_a_solve_at_s_one_raises_only_the_named_error(m):
+    # the node at 1 makes its weight a division by zero; a RuntimeWarning for
+    # it, an error under this suite's filterwarnings, must not come first
+    with pytest.raises(QuadratureError, match=rf"^node outside \[-1, 1\) for \(n=3, m={m}, s=1, capacity=10\): node \d+ is 1$"):
+        compute_weights(3, m, 1.0, 10.0)
 
 
 def test_node_table_of_the_wrong_shape_is_a_named_error():
