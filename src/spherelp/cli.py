@@ -367,7 +367,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a potential evaluated beyond the double range is inf, which the
+        # output writes as inf or null and the certificate checks fail on
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deeply nested JSON in a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,15 +9,17 @@ polygons.
 
 No Gram matrix is stored: energy, moments and the maximal inner product
 stream its rows in blocks of BLOCK_ROWS through one BLOCK_ROWS x N buffer
-per call, and energy forms its terms in two BLOCK_ROWS x TILE_COLUMNS tile
-buffers: the energy of a 1050-point code peaks at 1.1 MB of numpy memory.
-energy reads its rows unclipped and writes each tile's 1 - g into its
-value buffer: that buffer's minimum rejects coincident points, and only a
-tile whose maximum exceeds 2 is lowered to 2, as g clipped to -1.  Each
-tile's terms are summed exactly, a one-signed tile whose magnitudes span
+per call.  energy packs each block's triangle and tiles of up to
+TILE_COLUMNS columns, in walk order, into two buffers of one full tile plus
+one triangle, and sums them as one chunk whenever the next piece would not
+fit: a 1050-point code takes 36 chunks and peaks at 1.08 MB of numpy
+memory.  It reads its rows unclipped and writes each piece's 1 - g into
+the value buffer: a chunk's minimum rejects coincident points, and only a
+chunk whose maximum exceeds 2 is lowered to 2, as g clipped to -1.  Each
+chunk's terms are summed exactly, a one-signed chunk whose magnitudes span
 e1 - emin <= 53 - 2k binades (2**k > its size + 1) in two parts, the
 first extraction level's and the plain sum of its remainders, and any
-other tile level by level.
+other chunk level by level.
 """
 
 from __future__ import annotations
@@ -180,6 +182,13 @@ BLOCK_ROWS = 64
 TILE_COLUMNS = 256
 
 
+# the strict upper triangle of a BLOCK_ROWS square as (rows, columns) by
+# column, (a, b) with a < b for b = 1, 2, ...: the triangle of a block of r
+# rows is its first r(r - 1)/2 entries
+_TRIANGLE = np.array(np.nonzero(np.tril(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), -1))[::-1])
+_TRIANGLE.flags.writeable = False
+
+
 def _extraction_level(x: np.ndarray, top: float, scratch: np.ndarray) -> tuple[float, float]:
     """One level of error-free extraction (Rump, Ogita and Oishi, SIAM J.
     Sci. Comput. 2008) on the finite chunk x, given top >= max |x| with
@@ -289,56 +298,73 @@ def energy(code: WeightedCode, h: Potential) -> float:
     """Weighted h-energy: sum over ordered distinct pairs of w_i w_j h(x_i . x_j).
 
     Streams the upper triangle of the Gram matrix in row blocks from
-    :func:`_gram_rows`: per block, the entries above the diagonal of its
-    square on the diagonal, then the rectangle to the right of that square
-    in tiles of at most TILE_COLUMNS columns.  Each piece's 1 - g goes into
-    a contiguous value buffer, which is exact for g >= 1/2 (Sterbenz), so
-    its minimum rejects an inner product >= 1 - 1e-15 (coincident points)
-    exactly when g's maximum would; only when its maximum exceeds 2 are
-    its entries lowered to 2, which by monotone rounding are the bits of
-    1 - max(g, -1): the Gram matrix clipped to [-1, 1] in the entries it
-    reads.  h's closed form, unchecked, then turns the buffer into h values
-    in place, and the terms (2 w_i) w_j h(x_i . x_j) go to
-    :func:`exact_sum`: the result is ``math.fsum`` of the N(N-1)/2 terms.
-    A tile's pair weights and h values are worked in two buffers that every
-    tile reuses, so the working set is the row buffer of BLOCK_ROWS x N
-    plus two of BLOCK_ROWS x TILE_COLUMNS.  A one-point code has energy 0.
+    :func:`_gram_rows`: per block, the triangle above the diagonal of its
+    square on the diagonal, read through :data:`_TRIANGLE`, then the
+    rectangle to its right in tiles of at most TILE_COLUMNS columns.  Each
+    piece's 1 - g and pair weights (2 w_i) w_j, one product each, go in walk
+    order into a value and a pair buffer of one full tile plus one full
+    triangle; when the next piece would not fit, and after the walk, the
+    filled prefix is summed as one chunk.  1 - g is exact for g >= 1/2
+    (Sterbenz), so a chunk's minimum rejects an inner product >= 1 - 1e-15
+    (coincident points) exactly when g's maximum would; only when its
+    maximum exceeds 2 are its entries lowered to 2, which by monotone
+    rounding are the bits of 1 - max(g, -1): the Gram matrix clipped to
+    [-1, 1].  h's closed form, unchecked, then works the chunk in place,
+    under ``np.errstate(over="ignore")`` since an energy beyond the double
+    range is inf, and :func:`exact_sum` gives ``math.fsum`` of the N(N-1)/2
+    terms however they are chunked.  A one-point code has energy 0.
     """
-    w, w2 = code.weights, 2.0 * code.weights
-    upper = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
-    # flat, so that a tile's first rows x columns entries are one C-contiguous array
-    tile_size = min(BLOCK_ROWS, code.size) * min(TILE_COLUMNS, code.size)
-    pair_buffer, value_buffer = np.empty(tile_size), np.empty(tile_size)
+    size, w, w2 = code.size, code.weights, 2.0 * code.weights
+    # one tile plus one triangle, 18400 entries from N = 256 on: below
+    # 2**15 - 1 like a tile alone, so a full chunk keeps a tile's span bound
+    rows = min(BLOCK_ROWS, size)
+    capacity = rows * min(TILE_COLUMNS, size) + rows * (rows - 1) // 2
+    pair_buffer, value_buffer = np.empty(capacity), np.empty(capacity)
+    upper_rows, upper_columns = _TRIANGLE
+    # the triangle's entries as offsets into a block's rows from its first column
+    offsets = upper_rows * size + upper_columns
 
-    def pair_products(rows, columns):
-        """The (2 w_i) w_j of the slices rows x columns in the pair buffer, each one product."""
-        shape = (rows.stop - rows.start, columns.stop - columns.start)
-        return np.einsum("i,j->ij", w2[rows], w[columns], out=pair_buffer[: shape[0] * shape[1]].reshape(shape))
-
-    def pieces(start, stop, block):
-        """(inner products, their pair weights' array) per piece of a block."""
-        rows, mask = slice(start, stop), upper[: stop - start, : stop - start]
-        yield block[:, rows][mask], pair_products(rows, rows)[mask]
-        for left in range(stop, code.size, TILE_COLUMNS):
-            columns = slice(left, min(left + TILE_COLUMNS, code.size))
-            yield block[:, columns], pair_products(rows, columns)
+    def chunk(fill):
+        """The terms of the buffers' first fill entries, in the pair buffer."""
+        gap, pair_weights = value_buffer[:fill], pair_buffer[:fill]
+        # 1 - g is exact for g >= 1/2 (Sterbenz) and rounding is
+        # monotone, so this holds exactly when g >= 1 - 1e-15
+        if gap.min() <= 1.0 - (1.0 - 1e-15):
+            raise ValueError("coincident points: energy would need h(1)")
+        # min(fl(1 - g), 2) has the bits of 1 - max(g, -1)
+        if gap.max() > 2.0:
+            np.minimum(gap, 2.0, out=gap)
+        pair_weights *= _gap_values(h, gap)
+        return pair_weights
 
     def terms():
+        fill = 0
         for start, stop, block in _gram_rows(code, clip=False):
-            for g, pair_weights in pieces(start, stop, block):
-                gap = np.subtract(1.0, g, out=value_buffer[: g.size].reshape(g.shape))
-                if gap.size:
-                    # 1 - g is exact for g >= 1/2 (Sterbenz) and rounding is
-                    # monotone, so this holds exactly when g >= 1 - 1e-15
-                    if gap.min() <= 1.0 - (1.0 - 1e-15):
-                        raise ValueError("coincident points: energy would need h(1)")
-                    # min(fl(1 - g), 2) has the bits of 1 - max(g, -1)
-                    if gap.max() > 2.0:
-                        np.minimum(gap, 2.0, out=gap)
-                pair_weights *= _gap_values(h, gap)
-                yield pair_weights.ravel()
+            count = (stop - start) * (stop - start - 1) // 2
+            if fill + count > capacity:
+                yield chunk(fill)
+                fill = 0
+            gap, pair_weights = value_buffer[fill : fill + count], pair_buffer[fill : fill + count]
+            np.take(block.reshape(-1)[start:], offsets[:count], out=gap)
+            np.subtract(1.0, gap, out=gap)
+            np.take(w2[start:], upper_rows[:count], out=pair_weights)
+            pair_weights *= w[start:][upper_columns[:count]]
+            fill += count
+            for left in range(stop, size, TILE_COLUMNS):
+                columns = slice(left, min(left + TILE_COLUMNS, size))
+                shape = (stop - start, columns.stop - left)
+                if fill + shape[0] * shape[1] > capacity:
+                    yield chunk(fill)
+                    fill = 0
+                end = fill + shape[0] * shape[1]
+                np.subtract(1.0, block[:, columns], out=value_buffer[fill:end].reshape(shape))
+                np.einsum("i,j->ij", w2[start:stop], w[columns], out=pair_buffer[fill:end].reshape(shape))
+                fill = end
+        if fill:
+            yield chunk(fill)
 
-    return exact_sum(terms())
+    with np.errstate(over="ignore"):
+        return exact_sum(terms())
 
 
 def _moments(code: WeightedCode, tau: int) -> np.ndarray:

@@ -192,7 +192,6 @@ def strict_json(text):
 
 
 # riesz:10000 overflows the double range at these inner products
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_json_writes_non_finite_values_as_null(capsys):
     energy = ("energy", "--config", "cube-cross:3", "--potential", "riesz:10000")
     code, out, _ = run(capsys, *energy)
@@ -207,6 +206,26 @@ def test_json_writes_non_finite_values_as_null(capsys):
     dominance = next(c for c in payload["diagnostics"] if c["name"] == "dominance_below")
     assert dominance == {"name": "dominance_below", "ok": False, "value": None, "note": ""}
     assert "value = nan" in run(capsys, *lower, "--format", "text")[1]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, err",
+    [
+        (("energy", "--config", "cube-cross:3"), 0, ""),
+        (("ulb", "--n", "3", "--capacity", "20"), 2, "infeasible: a certificate check failed\n"),
+    ],
+    ids=["energy", "ulb"],
+)
+def test_overflow_past_the_double_range_is_no_warning(argv, exit_code, err):
+    # h and h' of riesz:10000 overflow to inf: the value is null, with no
+    # warning on stderr, also where warnings are errors
+    done = subprocess.run(
+        [sys.executable, "-m", "spherelp.cli", *argv, "--potential", "riesz:10000"],
+        capture_output=True, text=True, env=dict(_env_with_src(), PYTHONWARNINGS="error"), timeout=120,
+    )
+    assert done.returncode == exit_code
+    assert strict_json(done.stdout)["value"] is None
+    assert done.stderr.startswith(err) and "Warning" not in done.stderr
 
 
 def test_design_check_command(capsys):

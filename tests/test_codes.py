@@ -380,6 +380,13 @@ def random_code(rng, size, n):
     return WeightedCode(n, points, weights / weights.sum())
 
 
+def pair_terms(code, h):
+    """The N(N-1)/2 terms 2 w_i w_j h(x_i . x_j), i < j, row by row of the whole clipped Gram matrix."""
+    g, w = code.gram(), code.weights
+    rows = [2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])) for i in range(code.size)]
+    return np.concatenate(rows)
+
+
 def pairwise_distinct_reference(points):
     """The distinctness rule written out on the full N x N x n difference tensor."""
     dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
@@ -507,11 +514,7 @@ def test_energy_equals_fsum_of_pair_terms(h):
     rng = np.random.default_rng(23)
     for size, n in ((2, 3), (40, 3), (150, 4), (260, 6)):
         code = random_code(rng, size, n)
-        g, w = code.gram(), code.weights
-        terms = []
-        for i in range(size):
-            terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])))
-        assert energy(code, h) == math.fsum(terms)
+        assert energy(code, h) == math.fsum(pair_terms(code, h).tolist())
 
 
 def test_energy_bundled_codes_to_the_bit():
@@ -823,8 +826,12 @@ def test_energy_tiles_of_one_signed_potentials_sum_in_two_parts(spec, one_level,
     monkeypatch.setattr(codes, "_exact_parts", counted_parts)
     monkeypatch.setattr(codes, "_extraction_level", counted_level)
     energy(code, parse_potential(spec))
-    # 17 row blocks: 17 triangles and 16 + 15 + ... + 1 rectangle tiles of up to 4
-    assert len(chunks) == 57
+    # a chunk holds one 64 x 256 tile (16384) plus one 2016-entry triangle, so
+    # a full tile shares it only with a triangle or a 26-column tile.  Blocks
+    # 0-11 of the 17 hold 24 full tiles, 24 chunks; each of their partial
+    # tiles of 218, 154 or 90 columns and the next triangle fill 9 more; the
+    # pieces of blocks 12-16, which hold no full tile, fill 3: 36 in all
+    assert len(chunks) == 36
     if one_level:
         assert all(chunk == [1, 2] for chunk in chunks)
     else:
@@ -877,40 +884,98 @@ def test_energy_equals_fsum_at_block_edges(h):
     rng = np.random.default_rng(29)
     for size in EDGE_SIZES:
         code = random_code(rng, size, 4)
-        g, w = code.gram(), code.weights
-        terms = []
-        for i in range(size):
-            terms.extend(2.0 * w[i] * w[i + 1 :] * np.atleast_1d(potential_eval(h, g[i, i + 1 :])))
-        assert energy(code, h) == math.fsum(terms)
+        assert energy(code, h) == math.fsum(pair_terms(code, h).tolist())
+
+
+def chunk_sizes(monkeypatch):
+    """The sizes of the chunks ``exact_sum`` extracts, in order, as a list that fills as it runs."""
+    extracted, exact_parts = [], codes._exact_parts
+    monkeypatch.setattr(codes, "_exact_parts", lambda x, *rest: extracted.append(x.size) or exact_parts(x, *rest))
+    return extracted
+
+
+def near_copy(points, row, col, angle):
+    """A copy of the 3-dimensional points whose row col lies at the given angle from their row row."""
+    a, b = points[row], np.cross(points[row], [0.0, 0.0, 1.0])
+    b /= np.linalg.norm(b)
+    near = points.copy()
+    near[col] = math.cos(angle) * a + math.sin(angle) * b
+    return near
 
 
 def test_energy_switches_to_raw_values_in_a_late_chunk(monkeypatch):
-    size = 2 * BLOCK_ROWS + 1
-    points = random_code(np.random.default_rng(53), size, 3).points
-    # rows 100 and 101, 1e-6 apart, share the triangle chunk of the second block
-    a, b = points[100], np.cross(points[100], [0.0, 0.0, 1.0])
-    b /= np.linalg.norm(b)
-    points[101] = math.cos(1e-6) * a + math.sin(1e-6) * b
+    size = 5 * BLOCK_ROWS + 1
+    # rows 200 and 201, 1e-6 apart, meet in the triangle of the fourth block,
+    # which shares the third chunk with the third block's tile and the fifth triangle
+    points = near_copy(random_code(np.random.default_rng(53), size, 3).points, 200, 201, 1e-6)
     code, h = WeightedCode(3, points, np.full(size, 1.0 / size)), riesz(50)
-    g, w = code.gram(), code.weights
-    terms = [2.0 * w[i] * w[i + 1 :] * potential_eval(h, g[i, i + 1 :]) for i in range(size)]
-    huge = [v for row in terms for v in row if v >= 2.0**960]
-    assert len(huge) == 1 and math.isfinite(huge[0])
-    extracted = []
-    exact_parts = codes._exact_parts
-    monkeypatch.setattr(codes, "_exact_parts", lambda x, *rest: extracted.append(x.size) or exact_parts(x, *rest))
-    assert energy(code, h) == math.fsum(np.concatenate(terms).tolist())
-    # the first block's triangle and rectangle are extracted; the rest is kept raw
-    assert extracted == [BLOCK_ROWS * (BLOCK_ROWS - 1) // 2, BLOCK_ROWS * (size - BLOCK_ROWS)]
+    terms = pair_terms(code, h)
+    huge = terms[terms >= 2.0**960]
+    assert huge.size == 1 and math.isfinite(huge[0])
+    extracted = chunk_sizes(monkeypatch)
+    assert energy(code, h) == math.fsum(terms.tolist())
+    # the first chunk, full, and the second are extracted; the rest is kept raw
+    assert extracted == [18400, 16448]
+
+
+# a chunk holds one 64 x 256 tile plus one 2016-entry triangle: 18400
+# entries from 256 points on, 64 N + 2016 below; the sizes extracted in turn
+PACKING_EDGES = {
+    # one chunk, and the last block has one row: an empty triangle
+    65: [2080],
+    # the second block's 33-column tile overflows the 12320 entries by 32, the
+    # least a full block's piece can: those pieces and the capacity are all
+    # multiples of 32; it starts the second chunk, and the last block's
+    # 33-row triangle ends it
+    161: [10240, 2112 + 528],
+    # the first block's triangle and only tile fill the first chunk exactly
+    320: [18400, 16320, 16320],
+    # so they do here, and its one-column tile starts the second chunk; the
+    # last block has one row
+    321: [18400, 16448, 16512],
+}
+
+
+@pytest.mark.parametrize("h", FIVE_POTENTIALS, ids=lambda h: h.label())
+def test_energy_equals_fsum_at_the_packing_edges(h, monkeypatch):
+    rng = np.random.default_rng(83)
+    extracted = chunk_sizes(monkeypatch)
+    for size, sizes in PACKING_EDGES.items():
+        code = random_code(rng, size, 4)
+        extracted.clear()
+        assert energy(code, h) == math.fsum(pair_terms(code, h).tolist())
+        assert extracted == sizes
+
+
+@pytest.mark.parametrize("h", FIVE_POTENTIALS, ids=lambda h: h.label())
+def test_energy_equals_fsum_when_a_piece_overflows_a_chunk_by_one_entry(h, monkeypatch):
+    # blocks of 2 rows and tiles of 6 columns make a chunk of 2 x 6 + 1 = 13
+    # entries: of 8 points, the first block's triangle and tile fill it, the
+    # second block's one-entry triangle overflows it by one, and so does the
+    # third block's 2 x 2 tile the 10 entries before it
+    monkeypatch.setattr(codes, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(codes, "TILE_COLUMNS", 6)
+    extracted = chunk_sizes(monkeypatch)
+    code = random_code(np.random.default_rng(89), 8, 4)
+    assert energy(code, h) == math.fsum(pair_terms(code, h).tolist())
+    assert extracted == [13, 10, 5]
+
+
+def test_coincident_pair_in_a_triangle_after_an_earlier_tile_raises(monkeypatch):
+    size = 5 * BLOCK_ROWS + 1
+    # rows 70 and 71 meet in the second block's triangle, which follows the
+    # first block's one-column tile in the second chunk
+    points = near_copy(random_code(np.random.default_rng(97), size, 3).points, 70, 71, 1e-8)
+    extracted = chunk_sizes(monkeypatch)
+    with pytest.raises(ValueError, match="coincident points"):
+        energy(WeightedCode(3, points, np.full(size, 1.0 / size)), riesz(1))
+    assert extracted == [18400]
 
 
 def test_coincident_pair_in_last_block_raises():
     size = 2 * BLOCK_ROWS + 1
-    points = random_code(np.random.default_rng(37), size, 3).points
     # the last point 1e-8 from the one before: distinct, but their inner product rounds to 1
-    a, b = points[-2], np.cross(points[-2], [0.0, 0.0, 1.0])
-    b /= np.linalg.norm(b)
-    points[-1] = math.cos(1e-8) * a + math.sin(1e-8) * b
+    points = near_copy(random_code(np.random.default_rng(37), size, 3).points, -2, -1, 1e-8)
     code = WeightedCode(3, points, np.full(size, 1.0 / size))
     with pytest.raises(ValueError, match="coincident points"):
         energy(code, riesz(1))
@@ -923,10 +988,7 @@ def test_coincident_pair_in_a_later_tile_raises():
     # the first block's rectangle ends in a one-column third tile; rows 0 and 1
     # meet their near copies in that tile and in the middle of the second
     for row, col in ((0, size - 1), (1, BLOCK_ROWS + TILE_COLUMNS + 100)):
-        a, b = points[row], np.cross(points[row], [0.0, 0.0, 1.0])
-        b /= np.linalg.norm(b)
-        near = points.copy()
-        near[col] = math.cos(1e-8) * a + math.sin(1e-8) * b
+        near = near_copy(points, row, col, 1e-8)
         with pytest.raises(ValueError, match="coincident points"):
             energy(WeightedCode(3, near, np.full(size, 1.0 / size)), riesz(1))
 
@@ -991,8 +1053,9 @@ def test_energy_memory_stays_below_the_gram_matrix():
     finally:
         tracemalloc.stop()
     # the row buffer plus six tile-sized arrays: the pair weight and h value
-    # buffers, exact_sum's scratch, an extraction level's copy of a tile and
-    # two as margin; the Gram matrix would take 72 MB, this bound 2.3 MB
+    # buffers and exact_sum's scratch, each a tile plus a triangle, an
+    # extraction level's copy of a chunk and margin; the Gram matrix would
+    # take 72 MB, this bound 2.3 MB
     tile = 8 * BLOCK_ROWS * TILE_COLUMNS
     assert peak < 8 * BLOCK_ROWS * code.size + 6 * tile
 
