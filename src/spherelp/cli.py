@@ -34,34 +34,25 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _sig12(x):
+def _sig12(x, nonfinite=lambda v: v):
+    """x with each number rounded to 12 significant digits, and each NaN or infinity replaced by nonfinite(value)."""
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.12g}")
+        x = float(f"{float(x):.12g}")
+        return x if isfinite(x) else nonfinite(x)
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, (list, tuple)):
-        return [_sig12(v) for v in x]
+        return [_sig12(v, nonfinite) for v in x]
     if isinstance(x, dict):
-        return {k: _sig12(v) for k, v in x.items()}
-    return x
-
-
-def _null_nonfinite(x):
-    """x as _sig12 gives it, with each NaN or infinity as None, which JSON writes as null."""
-    if isinstance(x, float):
-        return x if isfinite(x) else None
-    if isinstance(x, list):
-        return [_null_nonfinite(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _null_nonfinite(v) for k, v in x.items()}
+        return {k: _sig12(v, nonfinite) for k, v in x.items()}
     return x
 
 
 def _emit_json(payload) -> str:
-    # allow_nan=False: a non-finite number that escapes _null_nonfinite raises, not prints NaN or Infinity
-    return json.dumps(_null_nonfinite(_sig12(payload)), indent=2, allow_nan=False)
+    # a NaN or infinity is null; allow_nan=False raises on one that escapes, not prints NaN or Infinity
+    return json.dumps(_sig12(payload, lambda v: None), indent=2, allow_nan=False)
 
 
 def _emit_text(payload) -> str:
@@ -182,62 +173,47 @@ def _print(args, payload, rows, header) -> None:
         _write(_emit_json(payload))
 
 
-def _print_report(args, report) -> int:
-    rows = [(i, a, w) for i, (a, w) in enumerate(zip(report.rule.nodes, report.rule.weights))]
-    _print(args, _report_payload(args.command, report), rows, ("i", "alpha_i", "rho_i"))
-    if not report.feasible:
-        print("infeasible: a certificate check failed", file=sys.stderr)
-        for c in report.diagnostics:
-            if not c.ok:
-                print(f"  {c.name}: value={c.value} {c.note}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def cmd_lower(args) -> int:
-    """``ulb`` and ``design-ulb``: lower bounds at a capacity."""
+def cmd_bound(args) -> int:
+    """``ulb`` and ``design-ulb`` at a capacity; ``uub`` and ``design-uub`` also at a maximal inner product s."""
     capacity, code = _resolve_capacity(args)
     n = args.n if args.n is not None else (code.n if code else None)
-    if n is None:
+    if args.command.endswith("uub"):
+        s = args.s if args.s is not None else (code.max_inner_product if code else None)
+        if n is None or s is None:
+            raise ValueError("--n and --s are required when no --config is given")
+    elif n is None:
         raise ValueError("--n is required when no --config is given")
     h = parse_potential(args.potential, n)
-    if args.command == "design-ulb":
-        report = bounds.design_ulb(n, capacity, args.tau, h)
-    else:
+    if args.command == "ulb":
         report = bounds.ulb(n, capacity, h)
-    return _print_report(args, report)
-
-
-def cmd_upper(args) -> int:
-    """``uub`` and ``design-uub``: upper bounds at a maximal inner product."""
-    capacity, code = _resolve_capacity(args)
-    n = args.n if args.n is not None else (code.n if code else None)
-    s = args.s if args.s is not None else (code.max_inner_product if code else None)
-    if n is None or s is None:
-        raise ValueError("--n and --s are required when no --config is given")
-    h = parse_potential(args.potential, n)
-    if args.command == "design-uub":
-        report = bounds.design_uub(n, capacity, s, args.tau, h)
-    else:
+    elif args.command == "design-ulb":
+        report = bounds.design_ulb(n, capacity, args.tau, h)
+    elif args.command == "uub":
         report = bounds.uub(n, capacity, s, h, m_override=args.m_override)
-    return _print_report(args, report)
+    else:
+        report = bounds.design_uub(n, capacity, s, args.tau, h)
+    rows = [(i, a, w) for i, (a, w) in enumerate(zip(report.rule.nodes, report.rule.weights))]
+    _print(args, _report_payload(args.command, report), rows, ("i", "alpha_i", "rho_i"))
+    if report.feasible:
+        return EXIT_OK
+    print("infeasible: a certificate check failed", file=sys.stderr)
+    for c in report.diagnostics:
+        if not c.ok:
+            print(f"  {c.name}: value={c.value} {c.note}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
+def _code_header(args, code) -> dict:
+    """The leading fields of ``energy`` and ``design-check``."""
+    return {"schema": 1, "command": args.command, "config": args.config, "n": code.n, "size": code.size, "capacity": code.n_w}
 
 
 def cmd_energy(args) -> int:
     code = load_config(args.config)
     h = parse_potential(args.potential, code.n)
     value = codes.energy(code, h)
-    payload = {
-        "schema": 1,
-        "command": "energy",
-        "config": args.config,
-        "n": code.n,
-        "size": code.size,
-        "capacity": code.n_w,
-        "s": code.max_inner_product if code.size > 1 else None,
-        "potential": h.label(),
-        "value": value,
-    }
+    payload = _code_header(args, code)
+    payload.update(s=code.max_inner_product if code.size > 1 else None, potential=h.label(), value=value)
     _print(args, payload, payload.items(), ("field", "value"))
     return EXIT_OK
 
@@ -245,17 +221,8 @@ def cmd_energy(args) -> int:
 def cmd_design_check(args) -> int:
     code = load_config(args.config)
     report = codes.design_strength(code, args.tau, args.tol)
-    payload = {
-        "schema": 1,
-        "command": "design-check",
-        "config": args.config,
-        "n": code.n,
-        "size": code.size,
-        "capacity": code.n_w,
-        "strength": report.strength,
-        "tol": args.tol,
-        "moments": list(report.moments),
-    }
+    payload = _code_header(args, code)
+    payload.update(strength=report.strength, tol=args.tol, moments=list(report.moments))
     _print(args, payload, enumerate(report.moments, start=1), ("ell", "M_ell"))
     return EXIT_OK
 
@@ -319,19 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     potential = "riesz:A | newton | gaussian:A | log | fejes-toth | shift:C:BASE"
-    for name, summary, func in (
-        ("ulb", "lower bound on weighted energy", cmd_lower),
-        ("uub", "upper bound on weighted energy at maximal inner product s", cmd_upper),
-        ("design-ulb", "lower bound for weighted designs", cmd_lower),
-        ("design-uub", "upper bound for weighted designs", cmd_upper),
+    for name, summary in (
+        ("ulb", "lower bound on weighted energy"),
+        ("uub", "upper bound on weighted energy at maximal inner product s"),
+        ("design-ulb", "lower bound for weighted designs"),
+        ("design-uub", "upper bound for weighted designs"),
     ):
-        p = command(name, summary, func)
+        p = command(name, summary, cmd_bound)
         p.add_argument("--n", type=int, help="dimension of the ambient space (default: the config's)")
         p.add_argument("--potential", required=True, help=potential)
         p.add_argument("--capacity", type=float, help="effective cardinality N_W (or N_1 source)")
         p.add_argument("--weights-file", help="JSON file holding the weight vector")
         p.add_argument("--config", help=CONFIG_HELP)
-        if func is cmd_upper:
+        if name.endswith("uub"):
             p.add_argument("--s", type=float, help="maximal inner product (default: the config's)")
         if name == "uub":
             p.add_argument("--m-override", type=int, help="force the Levenshtein degree (table-reproduction mode)")

@@ -5,13 +5,15 @@ the library itself never needs: Clenshaw evaluation of a Gegenbauer
 series, the moments of the inner-product measure mu_n, exact monomial
 integrals over the sphere, the design and cubature residuals of a
 weighted code, the closed-form energies of the two flagship
-configurations, and three sharp codes built from the E8 roots.  The test files import them as ``from oracles import ...``;
-the module has no ``test_`` prefix, so pytest does not collect it.
+configurations, three sharp codes built from the E8 roots, the 600-cell,
+and the weights that make a union of orbits a design.  The test files
+import them as ``from oracles import ...``; the module has no ``test_``
+prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -180,3 +182,46 @@ def sharp_code(name: str) -> WeightedCode:
     n, size, _ = SHARP_CODES[name]
     assert points.shape == (size, n)
     return WeightedCode(n, points, np.full(size, 1 / size))
+
+
+def six_hundred_cell() -> WeightedCode:
+    """The 600-cell with equal weights, 120 points of R^4: the 8 permutations
+    of (+-1, 0, 0, 0), the 16 points (+-1/2)^4, and the 96 even permutations
+    of (+-phi, +-1, +-1/phi, 0)/2, phi the golden ratio."""
+    phi = (1 + sqrt(5)) / 2
+    signed = [(a * phi, b, c / phi, 0.0) for a, b, c in product((1.0, -1.0), repeat=3)]
+    # an even permutation has an even number of inversions
+    even = [p for p in permutations(range(4)) if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    halves = np.array(list(product((0.5, -0.5), repeat=4)))
+    snubs = np.array([[v[i] for i in p] for v in signed for p in even]) / 2
+    points = np.vstack((np.eye(4), -np.eye(4), halves, snubs))
+    return WeightedCode(4, points, np.full(120, 1 / 120))
+
+
+def design_weights(n: int, orbits, tau: int) -> tuple[np.ndarray, float]:
+    """The weights, one per orbit, that make a union of orbits a weighted
+    design of strength tau, and the largest residual of the system they solve.
+
+    The weighted moment M_j(w) is the squared norm of sum_i w_i Y(x_i) over
+    the degree-j harmonics Y (Delsarte, Goethals and Seidel, Geom. Dedicata
+    1977), so it is a PSD quadratic form w' S_j w with S_j[a, b] the sum of
+    P_j(x . y) over x in orbit a and y in orbit b, and M_j = 0 exactly when
+    S_j w = 0.  The rows S_1 w = ... = S_tau w = 0 and sum_a |orbit a| w_a = 1
+    are solved by least squares: the residual is round-off where the union
+    carries a tau-design and of order 1 where it does not.  P_j, with
+    P_j(1) = 1, comes from (i + n - 2) P_{i+1} = (2i + n - 2) t P_i - i P_{i-1}.
+    """
+    k = len(orbits)
+    system = np.zeros((tau * k + 1, k))
+    for a, x in enumerate(orbits):
+        for b, y in enumerate(orbits):
+            t = np.clip(x @ y.T, -1.0, 1.0)
+            previous, current = np.ones_like(t), t
+            for j in range(1, tau + 1):
+                system[(j - 1) * k + a, b] = current.sum()
+                previous, current = current, ((2 * j + n - 2) * t * current - j * previous) / (j + n - 2)
+    system[-1] = [len(x) for x in orbits]
+    rhs = np.zeros(tau * k + 1)
+    rhs[-1] = 1.0
+    weights = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return weights, float(np.max(np.abs(system @ weights - rhs)))

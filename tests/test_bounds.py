@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import census
-from oracles import SHARP_CODES, clenshaw, sharp_code
+from oracles import SHARP_CODES, clenshaw, sharp_code, six_hundred_cell
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, uub
 from spherelp.bounds import test_functions as compute_test_functions
@@ -959,3 +959,20 @@ def test_sharp_codes_attain_both_bounds(name, spec):
         assert len(nodes) == len(products) and max(abs(np.subtract(nodes, products))) <= 1e-12
         assert abs(report.value - e) <= 4 * np.finfo(float).eps * abs(e)
         assert census.verdict_text(bounds.read_record(bounds.write_record(report))) == census.verdict_text(report)
+
+
+@pytest.mark.parametrize("spec, gap", [("riesz:1", 3.984e-5), ("log", 2.371e-5)])
+def test_six_hundred_cell_lies_above_its_ulb(spec, gap):
+    # the 600-cell is an 11-design but not sharp: its energy lies strictly
+    # above the ULB at its capacity; under gaussian:1 the gap is 5e-14, below
+    # the certificate's round-off, so no sign is pinned there
+    h = parse_potential(spec, 4)
+    report = ulb(4, 120.0, h)
+    assert report.m == 11 and report.feasible
+    assert energy(six_hundred_cell(), h) - report.value == pytest.approx(gap, rel=1e-3)
+
+
+def test_six_hundred_cell_capacity_is_improvable():
+    report = compute_test_functions(4, 120.0, 33)
+    assert report.negative_indices == (14, 15, 17, 27)
+    assert report.improvable

@@ -491,6 +491,28 @@ def test_omitted_required_option_is_named(capsys, argv, option):
     assert err.startswith("error: the following arguments are required: ") and option in err
 
 
+_WITHOUT_N = "--n is required when no --config is given"
+_WITHOUT_N_OR_S = "--n and --s are required when no --config is given"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ulb",), _WITHOUT_N),
+        (("design-ulb", "--tau", "5"), _WITHOUT_N),
+        (("uub", "--s", "0.5"), _WITHOUT_N_OR_S),
+        (("uub", "--n", "3"), _WITHOUT_N_OR_S),
+        (("design-uub", "--s", "0.5", "--tau", "5"), _WITHOUT_N_OR_S),
+        (("design-uub", "--n", "3", "--tau", "5"), _WITHOUT_N_OR_S),
+    ],
+    ids=["ulb-n", "design-ulb-n", "uub-n", "uub-s", "design-uub-n", "design-uub-s"],
+)
+def test_bound_command_without_a_config_names_what_it_lacks(capsys, argv, message):
+    # the lower bounds need only n; the upper bounds need n and s
+    code, out, err = run(capsys, *argv, "--capacity", "14", "--potential", "riesz:1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -12,6 +12,8 @@ from oracles import (
     _surface_monomial_integral,
     closed_form_energy,
     design_point_identity_check,
+    design_weights,
+    six_hundred_cell,
     sphere_quadrature_check,
 )
 from spherelp import codes
@@ -24,6 +26,7 @@ from spherelp.codes import (
     code_from_json,
     cube,
     cube_crosspolytope,
+    crosspolytope,
     design_strength,
     dodecahedron,
     energy,
@@ -146,6 +149,34 @@ def test_design_strengths():
     assert design_strength(pentakis_dodecahedron(), 12).strength == 9
     assert design_strength(regular_ngon(8), 10).strength == 7
     assert design_strength(cube_crosspolytope(2), 10).strength == 7
+
+
+def test_six_hundred_cell_is_an_11_design_with_8_inner_products():
+    code = six_hundred_cell()
+    phi = (1 + SQ5) / 2
+    gram = code.points @ code.points.T
+    products = np.unique(np.round(gram[~np.eye(code.size, dtype=bool)], 12))
+    assert_allclose(products, sorted([-1, -phi / 2, -0.5, -1 / (2 * phi), 0, 1 / (2 * phi), 0.5, phi / 2]), atol=1e-12)
+    assert design_strength(code, 14).strength == 11
+
+
+def test_derived_weights_of_icosahedron_and_dodecahedron_are_the_pentakis_weights():
+    # one weight per orbit solves M_1 = ... = M_9 = 0 up to round-off, and no
+    # weights reach M_10 = 0: the union's strength is exactly 9
+    orbits = [icosahedron().points, dodecahedron().points]
+    weights, residual = design_weights(3, orbits, 9)
+    assert residual < 1e-13
+    assert_allclose(weights, pentakis_dodecahedron().weights[[0, -1]], rtol=1e-14)  # 5/168 and 9/280
+    assert design_weights(3, orbits, 10)[1] > 0.5
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_derived_weights_of_cross_polytope_and_cube_are_the_typed_ones(n):
+    orbits = [crosspolytope(n).points, cube(n).points]
+    weights, residual = design_weights(n, orbits, 5)
+    assert residual < 1e-13
+    assert_allclose(weights, cube_crosspolytope(n).weights[[0, -1]], rtol=1e-14)
+    assert design_weights(n, orbits, 6)[1] > 0.5  # strength exactly 5
 
 
 def test_random_code_strength_zero():

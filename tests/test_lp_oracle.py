@@ -18,8 +18,10 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import eval_jacobi
 
+from oracles import six_hundred_cell
 from spherelp.bounds import ulb
-from spherelp.potentials import gaussian, logarithmic, newton, riesz
+from spherelp.codes import energy
+from spherelp.potentials import gaussian, logarithmic, newton, parse_potential, riesz
 from spherelp.quadrature import dgs_bound
 
 # 3000 uniform points of [-1, 0.999] and 40 more up to 1 - 1e-6
@@ -85,3 +87,14 @@ def test_ulb_at_most_the_gridded_lp(n, capacity, h):
     assert report.value <= lp + 1e-12 * max(1.0, abs(lp)), (report.value, lp)
     # the grid only relaxes dominance between its points: the LP is barely above
     assert math.isclose(report.value, lp, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("spec", ["riesz:1", "log"])
+def test_gridded_lp_of_degree_17_reaches_the_six_hundred_cell(spec):
+    # the ULB (m = 11) lies about 4e-5 below the 600-cell's energy E; the LP
+    # with degrees up to 17 closes that gap to the grid's relaxation, 1e-8
+    h = parse_potential(spec, 4)
+    e = energy(six_hundred_cell(), h)
+    lp = gridded_lp(4, 17, 120.0, h.label())
+    assert abs(lp - e) <= 1e-7 * abs(e), (lp, e)
+    assert lp - ulb(4, 120.0, h).value > 1e-5
