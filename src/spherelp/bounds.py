@@ -371,6 +371,8 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
         raise ValueError(f"potential {h.label()} lacks h^({tau + 1}) >= 0")
     if capacity == inf:
         raise ValueError(f"capacity must be finite, got {capacity!r}")
+    if tau > MAX_RULE_DEGREE:  # before D(n, tau), an exact binomial that grows with tau
+        raise ValueError(f"degree {tau} above cap {MAX_RULE_DEGREE}")
     if not dgs_bound(n, tau) < capacity <= dgs_bound(n, tau + 1):
         raise ValueError(
             f"capacity {capacity} outside (D({n},{tau}), D({n},{tau + 1})] ="

@@ -4,11 +4,13 @@ Each kind carries a closed-form value and first derivative plus the
 derivative signs that gate which bounds apply to it:
 
     riesz(alpha)   (2(1-t))**(-alpha/2), alpha > 0
-    newton(n)      (2(1-t))**(1-n/2)  (riesz with alpha = n-2; constant for n=2)
+    newton(n)      riesz with alpha = n-2: (2(1-t))**(1-n/2), constant for n=2
     gaussian(alpha) exp(-alpha*(1-t))
     logarithmic    -log(2(1-t))
     fejes_toth     -sqrt(2(1-t))
     shifted(h, c)  h(t) + c
+
+Value and slope come from one dispatch on the gap 1 - t, ``_gap_values``.
 """
 
 from __future__ import annotations
@@ -88,65 +90,51 @@ def _check_domain(t):
 
 def potential_eval(h: Potential, t):
     """Value of h at t (scalar or array); t = 1 is a domain error."""
-    v = np.asarray(_values(h, _check_domain(t)))
+    v = np.asarray(_gap_values(h, np.subtract(1.0, _check_domain(t))))
     return v if v.ndim else float(v)
 
 
-def _values(h: Potential, t: np.ndarray):
-    """The closed form of h at a float array t, unchecked: callers make sure t < 1.
-
-    One new array (a numpy scalar for a 0-d t) holding 1 - t, which
-    :func:`_gap_values` turns into h in place.
-    """
-    return _gap_values(h, np.subtract(1.0, t))
+def potential_derivative(h: Potential, t):
+    """Closed-form first derivative of h at t."""
+    v = np.asarray(_gap_values(h, np.subtract(1.0, _check_domain(t)), slope=True))
+    return v if v.ndim else float(v)
 
 
-def _gap_values(h: Potential, v):
-    """The closed form of h at t from v = 1 - t, a float array or numpy scalar, unchecked: callers make sure v > 0.
+def _gap_values(h: Potential, v, slope=False):
+    """h at t, or with ``slope`` h', from v = 1 - t, a float array or numpy scalar, unchecked: callers make sure v > 0.
 
     An array is worked in place by the ufuncs of the formulas in the module
     docstring and returned; a numpy scalar, whose pow is the C library's,
-    gives a new scalar.
+    gives a new scalar.  newton(n) takes riesz's branch with alpha = n - 2.
     """
     if h.kind == "shifted":
-        v = _gap_values(h.base, v)
-        v += h.param
+        v = _gap_values(h.base, v, slope)
+        if not slope:
+            v += h.param
         return v
     # on a numpy scalar the in-place operators rebind v, and the ufuncs return a new scalar
     into = v if v.ndim else None
     if h.kind == "gaussian":
         v *= -h.param
         v = np.exp(v, out=into)
+        if slope:
+            v *= h.param
+    elif h.kind == "logarithmic" and slope:
+        v = np.reciprocal(v, out=into)
     else:
         v *= 2.0
-        if h.kind == "riesz":
-            v **= -h.param / 2.0
-        elif h.kind == "newton":
-            v **= 1.0 - h.param / 2.0
+        if h.kind in ("riesz", "newton"):
+            alpha = h.param if h.kind == "riesz" else h.param - 2.0
+            v **= -alpha / 2.0 - slope
+            if slope:
+                v *= alpha
         else:
-            v = np.log(v, out=into) if h.kind == "logarithmic" else np.sqrt(v, out=into)
-            v = -v if into is None else np.negative(v, out=v)
+            v = (np.log if h.kind == "logarithmic" else np.sqrt)(v, out=into)
+            if slope:  # fejes_toth: 1 / sqrt(2(1-t))
+                v = np.reciprocal(v, out=into)
+            else:
+                v = -v if into is None else np.negative(v, out=v)
     return v
-
-
-def potential_derivative(h: Potential, t):
-    """Closed-form first derivative of h at t."""
-    t = _check_domain(t)
-    if h.kind == "riesz":
-        v = h.param * (2.0 * (1.0 - t)) ** (-h.param / 2.0 - 1.0)
-    elif h.kind == "newton":
-        a = h.param - 2.0
-        v = a * (2.0 * (1.0 - t)) ** (-a / 2.0 - 1.0)
-    elif h.kind == "gaussian":
-        v = h.param * np.exp(-h.param * (1.0 - t))
-    elif h.kind == "logarithmic":
-        v = 1.0 / (1.0 - t)
-    elif h.kind == "fejes_toth":
-        v = 1.0 / np.sqrt(2.0 * (1.0 - t))
-    else:
-        return potential_derivative(h.base, t)
-    v = np.asarray(v)
-    return v if v.ndim else float(v)
 
 
 def min_nonneg_derivative_order(h: Potential) -> int:

@@ -6,9 +6,9 @@ series, the moments of the inner-product measure mu_n, exact monomial
 integrals over the sphere, the design and cubature residuals of a
 weighted code, the closed-form energies of the two flagship
 configurations, three sharp codes built from the E8 roots, the 600-cell,
-and the weights that make a union of orbits a design.  The test files
-import them as ``from oracles import ...``; the module has no ``test_``
-prefix, so pytest does not collect it.
+the 24-cell with its dual, and the weights that make a union of orbits a
+design.  The test files import them as ``from oracles import ...``; the
+module has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import comb, fsum, sqrt
 
 import numpy as np
 
-from spherelp.codes import WeightedCode
+from spherelp.codes import WeightedCode, cube_crosspolytope
 from spherelp.orthopoly import GegenbauerSeries
 from spherelp.potentials import Potential, potential_eval
 
@@ -196,6 +196,22 @@ def six_hundred_cell() -> WeightedCode:
     snubs = np.array([[v[i] for i in p] for v in signed for p in even]) / 2
     points = np.vstack((np.eye(4), -np.eye(4), halves, snubs))
     return WeightedCode(4, points, np.full(120, 1 / 120))
+
+
+def twenty_four_cell_orbits() -> list[np.ndarray]:
+    """The 24-cell and its dual, two orbits of 24 points in R^4: the points of
+    ``cube_crosspolytope(4)``, +-e_i and (+-1/2)^4, and the 24 permutations of
+    (+-1, +-1, 0, 0)/sqrt 2."""
+    dual = np.zeros((24, 4))
+    for row, ((i, j), signs) in enumerate(product(combinations(range(4), 2), product((1.0, -1.0), repeat=2))):
+        dual[row, [i, j]] = signs
+    return [cube_crosspolytope(4).points, dual / sqrt(2)]
+
+
+def union_code(n: int, orbits, tau: int) -> WeightedCode:
+    """The union of orbits, each point weighted as :func:`design_weights` derives for strength tau."""
+    weights = design_weights(n, orbits, tau)[0]
+    return WeightedCode(n, np.vstack(orbits), np.repeat(weights, [len(x) for x in orbits]))
 
 
 def design_weights(n: int, orbits, tau: int) -> tuple[np.ndarray, float]:

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import census
-from oracles import SHARP_CODES, clenshaw, sharp_code, six_hundred_cell
+from oracles import SHARP_CODES, clenshaw, sharp_code, six_hundred_cell, twenty_four_cell_orbits, union_code
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, uub
 from spherelp.bounds import test_functions as compute_test_functions
@@ -30,6 +31,7 @@ from spherelp.quadrature import (
     QuadratureError,
     WeightAtMinusOneError,
     dgs_bound,
+    levenshtein_function,
     levenshtein_polynomial,
     select_degree_from_s,
     solve_ulb_rule,
@@ -152,12 +154,17 @@ def test_upper_bounds_reject_nonfinite_or_nonpositive_capacity(capacity):
         design_uub(3, capacity, 0.5, 3, riesz(1))
 
 
-def test_upper_bounds_reject_degree_above_cap():
+def test_bounds_that_take_a_degree_reject_one_above_cap():
     # the override and tau bypass degree selection, so the cap is enforced again
     with pytest.raises(ValueError, match=r"degree 26 above cap 25"):
         uub(3, 30.0, 0.7, riesz(1), m_override=26)
     with pytest.raises(ValueError, match=r"degree 26 above cap 25"):
         design_uub(3, 30.0, 0.7, 26, riesz(1))
+    with pytest.raises(ValueError, match=r"^degree 26 above cap 25$"):
+        design_ulb(3, 200.0, 26, riesz(1))
+    # before D(n, tau), whose exact binomial at this tau took seconds and then failed to print
+    with pytest.raises(ValueError, match=r"^degree 1000000 above cap 25$"):
+        design_ulb(100_000, 5.0, 10**6, riesz(1))
 
 
 def test_upper_bounds_reject_dimension_below_two():
@@ -976,3 +983,71 @@ def test_six_hundred_cell_capacity_is_improvable():
     report = compute_test_functions(4, 120.0, 33)
     assert report.negative_indices == (14, 15, 17, 27)
     assert report.improvable
+
+
+@pytest.mark.parametrize("spec, gap", [("riesz:1", 7.019e-4), ("log", 5.483e-4), ("gaussian:1", 1.985e-8)])
+def test_twenty_four_cell_with_its_dual_lies_between_its_bounds(spec, gap):
+    # a 7-design of 48 points with derived weights 1/48, not sharp: the energy
+    # lies strictly inside the bracket; n_w computes as 47.99999999999996
+    code, h = union_code(4, twenty_four_cell_orbits(), 7), parse_potential(spec)
+    e = energy(code, h)
+    lower = ulb(4, code.n_w, h)
+    assert lower.m == 7 and lower.feasible
+    assert e - lower.value == pytest.approx(gap, rel=1e-3)
+    assert design_ulb(4, code.n_w, 7, h).value == lower.value
+    assert code.max_inner_product == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    upper = uub(4, code.n_w, code.max_inner_product, h)
+    assert upper.m == 8 and upper.feasible and upper.value > e
+
+
+def test_twenty_four_cell_with_its_dual_capacity_is_improvable():
+    report = compute_test_functions(4, union_code(4, twenty_four_cell_orbits(), 7).n_w, 21)
+    assert report.negative_indices == (10, 11, 19, 20)
+    assert report.improvable
+
+
+BOUND_CURVE_POTENTIALS = [riesz(1.0), gaussian(1.0), logarithmic(), riesz(2.5)]
+
+
+def test_ulb_and_uub_meet_at_the_levenshtein_bound():
+    # at N_W = N_1 = L_m(n, s) both bounds solve the degree-m rule at s, both
+    # certificates interpolate h at its nodes and the lambda* term vanishes, so
+    # the two directions meet; ULB <= UUB is not asserted: in 2 of these 300
+    # cells (newton, n = 9 and 12) the UUB lies below by about 1.4e-14 relative
+    draws = random.Random(3)
+    for i in range(300):
+        n, m, frac = draws.randrange(2, 13), draws.randrange(1, 16), draws.uniform(0.02, 0.98)
+        lo, hi = validity_interval(n, m)
+        s = lo + frac * (hi - lo)
+        h = (BOUND_CURVE_POTENTIALS + [newton(n)])[i % 5]
+        n1 = levenshtein_function(n, m, s)
+        lower, upper = ulb(n, n1, h), uub(n, n1, s, h)
+        where = (n, m, s, h.label())
+        assert lower.m == upper.m == m and lower.feasible and upper.feasible, where
+        assert max(abs(np.subtract(lower.rule.nodes, upper.rule.nodes))) <= 2e-14, where
+        assert abs(lower.value - upper.value) <= 1e-13 * abs(lower.value), where
+
+
+@pytest.mark.parametrize("h", BOUND_CURVE_POTENTIALS, ids=lambda h: h.label())
+def test_ulb_is_continuous_across_each_dgs_bound(h):
+    # at N_W = D(n, m) the degree steps from m - 1 to m while the bound stays
+    # continuous: a 1e-9 relative step in N_W moves it by the slope alone
+    for n in (2, 3, 4, 5, 8, 12, 20):
+        for m in range(2, MAX_RULE_DEGREE):
+            d = dgs_bound(n, m)
+            below, above = ulb(n, d * (1 - 1e-9), h), ulb(n, d * (1 + 1e-9), h)
+            assert (below.m, above.m) == (m - 1, m) and below.feasible and above.feasible, (n, m)
+            assert abs(above.value - below.value) <= 1e-8 * abs(below.value), (n, m)
+
+
+@pytest.mark.parametrize("h", BOUND_CURVE_POTENTIALS, ids=lambda h: h.label())
+def test_uub_at_the_levenshtein_bound_is_continuous_across_each_right_end(h):
+    # with N_W = L at each side's degree, so that the lambda* term vanishes; at
+    # a fixed N_W far from L, UUB(s) jumps at hi(m), and in N_W it is not
+    # monotone under log near N_W = 2.5, so neither is asserted
+    for n in (3, 4, 8, 12):
+        for m in range(1, MAX_RULE_DEGREE - 1):
+            hi = validity_interval(n, m)[1]
+            sides = [uub(n, levenshtein_function(n, deg, s), s, h) for s, deg in ((hi - 1e-9, m), (hi + 1e-9, m + 1))]
+            assert [r.m for r in sides] == [m, m + 1] and all(r.feasible for r in sides), (n, m)
+            assert abs(sides[1].value - sides[0].value) <= 5e-8 * abs(sides[0].value), (n, m)

@@ -566,6 +566,10 @@ def test_closed_stdout_is_not_an_error(argv):
             ("design-uub", "--n", "3", "--capacity", "30", "--s", "0.7", "--potential", "riesz:1", "--tau", "26"),
             "error: degree 26 above cap 25",
         ),
+        (
+            ("design-ulb", "--n", "3", "--capacity", "200", "--tau", "26", "--potential", "riesz:1"),
+            "error: degree 26 above cap 25",
+        ),
         (("uub", "--n", "0", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1"), "error: dimension must be >= 2"),
         (
             ("uub", "--n", "1", "--capacity", "30", "--s", "0.5", "--potential", "riesz:1", "--m-override", "3"),
@@ -590,8 +594,9 @@ def test_closed_stdout_is_not_an_error(argv):
         (("design-ulb", "--n", "3", "--capacity", "30", "--potential", "log", "--tau", "-1"), "error: degree must be >= 1"),
     ],
     ids=[
-        "design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau", "uub-n0", "uub-n1-m-override", "design-uub-n1",
-        "uub-m-override-negative", "uub-m-override-zero", "design-uub-tau-negative", "design-ulb-tau-negative-log",
+        "design-check-n1", "uub-n1", "uub-m-override", "design-uub-tau", "design-ulb-tau", "uub-n0", "uub-n1-m-override",
+        "design-uub-n1", "uub-m-override-negative", "uub-m-override-zero", "design-uub-tau-negative",
+        "design-ulb-tau-negative-log",
     ],
 )
 def test_out_of_range_dimension_or_degree_is_a_named_usage_error(tmp_path, argv, message):

@@ -15,6 +15,8 @@ from oracles import (
     design_weights,
     six_hundred_cell,
     sphere_quadrature_check,
+    twenty_four_cell_orbits,
+    union_code,
 )
 from spherelp import codes
 from spherelp.codes import (
@@ -177,6 +179,15 @@ def test_derived_weights_of_cross_polytope_and_cube_are_the_typed_ones(n):
     assert residual < 1e-13
     assert_allclose(weights, cube_crosspolytope(n).weights[[0, -1]], rtol=1e-14)
     assert design_weights(n, orbits, 6)[1] > 0.5  # strength exactly 5
+
+
+def test_derived_weights_of_the_24_cell_and_its_dual_are_equal():
+    orbits = twenty_four_cell_orbits()
+    weights, residual = design_weights(4, orbits, 7)
+    assert residual < 1e-13
+    assert_allclose(weights, 1 / 48, rtol=1e-14)
+    assert design_weights(4, orbits, 8)[1] > 0.5  # strength exactly 7
+    assert design_strength(union_code(4, orbits, 7), 10).strength == 7
 
 
 def test_random_code_strength_zero():

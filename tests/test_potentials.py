@@ -7,7 +7,6 @@ import pytest
 from spherelp.potentials import (
     MAX_SHIFT_DEPTH,
     _gap_values,
-    _values,
     classify,
     derivative_nonneg_from,
     fejes_toth,
@@ -242,6 +241,22 @@ def out_of_place(h, t):
     return out_of_place(h.base, t) + h.param
 
 
+def out_of_place_slope(h, t):
+    """h' at t by the closed forms of the module docstring differentiated, one new array per operation."""
+    if h.kind == "riesz":
+        return h.param * (2.0 * (1.0 - t)) ** (-h.param / 2.0 - 1.0)
+    if h.kind == "newton":
+        a = h.param - 2.0
+        return a * (2.0 * (1.0 - t)) ** (-a / 2.0 - 1.0)
+    if h.kind == "gaussian":
+        return h.param * np.exp(-h.param * (1.0 - t))
+    if h.kind == "logarithmic":
+        return 1.0 / (1.0 - t)
+    if h.kind == "fejes_toth":
+        return 1.0 / np.sqrt(2.0 * (1.0 - t))
+    return out_of_place_slope(h.base, t)
+
+
 def inner_products():
     """A contiguous grid, a column slice of a 2-D block and a 0-d array, all below 1."""
     rng = np.random.default_rng(71)
@@ -249,7 +264,8 @@ def inner_products():
     return [np.linspace(-1.0, 0.999, 1001), block[:, 37:300], np.asarray(-0.3), np.asarray(0.95)]
 
 
-# ** takes numpy's fast paths at exponents -1 (riesz:2, newton:4) and 0 (newton:2)
+# ** takes numpy's fast paths at exponents -1 (riesz:2, newton:4) and 0 (newton:2) for values,
+# and at -1 (newton:2, then times 0) for slopes; riesz:2 and newton:4 have slope exponent -2
 VALUE_KINDS = ALL_KINDS + [riesz(2.0), newton(4), shifted(shifted(gaussian(1.0), -0.5), 2.0)]
 
 
@@ -259,7 +275,7 @@ def test_values_into_a_buffer_equal_fresh_values_bit_for_bit(h):
         if not t.ndim:
             continue
         before = t.copy()
-        want = _values(h, t)
+        want = _gap_values(h, np.subtract(1.0, t))
         # 1 - t in a view of a larger flat buffer, as energy passes its tiles
         out = np.full(t.size + 5, np.nan)[: t.size].reshape(t.shape)
         assert _gap_values(h, np.subtract(1.0, t, out=out)) is out
@@ -271,6 +287,17 @@ def test_values_into_a_buffer_equal_fresh_values_bit_for_bit(h):
 @pytest.mark.parametrize("h", VALUE_KINDS, ids=lambda h: h.label())
 def test_values_equal_the_closed_forms_out_of_place_bit_for_bit(h):
     for t in inner_products():
-        got, want = _values(h, t), out_of_place(h, t)
+        got, want = _gap_values(h, np.subtract(1.0, t)), out_of_place(h, t)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("h", VALUE_KINDS, ids=lambda h: h.label())
+def test_slopes_equal_the_closed_forms_out_of_place_bit_for_bit(h):
+    for t in inner_products():
+        got, want = _gap_values(h, np.subtract(1.0, t), slope=True), out_of_place_slope(h, t)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        public = potential_derivative(h, t)
+        assert np.asarray(public).tobytes() == np.asarray(want).tobytes()
+        assert type(public) is (float if not t.ndim else np.ndarray)
