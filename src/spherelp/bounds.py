@@ -165,10 +165,12 @@ class _Setup(NamedTuple):
     scan: CheckResult | None
 
 
-def _setup(rule: QuadratureRule, lower: bool) -> _Setup:
-    """What a verdict reads besides the certificate: the Hermite operator (value rows
-    from the rule's node table; slopes at every node but -1, and s for upper bounds), the
-    dominance grid on ULB_INTERVAL or [-1, s], its table P_0..P_m in pieces, and (lower) the Q_j scan."""
+def _setup(rule: QuadratureRule, kind: str) -> _Setup:
+    """What a verdict of ``kind`` reads besides the certificate: the Hermite operator (value
+    rows from the rule's node table; slopes at every node but -1, and s for upper bounds), the
+    dominance grid on ULB_INTERVAL or [-1, s], its table in pieces up to the certificate's
+    degree (m, or m - 1 for ``design_uub``, whose g_T has m coefficients), and (lower) the Q_j scan."""
+    lower = kind in ("ulb", "design_ulb")
     if lower:
         doubled, interval, head = slice(rule.eps, None), ULB_INTERVAL, (_fixed_table(rule.n)[: rule.m + 1],)
         report = _test_report(rule, rule.table)
@@ -179,7 +181,7 @@ def _setup(rule: QuadratureRule, lower: bool) -> _Setup:
     else:
         doubled, interval, head, scan = slice(rule.eps, -1), (-1.0, rule.s), (), None
     grid = dominance_grid(*interval, rule.nodes)
-    tail = gegenbauer_table(rule.n, rule.m, grid[FIXED_POINTS if lower else 0 :])
+    tail = gegenbauer_table(rule.n, rule.m - (kind == "design_uub"), grid[FIXED_POINTS if lower else 0 :])
     grid.flags.writeable = tail.flags.writeable = False
     operator = hermite_operator(rule.nodes, doubled, rule.n, rule.table)
     return _Setup(rule, operator, grid, head + (tail,), scan)
@@ -201,7 +203,7 @@ def _ulb_setup(n: int, capacity: float) -> _Setup:
     to back and keeps the rules' tables (0.15 MB at m = 20) from piling up.
     Callers pass ``int`` and ``float`` so equal inputs share one entry; a
     failed solve raises and stores nothing."""
-    return _setup(solve_ulb_rule(n, capacity), lower=True)
+    return _setup(solve_ulb_rule(n, capacity), "ulb")
 
 
 def certificate(kind: str, setup: _Setup, h: Potential, capacity: float, f: np.ndarray | None) -> Certificate:
@@ -325,7 +327,7 @@ def read_record(text: str) -> BoundReport:
     rule = _verified_rule(n, m, nodes, weights, n1, 3 * m if lower else m)
     if upper:
         _check_levenshtein(rule, f)
-    setup = _setup(rule, lower)
+    setup = _setup(rule, kind)
     return verdict(Certificate(kind, capacity, h, rule, hermite_jet(h, setup.operator), np.array(gt), f), setup)
 
 
@@ -435,7 +437,7 @@ def _upper_bound(kind: str, n: int, capacity: float, s: float, m: int, h: Potent
         # a tau-design is a (tau - 1)-design, so the limiting degree-(tau - 1) rule bounds it
         built = _levenshtein_rule(kind, n, m - 1, s)
     rule, f = built
-    setup = _setup(rule, lower=False)
+    setup = _setup(rule, kind)
     return verdict(certificate(kind, setup, h, capacity, f), setup)
 
 

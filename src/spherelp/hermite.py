@@ -17,6 +17,7 @@ tabulated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isnan
 
 import numpy as np
@@ -54,20 +55,31 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> Herm
     (n - 1) P_{j-1} of dimension n + 2.  Rows are scaled to unit max norm
     for the solve: slope rows grow like j^2, and unscaled pivoting loses up
     to 4x in accuracy at n = 30.  The points, a rule's nodes, are strictly ascending and below 1.
+    ``matrix`` keeps the memory layout ``np.vstack`` gives it, since the
+    round-off of ``matrix @ coeffs`` in :func:`interpolation_residual`
+    depends on that layout.
     """
     points = np.array(points, dtype=float)
     doubled = points[doubled]
     degree = points.size + doubled.size - 1
-    j = np.arange(1, degree + 1)
     slopes = np.zeros((doubled.size, degree + 1))
     if degree:
-        slopes[:, 1:] = gegenbauer_table(n + 2, degree - 1, doubled).T * (j * (j + n - 2) / (n - 1))
+        slopes[:, 1:] = gegenbauer_table(n + 2, degree - 1, doubled).T * _slope_factors(n, degree)
     matrix = np.vstack((values[: degree + 1].T, slopes))
     row_scale = abs(matrix).max(axis=1)
     scaled = matrix / row_scale[:, None]
     for array in (points, doubled, matrix, row_scale, scaled):
         array.flags.writeable = False
     return HermiteOperator(points, doubled, matrix, row_scale, scaled)
+
+
+@lru_cache(maxsize=256)
+def _slope_factors(n: int, degree: int) -> np.ndarray:
+    """j (j + n - 2) / (n - 1) for j = 1..degree, read-only: P_j' over P_{j-1} of dimension n + 2."""
+    j = np.arange(1, degree + 1)
+    factors = j * (j + n - 2) / (n - 1)
+    factors.flags.writeable = False
+    return factors
 
 
 def hermite_jet(h: Potential, op: HermiteOperator) -> np.ndarray:
@@ -107,7 +119,8 @@ def dominance_grid(lo: float, hi: float, nodes) -> np.ndarray:
     uniform += lo
     uniform[-1] = hi
     np.add(nodes[:, None], _OFFSETS, out=local)
-    np.clip(local, lo, hi, out=local)
+    np.maximum(local, lo, out=local)  # np.clip's bits, without its wrapper
+    np.minimum(local, hi, out=local)
     return grid
 
 

@@ -20,12 +20,17 @@ from functools import lru_cache
 
 import numpy as np
 
-# inputs of at most this many points, which covers every rule's nodes, run
-# the recurrence on Python floats: with float constants and one flat list
-# that beats the five numpy calls per degree of the array path up to about
-# 20 points at degree 10 and 30 at degrees 20 to 60 (one thread, best of
-# 15 x 400 calls on a 2-vCPU Xeon KVM guest), so 16 leaves a margin
+# inputs of at most this many points, which covers every rule's nodes (13 at
+# most), run the recurrence on Python floats.  Both paths give the same bits,
+# so this is a speed choice only: one flat list of floats beats the array
+# path's five direct ufunc calls per degree up to about 16 points at degree
+# 5, 18 at degree 10 and 20 at degrees 20 to 75 (one thread, best of 15 x 300
+# calls, the two paths interleaved, on a 2-vCPU Xeon KVM guest)
 SMALL_TABLE = 16
+# each path reads the recurrence constants from its cache, one entry per
+# dimension, up to this degree: the height of a lower-bound rule's node table
+# at the degree cap (3 x 25); higher tables compute theirs per call
+CACHED_DEGREE = 75
 
 
 @dataclass(frozen=True)
@@ -92,14 +97,14 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
     out[0] = 1.0
     if imax >= 1:
         out[1] = t
-    scratch = np.empty_like(t)
-    for j in range(1, imax):  # in place, in the order of the scalar expression
-        row = out[j + 1]
-        np.multiply(2 * j + n - 2, t, out=row)
-        row *= out[j]
-        np.multiply(j, out[j - 1], out=scratch)
-        row -= scratch
-        row /= j + n - 2
+    rows, scratch = list(out), np.empty_like(t)  # t has at least one axis here, so rows are views
+    # in place, in the order of the scalar expression, one direct ufunc call per operation
+    for (c, j, d), prev, cur, row in zip(_steps(n, imax, _dimension_arrays), rows, rows[1:], rows[2:]):
+        np.multiply(c, t, out=row)
+        np.multiply(row, cur, out=row)
+        np.multiply(j, prev, out=scratch)
+        np.subtract(row, scratch, out=row)
+        np.divide(row, d, out=row)
     return out
 
 
@@ -126,8 +131,7 @@ def _times_t_matrix(n: int, size: int) -> np.ndarray:
 def _float_columns(n: int, imax: int, points: list[float]) -> list[float]:
     """P_0(x), ..., P_imax(x) for each float x in turn, as one flat list, in
     the operation order of gegenbauer_table's array path."""
-    shift = n - 2.0  # float constants: the same values, no int-to-float conversion per step
-    steps = [(j + j + shift, j, j + shift) for j in map(float, range(1, imax))]
+    steps = _steps(n, imax, _dimension_steps)
     flat = []
     for x in points:
         flat += (1.0, x)
@@ -136,6 +140,41 @@ def _float_columns(n: int, imax: int, points: list[float]) -> list[float]:
             prev, cur = cur, (c * x * cur - j * prev) / d
             flat.append(cur)
     return flat if imax else flat[::2]  # imax = 0 keeps P_0 alone
+
+
+def _steps(n: int, imax: int, cache) -> tuple:
+    """The recurrence constants (2j + n - 2, j, j + n - 2) for j = 1..imax - 1, from
+    ``cache`` up to CACHED_DEGREE and as floats above it: the values of the ints,
+    with no int-to-float conversion per step."""
+    if imax <= CACHED_DEGREE:
+        return cache(n)[: max(imax - 1, 0)]
+    return _step_range(n, imax)
+
+
+@lru_cache(maxsize=64)
+def _dimension_steps(n: int) -> tuple[tuple[float, float, float], ...]:
+    """The constants of :func:`_steps` up to CACHED_DEGREE as Python floats, for the float path."""
+    return _step_range(n, CACHED_DEGREE)
+
+
+@lru_cache(maxsize=64)
+def _dimension_arrays(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The same constants as 0-d float64 arrays, for the array path: a ufunc takes
+    those as they are, where it converts a Python float on every call."""
+    return tuple(tuple(map(_array_constant, step)) for step in _dimension_steps(n))
+
+
+@lru_cache(maxsize=1024)
+def _array_constant(v: float) -> np.ndarray:
+    """v as a read-only 0-d float64 array, one per value, which every dimension shares."""
+    out = np.array(v)
+    out.flags.writeable = False
+    return out
+
+
+def _step_range(n: int, imax: int) -> tuple[tuple[float, float, float], ...]:
+    shift = n - 2.0
+    return tuple((j + j + shift, j, j + shift) for j in map(float, range(1, imax)))
 
 
 def to_gegenbauer(coeffs, n: int) -> GegenbauerSeries:

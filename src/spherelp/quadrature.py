@@ -138,15 +138,20 @@ def levenshtein_function(n: int, m: int, s: float) -> float:
     The closed-form rational expression; it is a cardinality bound only for
     s in :func:`validity_interval`, which callers check where it matters.
     """
-    k, eps = split_degree(m)
-    lead = comb(k + n - 3 + eps, n - 2)
-    head = (2 * k + n - 3 + 2 * eps) / (n - 1)
+    k, eps, lead, head = _levenshtein_constants(n, m)
     # P_0..P_{k+eps} at s, to the bit as gegenbauer_table gives them
     p = _float_columns(n, k + eps, [float(s)])
     pk, pke, pkm = p[k], p[k + eps], p[k - 1 + eps]
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
     return float(lead * (head - num / den))
+
+
+@lru_cache(maxsize=256)
+def _levenshtein_constants(n: int, m: int) -> tuple[int, int, int, float]:
+    """k, eps, the binomial lead and the head term of L_m(n, .), which Brent's method reads at every step."""
+    k, eps = split_degree(m)
+    return k, eps, comb(k + n - 3 + eps, n - 2), (2 * k + n - 3 + 2 * eps) / (n - 1)
 
 
 @lru_cache(maxsize=256)
@@ -214,17 +219,16 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
     else:
         diag[0] = s
     nodes, vectors = np.linalg.eigh(_tridiagonal(diag, off))  # ascending, unit eigenvectors as columns
-    where = f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
     if abs(nodes[-1] - s) > 1e-6:
         raise QuadratureError(
-            f"largest node does not match s for {where}: it is {nodes[-1]:.17g}, "
+            f"largest node does not match s for {_where(n, m, s, capacity)}: it is {nodes[-1]:.17g}, "
             f"off by {nodes[-1] - s:.6g} (tolerance 1e-6)"
         )
     nodes[-1] = s
     if eps == 1:
         if abs(nodes[0] + 1) > 1e-7:
             raise QuadratureError(
-                f"even-degree rule lacks the node at -1 for {where}: smallest node is "
+                f"even-degree rule lacks the node at -1 for {_where(n, m, s, capacity)}: smallest node is "
                 f"{nodes[0]:.17g} (tolerance 1e-7)"
             )
         nodes[0] = -1.0
@@ -242,21 +246,24 @@ def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree
             f"a degree-{m} rule for (n={n}, capacity={capacity:.12g}) needs {sum(split_degree(m))} nodes and as "
             f"many weights, not {len(nodes)} nodes and {len(weights)} weights"
         )
-    where = f"(n={n}, m={m}, s={nodes[-1]:.12g}, capacity={capacity:.12g})"
     if len(nodes) > 1:
         gap = int(np.argmin(np.diff(nodes)))
         if nodes[gap + 1] - nodes[gap] <= 1e-9:
+            where = _where(n, m, nodes[-1], capacity)
             raise QuadratureError(
                 f"{'descending' if nodes[gap + 1] < nodes[gap] else 'repeated'} nodes for {where}: "
                 f"nodes {gap} and {gap + 1} are {nodes[gap + 1] - nodes[gap]:.6g} apart"
             )
     if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
         bad = 0 if nodes[0] < -1 - 1e-9 else len(nodes) - 1
-        raise QuadratureError(f"node outside [-1, 1) for {where}: node {bad} is {nodes[bad]:.17g}")
+        raise QuadratureError(
+            f"node outside [-1, 1) for {_where(n, m, nodes[-1], capacity)}: node {bad} is {nodes[bad]:.17g}"
+        )
     low = int(np.argmin(weights))  # the first NaN, if any, which fails the gate
     if not weights[low] > 0:
         raise (WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError)(
-            f"nonpositive quadrature weight for {where}: weight {low} of {len(weights)} is {weights[low]:.6g}"
+            f"nonpositive quadrature weight for {_where(n, m, nodes[-1], capacity)}: "
+            f"weight {low} of {len(weights)} is {weights[low]:.6g}"
         )
     table = gegenbauer_table(n, table_degree, nodes)
     table.flags.writeable = False
@@ -264,10 +271,15 @@ def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree
     worst = int(np.argmax(np.abs(residuals)))
     if not abs(residuals[worst]) <= 1e-9:
         raise QuadratureError(
-            f"quadrature exactness failure for {where}: "
+            f"quadrature exactness failure for {_where(n, m, nodes[-1], capacity)}: "
             f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
         )
     return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity), table)
+
+
+def _where(n: int, m: int, s: float, capacity: float) -> str:
+    """The rule an error message names, formatted only when raising."""
+    return f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
 
 
 def exactness_residuals(table: np.ndarray, weights, capacity: float) -> np.ndarray:

@@ -494,6 +494,51 @@ def test_design_uub_is_the_lambda_zero_upper_bound():
     assert full.certificate.coeffs == design.certificate.coeffs + (0.0,)
 
 
+def test_design_uub_tabulates_its_grid_to_the_certificate_degree(monkeypatch):
+    # design_uub's certificate has m coefficients, so its [-1, s] grid is
+    # tabulated to degree m - 1, in the bound and in read_record alike; uub's
+    # has m + 1.  Each row has a degree-m table's bits, so a verdict on a
+    # setup tabulated to degree m gives every field of the report unchanged
+    setups, build = [], bounds._setup
+    monkeypatch.setattr(bounds, "_setup", lambda rule, kind: setups.append(build(rule, kind)) or setups[-1])
+    potentials = (riesz(1), gaussian(1), logarithmic(), fejes_toth(), riesz(2.5))
+    rng = random.Random(48)
+    for i in range(15):
+        n, m = rng.randrange(2, 13), rng.randrange(1, 21)
+        lo, hi = validity_interval(n, m)
+        s, h, capacity = lo + rng.uniform(0.05, 0.95) * (hi - lo), potentials[i % 5], float(dgs_bound(n, m + 1))
+        design = design_uub(n, capacity, s, m, h)
+        assert setups[-1].pieces[-1].shape[0] == m, (n, m)
+        assert uub(n, capacity, s, h).m == m and setups[-1].pieces[-1].shape[0] == m + 1, (n, m)
+        assert census.verdict_text(bounds.read_record(bounds.write_record(design))) == census.verdict_text(design)
+        assert setups[-1].pieces[-1].shape[0] == m, (n, m)
+        wide = build(design.rule, "uub")
+        assert wide.pieces[-1].shape[0] == m + 1
+        again = bounds.verdict(bounds.certificate("design_uub", wide, h, capacity, None), wide)
+        assert census.verdict_text(again) == census.verdict_text(design), (n, m)
+
+
+def test_recurrence_constants_are_cached_once_per_dimension():
+    # the bounds read the constants of dimension n, and n + 2 for the Hermite
+    # slope rows: one entry each, which a cache per (n, degree) is not.  Only
+    # the dominance grids, of dimension n, are large enough for the array path
+    from spherelp import orthopoly
+
+    caches = (orthopoly._dimension_steps, orthopoly._dimension_arrays)
+    for cache in caches:
+        cache.cache_clear()
+    dimensions = (3, 4, 5, 8)
+    for n in dimensions:
+        for m in range(1, 21):
+            ulb(n, (dgs_bound(n, m) + dgs_bound(n, m + 1)) / 2, riesz(1))
+            uub(n, 1e9, sum(validity_interval(n, m)) / 2, riesz(1))
+    sizes = (len(set(dimensions) | {n + 2 for n in dimensions}), len(dimensions))
+    assert tuple(cache.cache_info().currsize for cache in caches) == sizes
+    # a table above the cached degrees computes its constants and stores nothing
+    gegenbauer_table(9, 2 * orthopoly.CACHED_DEGREE, np.linspace(-1.0, 1.0, 40))
+    assert tuple(cache.cache_info().currsize for cache in caches) == sizes
+
+
 def test_design_uub_at_most_uub():
     full = uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, riesz(1))
     design = design_uub(3, PENTAKIS_CAPACITY, PENTAKIS_S, 9, riesz(1))

@@ -379,3 +379,23 @@ def test_operator_is_read_only_and_matches_a_fresh_build():
     for h in (riesz(1), gaussian(2.0), logarithmic()):
         (coeffs, residual), (fresh, fresh_residual) = _solve(h, op), _interpolant(h, rule.nodes, doubled, 3)
         assert coeffs.tobytes() == fresh.tobytes() and residual == fresh_residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 30])
+def test_operator_matrix_keeps_the_vstack_layout(n):
+    # interpolation_residual's matrix @ coeffs rounds according to the
+    # matrix's memory layout, so moving from np.vstack's layout (to C or F
+    # order, say) would move the interpolation residual of some reports
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 3, 8, 13, 20):
+        lo, hi = validity_interval(n, m)
+        for upper in (False, True):
+            if upper:
+                rule = levenshtein_polynomial(n, m, lo + rng.uniform(0.1, 0.9) * (hi - lo))
+            else:
+                rule = solve_ulb_rule(n, dgs_bound(n, m) + rng.uniform(0.1, 0.9) * (dgs_bound(n, m + 1) - dgs_bound(n, m)))
+            doubled = _doubled(rule, upper)
+            op = hermite_operator(rule.nodes, doubled, n, rule.table)
+            size = op.points.size + op.doubled.size
+            ref = np.vstack((rule.table[:size].T, np.zeros((op.doubled.size, size))))
+            assert op.matrix.shape == ref.shape and op.matrix.strides == ref.strides, (m, upper)

@@ -8,6 +8,7 @@ from scipy.special import eval_legendre, roots_jacobi
 
 from oracles import clenshaw, measure_moment
 from spherelp.orthopoly import (
+    CACHED_DEGREE,
     SMALL_TABLE,
     GegenbauerSeries,
     from_gegenbauer,
@@ -69,15 +70,18 @@ def _gegenbauer_table_reference(n, imax, t):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 30])
+# the Hermite slope rows tabulate dimension n + 2 as well
+@pytest.mark.parametrize("n", [2, 3, 8, 30] + [n + 2 for n in (2, 3, 8, 30)])
 def test_gegenbauer_table_matches_array_expression(n):
     # inputs of at most SMALL_TABLE points run on Python floats and larger
     # ones in place; both do the reference's operations in its order, so the
     # bits agree, and both return a C-ordered table, whose layout can change
-    # the round-off of a later product such as table @ weights
+    # the round-off of a later product such as table @ weights.  Degrees
+    # above CACHED_DEGREE take their recurrence constants outside the cache
     rng = np.random.default_rng(n)
     limit = SMALL_TABLE
-    for imax in (0, 1, 2, 9, 25, 75):
+    assert CACHED_DEGREE < 90
+    for imax in (0, 1, 2, 9, 25, 75, 90, 150):
         for t in (0.3, -1.0, 1.0, np.float64(-0.7), np.array(0.25), rng.uniform(-1, 1, 13),
                   rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, limit - 1), rng.uniform(-1, 1, limit),
                   rng.uniform(-1, 1, limit + 1), rng.uniform(-1, 1, (2, limit // 2)),

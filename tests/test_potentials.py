@@ -82,6 +82,21 @@ def test_domain_error_at_one(h):
         potential_derivative(h, 1.0)
 
 
+def test_domain_check_reads_every_point_past_a_nan():
+    # the domain check takes one max below 1; a NaN max makes it compare
+    # every point, so a NaN does not hide a t >= 1 next to it (and alone,
+    # as before, gives NaN values rather than an error)
+    h = riesz(1)
+    for t in ([np.nan, 1.0], [1.0, np.nan], [0.2, np.nan, 0.3, 1.5]):
+        with pytest.raises(ValueError, match="t >= 1"):
+            potential_eval(h, np.array(t))
+        with pytest.raises(ValueError, match="t >= 1"):
+            potential_derivative(h, np.array(t))
+    assert np.isnan(potential_eval(h, np.array([0.2, np.nan]))).tolist() == [False, True]
+    for t in (np.empty(0), np.empty((3, 0))):
+        assert potential_eval(h, t).shape == t.shape and potential_derivative(h, t).shape == t.shape
+
+
 @pytest.mark.parametrize("h", [riesz(1), newton(4), gaussian(1.0), logarithmic()], ids=lambda h: h.label())
 def test_nondecreasing_on_grid(h):
     grid = np.linspace(-1, 0.999, 1000)
