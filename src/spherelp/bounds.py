@@ -25,7 +25,7 @@ import numpy as np
 
 from .hermite import DOMINANCE_TOL, HermiteOperator, dominance_grid, hermite_interpolant, hermite_jet, hermite_operator
 from .hermite import interpolation_residual, verify_dominance
-from .orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
+from .orthopoly import GegenbauerSeries, gegenbauer_table, integral_degree, value_at_one
 from .potentials import MAX_SHIFT_DEPTH, Potential, classify, derivative_nonneg_from
 from .quadrature import (
     MAX_RULE_DEGREE,
@@ -144,7 +144,7 @@ def test_functions(n: int, capacity: float, j_max: int) -> TestFunctionReport:
     some larger j signals that the degree-m bound is improvable (possible
     only from degree m+3 on).
     """
-    if j_max < 1:
+    if (j_max := integral_degree(j_max, "j_max")) < 1:
         raise ValueError("j_max must be >= 1")
     rule = _ulb_setup(index(n), float(capacity)).rule
     return _test_report(rule, gegenbauer_table(n, j_max, np.asarray(rule.nodes)))
@@ -368,6 +368,7 @@ def design_ulb(n: int, capacity: float, tau: int, h: Potential) -> BoundReport:
     Valid for any potential with h^(tau+1) >= 0; the certificate need not be
     positive definite because the first tau moments vanish.
     """
+    tau = integral_degree(tau, "tau")
     split_degree(tau)  # tau below 1 is named as such, before the derivative gate
     if not derivative_nonneg_from(h, tau + 1):
         raise ValueError(f"potential {h.label()} lacks h^({tau + 1}) >= 0")
@@ -449,7 +450,7 @@ def uub(n: int, capacity: float, s: float, h: Potential, m_override: int | None 
     the N_1 interval hypothesis is checked and reported rather than
     enforced.
     """
-    m = select_degree_from_s(n, s) if m_override is None else m_override
+    m = select_degree_from_s(n, s) if m_override is None else integral_degree(m_override, "m_override")
     return _upper_bound("uub", n, capacity, s, m, h, m_override is None)
 
 
@@ -460,4 +461,4 @@ def design_uub(n: int, capacity: float, s: float, tau: int, h: Potential) -> Bou
     lambda = 0); only h^(tau) >= 0 and dominance above h on [-1, s] are
     required.
     """
-    return _upper_bound("design_uub", n, capacity, s, tau, h, True)
+    return _upper_bound("design_uub", n, capacity, s, integral_degree(tau, "tau"), h, True)

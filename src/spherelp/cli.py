@@ -107,9 +107,7 @@ def _resolve_capacity(args):
     sources = [name for name in ("capacity", "weights_file", "config") if getattr(args, name) is not None]
     if len(sources) != 1:
         raise ValueError("exactly one of --capacity, --weights-file, --config is required")
-    if args.capacity is not None:
-        if not args.capacity > 2:
-            raise ValueError("capacity must exceed 2")
+    if args.capacity is not None:  # each bound checks its own capacity
         return args.capacity, None
     if args.weights_file is not None:
         with open(args.weights_file, "r", encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ from operator import index
 
 import numpy as np
 
-from .orthopoly import gegenbauer_table
+from .orthopoly import gegenbauer_table, integral_degree
 from .potentials import Potential, _gap_values
 
 GOLDEN = (1 + sqrt(5)) / 2
@@ -382,7 +382,7 @@ def _moments(code: WeightedCode, tau: int) -> np.ndarray:
 
 def design_strength(code: WeightedCode, tau_max: int, tol: float = 1e-9) -> DesignCheckReport:
     """Largest tau <= tau_max with M_1, ..., M_tau all below tol."""
-    if tau_max < 1:
+    if (tau_max := integral_degree(tau_max, "tau_max")) < 1:
         raise ValueError("tau_max must be >= 1")
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -48,6 +49,14 @@ class GegenbauerSeries:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+
+def integral_degree(value, name: str) -> int:
+    """A degree argument as an int, or a TypeError naming it; a float would fail deep in a table or solve."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def value_at_one(coeffs) -> float:
@@ -164,9 +173,8 @@ def _dimension_arrays(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray]
     return tuple(tuple(map(_array_constant, step)) for step in _dimension_steps(n))
 
 
-@lru_cache(maxsize=1024)
 def _array_constant(v: float) -> np.ndarray:
-    """v as a read-only 0-d float64 array, one per value, which every dimension shares."""
+    """v as a read-only 0-d float64 array, owned by the dimension whose cache entry holds it."""
     out = np.array(v)
     out.flags.writeable = False
     return out

@@ -101,7 +101,7 @@ def select_degree_from_capacity(n: int, capacity: float) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def validity_interval(n: int, m: int) -> tuple[float, float]:
     """Interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] on which L_m(n, .) is valid.
 
@@ -138,20 +138,15 @@ def levenshtein_function(n: int, m: int, s: float) -> float:
     The closed-form rational expression; it is a cardinality bound only for
     s in :func:`validity_interval`, which callers check where it matters.
     """
-    k, eps, lead, head = _levenshtein_constants(n, m)
+    k, eps = split_degree(m)
+    lead = comb(k + n - 3 + eps, n - 2)
+    head = (2 * k + n - 3 + 2 * eps) / (n - 1)
     # P_0..P_{k+eps} at s, to the bit as gegenbauer_table gives them
     p = _float_columns(n, k + eps, [float(s)])
     pk, pke, pkm = p[k], p[k + eps], p[k - 1 + eps]
     num = (1 + s) ** eps * (pkm - pke)
     den = (1 - s) * (eps * pk + pke)
     return float(lead * (head - num / den))
-
-
-@lru_cache(maxsize=256)
-def _levenshtein_constants(n: int, m: int) -> tuple[int, int, int, float]:
-    """k, eps, the binomial lead and the head term of L_m(n, .), which Brent's method reads at every step."""
-    k, eps = split_degree(m)
-    return k, eps, comb(k + n - 3 + eps, n - 2), (2 * k + n - 3 + 2 * eps) / (n - 1)
 
 
 @lru_cache(maxsize=256)

@@ -6,8 +6,8 @@ series, the moments of the inner-product measure mu_n, exact monomial
 integrals over the sphere, the design and cubature residuals of a
 weighted code, the closed-form energies of the two flagship
 configurations, three sharp codes built from the E8 roots, the 600-cell,
-the 24-cell with its dual, and the weights that make a union of orbits a
-design.  The test files import them as ``from oracles import ...``; the
+the 24-cell and the 600-cell each with its dual, and the weights that
+make a union of orbits a design.  The test files import them as ``from oracles import ...``; the
 module has no ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -206,6 +206,24 @@ def twenty_four_cell_orbits() -> list[np.ndarray]:
     for row, ((i, j), signs) in enumerate(product(combinations(range(4), 2), product((1.0, -1.0), repeat=2))):
         dual[row, [i, j]] = signs
     return [cube_crosspolytope(4).points, dual / sqrt(2)]
+
+
+def six_hundred_cell_orbits() -> list[np.ndarray]:
+    """The 600-cell and its dual 120-cell, orbits of 120 and 600 points in R^4
+    under one symmetry group: the 600-cell's points, and the normalised
+    centroids of its 600 tetrahedral cells, the quadruples of its points
+    pairwise at the nearest-neighbour inner product phi/2."""
+    x = six_hundred_cell().points
+    adjacent = np.abs(x @ x.T - (1 + sqrt(5)) / 4) < 1e-9
+    neighbours = [set(np.flatnonzero(row).tolist()) for row in adjacent]
+    cells = []
+    for a, near in enumerate(neighbours):
+        for b in sorted(v for v in near if v > a):
+            for c in sorted(v for v in near & neighbours[b] if v > b):
+                cells += [(a, b, c, d) for d in sorted(near & neighbours[b] & neighbours[c]) if d > c]
+    assert len(cells) == 600
+    centroids = x[np.array(cells)].sum(axis=1)
+    return [x, centroids / np.linalg.norm(centroids, axis=1, keepdims=True)]
 
 
 def union_code(n: int, orbits, tau: int) -> WeightedCode:

@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 
 import census
 from oracles import SHARP_CODES, clenshaw, sharp_code, six_hundred_cell, twenty_four_cell_orbits, union_code
+from oracles import six_hundred_cell_orbits
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, uub
 from spherelp.bounds import test_functions as compute_test_functions
 from spherelp.cli import main
-from spherelp.codes import cube_crosspolytope, energy, pentakis_dodecahedron, regular_ngon
+from spherelp.codes import cube_crosspolytope, design_strength, energy, pentakis_dodecahedron, regular_ngon
 from spherelp.hermite import dominance_grid, hermite_interpolant, hermite_jet, hermite_operator, verify_dominance
 from spherelp.orthopoly import GegenbauerSeries, gegenbauer_table, value_at_one
 from spherelp.potentials import (
@@ -742,6 +743,26 @@ def test_ulb_memo_key_normalises_numpy_scalars():
     assert plain.rule is numpy_args.rule and type(numpy_args.n) is int
 
 
+@pytest.mark.parametrize(
+    "call, degree, name",
+    [
+        (lambda d: uub(3, 10, 0.5, riesz(1), m_override=d), 5, "m_override"),
+        (lambda d: design_ulb(3, 31.9, d, riesz(1)), 9, "tau"),
+        (lambda d: design_uub(3, 10, 0.5, d, riesz(1)), 3, "tau"),
+        (lambda d: compute_test_functions(3, 31.9, d), 27, "j_max"),
+        (lambda d: design_strength(pentakis_dodecahedron(), d), 5, "tau_max"),
+    ],
+    ids=["uub", "design_ulb", "design_uub", "test_functions", "design_strength"],
+)
+def test_a_non_integral_degree_is_named(call, degree, name):
+    # after the integral degree has filled the caches, its float twin is named
+    # at the entry, not met deep inside a table or a cached solve
+    call(degree)
+    call(np.int64(degree))
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {float(degree)!r}$"):
+        call(float(degree))
+
+
 def test_ulb_memo_stores_no_failure(monkeypatch):
     solve = bounds.solve_ulb_rule
 
@@ -1049,6 +1070,45 @@ def test_twenty_four_cell_with_its_dual_capacity_is_improvable():
     report = compute_test_functions(4, union_code(4, twenty_four_cell_orbits(), 7).n_w, 21)
     assert report.negative_indices == (10, 11, 19, 20)
     assert report.improvable
+
+
+@pytest.fixture(scope="module")
+def six_hundred_cell_union():
+    """The 600-cell with its dual 120-cell, 720 points weighted as a 19-design."""
+    return union_code(4, six_hundred_cell_orbits(), 19)
+
+
+@pytest.mark.parametrize("spec, gap", [("riesz:1", 4.74e-4), ("log", 2.40e-4)])
+def test_six_hundred_cell_with_its_dual_lies_above_its_ulb(six_hundred_cell_union, spec, gap):
+    # a 19-design of 720 points at N_W = 264600/381, not sharp: its energy lies
+    # above the degree-22 ULB by the relative gap; under gaussian:1 the two
+    # agree within 1e-14 relative, the certificate's round-off, so no sign is
+    # pinned there
+    code = six_hundred_cell_union
+    for h in (parse_potential(spec), gaussian(1)):
+        e, report = energy(code, h), ulb(4, code.n_w, h)
+        assert report.m == 22 and report.feasible
+        if h.kind == "gaussian":
+            assert abs(e - report.value) <= 1e-14 * abs(e)
+        else:
+            assert (e - report.value) / abs(e) == pytest.approx(gap, rel=5e-3)
+
+
+def test_six_hundred_cell_with_its_dual_capacity_is_improvable(six_hundred_cell_union):
+    report = compute_test_functions(4, six_hundred_cell_union.n_w, 60)
+    assert report.negative_indices == (25, 26, 49, 50, 53, 55)
+
+
+def test_six_hundred_cell_with_its_dual_has_no_design_ulb_and_no_uub_at_its_inner_product(six_hundred_cell_union):
+    # the union's N_W lies above D(4, 20) = 506, so no design ULB applies to
+    # this 19-design at its own capacity; its largest inner product needs a
+    # Levenshtein degree above MAX_RULE_DEGREE
+    code, h = six_hundred_cell_union, riesz(1)
+    with pytest.raises(ValueError, match=r"outside \(D\(4,19\), D\(4,20\)\] = \(440, 506\]$"):
+        design_ulb(4, code.n_w, 19, h)
+    assert code.max_inner_product == pytest.approx(0.96353, abs=1e-5)
+    with pytest.raises(ValueError, match="needs degree above cap 25$"):
+        uub(4, code.n_w, code.max_inner_product, h)
 
 
 BOUND_CURVE_POTENTIALS = [riesz(1.0), gaussian(1.0), logarithmic(), riesz(2.5)]

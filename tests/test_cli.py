@@ -52,6 +52,15 @@ def test_capacity_guard_exit_code(capsys):
     assert "capacity must exceed 2" in err
 
 
+# each bound checks its own capacity, as it does one from --weights-file or --config
+_NAN_CAPACITY_ERRORS = {
+    "ulb": "capacity must exceed 2",
+    "uub": "capacity must be finite and positive, got nan",
+    "design-uub": "capacity must be finite and positive, got nan",
+    "test-functions": "capacity must exceed 2",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -64,7 +73,21 @@ def test_capacity_guard_exit_code(capsys):
 def test_nan_capacity_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert "capacity must exceed 2" in err
+    assert _NAN_CAPACITY_ERRORS[argv[0]] in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("uub", "--n", "3", "--s", "0.5"), ("design-uub", "--n", "3", "--s", "0.5", "--tau", "5")],
+    ids=lambda c: c[0],
+)
+def test_capacity_two_is_the_capacity_of_two_equal_weights(tmp_path, capsys, command):
+    # N_W = 2 is a valid upper-bound capacity from either source, with the same output
+    wf = tmp_path / "w.json"
+    wf.write_text("[0.5, 0.5]")
+    given = run(capsys, *command, "--capacity", "2", "--potential", "riesz:1")
+    derived = run(capsys, *command, "--weights-file", str(wf), "--potential", "riesz:1")
+    assert given == derived and given[0] == 0 and given[2] == ""
 
 
 @pytest.mark.parametrize(
@@ -158,13 +181,20 @@ _ZERO_CAPACITY_COMMANDS = [
 ]
 
 
+_ZERO_CAPACITY_ERRORS = {
+    "ulb": "capacity must exceed 2",
+    "uub": "capacity must be finite and positive, got 0.0",
+    "design-ulb": "capacity 0.0 outside (D(3,4), D(3,5)] = (9, 12]",
+}
+
+
 @pytest.mark.parametrize("zero", ["0", "0.0"])
 @pytest.mark.parametrize("command", _ZERO_CAPACITY_COMMANDS, ids=lambda c: c[0])
 def test_zero_capacity_is_given_and_rejected(capsys, command, zero):
-    # a zero capacity is a given option that fails the guard, not a missing one
+    # a zero capacity is a given option that fails its bound's check, not a missing one
     code, out, err = run(capsys, *command, "--capacity", zero, "--potential", "riesz:1")
     assert (code, out) == (1, "")
-    assert "capacity must exceed 2" in err
+    assert _ZERO_CAPACITY_ERRORS[command[0]] in err
 
 
 @pytest.mark.parametrize("command", _ZERO_CAPACITY_COMMANDS, ids=lambda c: c[0])

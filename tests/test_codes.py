@@ -14,6 +14,7 @@ from oracles import (
     design_point_identity_check,
     design_weights,
     six_hundred_cell,
+    six_hundred_cell_orbits,
     sphere_quadrature_check,
     twenty_four_cell_orbits,
     union_code,
@@ -188,6 +189,22 @@ def test_derived_weights_of_the_24_cell_and_its_dual_are_equal():
     assert_allclose(weights, 1 / 48, rtol=1e-14)
     assert design_weights(4, orbits, 8)[1] > 0.5  # strength exactly 7
     assert design_strength(union_code(4, orbits, 7), 10).strength == 7
+
+
+def test_derived_weights_of_the_600_cell_and_its_dual_120_cell():
+    # two orbits of one symmetry group carry a 19-design: 1/504 at each of the
+    # 120 points and 2/1575 at each of the 600 (orbit totals 5/21 and 16/21);
+    # no weights reach M_20 = 0, so the union's strength is exactly 19
+    orbits = six_hundred_cell_orbits()
+    weights, residual = design_weights(4, orbits, 19)
+    assert residual < 1e-13
+    assert_allclose(weights, [1 / 504, 2 / 1575], rtol=1e-12)
+    assert design_weights(4, orbits, 20)[1] > 0.5
+    code = union_code(4, orbits, 19)
+    assert design_strength(code, 22).strength == 19
+    gram = code.points @ code.points.T
+    assert np.unique(np.round(gram[~np.eye(code.size, dtype=bool)], 9)).size == 44
+    assert code.n_w == pytest.approx(264600 / 381, rel=1e-12)
 
 
 def test_random_code_strength_zero():
