@@ -87,7 +87,7 @@ class Certificate:
         if f is not None:
             ratios = gt[1:] / f[1 : gt.size]  # g_T has m coefficients, f has m + 1
             lam = float(max(ratios[gt[1:] > 1e-12], default=0.0))
-            coeffs = np.append(gt, 0.0) - lam * f
+            coeffs = np.concatenate((gt, (0.0,))) - lam * f
         self.lam, self.coeffs = lam, coeffs
 
 

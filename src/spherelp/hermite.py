@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import isnan
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs numpy.linalg wraps
 
 from .orthopoly import gegenbauer_table
 from .potentials import Potential, potential_derivative, potential_eval
@@ -55,7 +56,7 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> Herm
     (n - 1) P_{j-1} of dimension n + 2.  Rows are scaled to unit max norm
     for the solve: slope rows grow like j^2, and unscaled pivoting loses up
     to 4x in accuracy at n = 30.  The points, a rule's nodes, are strictly ascending and below 1.
-    ``matrix`` keeps the memory layout ``np.vstack`` gives it, since the
+    ``matrix`` keeps the memory layout ``np.concatenate`` gives it, since the
     round-off of ``matrix @ coeffs`` in :func:`interpolation_residual`
     depends on that layout.
     """
@@ -65,7 +66,7 @@ def hermite_operator(points, doubled: slice, n: int, values: np.ndarray) -> Herm
     slopes = np.zeros((doubled.size, degree + 1))
     if degree:
         slopes[:, 1:] = gegenbauer_table(n + 2, degree - 1, doubled).T * _slope_factors(n, degree)
-    matrix = np.vstack((values[: degree + 1].T, slopes))
+    matrix = np.concatenate((values[: degree + 1].T, slopes))
     row_scale = abs(matrix).max(axis=1)
     scaled = matrix / row_scale[:, None]
     for array in (points, doubled, matrix, row_scale, scaled):
@@ -89,12 +90,16 @@ def hermite_jet(h: Potential, op: HermiteOperator) -> np.ndarray:
 
 def hermite_interpolant(op: HermiteOperator, jet: np.ndarray) -> np.ndarray:
     """The coefficients c on P_0..P_{T-1} that interpolate ``jet`` (:func:`hermite_jet`)."""
-    try:
-        # LU with partial pivoting (LAPACK dgesv) on every call; an explicit
-        # inverse would lose 5-100x in accuracy
-        return np.linalg.solve(op.scaled, jet / op.row_scale)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"singular Hermite system on nodes {op.points.tolist()}") from None
+    rhs = jet / op.row_scale  # under the caller's floating-point setting; only the solve runs under LAPACK's
+
+    def singular(err, flag):
+        raise ValueError(f"singular Hermite system on nodes {op.points.tolist()}")
+
+    # LU with partial pivoting (LAPACK dgesv) on every call, by np.linalg.solve's gufunc under its
+    # floating-point setting, in which LAPACK's failure calls the handler; an explicit inverse
+    # would lose 5-100x in accuracy
+    with np.errstate(call=singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(op.scaled, rhs, signature="dd->d")
 
 
 def interpolation_residual(op: HermiteOperator, coeffs: np.ndarray, jet: np.ndarray) -> float:

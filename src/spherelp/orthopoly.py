@@ -106,7 +106,7 @@ def gegenbauer_table(n: int, imax: int, t) -> np.ndarray:
     out[0] = 1.0
     if imax >= 1:
         out[1] = t
-    rows, scratch = list(out), np.empty_like(t)  # t has at least one axis here, so rows are views
+    rows, scratch = list(out), np.empty(t.shape)  # t has at least one axis here, so rows are views
     # in place, in the order of the scalar expression, one direct ufunc call per operation
     for (c, j, d), prev, cur, row in zip(_steps(n, imax, _dimension_arrays), rows, rows[1:], rows[2:]):
         np.multiply(c, t, out=row)

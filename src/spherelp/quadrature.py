@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import comb, isfinite, sqrt
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs numpy.linalg wraps
 
 from .orthopoly import _float_columns, gegenbauer_from_roots, gegenbauer_table, value_at_one
 
@@ -29,7 +30,18 @@ MAX_RULE_DEGREE = 25
 
 
 class QuadratureError(RuntimeError):
-    """Internal inconsistency while building a rule (bad roots or weights)."""
+    """Internal inconsistency while building a rule (bad roots or weights).
+
+    ``stage`` names the check that failed: ``"nodes"``, ``"weights"``,
+    ``"exactness"``, ``"brent"`` (the capacity solve for s) or
+    ``"levenshtein"`` (the polynomial's coefficients).  ``n``, ``m``, ``s``
+    and ``capacity`` are the inputs of the rule it checked, None where the
+    stage has none, such as s before the capacity solve has found it.
+    """
+
+    def __init__(self, message: str, *, stage=None, n=None, m=None, s=None, capacity=None):
+        super().__init__(message)
+        self.stage, self.n, self.m, self.s, self.capacity = stage, n, m, s, capacity
 
 
 class WeightAtMinusOneError(QuadratureError):
@@ -115,7 +127,8 @@ def validity_interval(n: int, m: int) -> tuple[float, float]:
 
     def largest_zero(b: int, j: int) -> float:
         diag, off = _jacobi_matrix(n, b, j)
-        return float(np.linalg.eigvalsh(_tridiagonal(diag, off))[-1])
+        with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return float(_umath_linalg.eigvalsh_lo(_tridiagonal(diag, off), signature="d->d")[-1])
 
     lo = largest_zero(1 - eps, k - 1 + eps) if k - 1 + eps else -1.0
     return lo, largest_zero(eps, k)
@@ -169,12 +182,17 @@ def _jacobi_matrix(n: int, b: int, size: int) -> tuple[tuple[float, ...], tuple[
 
 def _tridiagonal(diag, off) -> np.ndarray:
     """The symmetric tridiagonal matrix as a dense array, its lower triangle
-    filled (the triangle ``np.linalg.eigh`` reads)."""
+    filled (the triangle ``eigh_lo`` and ``eigvalsh_lo`` read)."""
     size = len(diag)
     matrix = np.zeros((size, size))
     matrix.flat[:: size + 1] = diag
     matrix.flat[size :: size + 1] = off
     return matrix
+
+
+def _no_convergence(err, flag):
+    """The error handler of numpy.linalg's eigensolvers: LAPACK's failure, flagged as invalid, as LinAlgError."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def _ratio(diag, off, j: int, x: float) -> float:
@@ -213,23 +231,28 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
         diag[k - 1] = s - off[k - 2] ** 2 / _ratio(diag, off, k - 1, s)
     else:
         diag[0] = s
-    nodes, vectors = np.linalg.eigh(_tridiagonal(diag, off))  # ascending, unit eigenvectors as columns
-    if abs(nodes[-1] - s) > 1e-6:
-        raise QuadratureError(
-            f"largest node does not match s for {_where(n, m, s, capacity)}: it is {nodes[-1]:.17g}, "
-            f"off by {nodes[-1] - s:.6g} (tolerance 1e-6)"
-        )
-    nodes[-1] = s
-    if eps == 1:
-        if abs(nodes[0] + 1) > 1e-7:
-            raise QuadratureError(
-                f"even-degree rule lacks the node at -1 for {_where(n, m, s, capacity)}: smallest node is "
-                f"{nodes[0]:.17g} (tolerance 1e-7)"
-            )
-        nodes[0] = -1.0
-    # s = 1 puts a node at 1, which the rule gate then names: no divide-by-zero warning first
-    with np.errstate(divide="ignore"):
+    # np.linalg.eigh's gufunc under its floating-point setting (LAPACK's failure raises LinAlgError), with the
+    # weights on the snapped nodes: s = 1 puts a node at 1, which the rule gate then names, with no
+    # divide-by-zero warning first.  The node checks read the raw ends outside it, under the caller's setting
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        nodes, vectors = _umath_linalg.eigh_lo(_tridiagonal(diag, off), signature="d->dd")  # ascending, as columns
+        top, bottom = nodes[-1], nodes[0]
+        nodes[-1] = s
+        if eps == 1:
+            nodes[0] = -1.0
         weights = vectors[0] ** 2 / (1.0 - nodes)
+    if abs(top - s) > 1e-6:
+        raise QuadratureError(
+            f"largest node does not match s for {_where(n, m, s, capacity)}: it is {top:.17g}, "
+            f"off by {top - s:.6g} (tolerance 1e-6)",
+            stage="nodes", n=n, m=m, s=s, capacity=capacity,
+        )
+    if eps == 1 and abs(bottom + 1) > 1e-7:
+        raise QuadratureError(
+            f"even-degree rule lacks the node at -1 for {_where(n, m, s, capacity)}: smallest node is "
+            f"{bottom:.17g} (tolerance 1e-7)",
+            stage="nodes", n=n, m=m, s=s, capacity=capacity,
+        )
     return _verified_rule(n, m, nodes, weights, capacity, m if table_degree is None else table_degree)
 
 
@@ -239,35 +262,41 @@ def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree
     if not len(nodes) == len(weights) == sum(split_degree(m)):  # k + eps, for m = 2k - 1 + eps
         raise QuadratureError(
             f"a degree-{m} rule for (n={n}, capacity={capacity:.12g}) needs {sum(split_degree(m))} nodes and as "
-            f"many weights, not {len(nodes)} nodes and {len(weights)} weights"
+            f"many weights, not {len(nodes)} nodes and {len(weights)} weights",
+            stage="nodes", n=n, m=m, s=float(nodes[-1]) if len(nodes) else None, capacity=capacity,
         )
     if len(nodes) > 1:
-        gap = int(np.argmin(np.diff(nodes)))
+        x = np.asarray(nodes)  # a record's nodes are a tuple
+        gap = int((x[1:] - x[:-1]).argmin())  # np.diff's subtraction
         if nodes[gap + 1] - nodes[gap] <= 1e-9:
             where = _where(n, m, nodes[-1], capacity)
             raise QuadratureError(
                 f"{'descending' if nodes[gap + 1] < nodes[gap] else 'repeated'} nodes for {where}: "
-                f"nodes {gap} and {gap + 1} are {nodes[gap + 1] - nodes[gap]:.6g} apart"
+                f"nodes {gap} and {gap + 1} are {nodes[gap + 1] - nodes[gap]:.6g} apart",
+                stage="nodes", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
             )
     if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
         bad = 0 if nodes[0] < -1 - 1e-9 else len(nodes) - 1
         raise QuadratureError(
-            f"node outside [-1, 1) for {_where(n, m, nodes[-1], capacity)}: node {bad} is {nodes[bad]:.17g}"
+            f"node outside [-1, 1) for {_where(n, m, nodes[-1], capacity)}: node {bad} is {nodes[bad]:.17g}",
+            stage="nodes", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
         )
-    low = int(np.argmin(weights))  # the first NaN, if any, which fails the gate
+    low = int(np.asarray(weights).argmin())  # the first NaN, if any, which fails the gate
     if not weights[low] > 0:
         raise (WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError)(
             f"nonpositive quadrature weight for {_where(n, m, nodes[-1], capacity)}: "
-            f"weight {low} of {len(weights)} is {weights[low]:.6g}"
+            f"weight {low} of {len(weights)} is {weights[low]:.6g}",
+            stage="weights", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
         )
     table = gegenbauer_table(n, table_degree, nodes)
     table.flags.writeable = False
     residuals = exactness_residuals(table[: m + 1], weights, capacity)
-    worst = int(np.argmax(np.abs(residuals)))
+    worst = int(abs(residuals).argmax())
     if not abs(residuals[worst]) <= 1e-9:
         raise QuadratureError(
             f"quadrature exactness failure for {_where(n, m, nodes[-1], capacity)}: "
-            f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)"
+            f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)",
+            stage="exactness", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
         )
     return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity), table)
 
@@ -309,18 +338,19 @@ def solve_ulb_rule(n: int, capacity: float) -> QuadratureRule:
     elif fhi <= 0:
         s = hi
     else:
-        s = _brent_root(f, lo, hi, flo, fhi, f"(n={n}, m={m}, capacity={capacity:.12g})")
+        s = _brent_root(f, lo, hi, flo, fhi, n, m, capacity)
     degree = select_degree_from_s(n, s)
     return compute_weights(n, degree, s, capacity, 3 * degree)
 
 
-def _brent_root(f, xpre, xcur, fpre, fcur, where):
+def _brent_root(f, xpre, xcur, fpre, fcur, n, m, capacity):
     """Root of f on [xpre, xcur], where f changes sign, by Brent's method.
 
     Scipy's C ``brentq`` (Zeros/brentq.c) step for step, with xtol = 1e-15,
     rtol = 8.9e-16 and at most 100 steps, so every iterate and the root
     agree with ``scipy.optimize.brentq`` to the bit; the end values
-    fpre = f(xpre) and fcur = f(xcur) are the caller's.
+    fpre = f(xpre) and fcur = f(xcur) are the caller's, and (n, m,
+    capacity), the solve's inputs, only name it in an error.
     """
     xtol, rtol, maxiter = 1e-15, 8.9e-16, 100
     xblk = fblk = spre = scur = 0.0
@@ -352,7 +382,9 @@ def _brent_root(f, xpre, xcur, fpre, fcur, where):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise QuadratureError(
-        f"Brent's method did not converge in {maxiter} steps for {where}: last iterate {xcur:.17g}"
+        f"Brent's method did not converge in {maxiter} steps for (n={n}, m={m}, capacity={capacity:.12g}): "
+        f"last iterate {xcur:.17g}",
+        stage="brent", n=n, m=m, capacity=capacity,
     )
 
 
@@ -380,18 +412,19 @@ def levenshtein_coefficients(rule: QuadratureRule) -> np.ndarray:
 def _check_levenshtein(rule: QuadratureRule, g: np.ndarray) -> np.ndarray:
     """``g``, the Levenshtein polynomial's coefficients on ``rule``, computed or recorded, held to their two gates."""
     n, m, s, capacity = rule.n, rule.m, rule.s, rule.capacity
-    where = f"(n={n}, m={m}, s={s:.12g})"
     # strict positivity can degrade to a zero coefficient at interval endpoints
-    low = int(np.argmin(g))
-    if g[low] < -1e-10 * np.max(np.abs(g)):
+    low = int(g.argmin())
+    if g[low] < -1e-10 * np.maximum.reduce(abs(g)):
         raise QuadratureError(
-            f"Levenshtein polynomial for {where} has a negative coefficient: "
-            f"coefficient {low} of {g.size} is {g[low]:.6g}"
+            f"Levenshtein polynomial for (n={n}, m={m}, s={s:.12g}) has a negative coefficient: "
+            f"coefficient {low} of {g.size} is {g[low]:.6g}",
+            stage="levenshtein", n=n, m=m, s=s, capacity=capacity,
         )
     ratio = value_at_one(g) / g[0]
     if not abs(ratio - capacity) <= 1e-9 * max(1.0, abs(capacity)):  # a NaN fails
         raise QuadratureError(
-            f"coefficient ratio {ratio:.12g} for {where} disagrees with the Levenshtein "
-            f"function value {capacity:.12g}"
+            f"coefficient ratio {ratio:.12g} for (n={n}, m={m}, s={s:.12g}) disagrees with the Levenshtein "
+            f"function value {capacity:.12g}",
+            stage="levenshtein", n=n, m=m, s=s, capacity=capacity,
         )
     return g

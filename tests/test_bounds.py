@@ -918,6 +918,9 @@ def test_malformed_record_names_its_field(which, fields, error, message):
     with pytest.raises(error) as info:
         bounds.read_record(_edited(bounds.write_record(report), **fields))
     assert str(info.value).startswith(message)
+    if error is QuadratureError:  # the rule gate names nodes, f's gates the Levenshtein polynomial
+        named = (info.value.stage, info.value.n, info.value.m, info.value.capacity)
+        assert named == ("nodes" if which == "ulb" else "levenshtein", 3, report.rule.m, report.rule.capacity)
 
 
 def test_dominance_on_pieces_split_at_the_fixed_points_keeps_every_bit():

@@ -338,7 +338,7 @@ def test_brent_root_repeats_scipy_brentq_step_for_step():
         root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
         reference = points.copy()
         points.clear()
-        assert _brent_root(f, lo, hi, flo, fhi, "") == root, (n, m, capacity)
+        assert _brent_root(f, lo, hi, flo, fhi, n, m, capacity) == root, (n, m, capacity)
         assert reference == [lo, hi] + points, (n, m, capacity)
         if dgs_bound(n, m) * 1.1 < capacity < dgs_bound(n, m + 1) * 0.9:
             assert solve_ulb_rule(n, capacity).s == root
@@ -357,8 +357,11 @@ def test_brent_root_stops_at_its_iteration_cap():
     last, info = brentq(f, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16, full_output=True, disp=False)
     assert not info.converged and info.iterations == 100
     with pytest.raises(QuadratureError) as error:
-        _brent_root(f, -1.0, 1.0, f(-1.0), f(1.0), "(cube)")
-    assert str(error.value) == f"Brent's method did not converge in 100 steps for (cube): last iterate {last:.17g}"
+        _brent_root(f, -1.0, 1.0, f(-1.0), f(1.0), 3, 9, 31.25)
+    assert str(error.value) == (
+        f"Brent's method did not converge in 100 steps for (n=3, m=9, capacity=31.25): last iterate {last:.17g}"
+    )
+    assert (error.value.stage, error.value.n, error.value.m, error.value.s, error.value.capacity) == ("brent", 3, 9, None, 31.25)
 
 
 def test_capacity_solve_that_does_not_converge_names_its_inputs(monkeypatch, capsys):
@@ -370,11 +373,11 @@ def test_capacity_solve_that_does_not_converge_names_its_inputs(monkeypatch, cap
     # root, which both interpolation steps handle badly, reaches it
     brent_root = quadrature._brent_root
 
-    def on_a_triple_root(f, lo, hi, flo, fhi, where):
+    def on_a_triple_root(f, lo, hi, flo, fhi, n, m, capacity):
         def cube(x):
             return (x - (lo + 0.3 * (hi - lo))) ** 3
 
-        return brent_root(cube, lo, hi, cube(lo), cube(hi), where)
+        return brent_root(cube, lo, hi, cube(lo), cube(hi), n, m, capacity)
 
     monkeypatch.setattr(quadrature, "_brent_root", on_a_triple_root)
     with pytest.raises(QuadratureError) as info:
@@ -384,6 +387,7 @@ def test_capacity_solve_that_does_not_converge_names_its_inputs(monkeypatch, cap
         r"last iterate 0\.\d+",
         str(info.value),
     )
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s, info.value.capacity) == ("brent", 3, 9, None, 31.25)
     # a RuntimeError, so the CLI reports it as a failed computation
     _ulb_setup.cache_clear()
     assert main(["ulb", "--n", "3", "--capacity", "31.25", "--potential", "riesz:1"]) == 2
@@ -458,21 +462,24 @@ def test_compute_weights_errors_name_inputs(monkeypatch):
         + r"largest residual is -0\.0010752\d+ on P_\d \(tolerance 1e-9\)",
         str(info.value),
     )
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s, info.value.capacity) == ("exactness", 3, 9, rule.s, 31.0)
 
-    eigh = np.linalg.eigh
+    eigh = quadrature._umath_linalg.eigh_lo
 
-    def vanishing_first_component(matrix):
-        nodes, vectors = eigh(matrix)
+    def vanishing_first_component(matrix, signature):
+        nodes, vectors = eigh(matrix, signature=signature)
         vectors[0, 0] = 0.0
         return nodes, vectors
 
-    monkeypatch.setattr(quadrature.np.linalg, "eigh", vanishing_first_component)
+    monkeypatch.setattr(quadrature._umath_linalg, "eigh_lo", vanishing_first_component)
     with pytest.raises(QuadratureError) as info:
         solve_ulb_rule(30, 2947546837)
     message = str(info.value)
     assert message.startswith("nonpositive quadrature weight for (n=30, m=22, s=0.6919")
     assert message.endswith(", capacity=2947546837): weight 0 of 12 is 0")
     assert "[" not in message
+    assert (info.value.stage, info.value.n, info.value.m, info.value.capacity) == ("weights", 30, 22, 2947546837)
+    assert f"(n=30, m=22, s={info.value.s:.12g}, " in message
 
 
 def _mp_lagrange_weights(mpmath, n, nodes, capacity):
@@ -515,14 +522,29 @@ def test_node_errors_name_inputs(monkeypatch):
     message = str(info.value)
     assert message.startswith("largest node does not match s for (n=3, m=3, s=-0.9, capacity=")
     assert "it is 0.058823529411764" in message and "array" not in message
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s) == ("nodes", 3, 3, -0.9)
+    assert info.value.capacity == levenshtein_function(3, 3, -0.9)
 
     # a double eigenvalue at 0.25 stands in for a collapsed rule
-    monkeypatch.setattr(quadrature.np.linalg, "eigh", lambda matrix: (np.array([0.25, 0.25]), np.eye(2)))
+    monkeypatch.setattr(quadrature._umath_linalg, "eigh_lo", lambda matrix, signature: (np.array([0.25, 0.25]), np.eye(2)))
     with pytest.raises(QuadratureError) as info:
         levenshtein_polynomial(3, 3, 0.25)
     message = str(info.value)
     assert message.startswith("repeated nodes for (n=3, m=3, s=0.25, capacity=")
     assert "nodes 0 and 1 are " in message and "array" not in message
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s) == ("nodes", 3, 3, 0.25)
+    assert info.value.capacity == levenshtein_function(3, 3, 0.25)
+
+    # an even-degree rule whose smallest eigenvalue is not -1
+    monkeypatch.setattr(quadrature._umath_linalg, "eigh_lo", lambda matrix, signature: (np.array([-0.5, 0.25]), np.eye(2)))
+    with pytest.raises(QuadratureError) as info:
+        levenshtein_polynomial(3, 2, 0.25)
+    assert str(info.value) == (
+        f"even-degree rule lacks the node at -1 for (n=3, m=2, s=0.25, capacity={levenshtein_function(3, 2, 0.25):.12g}): "
+        "smallest node is -0.5 (tolerance 1e-7)"
+    )
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s) == ("nodes", 3, 2, 0.25)
+    assert info.value.capacity == levenshtein_function(3, 2, 0.25)
 
 
 def _mp_levenshtein(mpmath, n, m, t):
@@ -564,6 +586,9 @@ def test_levenshtein_polynomial_errors_name_inputs():
     prefix = "Levenshtein polynomial for (n=4, m=5, s=0.71) has a negative coefficient: coefficient 0 of 6 is "
     assert message.startswith(prefix)
     assert float(message[len(prefix):]) == pytest.approx(-7.19907e-4, rel=1e-5)
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s, info.value.capacity) == (
+        "levenshtein", 4, 5, 0.71, rule.capacity
+    )
 
 
 @pytest.mark.parametrize("n", [3, 8, 30])

@@ -77,11 +77,13 @@ def test_capacity_within_round_off_of_the_boundary_takes_the_lower_degree():
     assert_valid_rule(rule)
 
 
-def _gate_error(m, nodes, weights=None):
-    """The message of the rule gate on ``nodes`` (equal weights by default) in n = 3 at capacity 10."""
+def _gate_error(m, nodes, weights=None, stage="nodes"):
+    """The message of the rule gate on ``nodes`` (equal weights by default) in n = 3 at capacity 10,
+    whose error names ``stage`` and the rule's inputs."""
     weights = (0.5,) * len(nodes) if weights is None else weights
     with pytest.raises(QuadratureError) as info:
         _verified_rule(3, m, nodes, weights, 10.0, m)
+    assert (info.value.stage, info.value.n, info.value.m, info.value.s, info.value.capacity) == (stage, 3, m, nodes[-1], 10.0)
     return str(info.value)
 
 
@@ -109,7 +111,9 @@ def test_node_table_of_the_wrong_shape_is_a_named_error():
         )
     # the right counts pass the shape gate and fail only the exactness gate
     for m in (4, 5):
-        assert _gate_error(m, points).startswith(f"quadrature exactness failure for (n=3, m={m}, s=0.5, capacity=10): ")
+        assert _gate_error(m, points, stage="exactness").startswith(
+            f"quadrature exactness failure for (n=3, m={m}, s=0.5, capacity=10): "
+        )
 
 
 @pytest.mark.parametrize(
