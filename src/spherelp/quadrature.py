@@ -43,6 +43,13 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.stage, self.n, self.m, self.s, self.capacity = stage, n, m, s, capacity
 
+    @classmethod
+    def of_rule(cls, stage: str, what: str, n: int, m: int, s, capacity: float, detail: str):
+        """The error "{what} for (n, m, s, capacity): {detail}", its arguments in the order its message names
+        them and its fields the same values; s is None, and left out of the message, at the stage "brent"."""
+        rule = f"n={n}, m={m}, " + ("" if s is None else f"s={s:.12g}, ") + f"capacity={capacity:.12g}"
+        return cls(f"{what} for ({rule}): {detail}", stage=stage, n=n, m=m, s=s, capacity=capacity)
+
 
 class WeightAtMinusOneError(QuadratureError):
     """An even-degree rule whose weight at the node -1 is not positive.
@@ -242,17 +249,11 @@ def compute_weights(n: int, m: int, s: float, capacity: float, table_degree: int
             nodes[0] = -1.0
         weights = vectors[0] ** 2 / (1.0 - nodes)
     if abs(top - s) > 1e-6:
-        raise QuadratureError(
-            f"largest node does not match s for {_where(n, m, s, capacity)}: it is {top:.17g}, "
-            f"off by {top - s:.6g} (tolerance 1e-6)",
-            stage="nodes", n=n, m=m, s=s, capacity=capacity,
-        )
+        raise QuadratureError.of_rule("nodes", "largest node does not match s", n, m, s, capacity,
+                                      f"it is {top:.17g}, off by {top - s:.6g} (tolerance 1e-6)")
     if eps == 1 and abs(bottom + 1) > 1e-7:
-        raise QuadratureError(
-            f"even-degree rule lacks the node at -1 for {_where(n, m, s, capacity)}: smallest node is "
-            f"{bottom:.17g} (tolerance 1e-7)",
-            stage="nodes", n=n, m=m, s=s, capacity=capacity,
-        )
+        raise QuadratureError.of_rule("nodes", "even-degree rule lacks the node at -1", n, m, s, capacity,
+                                      f"smallest node is {bottom:.17g} (tolerance 1e-7)")
     return _verified_rule(n, m, nodes, weights, capacity, m if table_degree is None else table_degree)
 
 
@@ -268,42 +269,27 @@ def _verified_rule(n: int, m: int, nodes, weights, capacity: float, table_degree
     if len(nodes) > 1:
         x = np.asarray(nodes)  # a record's nodes are a tuple
         gap = int((x[1:] - x[:-1]).argmin())  # np.diff's subtraction
-        if nodes[gap + 1] - nodes[gap] <= 1e-9:
-            where = _where(n, m, nodes[-1], capacity)
-            raise QuadratureError(
-                f"{'descending' if nodes[gap + 1] < nodes[gap] else 'repeated'} nodes for {where}: "
-                f"nodes {gap} and {gap + 1} are {nodes[gap + 1] - nodes[gap]:.6g} apart",
-                stage="nodes", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
-            )
+        step = nodes[gap + 1] - nodes[gap]
+        if step <= 1e-9:
+            raise QuadratureError.of_rule("nodes", f"{'descending' if step < 0 else 'repeated'} nodes", n, m,
+                                          float(nodes[-1]), capacity, f"nodes {gap} and {gap + 1} are {step:.6g} apart")
     if nodes[0] < -1 - 1e-9 or nodes[-1] >= 1:
         bad = 0 if nodes[0] < -1 - 1e-9 else len(nodes) - 1
-        raise QuadratureError(
-            f"node outside [-1, 1) for {_where(n, m, nodes[-1], capacity)}: node {bad} is {nodes[bad]:.17g}",
-            stage="nodes", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
-        )
+        raise QuadratureError.of_rule("nodes", "node outside [-1, 1)", n, m, float(nodes[-1]), capacity,
+                                      f"node {bad} is {nodes[bad]:.17g}")
     low = int(np.asarray(weights).argmin())  # the first NaN, if any, which fails the gate
     if not weights[low] > 0:
-        raise (WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError)(
-            f"nonpositive quadrature weight for {_where(n, m, nodes[-1], capacity)}: "
-            f"weight {low} of {len(weights)} is {weights[low]:.6g}",
-            stage="weights", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
-        )
+        error = WeightAtMinusOneError if m % 2 == 0 and low == 0 else QuadratureError
+        raise error.of_rule("weights", "nonpositive quadrature weight", n, m, float(nodes[-1]), capacity,
+                            f"weight {low} of {len(weights)} is {weights[low]:.6g}")
     table = gegenbauer_table(n, table_degree, nodes)
     table.flags.writeable = False
     residuals = exactness_residuals(table[: m + 1], weights, capacity)
     worst = int(abs(residuals).argmax())
     if not abs(residuals[worst]) <= 1e-9:
-        raise QuadratureError(
-            f"quadrature exactness failure for {_where(n, m, nodes[-1], capacity)}: "
-            f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)",
-            stage="exactness", n=n, m=m, s=float(nodes[-1]), capacity=capacity,
-        )
+        raise QuadratureError.of_rule("exactness", "quadrature exactness failure", n, m, float(nodes[-1]), capacity,
+                                      f"largest residual is {residuals[worst]:.6g} on P_{worst} (tolerance 1e-9)")
     return QuadratureRule(n, m, tuple(nodes), tuple(weights), float(capacity), table)
-
-
-def _where(n: int, m: int, s: float, capacity: float) -> str:
-    """The rule an error message names, formatted only when raising."""
-    return f"(n={n}, m={m}, s={s:.12g}, capacity={capacity:.12g})"
 
 
 def exactness_residuals(table: np.ndarray, weights, capacity: float) -> np.ndarray:
@@ -381,11 +367,8 @@ def _brent_root(f, xpre, xcur, fpre, fcur, n, m, capacity):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise QuadratureError(
-        f"Brent's method did not converge in {maxiter} steps for (n={n}, m={m}, capacity={capacity:.12g}): "
-        f"last iterate {xcur:.17g}",
-        stage="brent", n=n, m=m, capacity=capacity,
-    )
+    raise QuadratureError.of_rule("brent", f"Brent's method did not converge in {maxiter} steps", n, m, None, capacity,
+                                  f"last iterate {xcur:.17g}")
 
 
 def levenshtein_polynomial(n: int, m: int, s: float) -> QuadratureRule:

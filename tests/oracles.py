@@ -6,9 +6,10 @@ series, the moments of the inner-product measure mu_n, exact monomial
 integrals over the sphere, the design and cubature residuals of a
 weighted code, the closed-form energies of the two flagship
 configurations, three sharp codes built from the E8 roots, the 600-cell,
-the 24-cell and the 600-cell each with its dual, and the weights that
-make a union of orbits a design.  The test files import them as ``from oracles import ...``; the
-module has no ``test_`` prefix, so pytest does not collect it.
+the 24-cell and the 600-cell each with its dual, the weights that
+make a union of orbits a design, and codes of low riesz:1 energy by
+gradient descent.  The test files import them as ``from oracles import
+...``; the module has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -139,6 +140,27 @@ def closed_form_energy(name: str, n: int | None, h: Potential) -> float:
         )
         return fsum(terms)
     raise ValueError(f"no closed-form energy for {name!r}")
+
+
+def descend(n: int, weights, seed: int, steps: int) -> WeightedCode:
+    """A code with ``weights`` near a local minimum of the weighted riesz:1 energy, the sum over i != j of
+    w_i w_j / |x_i - x_j|, on the unit sphere of R^n: seeded random points, then ``steps`` steps of projected
+    gradient descent.  Each point moves along the tangential part of minus the energy's gradient in it, over
+    2 w_i, scaled by 1/2 over the largest sum_j w_j / |x_i - x_j|^3 (a bound on that force's stiffness), and
+    is normalised back onto the sphere."""
+    w = np.asarray(weights, dtype=float)
+    x = np.random.default_rng(seed).standard_normal((w.size, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for _ in range(steps):
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        coupling = w / dist**3  # w_j / |x_i - x_j|^3, 0 on the diagonal
+        force = (coupling[:, :, None] * diff).sum(axis=1)
+        force -= (force * x).sum(axis=1, keepdims=True) * x
+        x += force / (2 * coupling.sum(axis=1).max())
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return WeightedCode(n, x, w)
 
 
 def e8_roots() -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import census
-from oracles import SHARP_CODES, clenshaw, sharp_code, six_hundred_cell, twenty_four_cell_orbits, union_code
+from oracles import SHARP_CODES, clenshaw, descend, sharp_code, six_hundred_cell, twenty_four_cell_orbits, union_code
 from oracles import six_hundred_cell_orbits
 from spherelp import bounds
 from spherelp.bounds import design_ulb, design_uub, ulb, uub
@@ -1035,6 +1035,21 @@ def test_sharp_codes_attain_both_bounds(name, spec):
         assert len(nodes) == len(products) and max(abs(np.subtract(nodes, products))) <= 1e-12
         assert abs(report.value - e) <= 4 * np.finfo(float).eps * abs(e)
         assert census.verdict_text(bounds.read_record(bounds.write_record(report))) == census.verdict_text(report)
+
+
+def test_descended_codes_lie_between_their_bounds():
+    # equal-weight codes of n = 3 near riesz:1 minima: each energy lies between the ULB at its N_W and
+    # the UUB at its maximal inner product, to round-off; at N = 4, 6 and 12 the minimiser is the
+    # tetrahedron, octahedron or icosahedron, sharp codes, whose energy is the ULB
+    for size in range(4, 41):
+        code = descend(3, np.full(size, 1 / size), size, 400)
+        for h in (riesz(1), gaussian(1), logarithmic()):
+            e = energy(code, h)
+            lower, upper = ulb(3, code.n_w, h), uub(3, code.n_w, code.max_inner_product, h)
+            assert lower.feasible and upper.feasible
+            assert lower.value <= e + 1e-14 * abs(e) and e <= upper.value + 1e-14 * abs(e)
+            if size in (4, 6, 12):
+                assert abs(e - lower.value) <= 1e-14 * abs(e)
 
 
 @pytest.mark.parametrize("spec, gap", [("riesz:1", 3.984e-5), ("log", 2.371e-5)])

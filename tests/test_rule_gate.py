@@ -83,8 +83,15 @@ def _gate_error(m, nodes, weights=None, stage="nodes"):
     weights = (0.5,) * len(nodes) if weights is None else weights
     with pytest.raises(QuadratureError) as info:
         _verified_rule(3, m, nodes, weights, 10.0, m)
-    assert (info.value.stage, info.value.n, info.value.m, info.value.s, info.value.capacity) == (stage, 3, m, nodes[-1], 10.0)
-    return str(info.value)
+    error, message = info.value, str(info.value)
+    assert (error.stage, error.n, error.m, error.s, error.capacity) == (stage, 3, m, nodes[-1], 10.0)
+    # the message names the fields' own values: the count gate as a degree and (n, capacity), every other
+    # gate as (n, m, s, capacity), formatted as QuadratureError.of_rule formats them
+    if message.startswith("a degree-"):
+        assert message.startswith(f"a degree-{error.m} rule for (n={error.n}, capacity={error.capacity:.12g}) ")
+    else:
+        assert f" for (n={error.n}, m={error.m}, s={error.s:.12g}, capacity={error.capacity:.12g}): " in message
+    return message
 
 
 def test_nodes_above_one_rejected():
